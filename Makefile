@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-smoke docs-check docs-check-run selftest serve-demo serve-smoke reshard-smoke mutation-smoke faultinject-smoke replicate-smoke remote-smoke family-smoke
+.PHONY: test bench bench-smoke bench-e2e docs-check docs-check-run selftest serve-demo serve-smoke reshard-smoke mutation-smoke faultinject-smoke replicate-smoke remote-smoke family-smoke
 
 test:            ## tier-1 correctness suite (the merge gate)
 	$(PYTHON) -m pytest -x -q
@@ -16,8 +16,12 @@ bench-smoke:     ## columnar codec bench at tiny scale (fast regression gate)
 	BENCH_COLUMNAR_KEYS=20000 $(PYTHON) -m pytest \
 	    benchmarks/test_bench_columnar_scale.py -m bench -q
 
-serve-smoke:     ## boot a UDS listener, replay a tiny stream, assert a verdict
-	$(PYTHON) -m pytest tests/test_serve_net.py -q -k smoke
+bench-e2e:       ## end-to-end benchmark: every workload, traced per-layer waterfalls
+	$(PYTHON) e2ebench/run.py --workload all --seed 1 --seconds 20 --trace 1
+
+serve-smoke:     ## UDS listener smoke + block decoder and block accounting gates
+	$(PYTHON) -m pytest tests/test_serve_net.py -q -k "smoke or BlockDecoder"
+	$(PYTHON) -m pytest tests/test_serve_service.py -q -k BlockAccounting
 
 reshard-smoke:   ## reshard N->M->N byte-identity + verdict equivalence gate
 	$(PYTHON) -m pytest tests/test_reshard.py -q

@@ -130,8 +130,11 @@ class StreamSession:
         """Vectorized :meth:`ingest` of one node's sample batch.
 
         Equivalent to calling :meth:`ingest` per ``(timestamp, value)``
-        pair, in one NumPy pass — the fast path when replaying stored
-        series into a session.
+        pair, bitwise, in one NumPy pass — the fast path when replaying
+        stored series into a session.  The in-interval values are folded
+        left to right onto the running sum (``np.add.accumulate``), the
+        same additions in the same order as the per-sample path; a
+        pairwise ``sum`` would round differently.
         """
         timestamps = np.asarray(timestamps, dtype=float)
         values = np.asarray(values, dtype=float)
@@ -143,15 +146,19 @@ class StreamSession:
             raise RuntimeError("session already concluded; open a new one")
         start, end = self.interval
         if timestamps.size:
-            top = float(timestamps.max())
+            # fmax skips NaN timestamps, as the per-sample compare does.
+            top = float(np.fmax.reduce(timestamps, axis=None))
             if top > self._latest[node]:
                 if self._latest[node] < end <= top:
                     self._n_past_end += 1
                 self._latest[node] = top
         self.n_samples += int(timestamps.size)
         mask = (timestamps >= start) & (timestamps < end) & ~np.isnan(values)
-        self._sums[node] += float(values[mask].sum())
-        self._counts[node] += int(mask.sum())
+        folded = values[mask]
+        if folded.size:
+            running = np.concatenate(([self._sums[node]], folded))
+            self._sums[node] = float(np.add.accumulate(running)[-1])
+            self._counts[node] += int(folded.size)
 
     # -- state ----------------------------------------------------------------
     @property

@@ -141,14 +141,14 @@ class EngineStats:
         if depth > self.queue_peak:
             self.queue_peak = depth
 
-    def record_shed(self) -> None:
-        """One sample refused: queue full or session cap, policy ``shed``."""
-        self.n_shed += 1
+    def record_shed(self, n: int = 1) -> None:
+        """``n`` samples refused: queue full or session cap, policy ``shed``."""
+        self.n_shed += n
 
-    def record_late(self) -> None:
-        """One sample dropped because its session's verdict was already
-        queued or decided (cannot affect the fingerprint)."""
-        self.n_late += 1
+    def record_late(self, n: int = 1) -> None:
+        """``n`` samples dropped because their session's verdict was
+        already queued or decided (they cannot affect the fingerprint)."""
+        self.n_late += n
 
     def record_eviction(self) -> None:
         """One session evicted on inactivity timeout."""

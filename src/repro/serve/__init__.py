@@ -5,7 +5,9 @@ minutes in, from the first measurement interval.  ``repro.serve`` is the
 subsystem that cashes that in for a whole cluster at once:
 
 - :class:`~repro.serve.stream.Sample` / JSONL helpers define the wire
-  format a monitoring bus delivers (one observation per line), and
+  format a monitoring bus delivers (one observation per line);
+  :class:`~repro.serve.stream.SampleBlock` is the same data as columns,
+  the unit the service admits, queues and routes; and
   :func:`~repro.serve.stream.interleave_records` replays stored dataset
   telemetry as a realistic interleaved multi-job stream.
 - :class:`~repro.serve.config.ServeConfig` pins down the operational
@@ -51,6 +53,7 @@ from repro.serve.service import (
 )
 from repro.serve.stream import (
     Sample,
+    SampleBlock,
     interleave_records,
     parse_sample,
     read_samples,
@@ -64,6 +67,7 @@ __all__ = [
     "NetListener",
     "ProtocolError",
     "Sample",
+    "SampleBlock",
     "ServeConfig",
     "ServeError",
     "SessionEvicted",

@@ -6,8 +6,9 @@ LDMS aggregator, per site — all pushing telemetry at once.
 into that shared endpoint: an asyncio TCP and/or Unix-domain-socket
 listener accepting N concurrent producer connections, each speaking the
 same newline-delimited JSON :class:`~repro.serve.stream.Sample` encoding
-the file/stdin path reads (``parse_sample``), framed per line and
-submitted in per-connection micro-batches.
+the file/stdin path reads (``parse_sample``).  Each socket read is
+decoded as one block (:class:`LineDecoder`) and submitted in
+per-connection micro-batches of blocks.
 
 Design points (the full wire-protocol spec lives in ``docs/serving.md``):
 
@@ -41,9 +42,10 @@ import os
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.serve.service import IngestService
-from repro.serve.stream import Sample, parse_sample
+from repro.serve.stream import Sample, SampleBlock, parse_sample
 
 __all__ = [
+    "LineDecoder",
     "NetListener",
     "ProtocolError",
     "push_samples",
@@ -65,9 +67,176 @@ class ProtocolError(ValueError):
     never data the service already understood.
     """
 
-    def __init__(self, reason: str, parsed: Optional[List[Sample]] = None):
+    def __init__(self, reason: str, parsed: Optional[SampleBlock] = None):
         super().__init__(reason)
-        self.parsed: List[Sample] = parsed or []
+        self.parsed: SampleBlock = SampleBlock() if parsed is None else parsed
+
+
+_NAN = float("nan")
+_NONE = type(None)
+_FLOAT_INT = {float, int}
+_VALUE_TYPES = {float, int, _NONE}
+_NODES_TYPES = {int, _NONE}
+
+
+def _decode_bulk(data: bytes, max_bytes: int
+                 ) -> Optional[Tuple[SampleBlock, int]]:
+    """The common case of :meth:`LineDecoder.decode`, in one pass.
+
+    ``data`` is complete lines joined by ``\n``.  One strict UTF-8
+    decode, blank and ``#`` lines dropped, one ``json.loads`` of the
+    remaining lines joined into a JSON array, then the per-object type
+    checks column by column.  Returns the block and the number of lines
+    consumed, or ``None`` whenever any line could need the per-line
+    path: an oversized or undecodable line, a line not starting with
+    ``{``, a decode error, a missing field, an extra key, or a value
+    that is not already its final type (coercion).
+
+    Why the array decode equals decoding line by line: every line starts
+    with ``{`` and a JSON string cannot hold a raw newline, so a comma
+    joining two lines can only sit between two top-level values or
+    inside an array.  Objects whose values are all checked scalars and
+    that carry no other key hold no array, so no value spans two lines;
+    every line starts a value, and with as many values as lines each
+    line decoded to exactly one object of its own.
+    """
+    if len(data) > max_bytes and max(map(len, data.split(b"\n"))) > max_bytes:
+        return None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    n_lines = text.count("\n") + 1
+    body = text.replace("\n{", ",{")
+    if text.startswith("{") and "\n" not in body:
+        n = n_lines
+    else:
+        kept = [line for line in map(str.strip, text.split("\n"))
+                if line and line[0] != "#"]
+        if not kept:
+            return SampleBlock(), n_lines
+        if not all(line[0] == "{" for line in kept):
+            return None
+        body = ",".join(kept)
+        n = len(kept)
+    try:
+        objs = json.loads("[" + body + "]")
+        if len(objs) != n:
+            return None  # some line held more than one value
+        jobs = [o["job"] for o in objs]
+        nodes = [o["node"] for o in objs]
+        times = [o["t"] for o in objs]
+        values = [o["value"] for o in objs]
+        n_nodes = [o.get("nodes") for o in objs]
+        if (set(map(type, jobs)) != {str} or not all(jobs)
+                or set(map(type, nodes)) != {int} or min(nodes) < 0):
+            return None
+        time_types = set(map(type, times))
+        value_types = set(map(type, values))
+        nodes_types = set(map(type, n_nodes))
+        if (not time_types <= _FLOAT_INT or not value_types <= _VALUE_TYPES
+                or not nodes_types <= _NODES_TYPES):
+            return None
+        n_absent = n_nodes.count(None)
+        if sum(map(len, objs)) != 5 * n - n_absent:
+            return None  # an extra key (or an explicit "nodes": null)
+        if int in nodes_types and min(
+                n_nodes if not n_absent else
+                [x for x in n_nodes if x is not None]) < 1:
+            return None
+        if int in time_types:
+            times = list(map(float, times))
+        if value_types != {float}:
+            values = [_NAN if v is None else float(v) for v in values]
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
+        return None
+    return SampleBlock(jobs, nodes, times, values, n_nodes), n_lines
+
+
+def _decode_lines(lines: Iterable[bytes], lineno: int, max_bytes: int,
+                  out: SampleBlock) -> int:
+    """The per-line reference decoder: append ``lines`` to ``out`` one
+    by one through :func:`~repro.serve.stream.parse_sample`; returns the
+    new line count.  Raises :class:`ProtocolError` carrying ``out`` (the
+    valid prefix) on the first line that is oversized, undecodable, or
+    not a valid sample."""
+    for raw in lines:
+        lineno += 1
+        if len(raw) > max_bytes:
+            raise ProtocolError(
+                f"sample line {lineno}: exceeds max_line_bytes={max_bytes}",
+                out,
+            )
+        try:
+            text = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(
+                f"sample line {lineno}: not valid UTF-8: {exc}", out
+            )
+        if not text or text.startswith("#"):
+            continue
+        try:
+            out.append(parse_sample(text, lineno))
+        except ValueError as exc:
+            raise ProtocolError(str(exc), out)
+    return lineno
+
+
+class LineDecoder:
+    """Frames one connection's NDJSON bytes into sample blocks.
+
+    :meth:`feed` takes the bytes of one socket read and appends the
+    samples of every line it completes to a block; :meth:`finish`
+    decodes an unterminated last line at EOF.  Each read's complete
+    lines are decoded in one pass (see :func:`_decode_bulk`); a chunk
+    holding a line that needs coercion or is invalid goes through the
+    per-line :func:`~repro.serve.stream.parse_sample` instead, so the
+    samples, the :class:`ProtocolError` text and its line number never
+    depend on where the reads split the stream.  :attr:`lineno` counts
+    the lines consumed so far.
+    """
+
+    def __init__(self, max_line_bytes: int):
+        self.max_line_bytes = max_line_bytes
+        self.lineno = 0
+        self._buf = bytearray()
+
+    def feed(self, chunk: bytes, out: SampleBlock) -> None:
+        buf = self._buf
+        buf += chunk
+        cut = buf.rfind(b"\n")
+        if cut >= 0:
+            data = bytes(buf[:cut])
+            del buf[:cut + 1]
+            # Decode the complete lines BEFORE rejecting an oversized
+            # unterminated tail: valid samples that shared a read with
+            # the bad line must still ride along in exc.parsed, or
+            # acceptance would depend on chunk boundaries.
+            self.decode(data, out)
+        if len(buf) > self.max_line_bytes:
+            raise ProtocolError(
+                f"sample line {self.lineno + 1}: exceeds "
+                f"max_line_bytes={self.max_line_bytes}",
+                out,
+            )
+
+    def finish(self, out: SampleBlock) -> None:
+        """End of stream: a trailing unterminated line is still a line."""
+        if self._buf:
+            data = bytes(self._buf)
+            self._buf.clear()
+            self.decode(data, out)
+
+    def decode(self, data: bytes, out: SampleBlock) -> None:
+        """Append the samples of complete lines ``data`` (joined by
+        ``\n``, no trailing newline) to ``out``."""
+        decoded = _decode_bulk(data, self.max_line_bytes)
+        if decoded is None:
+            self.lineno = _decode_lines(data.split(b"\n"), self.lineno,
+                                        self.max_line_bytes, out)
+        else:
+            out.extend(decoded[0])
+            self.lineno += decoded[1]
 
 
 class NetListener:
@@ -197,17 +366,14 @@ class NetListener:
         stats.record_conn_open()
         dropped = False
         n_accepted = 0
-        lineno = 0
-        buf = bytearray()
+        decoder = LineDecoder(self.config.max_line_bytes)
         try:
             if self._closing:
                 return
             eof = False
             while not eof:
                 try:
-                    batch, eof, lineno = await self._read_batch(
-                        reader, buf, lineno
-                    )
+                    batch, eof = await self._read_batch(reader, decoder)
                 except ProtocolError as exc:
                     dropped = True
                     stats.record_protocol_error()
@@ -218,7 +384,7 @@ class NetListener:
                     return
                 n_accepted += await self._submit(batch)
             await self._reply(writer, {
-                "ok": True, "accepted": n_accepted, "lines": lineno,
+                "ok": True, "accepted": n_accepted, "lines": decoder.lineno,
             })
         except asyncio.CancelledError:
             pass  # close(abort=True): just stop; the socket closes below
@@ -235,32 +401,31 @@ class NetListener:
             except (ConnectionError, OSError):
                 pass
 
-    async def _submit(self, batch: List[Sample]) -> int:
+    async def _submit(self, batch: SampleBlock) -> int:
         if not batch:
             return 0
         return await self.service.submit_many(batch)
 
     async def _read_batch(
-        self, reader: asyncio.StreamReader, buf: bytearray, lineno: int
-    ) -> Tuple[List[Sample], bool, int]:
+        self, reader: asyncio.StreamReader, decoder: LineDecoder
+    ) -> Tuple[SampleBlock, bool]:
         """Read one micro-batch of samples off the wire.
 
-        Frames by chunk, not by line: each socket read pulls up to 64
-        KiB, complete lines are split off ``buf`` (the connection's
-        carry-over buffer) and parsed in bulk — hundreds of samples per
-        event-loop turn instead of one.  Reading stops once at least
-        ``net_batch_samples`` samples are parsed (a single chunk may
+        Each socket read pulls up to 64 KiB and ``decoder`` turns its
+        complete lines into samples in one pass — hundreds of samples
+        per event-loop turn instead of one.  Reading stops once at least
+        ``net_batch_samples`` samples are decoded (a single read may
         overshoot) or a ``net_batch_delay`` window closes with no new
         bytes, so a trickling producer's samples are never held hostage
-        to an unfilled batch.  Returns ``(samples, eof, lineno)``;
-        raises :class:`ProtocolError` (with the valid prefix attached)
-        on a line it cannot accept.
+        to an unfilled batch.  Returns ``(block, eof)``; raises
+        :class:`ProtocolError` (with the valid prefix attached) on a
+        line it cannot accept.
         """
         cfg = self.config
         loop = asyncio.get_running_loop()
-        samples: List[Sample] = []
+        block = SampleBlock()
         deadline: Optional[float] = None
-        while len(samples) < cfg.net_batch_samples:
+        while len(block) < cfg.net_batch_samples:
             try:
                 if deadline is None:
                     chunk = await reader.read(_READ_CHUNK)
@@ -277,98 +442,16 @@ class NetListener:
                         break
             except asyncio.CancelledError:
                 # Graceful drain (close(abort=True)): treat the cancel
-                # as EOF so everything already parsed is still
+                # as EOF so everything already decoded is still
                 # submitted and the producer still gets a summary.  The
-                # buffered tail is NOT parsed — a cut stream ends in an
+                # buffered tail is NOT decoded — a cut stream ends in an
                 # incomplete line, not a sample.
-                return samples, True, lineno
+                return block, True
             if not chunk:
-                # Real EOF: a trailing unterminated line is still a line.
-                if buf:
-                    tail = bytes(buf)
-                    buf.clear()
-                    lineno = self._parse_lines([tail], lineno, samples)
-                return samples, True, lineno
-            buf += chunk
-            *complete, rest = buf.split(b"\n")
-            buf[:] = rest
-            # Parse the complete lines BEFORE rejecting an oversized
-            # unterminated tail: valid samples that shared a chunk with
-            # the bad line must still ride along in exc.parsed, or
-            # acceptance would depend on TCP chunk boundaries.
-            lineno = self._parse_lines(complete, lineno, samples)
-            if len(buf) > cfg.max_line_bytes:
-                raise ProtocolError(
-                    f"sample line {lineno + 1}: exceeds "
-                    f"max_line_bytes={cfg.max_line_bytes}",
-                    samples,
-                )
-        return samples, False, lineno
-
-    def _parse_lines(
-        self, lines: Iterable[bytes], lineno: int, out: List[Sample]
-    ) -> int:
-        """Decode raw wire lines into ``out``; returns the new line count.
-
-        The hot path inlines the common case — a well-typed JSON object
-        with every field already the right type — and only falls back to
-        the canonical :func:`~repro.serve.stream.parse_sample` for type
-        coercion and precise error messages.  Raises
-        :class:`ProtocolError` carrying everything parsed so far
-        (``out`` is shared with the caller's batch) on the first line
-        that is oversized, undecodable, or not a valid sample.
-        """
-        cfg = self.config
-        max_bytes = cfg.max_line_bytes
-        loads = json.loads
-        append = out.append
-        nan = float("nan")
-        for raw in lines:
-            lineno += 1
-            if len(raw) > max_bytes:
-                raise ProtocolError(
-                    f"sample line {lineno}: exceeds max_line_bytes="
-                    f"{max_bytes}",
-                    out,
-                )
-            try:
-                text = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise ProtocolError(
-                    f"sample line {lineno}: not valid UTF-8: {exc}", out
-                )
-            if not text or text.startswith("#"):
-                continue
-            try:
-                obj = loads(text)
-                job = obj["job"]
-                node = obj["node"]
-                t = obj["t"]
-                value = obj["value"]
-            except (ValueError, KeyError, TypeError):
-                pass  # canonical parse below reports the real problem
-            else:
-                n_nodes = obj.get("nodes")
-                if (job.__class__ is str and job
-                        and node.__class__ is int and node >= 0
-                        and (t.__class__ is float or t.__class__ is int)
-                        and (value.__class__ is float
-                             or value.__class__ is int or value is None)
-                        and (n_nodes is None
-                             or (n_nodes.__class__ is int and n_nodes >= 1))):
-                    append(Sample(
-                        job, node,
-                        t if t.__class__ is float else float(t),
-                        nan if value is None else
-                        (value if value.__class__ is float else float(value)),
-                        n_nodes,
-                    ))
-                    continue
-            try:
-                append(parse_sample(text, lineno))
-            except ValueError as exc:
-                raise ProtocolError(str(exc), out)
-        return lineno
+                decoder.finish(block)
+                return block, True
+            decoder.feed(chunk, block)
+        return block, False
 
     async def _reply(self, writer: asyncio.StreamWriter, payload: Dict) -> None:
         try:

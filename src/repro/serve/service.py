@@ -2,25 +2,34 @@
 
 :class:`IngestService` is the event-loop front-end the ROADMAP asks for
 on top of :meth:`~repro.engine.batch.BatchRecognizer.recognize_sessions`:
-telemetry samples for thousands of concurrent jobs flow in one at a
-time, each job accumulates into its own
+telemetry samples for thousands of concurrent jobs flow in as blocks,
+each job accumulates into its own
 :class:`~repro.core.streaming.StreamSession`, and the moment a session
 crosses the fingerprint interval mark it is coalesced with other ready
 sessions into a recognition micro-batch that resolves on a worker
 executor — while ingestion keeps running.
 
-The pipeline, all on one event loop::
+The unit of work is a :class:`~repro.serve.stream.SampleBlock` — a run
+of samples, typically one decoded wire chunk — and the pipeline, all on
+one event loop, moves blocks, never single samples::
 
-    submit(sample) ──> [bounded ingest queue] ──> _ingest_loop
-                             │ full?                  │ routes into
-                             │ block / shed           │ per-job StreamSession
-                             ▼                        ▼ session.ready?
-                        backpressure            [ready queue] ──> _batch_loop
-                                                                     │ coalesce
-                                                                     ▼
-                                           executor: recognize_sessions(batch)
-                                                                     │
-                                              futures / callbacks <──┘
+    submit_many(block) ─> admission ─> [bounded ingest queue] ─> _ingest_loop
+      (submit(sample) =   once per      of blocks, capacity       one sync loop
+       a 1-sample block)  first-seen    counted in samples        per block folds
+                          job           │ full? block / shed      samples into
+                          │ cap? split  ▼                         per-job StreamSession
+                          ▼             backpressure              │ session.ready?
+                     backpressure                                 ▼
+                                                            [ready queue] ─> _batch_loop
+                                                                              │ coalesce
+                                                                              ▼
+                                                 executor: recognize_sessions(batch)
+                                                                              │
+                                                       futures / callbacks <──┘
+
+A block that overruns the queue capacity or the session cap is split at
+that point: under ``block`` the rest waits (lossless), under ``shed``
+the refused samples are dropped and counted one by one.
 
 Guarantees (property-tested in ``tests/test_serve_service.py``):
 
@@ -54,14 +63,24 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.matcher import MatchResult
 from repro.core.streaming import StreamSession
 from repro.engine.batch import BatchRecognizer
 from repro.parallel.pool import WorkerError
 from repro.serve.config import ServeConfig
-from repro.serve.stream import Sample
+from repro.serve.stream import Sample, SampleBlock
 
 #: Signature of the optional verdict callback: ``(job_id, result)``.
 VerdictCallback = Callable[[str, MatchResult], None]
@@ -127,6 +146,60 @@ class _SessionState:
     forced: bool = False
 
 
+class _BlockQueue:
+    """FIFO of sample blocks whose capacity is counted in samples.
+
+    :attr:`size` is the number of queued samples.  A producer puts at
+    most :meth:`room` samples at a time (splitting a larger block) and
+    waits in :meth:`wait_space` for the rest; :meth:`join` waits until
+    every block put has been marked done, as :meth:`asyncio.Queue.join`
+    does.  Single consumer, loop-confined.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.size = 0
+        self._blocks: Deque[SampleBlock] = deque()
+        self._unfinished = 0
+        self._nonempty = asyncio.Event()
+        self._space = asyncio.Event()
+        self._finished = asyncio.Event()
+        self._finished.set()
+
+    def room(self) -> int:
+        return self.capacity - self.size
+
+    def put_nowait(self, block: SampleBlock) -> None:
+        self._blocks.append(block)
+        self.size += len(block)
+        self._unfinished += 1
+        self._nonempty.set()
+        self._finished.clear()
+
+    async def wait_space(self) -> None:
+        while self.size >= self.capacity:
+            self._space.clear()
+            await self._space.wait()
+
+    async def get(self) -> SampleBlock:
+        while not self._blocks:
+            self._nonempty.clear()
+            await self._nonempty.wait()
+        block = self._blocks.popleft()
+        self.size -= len(block)
+        self._space.set()
+        return block
+
+    def task_done(self) -> None:
+        self._unfinished -= 1
+        if not self._unfinished:
+            self._finished.set()
+
+    async def join(self) -> None:
+        if self._unfinished:
+            await self._finished.wait()
+
+
 class IngestService:
     """Asyncio front-end resolving live sessions through a batch engine.
 
@@ -171,10 +244,10 @@ class IngestService:
         self.n_callback_errors = 0
         self.stats = engine.stats
         self._sessions: Dict[str, _SessionState] = {}
-        self._pending_opens: "set[str]" = set()  # admitted, not yet routed
+        self._pending_opens: Set[str] = set()  # admitted, not yet routed
         self._n_active = 0            # sessions not yet DONE
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ingest_q: Optional["asyncio.Queue[object]"] = None
+        self._ingest_q: Optional[_BlockQueue] = None
         self._ready_q: Optional["asyncio.Queue[str]"] = None
         self._ingest_task: Optional["asyncio.Task[None]"] = None
         self._batch_task: Optional["asyncio.Task[None]"] = None
@@ -210,7 +283,7 @@ class IngestService:
         if self._running:
             raise RuntimeError("service already started")
         self._loop = asyncio.get_running_loop()
-        self._ingest_q = asyncio.Queue(maxsize=self.config.max_pending_samples)
+        self._ingest_q = _BlockQueue(self.config.max_pending_samples)
         self._ready_q = asyncio.Queue()
         self._inflight = asyncio.Semaphore(self.config.max_inflight_batches)
         self._session_freed = asyncio.Event()
@@ -339,7 +412,7 @@ class IngestService:
 
     # -- ingestion -----------------------------------------------------------
     async def submit(self, sample: Sample) -> bool:
-        """Offer one sample to the service.
+        """Offer one sample: :meth:`submit_many` of a one-sample block.
 
         Returns ``True`` if the sample was accepted.  Under the
         ``"block"`` policy this coroutine suspends while the ingest
@@ -352,100 +425,112 @@ class IngestService:
         instead, ``False`` is returned, and the drop is counted in
         :attr:`EngineStats.n_shed`.
         """
+        return await self.submit_many(SampleBlock.of((sample,))) == 1
+
+    async def submit_many(
+        self, samples: Union[SampleBlock, Iterable[Sample]]
+    ) -> int:
+        """Offer a block of samples; returns how many were accepted.
+
+        ``samples`` is a :class:`~repro.serve.stream.SampleBlock` or any
+        iterable of :class:`Sample` (made into one block).  The block is
+        admitted once per first-seen job and queued as a unit; where it
+        overruns the queue capacity (counted in samples) or the session
+        cap it is split at that point.  Under ``"block"`` the rest waits
+        for room, so every sample is accepted; under ``"shed"`` the
+        samples that do not fit are dropped and counted one by one in
+        :attr:`EngineStats.n_shed` — after one yield to the ingest loop,
+        so only a queue that ingestion genuinely cannot drain sheds.
+        """
         self._check_running()
-        admitted, is_new = await self._admit(sample)
-        if not admitted:
-            return False
-        if self.config.backpressure == "shed":
-            try:
-                self._ingest_q.put_nowait(sample)
-            except asyncio.QueueFull:
-                if is_new:
-                    self._pending_opens.discard(sample.job)
-                self.stats.record_shed()
-                return False
-        else:
-            await self._put_admitted(sample, is_new)
-        self.stats.record_queue_depth(self._ingest_q.qsize())
-        return True
-
-    async def _put_admitted(self, sample: Sample, is_new: bool) -> None:
-        """Blocking queue put that rolls back a fresh admission slot if
-        the caller cancels the wait (e.g. ``asyncio.wait_for`` timeout)
-        — otherwise the job would hold a ``max_sessions`` slot forever
-        without a session ever opening."""
+        block = SampleBlock.of(samples)
+        shed = self.config.backpressure == "shed"
+        admitted: Set[str] = set()
+        if shed and self._admit(block.jobs, 0, admitted) < len(block):
+            # Past the session cap: shed every sample of the jobs that
+            # found no slot, keep the rest in order.
+            refused = set(block.jobs).difference(self._sessions)
+            refused.difference_update(self._pending_opens)
+            kept = SampleBlock.of(s for s in block if s.job not in refused)
+            self.stats.record_shed(len(block) - len(kept))
+            block = kept
+        q = self._ingest_q
+        n = len(block)
+        pos = 0
+        stop = n if shed else 0  # where the jobs admitted so far run out
         try:
-            await self._ingest_q.put(sample)
+            while pos < n:
+                if pos == stop:
+                    stop = self._admit(block.jobs, pos, admitted)
+                    if stop == pos:
+                        self._session_freed.clear()
+                        await self._session_freed.wait()
+                        continue
+                if q.room() <= 0:
+                    if not shed:
+                        await q.wait_space()
+                        continue
+                    # Yield once so the ingest loop can drain; shed only
+                    # if the queue is *still* full.
+                    await asyncio.sleep(0)
+                    if q.room() <= 0:
+                        self.stats.record_shed(n - pos)
+                        self._unadmit(admitted, block.jobs[:pos])
+                        break
+                end = min(stop, pos + q.room())
+                q.put_nowait(block if end - pos == n else block[pos:end])
+                self.stats.record_queue_depth(q.size)
+                pos = end
         except asyncio.CancelledError:
-            if is_new:
-                self._pending_opens.discard(sample.job)
+            # A cancelled wait (e.g. an ``asyncio.wait_for`` timeout)
+            # must not leave admitted jobs holding ``max_sessions``
+            # slots without a session ever opening.
+            self._unadmit(admitted, block.jobs[:pos])
             raise
+        return pos
 
-    async def _admit(self, sample: Sample) -> Tuple[bool, bool]:
-        """Session-cap admission control, applied at the producer side.
+    def _admit(self, jobs: List[str], pos: int, admitted: Set[str]) -> int:
+        """Session-cap admission for ``jobs[pos:]``, once per first-seen job.
 
-        Returns ``(admitted, is_new)``.  Blocking here (rather than in
-        the routing loop) keeps routing live for every already-admitted
+        Admits every job that has neither a session nor a pending
+        admission, in first-seen order, while the cap allows; returns
+        the index of the first sample of the first job it could not
+        admit (``len(jobs)`` when all fit) and adds the jobs it admitted
+        to ``admitted``.  Running at the producer side (rather than in
+        the routing loop) keeps routing live for every admitted
         session, so verdicts — which free slots — can always make
-        progress.  Jobs admitted but not yet routed are counted against
-        the cap via ``_pending_opens``, so a burst of first-sight jobs
+        progress.  Jobs admitted but not yet routed count against the
+        cap via ``_pending_opens``, so a burst of first-sight jobs
         cannot blow past it.
         """
-        job = sample.job
-        while True:
-            if job in self._sessions or job in self._pending_opens:
-                return True, False
-            if (self._n_active + len(self._pending_opens)
-                    < self.config.max_sessions):
-                self._pending_opens.add(job)
-                return True, True
-            if self.config.backpressure == "shed":
-                self.stats.record_shed()
-                return False, False
-            self._session_freed.clear()
-            await self._session_freed.wait()
+        n = len(jobs)
+        fresh = set(jobs[pos:] if pos else jobs).difference(self._sessions)
+        if fresh:
+            fresh.difference_update(self._pending_opens)
+        if not fresh:
+            return n
+        pending = self._pending_opens
+        room = self.config.max_sessions - self._n_active - len(pending)
+        if len(fresh) <= room:
+            pending |= fresh
+            admitted |= fresh
+            return n
+        for i in range(pos, n):
+            job = jobs[i]
+            if job in fresh:
+                if room <= 0:
+                    return i
+                room -= 1
+                fresh.discard(job)
+                pending.add(job)
+                admitted.add(job)
+        return n
 
-    async def submit_many(self, samples: Iterable[Sample]) -> int:
-        """Offer many samples; returns how many were accepted.
-
-        Equivalent to awaiting :meth:`submit` per sample but cheaper —
-        consecutive non-blocking puts skip the event-loop round-trip.
-        """
-        self._check_running()
-        accepted = 0
-        shed = self.config.backpressure == "shed"
-        q = self._ingest_q
-        for i, sample in enumerate(samples):
-            if i and i % 64 == 0:
-                # Cooperative flood: give the ingest loop a turn so a
-                # fast producer doesn't starve routing (and, under the
-                # shed policy, doesn't drop samples ingestion could
-                # have drained in time).  Keyed to iterations, not
-                # acceptances — a shedding stretch must yield too.
-                await asyncio.sleep(0)
-            admitted, is_new = await self._admit(sample)
-            if not admitted:
-                continue
-            try:
-                q.put_nowait(sample)
-            except asyncio.QueueFull:
-                if shed:
-                    # Yield once so the ingest loop can drain, then
-                    # retry; shed only if the queue is *still* full —
-                    # i.e. ingestion genuinely cannot keep up.
-                    await asyncio.sleep(0)
-                    try:
-                        q.put_nowait(sample)
-                    except asyncio.QueueFull:
-                        if is_new:
-                            self._pending_opens.discard(sample.job)
-                        self.stats.record_shed()
-                        continue
-                else:
-                    await self._put_admitted(sample, is_new)
-            accepted += 1
-        self.stats.record_queue_depth(q.qsize())
-        return accepted
+    def _unadmit(self, admitted: Set[str], queued: List[str]) -> None:
+        """Release the slots of jobs a submission admitted but never
+        queued a sample for (a shed tail, a cancelled wait)."""
+        if admitted:
+            self._pending_opens.difference_update(admitted.difference(queued))
 
     # -- verdict access -------------------------------------------------------
     async def verdict(self, job: str) -> MatchResult:
@@ -551,61 +636,75 @@ class IngestService:
 
     # -- internals: routing ---------------------------------------------------
     async def _ingest_loop(self) -> None:
+        q = self._ingest_q
         while True:
-            sample = await self._ingest_q.get()
+            block = await q.get()
             try:
-                await self._route(sample)
+                self._route(block)
             finally:
-                self._ingest_q.task_done()
+                q.task_done()
 
-    async def _route(self, sample: Sample) -> None:
-        state = self._sessions.get(sample.job)
-        if state is None:
-            state = self._open(sample)
-        if state.phase is not _Phase.ACTIVE:
-            # Verdict already queued/decided; the session may be in the
-            # hands of the worker executor, so mutating it now would
-            # race.  Dropping is sound for in-order feeds: once every
-            # node's clock passed the interval end, an in-order sample
-            # lies outside the interval and cannot change a
-            # fingerprint.  (An out-of-order retransmission landing
-            # here is dropped too — see the module docstring caveat.)
-            self.stats.record_late()
-            return
-        try:
-            state.session.ingest(sample.node, sample.time, sample.value)
-        except Exception as exc:  # bad node rank, concluded session, ...
-            self._resolve_error(state, exc)
-            return
-        state.last_activity = self._loop.time()
-        if state.session.ready:
-            self._queue_ready(state)
+    def _route(self, block: SampleBlock) -> None:
+        """Fold one block into its sessions, in stream order, with no
+        suspension point: each session's sums accumulate exactly as a
+        sample-by-sample feed of the same stream would."""
+        sessions = self._sessions
+        active = _Phase.ACTIVE
+        now = self._loop.time()
+        late = 0
+        for job, node, t, value, n_nodes in zip(
+            block.jobs, block.nodes, block.times, block.values, block.n_nodes
+        ):
+            state = sessions.get(job)
+            if state is None:
+                state = self._open(job, n_nodes)
+            elif state.phase is not active:
+                # Verdict already queued/decided; the session may be in
+                # the hands of the worker executor, so mutating it now
+                # would race.  Dropping is sound for in-order feeds:
+                # once every node's clock passed the interval end, an
+                # in-order sample lies outside the interval and cannot
+                # change a fingerprint.  (An out-of-order
+                # retransmission landing here is dropped too — see the
+                # module docstring caveat.)
+                late += 1
+                continue
+            session = state.session
+            try:
+                session.ingest(node, t, value)
+            except Exception as exc:  # bad node rank, concluded session, ...
+                self._resolve_error(state, exc)
+                continue
+            state.last_activity = now
+            if session.ready:
+                self._queue_ready(state)
+        if late:
+            self.stats.record_late(late)
 
-    def _open(self, sample: Sample) -> _SessionState:
+    def _open(self, job: str, n_nodes: Optional[int]) -> _SessionState:
         """Create the session for a first-seen job id.
 
         Capacity was already checked at admission (:meth:`_admit`);
         never blocks, so routing stays live for existing sessions.
         """
-        self._pending_opens.discard(sample.job)
-        n_nodes = sample.n_nodes or self.config.default_nodes
+        self._pending_opens.discard(job)
         engine = self.engine
         session = StreamSession(
             dictionary=engine.dictionary,
             metric=engine.metric,
             depth=engine.depth,
             interval=engine.interval,
-            n_nodes=n_nodes,
+            n_nodes=n_nodes or self.config.default_nodes,
             unknown_label=engine.unknown_label,
-            session_id=sample.job,
+            session_id=job,
         )
         state = _SessionState(
-            job=sample.job,
+            job=job,
             session=session,
             future=self._loop.create_future(),
             last_activity=self._loop.time(),
         )
-        self._sessions[sample.job] = state
+        self._sessions[job] = state
         self._n_active += 1
         self.stats.record_session_open()
         return state

@@ -14,6 +14,10 @@ missing field falls back to the service's ``default_nodes``.  ``value``
 may be ``null`` for a dropped sample (the session skips it but still
 advances that node's clock).
 
+Inside the service samples travel as a :class:`SampleBlock`: the same
+fields as parallel columns, so one decoded wire chunk moves through
+admission, the ingest queue and routing as one unit.
+
 :func:`interleave_records` turns stored
 :class:`~repro.data.dataset.ExecutionRecord` telemetry back into the
 interleaved multi-job live stream a cluster-wide monitoring bus would
@@ -25,7 +29,16 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO, Union
+from typing import (
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    TextIO,
+    Union,
+)
 
 from repro.data.dataset import ExecutionRecord
 
@@ -63,7 +76,7 @@ def parse_sample(line: str, lineno: int = 0) -> Sample:
     where = f"sample line {lineno}" if lineno else "sample line"
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{where}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
@@ -74,19 +87,86 @@ def parse_sample(line: str, lineno: int = 0) -> Sample:
         raw = obj["value"]
     except KeyError as exc:
         raise ValueError(f"{where}: missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: bad field value: {exc}") from exc
     if not job:
         raise ValueError(f"{where}: job id must be non-empty")
     if node < 0:
         raise ValueError(f"{where}: node must be >= 0, got {node}")
-    value = float("nan") if raw is None else float(raw)
     n_nodes = obj.get("nodes")
-    if n_nodes is not None:
-        n_nodes = int(n_nodes)
-        if n_nodes < 1:
-            raise ValueError(f"{where}: nodes must be >= 1, got {n_nodes}")
+    try:
+        value = float("nan") if raw is None else float(raw)
+        if n_nodes is not None:
+            n_nodes = int(n_nodes)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: bad field value: {exc}") from exc
+    if n_nodes is not None and n_nodes < 1:
+        raise ValueError(f"{where}: nodes must be >= 1, got {n_nodes}")
     return Sample(job=job, node=node, time=time, value=value, n_nodes=n_nodes)
+
+
+class SampleBlock:
+    """A run of samples in stream order, held as parallel columns.
+
+    The unit of work of the ingestion service: the network listener
+    decodes each wire chunk into one block, and admission, the ingest
+    queue and routing each handle a block at a time.  ``len(block)`` is
+    its sample count, iterating yields :class:`Sample` rows, and a slice
+    is a block.  The columns are plain lists, so a block may share
+    them with the code that built it.
+    """
+
+    __slots__ = ("jobs", "nodes", "times", "values", "n_nodes")
+
+    def __init__(
+        self,
+        jobs: Optional[List[str]] = None,
+        nodes: Optional[List[int]] = None,
+        times: Optional[List[float]] = None,
+        values: Optional[List[float]] = None,
+        n_nodes: Optional[List[Optional[int]]] = None,
+    ):
+        self.jobs = jobs or []
+        self.nodes = nodes or []
+        self.times = times or []
+        self.values = values or []
+        self.n_nodes = n_nodes or []
+
+    @classmethod
+    def of(cls, samples: Union["SampleBlock", Iterable[Sample]]) -> "SampleBlock":
+        """``samples`` as a block (a block is returned as is)."""
+        if isinstance(samples, SampleBlock):
+            return samples
+        rows = list(samples)
+        if not rows:
+            return cls()
+        return cls(*map(list, zip(*rows)))
+
+    def append(self, sample: Sample) -> None:
+        self.jobs.append(sample.job)
+        self.nodes.append(sample.node)
+        self.times.append(sample.time)
+        self.values.append(sample.value)
+        self.n_nodes.append(sample.n_nodes)
+
+    def extend(self, other: "SampleBlock") -> None:
+        self.jobs += other.jobs
+        self.nodes += other.nodes
+        self.times += other.times
+        self.values += other.values
+        self.n_nodes += other.n_nodes
+
+    def __len__(self) -> int:
+        return len(self.jobs)
+
+    def __iter__(self) -> Iterator[Sample]:
+        return map(Sample, self.jobs, self.nodes, self.times, self.values,
+                   self.n_nodes)
+
+    def __getitem__(self, index: slice) -> "SampleBlock":
+        return SampleBlock(self.jobs[index], self.nodes[index],
+                           self.times[index], self.values[index],
+                           self.n_nodes[index])
 
 
 def read_samples(stream: Union[TextIO, Iterable[str]]) -> Iterator[Sample]:

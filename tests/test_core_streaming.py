@@ -190,3 +190,81 @@ class TestStreamingRecognizer:
     def test_session_validation(self, streaming):
         with pytest.raises(ValueError):
             streaming.open_session(n_nodes=0)
+
+
+# ---------------------------------------------------------------------------
+# ingest_many == ingest, bitwise
+# ---------------------------------------------------------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+_INTERVAL = (60.0, 120.0)
+
+# Times straddle the window edges; values mix magnitudes so that a
+# pairwise sum rounds differently from a left-to-right fold.
+_times = st.one_of(
+    st.floats(min_value=60.0, max_value=119.0),
+    st.floats(min_value=0.0, max_value=200.0),
+    st.sampled_from([59.999, 60.0, 119.999, 120.0, 120.001]),
+)
+_values = st.one_of(
+    # k/7 * 10^e: inexact, of mixed magnitude, so sums round by order.
+    st.tuples(st.integers(1, 10**6), st.integers(-6, 6)).map(
+        lambda p: p[0] / 7.0 * 10.0 ** p[1]
+    ),
+    st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
+    st.just(float("nan")),  # sampler dropout
+)
+
+
+def _bare_session(n_nodes: int) -> StreamSession:
+    return StreamSession(dictionary=None, metric="m", depth=3,
+                         interval=_INTERVAL, n_nodes=n_nodes)
+
+
+class TestIngestManyEqualsIngest:
+    """``ingest_many`` over any split of a series accumulates exactly
+    the state per-sample ``ingest`` does: same sums bit for bit, same
+    counts, same node clocks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        series=st.lists(
+            st.tuples(st.integers(0, 1), _times, _values), max_size=160
+        ),
+        cuts=st.lists(st.integers(0, 160), max_size=4),
+    )
+    def test_any_split_is_bitwise_equal(self, series, cuts):
+        reference = _bare_session(2)
+        for node, t, v in series:
+            reference.ingest(node, t, v)
+
+        blocked = _bare_session(2)
+        bounds = sorted({0, len(series), *(c for c in cuts if c < len(series))})
+        for lo, hi in zip(bounds, bounds[1:]):
+            part = series[lo:hi]
+            for node in range(2):
+                mine = [(t, v) for n, t, v in part if n == node]
+                blocked.ingest_many(node, [t for t, _ in mine],
+                                    [v for _, v in mine])
+
+        assert blocked._sums == reference._sums  # floats: exact equality
+        assert blocked._counts == reference._counts
+        assert blocked._latest == reference._latest
+        assert blocked.n_samples == reference.n_samples
+        assert blocked.ready == reference.ready
+
+    def test_long_series_differs_from_pairwise_sum(self):
+        """A series on which numpy's pairwise ``sum`` and the sequential
+        fold disagree: ``ingest_many`` must side with ``ingest``."""
+        rng = np.random.default_rng(7)
+        values = rng.uniform(0, 1e6, 500) * 10.0 ** rng.integers(-3, 4, 500)
+        times = np.linspace(60.0, 119.0, values.size)
+        reference = _bare_session(1)
+        for t, v in zip(times.tolist(), values.tolist()):
+            reference.ingest(0, t, v)
+        blocked = _bare_session(1)
+        blocked.ingest_many(0, times, values)
+        assert float(values.sum()) != reference._sums[0]  # the trap is real
+        assert blocked._sums == reference._sums

@@ -24,6 +24,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.recognizer import EFDRecognizer
 from repro.core.streaming import StreamingRecognizer
@@ -32,13 +34,17 @@ from repro.engine import BatchRecognizer
 from repro.serve import (
     IngestService,
     NetListener,
+    ProtocolError,
     Sample,
+    SampleBlock,
     ServeConfig,
     interleave_records,
+    parse_sample,
     push_samples,
     replay_samples,
     split_by_job,
 )
+from repro.serve.net import LineDecoder
 
 METRIC = "nr_mapped_vmstat"
 DEPTH = 2
@@ -362,6 +368,175 @@ class TestFaultIsolation:
         assert reply["accepted"] == 1
         assert reply["lines"] == 3
         assert service.n_sessions == 1
+
+
+# ---------------------------------------------------------------------------
+# Block decoder == per-line reference
+# ---------------------------------------------------------------------------
+
+MAX_LINE = 160
+
+
+def _sample_key(sample: Sample):
+    """Bitwise identity of a sample (NaN equal to NaN, -0.0 to -0.0)."""
+    return (sample.job, sample.node, repr(sample.time), repr(sample.value),
+            sample.n_nodes)
+
+
+def _reference_decode(stream: bytes, max_bytes: int):
+    """The specification, one line at a time: ``(samples, error, lines)``
+    with ``lines`` the summary count at EOF (None after an error)."""
+    lines = stream.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()  # a final newline ends the last line; it is no line
+    samples = []
+    for lineno, raw in enumerate(lines, start=1):
+        if len(raw) > max_bytes:
+            return samples, (f"sample line {lineno}: exceeds "
+                             f"max_line_bytes={max_bytes}"), None
+        try:
+            text = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            return samples, f"sample line {lineno}: not valid UTF-8: {exc}", None
+        if not text or text.startswith("#"):
+            continue
+        try:
+            samples.append(parse_sample(text, lineno))
+        except ValueError as exc:
+            return samples, str(exc), None
+    return samples, None, len(lines)
+
+
+def _block_decode(stream: bytes, cuts, max_bytes: int):
+    """The listener's framing: feed ``stream`` split at ``cuts``."""
+    bounds = sorted({0, len(stream), *(c % (len(stream) + 1) for c in cuts)})
+    decoder = LineDecoder(max_bytes)
+    out = SampleBlock()
+    try:
+        for lo, hi in zip(bounds, bounds[1:]):
+            decoder.feed(stream[lo:hi], out)
+        decoder.finish(out)
+    except ProtocolError as exc:
+        assert exc.parsed is out  # the whole valid prefix rides along
+        return list(out), str(exc), None
+    return list(out), None, decoder.lineno
+
+
+def _obj_line(job="j", node=0, t=61.0, value=1.5, nodes=4, **extra) -> bytes:
+    obj = {"job": job, "node": node, "t": t, "value": value}
+    if nodes is not None:
+        obj["nodes"] = nodes
+    obj.update(extra)
+    return json.dumps(obj).encode()
+
+
+_valid_line = st.builds(
+    _obj_line,
+    job=st.sampled_from(["j", "job-0001", "ünï"]),
+    node=st.integers(0, 3),
+    t=st.one_of(st.floats(0, 200, allow_nan=False), st.integers(0, 200)),
+    value=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-10**6, 10**6), st.none()),
+    nodes=st.one_of(st.none(), st.integers(1, 8)),
+)
+_odd_line = st.sampled_from([
+    b"", b"   ", b"\t", b"# relay header", b"  # indented comment",
+    b'  {"job": "pad", "node": 0, "t": 61.0, "value": 1.0}  ',
+    b'{"job": "crlf", "node": 1, "t": 62.0, "value": 2.0, "nodes": 2}\r',
+    b'{"job": "nan", "node": 0, "t": 61.0, "value": NaN}',
+    # coercible: only the per-line path converts these
+    b'{"job": "c", "node": "3", "t": 61.0, "value": 1.0}',
+    b'{"job": "c", "node": 0, "t": "61.5", "value": "1e3", "nodes": "4"}',
+    b'{"job": 5, "node": true, "t": 61.0, "value": 1.0}',
+    b'{"job": "c", "node": 0, "t": 61.0, "value": 1.0, "nodes": null}',
+    b'{"job": "x", "node": 0, "t": 1.0, "value": 2.0, "tags": [1, 2]}',
+    # invalid
+    b'{"job": "evil", "node": not-even-json',
+    b"[1, 2]", b"42", b'{"job": "a"}', b'{"job": "", "node": 0, "t": 1, "value": 1}',
+    b'{"job": "a", "node": -1, "t": 1, "value": 1}',
+    b'{"job": "a", "node": 0, "t": 1, "value": 1, "nodes": 0}',
+    b'{"job": "a", "node": 0, "t": 1, "value": "abc"}',
+    b'{"job": "a", "node": 0, "t": 1, "value": [1]}',
+    b'{"job": "a", "node": 0, "t": 1e999999, "value": 1}',
+    b'{"job": "a", "node": 0, "t": 1' + b"0" * 400 + b', "value": 1}',
+    # one object split over two lines, two objects on one line: each
+    # line alone is invalid, however the array decode would pair them
+    b'{"job": "a", "node": 0, "t": 1.0',
+    b'"value": 2.0}',
+    b'{"job": "a", "node": 0, "t": 1.0, "value": 2.0}, '
+    b'{"job": "b", "node": 0, "t": 1.0, "value": 2.0}',
+    b'{"job": "a", "node": 0, "t": 1.0, "value": 2.0, "x": [1',
+    b'{"job": "b", "node": 0, "t": 1.0, "value": 2.0}]}',
+    b"\xff\xfe not utf-8",
+    b'{"job": "\xc3", "node": 0, "t": 1.0, "value": 2.0}',
+    b'{"job": "' + b"o" * MAX_LINE + b'", "node": 0, "t": 1, "value": 1}',
+])
+
+
+class TestBlockDecoder:
+    """:class:`LineDecoder` decodes a read's complete lines in one pass
+    and must be indistinguishable from decoding line by line through
+    ``parse_sample``: same samples in order, same error text and line
+    number, same summary counts — wherever the reads split the stream."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        lines=st.lists(st.one_of(_valid_line, _valid_line, _odd_line),
+                       max_size=40),
+        trailing_newline=st.booleans(),
+        cuts=st.lists(st.integers(0, 10**6), max_size=8),
+    )
+    def test_equals_per_line_reference(self, lines, trailing_newline, cuts):
+        stream = b"\n".join(lines) + (b"\n" if trailing_newline else b"")
+        ref_samples, ref_error, ref_lines = _reference_decode(stream, MAX_LINE)
+        samples, error, n_lines = _block_decode(stream, cuts, MAX_LINE)
+        assert error == ref_error
+        assert n_lines == ref_lines
+        assert [_sample_key(s) for s in samples] == \
+            [_sample_key(s) for s in ref_samples]
+
+    def test_well_typed_chunks_take_the_bulk_path(self, monkeypatch):
+        """The per-line path is the exception: a clean chunk (blank and
+        comment lines included) never reaches ``parse_sample``."""
+        import repro.serve.net as net
+
+        def refuse(*args):
+            raise AssertionError("per-line path used")
+
+        monkeypatch.setattr(net, "parse_sample", refuse)
+        stream = b"\n".join([
+            b"# header", _obj_line(t=60), b"", _obj_line(value=None),
+            _obj_line(nodes=None) + b"\r", b"  " + _obj_line(job="k"),
+        ]) + b"\n"
+        samples, error, n_lines = _block_decode(stream, [], MAX_LINE)
+        assert error is None and n_lines == 6
+        assert [s.job for s in samples] == ["j", "j", "j", "k"]
+        assert samples[0].time == 60.0 and type(samples[0].time) is float
+
+    def test_mixed_stream_reply_counts_over_the_wire(
+        self, recognizer, tmp_path
+    ):
+        """Reply counts from a live listener match the reference: the
+        valid prefix is accepted, the error names the reference line."""
+        sock = str(tmp_path / "mixed.sock")
+        engine = _engine(recognizer)
+        good = [_obj_line(job=f"m{i}", node=0, t=61.0 + i, nodes=1)
+                for i in range(300)]
+        stream = b"\n".join(
+            good[:150] + [b"", b"# note", b'{"job": "m0", "node": "0", '
+                          b'"t": 70, "value": 1}'] + good[150:]
+            + [b'{"job": "bad", "node": oops}'] + good[:5]
+        ) + b"\n"
+        ref_samples, ref_error, _ = _reference_decode(stream, 65536)
+
+        async def run(listener):
+            return json.loads(await _raw_uds_exchange(sock, stream))
+
+        _, reply = asyncio.run(_serve_net(
+            engine, ServeConfig(batch_max_delay=0.002, net_batch_samples=64),
+            uds=sock, run=run,
+        ))
+        assert reply == {"error": ref_error, "accepted": len(ref_samples)}
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from repro.parallel.pool import WorkerError
 from repro.serve import (
     IngestService,
     Sample,
+    SampleBlock,
     ServeConfig,
     SessionEvicted,
     interleave_records,
@@ -316,6 +317,180 @@ class TestBackpressure:
                 assert "j" in service.results
 
         asyncio.run(run())
+
+
+# ---------------------------------------------------------------------------
+# Block accounting
+# ---------------------------------------------------------------------------
+
+def _folded(service) -> int:
+    """Samples folded into sessions (every session's ``n_samples``)."""
+    return sum(state.session.n_samples for state in service._sessions.values())
+
+
+def _job_major(records, job_ids):
+    """Each job's samples contiguous, jobs one after another."""
+    return [s for record, job in zip(records, job_ids)
+            for s in interleave_records([record], METRIC, [job])]
+
+
+class TestBlockAccounting:
+    """A block is admitted, queued and routed as a unit, and split only
+    where it overruns the queue or the session cap.  Every accepted
+    sample ends up exactly once as folded, late or errored."""
+
+    def test_block_larger_than_queue_is_lossless_under_block(
+        self, recognizer, dataset
+    ):
+        records = list(dataset)[:4]
+        job_ids = [f"job-{i}" for i in range(len(records))]
+        reference = _reference_verdicts(recognizer, records, job_ids)
+        samples = list(interleave_records(records, METRIC, job_ids))
+
+        async def run():
+            config = ServeConfig(max_pending_samples=16, backpressure="block",
+                                 batch_max_delay=0.002)
+            async with IngestService(_engine(recognizer), config) as service:
+                accepted = await service.submit_many(SampleBlock.of(samples))
+                await service.drain()
+                return service, accepted
+
+        service, accepted = asyncio.run(run())
+        stats = service.stats
+        assert accepted == len(samples)
+        assert stats.n_shed == 0
+        assert stats.queue_peak <= 16  # split, never overfilled
+        assert accepted == _folded(service) + stats.n_late
+        assert service.results == reference
+
+    def test_block_larger_than_queue_sheds_exactly(self, recognizer):
+        jobs = ["a"] * 3 + ["b"] * 2 + ["c"] * 3 + ["d"] * 4
+        block = SampleBlock.of(_sample(job, float(t)) for t, job in enumerate(jobs))
+
+        async def run():
+            config = ServeConfig(max_pending_samples=5, backpressure="shed")
+            async with IngestService(_engine(recognizer), config) as service:
+                service._tasks[0].cancel()  # freeze ingestion
+                await asyncio.sleep(0)
+                accepted = await service.submit_many(block)
+                assert accepted == 5
+                assert service.stats.n_shed == 7
+                assert service._ingest_q.size == 5
+                # "c" and "d" were admitted, then shed whole: their
+                # session slots are released, "a" and "b" keep theirs.
+                assert service._pending_opens == {"a", "b"}
+
+        asyncio.run(run())
+
+    def test_more_first_seen_jobs_than_session_cap_sheds(self, recognizer):
+        jobs = [f"j{k}" for k in range(6)] * 2   # round-robin, 2 each
+        block = SampleBlock.of(_sample(job, float(t)) for t, job in enumerate(jobs))
+
+        async def run():
+            config = ServeConfig(max_sessions=3, backpressure="shed",
+                                 batch_max_delay=0.002)
+            async with IngestService(_engine(recognizer), config) as service:
+                accepted = await service.submit_many(block)
+                await service._ingest_q.join()
+                assert accepted == 6          # j0..j2, both samples each
+                assert service.stats.n_shed == 6
+                assert set(service._sessions) == {"j0", "j1", "j2"}
+                assert accepted == _folded(service)
+
+        asyncio.run(run())
+
+    def test_more_first_seen_jobs_than_session_cap_blocks_losslessly(
+        self, recognizer, dataset, monkeypatch
+    ):
+        """The block splits at the first job past the cap and resumes
+        as verdicts free slots: all accepted, the cap never exceeded."""
+        records = list(dataset)[:5]
+        job_ids = [f"job-{i}" for i in range(len(records))]
+        reference = _reference_verdicts(recognizer, records, job_ids)
+        samples = _job_major(records, job_ids)
+        peak = []
+        original = IngestService._open
+
+        def spy(self, job, n_nodes):
+            state = original(self, job, n_nodes)
+            peak.append(self._n_active)
+            return state
+
+        monkeypatch.setattr(IngestService, "_open", spy)
+
+        async def run():
+            config = ServeConfig(max_sessions=2, backpressure="block",
+                                 batch_max_delay=0.002)
+            async with IngestService(_engine(recognizer), config) as service:
+                accepted = await asyncio.wait_for(
+                    service.submit_many(SampleBlock.of(samples)), timeout=10
+                )
+                await service.drain()
+                return service, accepted
+
+        service, accepted = asyncio.run(run())
+        assert accepted == len(samples)
+        assert max(peak) <= 2
+        assert service.stats.n_shed == 0
+        assert accepted == _folded(service) + service.stats.n_late
+        assert service.results == reference
+
+    def test_bad_node_rank_mid_block_errors_only_that_session(
+        self, recognizer, dataset
+    ):
+        records = list(dataset)[:3]
+        job_ids = ["ok-0", "bad", "ok-1"]
+        reference = _reference_verdicts(
+            recognizer, [records[0], records[2]], ["ok-0", "ok-1"]
+        )
+        samples = list(interleave_records(records, METRIC, job_ids))
+        bad = [i for i, s in enumerate(samples) if s.job == "bad"]
+        poisoned = bad[10]
+        samples[poisoned] = samples[poisoned]._replace(node=99)
+
+        async def run():
+            config = ServeConfig(batch_max_delay=0.002)
+            async with IngestService(_engine(recognizer), config) as service:
+                accepted = await service.submit_many(SampleBlock.of(samples))
+                await service.drain()
+                with pytest.raises(ValueError, match="node 99"):
+                    await service.verdict("bad")
+                return service, accepted
+
+        service, accepted = asyncio.run(run())
+        stats = service.stats
+        assert accepted == len(samples)
+        # The bad session folded what preceded the bad sample; the rest
+        # of its samples are late, and the other jobs still folded on.
+        assert service._sessions["bad"].session.n_samples == 10
+        assert accepted == _folded(service) + stats.n_late + 1
+        assert service.results == reference
+
+    def test_samples_after_ready_in_the_same_block_are_late(
+        self, recognizer, dataset
+    ):
+        record = list(dataset)[0]
+        samples = list(interleave_records([record], METRIC, ["j"]))
+        probe = StreamingRecognizer.from_recognizer(recognizer).open_session(
+            n_nodes=record.n_nodes
+        )
+        for ready_at, s in enumerate(samples):
+            probe.ingest(s.node, s.time, s.value)
+            if probe.ready:
+                break
+
+        async def run():
+            config = ServeConfig(batch_max_delay=0.002)
+            async with IngestService(_engine(recognizer), config) as service:
+                accepted = await service.submit_many(SampleBlock.of(samples))
+                await service.drain()
+                return service, accepted
+
+        service, accepted = asyncio.run(run())
+        assert ready_at < len(samples) - 1  # the block runs past ready
+        assert service.stats.n_late == len(samples) - ready_at - 1
+        assert service._sessions["j"].session.n_samples == ready_at + 1
+        assert accepted == _folded(service) + service.stats.n_late
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from repro.data.taxonomist import DatasetConfig, TaxonomistDatasetGenerator
 from repro.serve import (
     Sample,
+    SampleBlock,
     interleave_records,
     parse_sample,
     read_samples,
@@ -79,6 +80,51 @@ class TestSampleCodec:
             parse_sample(
                 '{"job": "j", "node": 0, "t": 1.0, "value": 2.0, "nodes": 0}'
             )
+
+
+    @pytest.mark.parametrize("line, field", [
+        ('{"job": "j", "node": 0, "t": 1.0, "value": "abc"}', "value"),
+        ('{"job": "j", "node": 0, "t": 1.0, "value": [1]}', "value"),
+        ('{"job": "j", "node": 0, "t": 1.0, "value": 1.0, "nodes": "x"}',
+         "nodes"),
+        ('{"job": "j", "node": 0, "t": 1' + "0" * 400 + ', "value": 1.0}',
+         "t"),
+    ])
+    def test_bad_field_values_are_named_errors(self, line, field):
+        """Every unusable field is a ValueError naming the line — never
+        a bare TypeError/OverflowError escaping the decoder."""
+        with pytest.raises(ValueError, match="sample line 3: bad field value"):
+            parse_sample(line, lineno=3)
+
+    def test_deep_nesting_is_invalid_json(self):
+        with pytest.raises(ValueError, match="invalid JSON"):
+            parse_sample("[" * 100_000)
+
+
+class TestSampleBlock:
+    SAMPLES = [
+        Sample("a", 0, 61.0, 1.5, 2),
+        Sample("b", 1, 62.0, float("nan")),
+        Sample("a", 1, 63.0, 2.5, 2),
+    ]
+
+    def test_round_trips_samples(self):
+        block = SampleBlock.of(self.SAMPLES)
+        assert len(block) == 3
+        assert [_key(s) for s in block] == [_key(s) for s in self.SAMPLES]
+        assert block.jobs == ["a", "b", "a"]
+        assert block.n_nodes == [2, None, 2]
+        assert SampleBlock.of(block) is block
+        assert len(SampleBlock.of(iter([]))) == 0
+
+    def test_slice_append_extend(self):
+        block = SampleBlock.of(self.SAMPLES)
+        tail = block[1:]
+        assert isinstance(tail, SampleBlock) and len(tail) == 2
+        assert [_key(s) for s in tail] == [_key(s) for s in self.SAMPLES[1:]]
+        tail.append(self.SAMPLES[0])
+        block.extend(tail)
+        assert [s.job for s in block] == ["a", "b", "a", "b", "a", "a"]
 
 
 class TestReadSamples:
