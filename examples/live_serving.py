@@ -108,13 +108,10 @@ def main() -> None:
             batch_max_sessions=16, batch_max_delay=0.005,
         )
         service = IngestService(engine_fresh(), config)
-        stream = list(interleave_records(records, METRIC, job_ids))
         async with service:
-            # A relay pushes one block at a time; admission is decided
-            # per block, and verdicts landing between blocks free slots.
-            for i in range(0, len(stream), 256):
-                await service.submit_many(stream[i:i + 256])
-                await asyncio.sleep(0.001)
+            await service.submit_many(
+                interleave_records(records, METRIC, job_ids)
+            )
             await service.drain()
         return service
 

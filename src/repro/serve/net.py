@@ -92,9 +92,10 @@ def _decode_bulk(data: bytes, max_bytes: int
     ``{``, a decode error, a missing field, an extra key, or a value
     that is not already its final type (coercion).
 
-    Why the array decode equals decoding line by line: every line starts
-    with ``{`` and a JSON string cannot hold a raw newline, so a comma
-    joining two lines can only sit between two top-level values or
+    Why the array decode equals decoding line by line: the lines are
+    joined by ``",\n"``, and strict ``json.loads`` rejects a raw newline
+    inside a string, so no string spans two lines.  Every line starts
+    with ``{``, so a join can only sit between two top-level values or
     inside an array.  Objects whose values are all checked scalars and
     that carry no other key hold no array, so no value spans two lines;
     every line starts a value, and with as many values as lines each
@@ -106,21 +107,15 @@ def _decode_bulk(data: bytes, max_bytes: int
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    n_lines = text.count("\n") + 1
-    body = text.replace("\n{", ",{")
-    if text.startswith("{") and "\n" not in body:
-        n = n_lines
-    else:
-        kept = [line for line in map(str.strip, text.split("\n"))
-                if line and line[0] != "#"]
-        if not kept:
-            return SampleBlock(), n_lines
-        if not all(line[0] == "{" for line in kept):
-            return None
-        body = ",".join(kept)
-        n = len(kept)
+    lines = text.split("\n")
+    kept = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+    if not kept:
+        return SampleBlock(), len(lines)
+    if not all(line[0] == "{" for line in kept):
+        return None
+    n = len(kept)
     try:
-        objs = json.loads("[" + body + "]")
+        objs = json.loads("[" + ",\n".join(kept) + "]")
         if len(objs) != n:
             return None  # some line held more than one value
         jobs = [o["job"] for o in objs]
@@ -150,7 +145,7 @@ def _decode_bulk(data: bytes, max_bytes: int
             values = [_NAN if v is None else float(v) for v in values]
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
         return None
-    return SampleBlock(jobs, nodes, times, values, n_nodes), n_lines
+    return SampleBlock(jobs, nodes, times, values, n_nodes), len(lines)
 
 
 def _decode_lines(lines: Iterable[bytes], lineno: int, max_bytes: int,

@@ -63,6 +63,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from itertools import islice
 from typing import (
     Callable,
     Deque,
@@ -430,20 +431,37 @@ class IngestService:
     async def submit_many(
         self, samples: Union[SampleBlock, Iterable[Sample]]
     ) -> int:
-        """Offer a block of samples; returns how many were accepted.
+        """Offer samples; returns how many were accepted.
 
-        ``samples`` is a :class:`~repro.serve.stream.SampleBlock` or any
-        iterable of :class:`Sample` (made into one block).  The block is
-        admitted once per first-seen job and queued as a unit; where it
-        overruns the queue capacity (counted in samples) or the session
-        cap it is split at that point.  Under ``"block"`` the rest waits
-        for room, so every sample is accepted; under ``"shed"`` the
-        samples that do not fit are dropped and counted one by one in
-        :attr:`EngineStats.n_shed` — after one yield to the ingest loop,
-        so only a queue that ingestion genuinely cannot drain sheds.
+        ``samples`` is a :class:`~repro.serve.stream.SampleBlock`, queued
+        as one unit, or any iterable of :class:`Sample`, consumed lazily
+        in blocks of ``net_batch_samples`` with a turn of the event loop
+        between blocks — a long feed is never held in memory at once,
+        and verdicts landing mid-feed free session slots for the rest.
+        Each block is admitted once per first-seen job and queued as a
+        unit; where it overruns the queue capacity (counted in samples)
+        or the session cap it is split at that point.  Under ``"block"``
+        the rest waits for room, so every sample is accepted; under
+        ``"shed"`` the samples that do not fit are dropped and counted
+        one by one in :attr:`EngineStats.n_shed` — after one yield to
+        the ingest loop, so only a queue that ingestion genuinely cannot
+        drain sheds.
         """
         self._check_running()
-        block = SampleBlock.of(samples)
+        if isinstance(samples, SampleBlock):
+            return await self._submit_block(samples)
+        rows = iter(samples)
+        size = self.config.net_batch_samples
+        accepted = 0
+        while True:
+            chunk = list(islice(rows, size))
+            if not chunk:
+                return accepted
+            accepted += await self._submit_block(SampleBlock.of(chunk))
+            await asyncio.sleep(0)
+
+    async def _submit_block(self, block: SampleBlock) -> int:
+        """Admit and queue one block (see :meth:`submit_many`)."""
         shed = self.config.backpressure == "shed"
         admitted: Set[str] = set()
         if shed and self._admit(block.jobs, 0, admitted) < len(block):

@@ -207,6 +207,7 @@ _times = st.one_of(
     st.floats(min_value=60.0, max_value=119.0),
     st.floats(min_value=0.0, max_value=200.0),
     st.sampled_from([59.999, 60.0, 119.999, 120.0, 120.001]),
+    st.just(float("nan")),  # a clock that lost its timestamp
 )
 _values = st.one_of(
     # k/7 * 10^e: inexact, of mixed magnitude, so sums round by order.

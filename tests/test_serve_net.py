@@ -467,6 +467,9 @@ _odd_line = st.sampled_from([
     b'{"job": "b", "node": 0, "t": 1.0, "value": 2.0}',
     b'{"job": "a", "node": 0, "t": 1.0, "value": 2.0, "x": [1',
     b'{"job": "b", "node": 0, "t": 1.0, "value": 2.0}]}',
+    # a string cut at a line end, closed on the next line
+    b'{"job": "a',
+    b'{", "node": 0, "t": 1.0, "value": 2.0}',
     b"\xff\xfe not utf-8",
     b'{"job": "\xc3", "node": 0, "t": 1.0, "value": 2.0}',
     b'{"job": "' + b"o" * MAX_LINE + b'", "node": 0, "t": 1, "value": 1}',
@@ -494,6 +497,20 @@ class TestBlockDecoder:
         assert n_lines == ref_lines
         assert [_sample_key(s) for s in samples] == \
             [_sample_key(s) for s in ref_samples]
+
+    def test_string_across_a_line_break_is_refused(self):
+        """Three lines that joined with a bare comma would decode to three
+        objects (the first with job id ``'a,{'``): each line is invalid
+        on its own, so the stream is refused at line 1."""
+        stream = b"\n".join([
+            b'{"job": "a',
+            b'{", "node": 0, "t": 1.0, "value": 2.0}',
+            _obj_line(job="b") + b", " + _obj_line(job="c"),
+        ]) + b"\n"
+        samples, error, _ = _block_decode(stream, [], MAX_LINE)
+        assert samples == []
+        assert error == _reference_decode(stream, MAX_LINE)[1]
+        assert error.startswith("sample line 1: invalid JSON")
 
     def test_well_typed_chunks_take_the_bulk_path(self, monkeypatch):
         """The per-line path is the exception: a clean chunk (blank and

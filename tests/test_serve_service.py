@@ -492,6 +492,29 @@ class TestBlockAccounting:
         assert service._sessions["j"].session.n_samples == ready_at + 1
         assert accepted == _folded(service) + service.stats.n_late
 
+    def test_iterable_is_consumed_lazily_in_blocks(self, recognizer):
+        """An iterable of samples is pulled ``net_batch_samples`` at a
+        time, each block routed before the next is pulled: a long feed
+        is never held in memory at once."""
+        folded_at_pull = []
+
+        async def run():
+            config = ServeConfig(net_batch_samples=8, batch_max_delay=0.002)
+            async with IngestService(_engine(recognizer), config) as service:
+
+                def feed():
+                    for t in range(40):
+                        if t and t % 8 == 0:
+                            folded_at_pull.append(_folded(service))
+                        yield _sample("lazy", 61.0 + t)
+
+                accepted = await service.submit_many(feed())
+                await service.drain()
+                return accepted
+
+        assert asyncio.run(run()) == 40
+        assert folded_at_pull == [8, 16, 24, 32]
+
 
 # ---------------------------------------------------------------------------
 # Eviction
