@@ -254,10 +254,6 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--remote-no-filter-mirrors", action="store_true",
                    help="disable the client-side Bloom filter mirrors "
                         "(every probe then crosses the wire)")
-    p.add_argument("--remote-protocol", choices=("auto", "json"),
-                   default="auto",
-                   help="'auto' negotiates binary protocol v2 (falling "
-                        "back to JSON against v1 servers); 'json' pins v1")
     p.add_argument("--input", default="-",
                    help="JSONL sample stream: a file path, or '-' for stdin "
                         "(ignored with --demo/--listen/--uds)")
@@ -322,9 +318,9 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
                    help="rounding depth of the coarse family tier "
                         "(must be <= --depth)")
     p.add_argument("--family-spec", default=None, metavar="SPEC.json",
-                   help="family spec from `efd family build` (default: "
-                        "derive families from version suffixes of the "
-                        "dictionary's app names)")
+                   help="family spec from `efd family build`; requires "
+                        "--family (default: derive families from version "
+                        "suffixes of the dictionary's app names)")
     p.add_argument("--no-compact-on-close", action="store_true",
                    help="leave a columnar dictionary's pending delta-log "
                         "unfolded at shutdown (records replay on next load)")
@@ -994,7 +990,7 @@ def _serve_remote_backend(args: argparse.Namespace):
         raise SystemExit("efd serve: --remote requires --remote-shards "
                          "(total shard count of the remote dictionary)")
     try:
-        return RemoteShardBackend(
+        remote = RemoteShardBackend(
             args.remote,
             n_shards=args.remote_shards,
             deadline=args.remote_deadline,
@@ -1009,10 +1005,20 @@ def _serve_remote_backend(args: argparse.Namespace):
             pool_size=args.remote_pool_size,
             pipeline_chunk=args.remote_pipeline_chunk,
             filter_mirrors=not args.remote_no_filter_mirrors,
-            protocol=args.remote_protocol,
         )
     except (ValueError, RemoteError) as exc:
         raise SystemExit(f"efd serve: {exc}")
+    # Recognition needs keys to vote with: a fleet that answers nothing
+    # at boot is an operator error, not an empty dictionary.
+    if not any(remote.shard_sizes()) and remote.last_sizes_unreachable:
+        remote.close()
+        shards = ",".join(str(s) for s in remote.last_sizes_unreachable)
+        raise SystemExit(
+            f"efd serve: no remote host answered for shard(s) {shards} of "
+            f"{remote.n_shards} (is efd shardserve running at "
+            f"{' '.join(args.remote)}?)"
+        )
+    return remote
 
 
 class _VerdictReporter:
@@ -1137,7 +1143,6 @@ async def _serve_replicated(args, config, reporter):
                         if args.follow else {"uds": args.follow_uds})
             follower = ReplicationFollower(
                 args.efd_dir,
-                reconnect_delay=config.repl_reconnect_delay,
                 **upstream,
             )
             await follower.start()
@@ -1184,8 +1189,6 @@ async def _serve_replicated(args, config, reporter):
                 publisher = ReplicationPublisher(
                     args.efd_dir,
                     stats=engine.stats,
-                    poll_interval=config.repl_poll_interval,
-                    heartbeat=config.repl_heartbeat,
                     role="replica" if follower is not None else "leader",
                     on_promote=on_promote,
                     on_follow=on_follow,
@@ -1239,6 +1242,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.follow and args.follow_uds:
         raise SystemExit("efd serve: --follow and --follow-uds are "
                          "mutually exclusive (one leader at a time)")
+    if args.family_spec is not None and not args.family:
+        raise SystemExit("efd serve: --family-spec requires --family")
     if replicating:
         engine = samples = expected = stream_fh = None
     else:
@@ -1257,22 +1262,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         retention_max_age=args.retention_age,
         retention_max_done=args.retention_max_done,
         compact_on_close=not args.no_compact_on_close,
-        remote_deadline=args.remote_deadline,
-        remote_try_timeout=args.remote_try_timeout,
-        remote_retries=args.remote_retries,
-        remote_backoff_base=args.remote_backoff_base,
-        remote_backoff_cap=args.remote_backoff_cap,
-        remote_hedge_delay=args.remote_hedge_delay,
-        remote_hedge_percentile=args.remote_hedge_percentile,
-        remote_breaker_failures=args.remote_breaker_failures,
-        remote_breaker_reset=args.remote_breaker_reset,
-        remote_pool_size=args.remote_pool_size,
-        remote_pipeline_chunk=args.remote_pipeline_chunk,
-        remote_filter_mirrors=not args.remote_no_filter_mirrors,
-        remote_protocol=args.remote_protocol,
-        family_mode=args.family,
-        family_coarse_depth=args.family_coarse_depth,
-        family_spec_path=args.family_spec,
     )
     if following:
         # A replica folding its own delta-log would advance its

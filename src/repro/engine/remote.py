@@ -28,26 +28,22 @@ every remote call is wrapped in a resilience layer:
   ``remote_*`` counters on :class:`~repro.engine.stats.EngineStats`
   record exactly what happened.
 
-Wire protocol v1: u32 length-prefixed JSON frames
-(:mod:`repro._util.framing` — the replication codec), one request frame
-per connection turn::
+Wire protocol: u32 length-prefixed frames (:mod:`repro._util.framing`
+— the replication codec).  Control ops are JSON, one request frame per
+connection turn::
 
+    {"op": "hello", "proto": 2, "metrics": [...], "intervals": [...]}
     {"op": "status"}                                  # shards, tables, counts
-    {"op": "probe", "keys": [REC, ...], "counts": B}  # -> {"ok", "labels", ...}
     {"op": "learn", "records": [REC, ...]}            # delta-log record shapes
     {"op": "entries", "shard": S}                     # full shard dump
     {"op": "ping"}                                    # liveness / breaker probe
 
 where ``REC`` is the delta-log record encoding of
-:func:`repro.core.serialization.fingerprint_to_record`.
-
-Wire protocol v2 closes the wire tax that per-key JSON plus a fresh
-TCP dial per request put on the fan-out (measured ~5x against the
-in-process stores).  It is negotiated per connection — a JSON
-``{"op": "hello", "proto": 2}`` on first use; a v1 server answers it
-with its usual unknown-op error reply and the client transparently
-stays on v1 over the very same socket — and adds, on top of the v1
-ops (which remain available on a v2 connection):
+:func:`repro.core.serialization.fingerprint_to_record`.  Probes and
+filter fetches are binary (protocol v2), on connections that opened
+with the ``hello``: a reply that is not a v2 ack is a transport fault
+naming the endpoint, so the bucket retries and then degrades.  The
+probe path is built to keep the wire tax low:
 
 - **persistent pooled connections** — the client keeps a small
   per-host pool of sockets and pipelines multiple probe buckets per
@@ -58,12 +54,10 @@ ops (which remain available on a v2 connection):
   value columns against per-connection interned string tables
   (negotiated at hello, extended incrementally in-band), and replies
   come back as match-count offsets plus CSR label-id arrays;
-- **server-side bulk lookup** — a decoded bucket goes through the
-  store's ``lookup_many`` bulk path (or straight dict hits for plain
-  sharded stores) instead of 20k per-key probes.  Per-key shard
-  ownership is spot-checked on a sample (the client routes with the
-  same ``stable_hash``), trading the v1 per-key boundary check for
-  the vectorized fast path;
+- **server-side bulk lookup** — a decoded bucket goes through a sorted
+  per-shard snapshot (one ``searchsorted`` per bucket) instead of 20k
+  per-key probes.  Per-key shard ownership is spot-checked on a sample
+  (the client routes with the same ``stable_hash``);
 - **filter mirrors** — a binary ``filters`` op ships each shard's
   Bloom sidecar to the client, which then resolves definitely-absent
   keys locally without any wire round trip (re-fetched when a reply's
@@ -413,8 +407,9 @@ class _ShardSnapshot:
     Built once per (shard, store version) and immutable after — a 20k
     key bucket then costs one ``searchsorted`` and a couple of fancy-
     index gathers instead of 20k Fingerprint constructions and dict
-    probes.  Write-heavy stores rebuild per version bump; that is the
-    documented trade (docs/serving.md tuning table)."""
+    probes.  Every store version bump rebuilds the whole shard, so a
+    write-heavy learn-while-serving host re-sorts once per flush (the
+    caveat in docs/serving.md, ROADMAP item 4(d))."""
 
     __slots__ = (
         "version", "n", "packed", "label_off", "label_n", "label_ids",
@@ -478,7 +473,8 @@ class _ShardSnapshot:
 
 
 class ShardServer:
-    """Serve a slice of a dictionary's shard space over framed JSON.
+    """Serve a slice of a dictionary's shard space: binary v2 probes
+    and filter fetches, JSON control ops.
 
     Holds any :class:`~repro.engine.backend.DictionaryBackend` and
     answers probes for the shards it was told it owns — probing (or
@@ -630,8 +626,6 @@ class ShardServer:
             return self._op_hello(msg, state)
         if op == "status":
             return self._op_status()
-        if op == "probe":
-            return self._op_probe(msg)
         if op == "learn":
             return self._op_learn(msg)
         if op == "entries":
@@ -649,8 +643,7 @@ class ShardServer:
     def _op_hello(self, msg: dict, state: Optional[_ConnState]) -> dict:
         """Negotiate protocol v2 for this connection: take the client's
         metric/interval tables, hand back the label table and store
-        version.  A v1 server never reaches here — its unknown-op error
-        reply *is* the downgrade signal."""
+        version.  Any other ``proto`` is refused with an error reply."""
         proto = msg.get("proto")
         if proto != 2:
             raise RemoteOpError(f"unsupported hello proto {proto!r}")
@@ -976,22 +969,6 @@ class ShardServer:
         self._count_cache = (version, counts)
         return counts
 
-    def _op_probe(self, msg: dict) -> dict:
-        keys = msg.get("keys")
-        if not isinstance(keys, list):
-            raise RemoteOpError("probe needs a keys list")
-        fps = [self._parse_key(rec) for rec in keys]
-        for fp in fps:
-            self._owned(fp)
-        with self._lock:
-            reply: dict = {
-                "ok": True,
-                "labels": [self.store.lookup(fp) for fp in fps],
-            }
-            if msg.get("counts"):
-                reply["counts"] = [self.store.lookup_counts(fp) for fp in fps]
-        return reply
-
     def _op_learn(self, msg: dict) -> dict:
         records = msg.get("records")
         if not isinstance(records, list):
@@ -1149,9 +1126,10 @@ class _CallFailed(Exception):
 
 class _DegradeBucket(Exception):
     """Internal: the host answered, but with a structurally invalid
-    reply (short labels list, truncated v2 column, id out of table
-    range).  Not retryable — a protocol bug, not a dead host — the
-    whole bucket degrades immediately with the named reason."""
+    reply (truncated v2 column, id out of table range, a reply out of
+    turn).  Not retryable — a protocol bug, not a dead host — the whole
+    bucket degrades immediately with the named reason (a filter fetch
+    fails into its cooldown)."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -1160,11 +1138,11 @@ class _DegradeBucket(Exception):
 
 class _PooledConnection:
     """One persistent socket to a shard host plus its negotiated state:
-    protocol version, the per-connection interned v2 tables, and the
-    pipelining request-id counter."""
+    the per-connection interned v2 tables and the pipelining request-id
+    counter."""
 
     __slots__ = (
-        "sock", "endpoint", "proto", "closed", "_next_id",
+        "sock", "endpoint", "closed", "_next_id",
         "metrics", "metric_ids", "intervals", "interval_ids",
         "labels", "store_version",
     )
@@ -1172,7 +1150,6 @@ class _PooledConnection:
     def __init__(self, sock: socket.socket, endpoint: str):
         self.sock = sock
         self.endpoint = endpoint
-        self.proto = 1
         self.closed = False
         self._next_id = 0
         self.metrics: List[str] = []
@@ -1255,11 +1232,9 @@ class RemoteShardBackend:
 
     Transport: each host gets a pool of up to ``pool_size`` persistent
     connections (checked out per call, evicted on any transport fault,
-    redialed behind the retry ladder's backoff).  The first dial per
-    host sends a v2 hello; v1 servers answer it with their unknown-op
-    error reply and the client stays on JSON over the same socket
-    (``protocol="json"`` pins v1 and skips the handshake).  On v2
-    connections probe buckets are split into ``pipeline_chunk``-key
+    redialed behind the retry ladder's backoff).  Every dial opens with
+    the v2 hello; a host that does not ack it fails the attempt like a
+    transport fault.  Probe buckets are split into ``pipeline_chunk``-key
     binary column frames with a bounded in-flight window.  With
     ``filter_mirrors`` on, shard Bloom sidecars are fetched in the
     background and definitely-absent keys resolve locally — probes of
@@ -1286,21 +1261,32 @@ class RemoteShardBackend:
         pool_size: int = 4,
         pipeline_chunk: int = 4096,
         filter_mirrors: bool = True,
-        protocol: str = "auto",
     ):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         if not hosts:
             raise ValueError("RemoteShardBackend needs at least one host")
+        if deadline <= 0:
+            raise ValueError(f"deadline must be positive, got {deadline}")
+        if try_timeout <= 0:
+            raise ValueError(
+                f"try_timeout must be positive, got {try_timeout}"
+            )
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
+        if hedge_delay <= 0:
+            raise ValueError(
+                f"hedge_delay must be positive, got {hedge_delay}"
+            )
+        if not 0.0 < hedge_percentile <= 1.0:
+            raise ValueError(
+                f"hedge_percentile must be in (0, 1], got {hedge_percentile}"
+            )
         if pool_size < 1:
             raise ValueError(f"pool_size must be >= 1, got {pool_size}")
         if pipeline_chunk < 1:
             raise ValueError(
                 f"pipeline_chunk must be >= 1, got {pipeline_chunk}"
-            )
-        if protocol not in ("auto", "json"):
-            raise ValueError(
-                f"protocol must be 'auto' or 'json', got {protocol!r}"
             )
         self.n_shards = int(n_shards)
         self.deadline = float(deadline)
@@ -1311,7 +1297,6 @@ class RemoteShardBackend:
         self.pool_size = int(pool_size)
         self.pipeline_chunk = int(pipeline_chunk)
         self.filter_mirrors = bool(filter_mirrors)
-        self.protocol = str(protocol)
         self.engine_stats = stats if stats is not None else EngineStats()
         self._backoff = BackoffPolicy(
             base=backoff_base, cap=backoff_cap, rng=rng
@@ -1360,8 +1345,6 @@ class RemoteShardBackend:
         self._closed = False
         self._pool: Dict[str, List[_PooledConnection]] = {}
         self._pool_lock = threading.Lock()
-        #: endpoint -> negotiated protocol (2 or 1); absent = unknown.
-        self._host_proto: Dict[str, int] = {}
         self._route_cache: Dict[Fingerprint, int] = {}
         self._mirrors: Dict[int, _FilterMirror] = {}
         self._mirror_lock = threading.Lock()
@@ -1433,22 +1416,13 @@ class RemoteShardBackend:
         conn.close()
 
     def _dial(self, host: RemoteHost, deadline: float) -> _PooledConnection:
-        """Dial ``host`` and negotiate the protocol.
-
-        The first connection to an unknown host sends a JSON
-        ``hello``: a v2 server acks with its label table, a v1 server
-        answers with its standard unknown-op error reply — the
-        connection stays usable for JSON ops either way, and the
-        outcome is cached per endpoint so later dials skip the
-        handshake round trip."""
+        """Dial ``host`` and run the v2 hello: send the client's
+        metric/interval tables, take the host's label table and store
+        version.  A reply that is not a v2 ack raises
+        :class:`RemoteError` naming the endpoint, so the attempt fails
+        like any transport fault (retried, then degraded)."""
         sock = host.connect(self._io_timeout(deadline))
         conn = _PooledConnection(sock, host.endpoint)
-        proto = (
-            1 if self.protocol == "json"
-            else self._host_proto.get(host.endpoint, 0)
-        )
-        if proto == 1:
-            return conn
         hello_metrics = list(self._metric_order)
         hello_intervals = list(self._interval_order)
         hello = {
@@ -1463,35 +1437,31 @@ class RemoteShardBackend:
         except BaseException:
             conn.close()
             raise
-        if (
-            isinstance(reply, dict) and reply.get("ok")
-            and reply.get("proto") == 2
+        if not (
+            reply.get("ok") and reply.get("proto") == 2
             and isinstance(reply.get("labels"), list)
         ):
-            conn.proto = 2
-            conn.metrics = hello_metrics
-            conn.metric_ids = {m: i for i, m in enumerate(hello_metrics)}
-            conn.intervals = [
-                (float(a) + 0.0, float(b) + 0.0) for a, b in hello_intervals
-            ]
-            conn.interval_ids = {
-                iv: i for i, iv in enumerate(conn.intervals)
-            }
-            conn.labels = [str(l) for l in reply["labels"]]
-            try:
-                conn.store_version = int(reply.get("version", -1))
-            except (TypeError, ValueError):
-                conn.store_version = -1
-            self._host_proto[host.endpoint] = 2
-            return conn
-        self._host_proto[host.endpoint] = 1
-        if "error" in reply:
-            # A real v1 server: the refusal left the connection synced.
-            return conn
-        # Unknown reply shape: the turn is consumed and the peer's frame
-        # discipline is unknown — redial clean (now pinned to v1).
-        conn.close()
-        return self._dial(host, deadline)
+            conn.close()
+            if "error" in reply:
+                raise RemoteError(
+                    f"{host.endpoint} refused the v2 hello: {reply['error']}"
+                )
+            raise RemoteError(
+                f"malformed hello reply from {host.endpoint} "
+                f"(not a v2 ack)"
+            )
+        conn.metrics = hello_metrics
+        conn.metric_ids = {m: i for i, m in enumerate(hello_metrics)}
+        conn.intervals = [
+            (float(a) + 0.0, float(b) + 0.0) for a, b in hello_intervals
+        ]
+        conn.interval_ids = {iv: i for i, iv in enumerate(conn.intervals)}
+        conn.labels = [str(l) for l in reply["labels"]]
+        try:
+            conn.store_version = int(reply.get("version", -1))
+        except (TypeError, ValueError):
+            conn.store_version = -1
+        return conn
 
     def _exchange_json(self, conn: _PooledConnection, msg: dict) -> dict:
         """One JSON request/reply turn on a pooled connection, with the
@@ -1507,29 +1477,44 @@ class RemoteShardBackend:
         self._rec(self.engine_stats.record_remote_wire, sent, len(raw) + 4)
         return reply
 
-    # -- one physical call ---------------------------------------------------
-    def _one_call(
-        self, host: RemoteHost, msg: dict, deadline: float, n_keys: int
-    ) -> dict:
-        """One JSON request/reply on a pooled connection, budget-bounded.
+    # -- one physical attempt ------------------------------------------------
+    def _attempt(
+        self,
+        host: RemoteHost,
+        deadline: float,
+        exchange: Callable[[_PooledConnection], Any],
+        n_keys: Optional[int] = None,
+    ) -> Any:
+        """One physical attempt against ``host`` on a pooled connection:
+        checkout, ``exchange(conn)``, and the accounting around it.
 
-        Records the call, its outcome, and the host's breaker state;
-        raises :class:`_CallFailed` on any retryable failure and
-        :class:`RemoteOpError` (breaker untouched — the host is alive)
-        on a refused op.
+        A timeout or transport error evicts the connection, bumps
+        ``remote_timeouts`` / ``remote_errors``, records a breaker
+        failure and raises :class:`_CallFailed`.  A refused op
+        (:class:`RemoteOpError`) or a garbage reply
+        (:class:`_DegradeBucket`) records a breaker success — the host
+        answered — and propagates; the connection goes back to the pool
+        unless ``exchange`` evicted it first (a pipelined connection is
+        desynced by either).  Success checks the connection in.
+
+        ``n_keys`` counts the attempt as one ``remote_calls`` of that
+        many keys, bounds it by the deadline first and records a
+        latency sample for the hedge trigger.  Filter fetches pass
+        ``None``: they are never counted (the fault sweeps assert exact
+        per-probe call counts) and sample no latency.
         """
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            # Never dialed: hand back a claimed half-open probe slot.
-            host.breaker.release()
-            raise _CallFailed("deadline exhausted")
-        self._rec(self.engine_stats.record_remote_call, n_keys)
+        if n_keys is not None:
+            if deadline - time.monotonic() <= 0:
+                # Never dialed: hand back a claimed half-open probe slot.
+                host.breaker.release()
+                raise _CallFailed("deadline exhausted")
+            self._rec(self.engine_stats.record_remote_call, n_keys)
         start = time.monotonic()
         conn: Optional[_PooledConnection] = None
         try:
             conn = self._checkout(host, deadline)
             conn.sock.settimeout(self._io_timeout(deadline))
-            reply = self._exchange_json(conn, msg)
+            result = exchange(conn)
         except (socket.timeout, TimeoutError):
             if conn is not None:
                 self._evict(conn)
@@ -1542,17 +1527,31 @@ class RemoteShardBackend:
             self._rec(self.engine_stats.record_remote_error)
             host.breaker.record_failure()
             raise _CallFailed(f"{host.endpoint}: {exc}")
-        if "error" in reply:
-            # The host answered: it is healthy, the request is wrong.
+        except (RemoteOpError, _DegradeBucket):
             host.breaker.record_success()
             self._checkin(host, conn)
-            raise RemoteOpError(str(reply["error"]))
+            raise
         host.breaker.record_success()
         self._checkin(host, conn)
-        with self._stats_lock:
-            self._latencies.append(time.monotonic() - start)
-            del self._latencies[:-64]
-        return reply
+        if n_keys is not None:
+            with self._stats_lock:
+                self._latencies.append(time.monotonic() - start)
+                del self._latencies[:-64]
+        return result
+
+    def _one_call(
+        self, host: RemoteHost, msg: dict, deadline: float, n_keys: int
+    ) -> dict:
+        """One JSON control-op turn (see :meth:`_attempt`).  An error
+        reply raises :class:`RemoteOpError`; the turn is complete, so
+        the connection stays pooled."""
+        def exchange(conn: _PooledConnection) -> dict:
+            reply = self._exchange_json(conn, msg)
+            if "error" in reply:
+                raise RemoteOpError(str(reply["error"]))
+            return reply
+
+        return self._attempt(host, deadline, exchange, n_keys)
 
     def _hedge_wait(self) -> float:
         """Seconds to wait on the primary before hedging: the configured
@@ -1697,116 +1696,20 @@ class RemoteShardBackend:
         counts: bool,
         deadline: float,
     ) -> List[RemoteVerdict]:
-        """One bucket exchange against one host on a pooled connection
-        — binary pipelined on v2, single JSON turn on v1.  Same
-        accounting contract as :meth:`_one_call`, plus
-        :class:`_DegradeBucket` for structurally invalid replies (the
-        host is alive — breaker success — but the bucket degrades)."""
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            host.breaker.release()
-            raise _CallFailed("deadline exhausted")
-        self._rec(self.engine_stats.record_remote_call, len(fps))
-        start = time.monotonic()
-        try:
-            conn = self._checkout(host, deadline)
-        except (socket.timeout, TimeoutError):
-            self._rec(self.engine_stats.record_remote_timeout)
-            host.breaker.record_failure()
-            raise _CallFailed(f"timeout talking to {host.endpoint}")
-        except (RemoteError, ConnectionError, OSError) as exc:
-            self._rec(self.engine_stats.record_remote_error)
-            host.breaker.record_failure()
-            raise _CallFailed(f"{host.endpoint}: {exc}")
-        try:
-            if conn.proto == 2:
-                verdicts = self._probe_v2_on_conn(
+        """One bucket exchange against one host: binary pipelined
+        chunks through :meth:`_attempt`.  A refusal or a structurally
+        invalid reply evicts the connection — pipelined replies may
+        still be in flight behind it."""
+        def exchange(conn: _PooledConnection) -> List[RemoteVerdict]:
+            try:
+                return self._probe_v2_on_conn(
                     conn, host, shard, fps, counts, deadline
                 )
-            else:
-                verdicts = self._probe_v1_on_conn(
-                    conn, shard, fps, counts, deadline
-                )
-        except (socket.timeout, TimeoutError):
-            self._evict(conn)
-            self._rec(self.engine_stats.record_remote_timeout)
-            host.breaker.record_failure()
-            raise _CallFailed(f"timeout talking to {host.endpoint}")
-        except (RemoteError, ConnectionError, OSError) as exc:
-            self._evict(conn)
-            self._rec(self.engine_stats.record_remote_error)
-            host.breaker.record_failure()
-            raise _CallFailed(f"{host.endpoint}: {exc}")
-        except RemoteOpError:
-            host.breaker.record_success()
-            if conn.proto == 2:
-                # Pipelined replies may still be in flight behind the
-                # refusal: the connection is desynced, not reusable.
+            except (RemoteOpError, _DegradeBucket):
                 self._evict(conn)
-            else:
-                self._checkin(host, conn)
-            raise
-        except _DegradeBucket:
-            # The host answered — healthy breaker-wise — but the reply
-            # is garbage, so the connection's state is untrustworthy.
-            host.breaker.record_success()
-            self._evict(conn)
-            raise
-        host.breaker.record_success()
-        self._checkin(host, conn)
-        with self._stats_lock:
-            self._latencies.append(time.monotonic() - start)
-            del self._latencies[:-64]
-        return verdicts
+                raise
 
-    def _probe_v1_on_conn(
-        self,
-        conn: _PooledConnection,
-        shard: int,
-        fps: List[Fingerprint],
-        counts: bool,
-        deadline: float,
-    ) -> List[RemoteVerdict]:
-        msg: dict = {
-            "op": "probe",
-            "keys": [fingerprint_to_record(fp) for fp in fps],
-        }
-        if counts:
-            msg["counts"] = True
-        conn.sock.settimeout(self._io_timeout(deadline))
-        reply = self._exchange_json(conn, msg)
-        if "error" in reply:
-            raise RemoteOpError(str(reply["error"]))
-        # A host that answers with the wrong shape is a protocol bug,
-        # not a dead host: degrade the bucket (every key gets a verdict,
-        # so the batch merge cannot KeyError) instead of crashing the
-        # whole batch on a truncated zip.
-        labels = reply.get("labels")
-        count_maps = reply.get("counts") if counts else None
-        malformed = not isinstance(labels, list) or len(labels) != len(fps)
-        if not malformed and counts:
-            malformed = (
-                not isinstance(count_maps, list)
-                or len(count_maps) != len(fps)
-            )
-        if malformed:
-            got = (
-                len(labels) if isinstance(labels, list)
-                else type(labels).__name__
-            )
-            raise _DegradeBucket(
-                f"malformed probe reply for shard {shard}: "
-                f"{len(fps)} keys probed, labels={got}"
-            )
-        if count_maps is None:
-            count_maps = [None] * len(fps)
-        out = []
-        for found, cmap in zip(labels, count_maps):
-            verdict = RemoteVerdict([str(l) for l in found])
-            if counts and cmap is not None:
-                verdict.counts = {str(k): int(v) for k, v in cmap.items()}
-            out.append(verdict)
-        return out
+        return self._attempt(host, deadline, exchange, len(fps))
 
     def _encode_probe_chunk(
         self,
@@ -2041,17 +1944,15 @@ class RemoteShardBackend:
             )
 
     def _fetch_mirrors(self, shards_needed: List[int], deadline: float) -> None:
-        """Plan one host per needed shard (first admitted v2-capable
-        host wins; full replicas batch all their shards into one
-        request) and fetch.  Failures set a per-endpoint cooldown so a
+        """Plan one host per needed shard (first admitted host wins;
+        full replicas batch all their shards into one request) and
+        fetch.  Failures set a per-endpoint cooldown so a
         dead host costs one attempt per window, not one per batch."""
         now = time.monotonic()
         plan: Dict[str, Tuple[RemoteHost, List[int]]] = {}
         for s in shards_needed:
             for host in self._shard_hosts[s]:
                 endpoint = host.endpoint
-                if self._host_proto.get(endpoint) == 1:
-                    continue  # v1 host: no filters op
                 if self._mirror_retry_at.get(endpoint, 0.0) > now:
                     continue
                 if not host.breaker.would_allow():
@@ -2061,7 +1962,7 @@ class RemoteShardBackend:
         for endpoint, (host, shards) in plan.items():
             try:
                 self._fetch_filters(host, shards, deadline)
-            except (_CallFailed, RemoteOpError):
+            except (_CallFailed, RemoteOpError, _DegradeBucket):
                 self._mirror_retry_at[endpoint] = (
                     time.monotonic()
                     + max(self._mirror_cooldown, 2 * self.try_timeout)
@@ -2070,74 +1971,49 @@ class RemoteShardBackend:
     def _fetch_filters(
         self, host: RemoteHost, shards: List[int], deadline: float
     ) -> None:
-        """One binary ``filters`` round trip; installs the mirrors.
-        Deliberately *not* counted as a remote call (the fault sweeps
-        assert exact per-probe call counts), though wire bytes, breaker
-        outcomes, and error counters still move."""
+        """One binary ``filters`` round trip through :meth:`_attempt`;
+        installs the mirrors.  Deliberately *not* counted as a remote
+        call (the fault sweeps assert exact per-probe call counts),
+        though wire bytes, breaker outcomes, and error counters still
+        move."""
         if not host.breaker.allow():
             raise _CallFailed(f"breaker open for {host.endpoint}")
-        try:
-            conn = self._checkout(host, deadline)
-        except (socket.timeout, TimeoutError):
-            self._rec(self.engine_stats.record_remote_timeout)
-            host.breaker.record_failure()
-            raise _CallFailed(f"timeout fetching filters: {host.endpoint}")
-        except (RemoteError, ConnectionError, OSError) as exc:
-            self._rec(self.engine_stats.record_remote_error)
-            host.breaker.record_failure()
-            raise _CallFailed(f"{host.endpoint}: {exc}")
-        if conn.proto != 2:
-            host.breaker.record_success()
-            self._checkin(host, conn)
-            raise _CallFailed(
-                f"{host.endpoint} speaks v1 (no filter sidecars)"
-            )
-        request_id = conn.next_request_id()
-        try:
-            conn.sock.settimeout(self._io_timeout(deadline))
+
+        def exchange(conn: _PooledConnection) -> dict:
+            request_id = conn.next_request_id()
             sent = framing.send_frame_sock(
                 conn.sock, framing.encode_filters_request(request_id, shards)
             )
             raw = framing.recv_frame_sock(conn.sock, error=RemoteError)
             if raw is None:
                 raise RemoteError(f"{host.endpoint} closed mid-filters")
-        except (socket.timeout, TimeoutError):
-            self._evict(conn)
-            self._rec(self.engine_stats.record_remote_timeout)
-            host.breaker.record_failure()
-            raise _CallFailed(f"timeout fetching filters: {host.endpoint}")
-        except (RemoteError, ConnectionError, OSError) as exc:
-            self._evict(conn)
-            self._rec(self.engine_stats.record_remote_error)
-            host.breaker.record_failure()
-            raise _CallFailed(f"{host.endpoint}: {exc}")
-        self._rec(self.engine_stats.record_remote_wire, sent, len(raw) + 4)
-        host.breaker.record_success()
-        if not framing.is_v2_frame(raw):
+            self._rec(self.engine_stats.record_remote_wire, sent, len(raw) + 4)
+            if not framing.is_v2_frame(raw):
+                try:
+                    reply = framing.parse_json(
+                        raw, require_op=False, error=RemoteError
+                    )
+                except RemoteError:
+                    reply = {}
+                if "error" in reply:
+                    raise RemoteOpError(str(reply["error"]))
+                self._evict(conn)
+                raise _DegradeBucket(f"{host.endpoint}: filters reply desync")
             try:
-                reply = framing.parse_json(
-                    raw, require_op=False, error=RemoteError
+                rep = framing.decode_filters_reply(raw, error=_ReplyCodecError)
+            except _ReplyCodecError as exc:
+                self._evict(conn)
+                raise _DegradeBucket(
+                    f"malformed filters reply from {host.endpoint}: {exc}"
                 )
-            except RemoteError:
-                reply = {}
-            if "error" in reply:
-                self._checkin(host, conn)
-                raise RemoteOpError(str(reply["error"]))
-            self._evict(conn)
-            raise _CallFailed(f"{host.endpoint}: filters reply desync")
-        try:
-            rep = framing.decode_filters_reply(raw, error=_ReplyCodecError)
-        except _ReplyCodecError as exc:
-            self._evict(conn)
-            raise RemoteOpError(
-                f"malformed filters reply from {host.endpoint}: {exc}"
-            )
-        if rep["request_id"] != request_id:
-            self._evict(conn)
-            raise _CallFailed(
-                f"{host.endpoint}: filters reply id mismatch"
-            )
-        self._checkin(host, conn)
+            if rep["request_id"] != request_id:
+                self._evict(conn)
+                raise _DegradeBucket(
+                    f"{host.endpoint}: filters reply id mismatch"
+                )
+            return rep
+
+        rep = self._attempt(host, deadline, exchange)
         tables = rep["tables"]
         try:
             metrics = [str(m) for m in tables.get("metrics", [])]

@@ -104,82 +104,6 @@ class ServeConfig:
         load; it only defers the fold.  Forced off in replica mode
         (``efd serve --follow``): a replica folding its log would
         advance its generation past the leader's.
-    repl_poll_interval:
-        Seconds between a publishing leader's idle delta-log polls, per
-        follower stream — the floor on record-shipping latency
-        (:class:`~repro.engine.replicate.ReplicationPublisher`).
-    repl_heartbeat:
-        Seconds between ``sync`` heartbeat frames to an idle follower,
-        keeping replica lag gauges honest with no write traffic.
-    repl_reconnect_delay:
-        *Base* seconds a replica waits before redialing a lost leader
-        (:class:`~repro.engine.replicate.ReplicationFollower`).  The
-        actual delay backs off exponentially from this base with full
-        jitter (capped at 32x), resetting after a successful subscribe,
-        so a replica fleet does not hammer a restarting leader in
-        lockstep.
-    remote_deadline:
-        Wall-clock budget, in seconds, for one remote scatter/gather
-        batch (:class:`~repro.engine.remote.RemoteShardBackend`).
-        Every per-host timeout inside the batch is derived from the
-        remaining budget; when it runs out, unreachable keys resolve as
-        explicit degraded verdicts.
-    remote_try_timeout:
-        Per-attempt socket timeout (connect + round trip) on one remote
-        call, further clipped to the remaining batch budget.
-    remote_retries:
-        Bounded retry count per logical remote request (0 disables
-        retries; the first attempt is not a retry).
-    remote_backoff_base / remote_backoff_cap:
-        Exponential-backoff envelope (full jitter) between remote
-        retries, shared with the replication redial policy
-        (:class:`repro._util.backoff.BackoffPolicy`).
-    remote_hedge_delay:
-        Floor, in seconds, on how long the primary host may stay quiet
-        before the same probe is hedged to the shard's next replica.
-        Raised automatically to the observed latency percentile below
-        once enough calls have been measured.
-    remote_hedge_percentile:
-        Latency percentile (0..1) of recent successful calls past which
-        a quiet primary triggers a hedge.
-    remote_breaker_failures:
-        Consecutive failures that trip a host's circuit breaker open
-        (a dead host then costs one timeout per reset window, not one
-        per batch).
-    remote_breaker_reset:
-        Seconds an open breaker waits before admitting one half-open
-        probe call; the probe's success closes it, failure re-opens it.
-    remote_pool_size:
-        Persistent connections kept per shard host.  Checked out per
-        call, evicted on any transport fault, redialed lazily behind
-        the retry ladder's backoff.
-    remote_pipeline_chunk:
-        Keys per binary v2 probe frame; a bucket larger than this is
-        split into pipelined chunks with a bounded in-flight window.
-    remote_filter_mirrors:
-        Mirror each shard's Bloom key filter client-side (fetched in
-        the background, refreshed when a reply reveals a new store
-        version).  Definitely-absent keys then resolve locally —
-        unknown-heavy traffic mostly never crosses the wire.
-    remote_protocol:
-        ``"auto"`` negotiates protocol v2 via the hello handshake
-        (falling back to framed JSON against v1 servers);
-        ``"json"`` pins v1 and skips the handshake.
-    family_mode:
-        Serve verdicts through a :class:`~repro.family.FamilyCascade`
-        fronting the engine's dictionary: a coarse family tier at
-        ``family_coarse_depth`` rejects or routes probes before the
-        full-depth dictionary is consulted, and verdicts carry the
-        ``match`` / ``near-family`` / ``unknown`` outcome distinction
-        ("same app, new version" stops being reported as unknown).
-    family_coarse_depth:
-        Rounding depth of the coarse family tier; must be <= the
-        engine's recognition depth.  Depth 1 keeps the coarse tier
-        smallest; paper Table 1 suggests 2 when families sit close.
-    family_spec_path:
-        Optional path to an ``efd family build`` spec JSON mapping
-        application names to families.  ``None`` derives families from
-        version suffixes of the dictionary's application names.
     """
 
     max_pending_samples: int = 4096
@@ -198,25 +122,6 @@ class ServeConfig:
     net_batch_delay: float = 0.005
     max_line_bytes: int = 1 << 16
     compact_on_close: bool = True
-    repl_poll_interval: float = 0.02
-    repl_heartbeat: float = 0.5
-    repl_reconnect_delay: float = 0.2
-    remote_deadline: float = 2.0
-    remote_try_timeout: float = 0.5
-    remote_retries: int = 2
-    remote_backoff_base: float = 0.05
-    remote_backoff_cap: float = 1.0
-    remote_hedge_delay: float = 0.05
-    remote_hedge_percentile: float = 0.95
-    remote_breaker_failures: int = 3
-    remote_breaker_reset: float = 1.0
-    remote_pool_size: int = 4
-    remote_pipeline_chunk: int = 4096
-    remote_filter_mirrors: bool = True
-    remote_protocol: str = "auto"
-    family_mode: bool = False
-    family_coarse_depth: int = 1
-    family_spec_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.max_pending_samples < 1:
@@ -278,84 +183,4 @@ class ServeConfig:
         if self.max_line_bytes < 64:
             raise ValueError(
                 f"max_line_bytes must be >= 64, got {self.max_line_bytes}"
-            )
-        if self.repl_poll_interval <= 0:
-            raise ValueError(
-                f"repl_poll_interval must be positive, "
-                f"got {self.repl_poll_interval}"
-            )
-        if self.repl_heartbeat <= 0:
-            raise ValueError(
-                f"repl_heartbeat must be positive, got {self.repl_heartbeat}"
-            )
-        if self.repl_reconnect_delay <= 0:
-            raise ValueError(
-                f"repl_reconnect_delay must be positive, "
-                f"got {self.repl_reconnect_delay}"
-            )
-        if self.remote_deadline <= 0:
-            raise ValueError(
-                f"remote_deadline must be positive, got {self.remote_deadline}"
-            )
-        if self.remote_try_timeout <= 0:
-            raise ValueError(
-                f"remote_try_timeout must be positive, "
-                f"got {self.remote_try_timeout}"
-            )
-        if self.remote_retries < 0:
-            raise ValueError(
-                f"remote_retries must be >= 0, got {self.remote_retries}"
-            )
-        if self.remote_backoff_base <= 0:
-            raise ValueError(
-                f"remote_backoff_base must be positive, "
-                f"got {self.remote_backoff_base}"
-            )
-        if self.remote_backoff_cap < self.remote_backoff_base:
-            raise ValueError(
-                f"remote_backoff_cap must be >= remote_backoff_base, "
-                f"got {self.remote_backoff_cap}"
-            )
-        if self.remote_hedge_delay <= 0:
-            raise ValueError(
-                f"remote_hedge_delay must be positive, "
-                f"got {self.remote_hedge_delay}"
-            )
-        if not 0.0 < self.remote_hedge_percentile <= 1.0:
-            raise ValueError(
-                f"remote_hedge_percentile must be in (0, 1], "
-                f"got {self.remote_hedge_percentile}"
-            )
-        if self.remote_breaker_failures < 1:
-            raise ValueError(
-                f"remote_breaker_failures must be >= 1, "
-                f"got {self.remote_breaker_failures}"
-            )
-        if self.remote_breaker_reset <= 0:
-            raise ValueError(
-                f"remote_breaker_reset must be positive, "
-                f"got {self.remote_breaker_reset}"
-            )
-        if self.remote_pool_size < 1:
-            raise ValueError(
-                f"remote_pool_size must be >= 1, got {self.remote_pool_size}"
-            )
-        if self.remote_pipeline_chunk < 1:
-            raise ValueError(
-                f"remote_pipeline_chunk must be >= 1, "
-                f"got {self.remote_pipeline_chunk}"
-            )
-        if self.remote_protocol not in ("auto", "json"):
-            raise ValueError(
-                f"remote_protocol must be 'auto' or 'json', "
-                f"got {self.remote_protocol!r}"
-            )
-        if self.family_coarse_depth < 1:
-            raise ValueError(
-                f"family_coarse_depth must be >= 1, "
-                f"got {self.family_coarse_depth}"
-            )
-        if self.family_spec_path is not None and not self.family_mode:
-            raise ValueError(
-                "family_spec_path requires family_mode=True"
             )

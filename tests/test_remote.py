@@ -26,6 +26,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from repro._util import framing
@@ -261,6 +262,9 @@ class TestShardServerProtocol:
             sock.close()
 
     def test_ping_status_probe_entries(self):
+        """Control ops stay JSON; a JSON ``probe`` is not an op any
+        more — probes are binary v2 frames — and its refusal leaves the
+        socket live."""
         flat, stores = _seed_stores(1)
         with ShardServerThread(stores[0], n_shards=3, shards=[0, 1]) as thread:
             assert self._request(thread.endpoint, {"op": "ping"}) == {"ok": True}
@@ -274,31 +278,65 @@ class TestShardServerProtocol:
             owned = [fp for fp, _ in flat.entries()
                      if shard_index(fp, 3) == 0][:5]
             from repro.core.serialization import fingerprint_to_record
-            reply = self._request(thread.endpoint, {
-                "op": "probe",
-                "keys": [fingerprint_to_record(fp) for fp in owned],
-                "counts": True,
-            })
-            assert reply["labels"] == [flat.lookup(fp) for fp in owned]
-            assert reply["counts"] == [flat.lookup_counts(fp) for fp in owned]
+            sock = RemoteHost(endpoint=thread.endpoint).connect(5.0)
+            try:
+                sock.settimeout(5.0)
+                reply = framing.request_json_sock(sock, {
+                    "op": "probe",
+                    "keys": [fingerprint_to_record(fp) for fp in owned],
+                    "counts": True,
+                }, error=RemoteError)
+                assert "unknown op 'probe'" in reply["error"]
+                assert framing.request_json_sock(
+                    sock, {"op": "ping"}, error=RemoteError
+                ) == {"ok": True}
+            finally:
+                sock.close()
             dump = self._request(thread.endpoint, {"op": "entries", "shard": 1})
             assert len(dump["entries"]) == status["keys_by_shard"]["1"]
+
+    @staticmethod
+    def _v2_probe(sock, shard: int, fps) -> dict:
+        """One v2 probe bucket whose tables ride in-band; returns the
+        JSON error reply the test expects."""
+        frame = framing.encode_probe_request(
+            1, shard,
+            np.arange(len(fps), dtype="<i4"), np.arange(len(fps), dtype="<i4"),
+            np.asarray([fp.node for fp in fps], dtype="<i8"),
+            np.asarray([fp.value for fp in fps], dtype="<f8"),
+            table_ext={
+                "metrics": [fp.metric for fp in fps],
+                "intervals": [list(fp.interval) for fp in fps],
+            },
+        )
+        framing.send_frame_sock(sock, frame)
+        raw = framing.recv_frame_sock(sock, error=RemoteError)
+        assert raw is not None and not framing.is_v2_frame(raw)
+        return framing.parse_json(raw, require_op=False, error=RemoteError)
 
     def test_refusals_are_error_replies_not_disconnects(self):
         _, stores = _seed_stores(1)
         with ShardServerThread(stores[0], n_shards=3, shards=[0]) as thread:
-            from repro.core.serialization import fingerprint_to_record
             foreign = next(
                 fp for fp, _ in stores[0].entries() if shard_index(fp, 3) == 2
             )
-            reply = self._request(thread.endpoint, {
-                "op": "probe", "keys": [fingerprint_to_record(foreign)],
-            })
-            assert "shard 2 not served here" in reply["error"]
+            sock = RemoteHost(endpoint=thread.endpoint).connect(5.0)
+            try:
+                sock.settimeout(5.0)
+                # A bucket for a shard this host does not serve.
+                reply = self._v2_probe(sock, 2, [foreign])
+                assert "shard 2 not served here" in reply["error"]
+                # A misrouted key inside the ownership spot-check sample
+                # (a bucket this small is checked key by key).
+                reply = self._v2_probe(sock, 0, [foreign])
+                assert "belongs to shard 2" in reply["error"]
+                assert framing.request_json_sock(
+                    sock, {"op": "ping"}, error=RemoteError
+                ) == {"ok": True}
+            finally:
+                sock.close()
             assert "unknown op" in self._request(
                 thread.endpoint, {"op": "nope"})["error"]
-            assert "error" in self._request(
-                thread.endpoint, {"op": "probe", "keys": "zzz"})
             assert "error" in self._request(
                 thread.endpoint,
                 {"op": "learn", "records": [{"op": "add", "metric": 3}]},
@@ -373,6 +411,29 @@ class TestDegradedVerdicts:
             _client(["0@127.0.0.1:1"], sync_tables=False)
 
 
+class TestConstructorChecks:
+    """Every tuning parameter is range-checked where it is used, before
+    anything dials; the error names the offending parameter."""
+
+    @pytest.mark.parametrize("kwargs,named", [
+        ({"deadline": 0.0}, "deadline"),
+        ({"try_timeout": 0.0}, "try_timeout"),
+        ({"retries": -1}, "retries"),
+        ({"backoff_base": 0.0}, "backoff base"),
+        ({"backoff_base": 0.5, "backoff_cap": 0.1}, "backoff cap"),
+        ({"hedge_delay": 0.0}, "hedge_delay"),
+        ({"hedge_percentile": 0.0}, "hedge_percentile"),
+        ({"hedge_percentile": 1.5}, "hedge_percentile"),
+        ({"breaker_failures": 0}, "breaker failures"),
+        ({"breaker_reset": 0.0}, "breaker reset_timeout"),
+        ({"pool_size": 0}, "pool_size"),
+        ({"pipeline_chunk": 0}, "pipeline_chunk"),
+    ])
+    def test_bad_value_names_the_parameter(self, kwargs, named):
+        with pytest.raises(ValueError, match=named):
+            _client(["all@127.0.0.1:1"], sync_tables=False, **kwargs)
+
+
 class TestBreakerAdmission:
     def test_half_open_replica_is_not_consumed_by_admission(self):
         """Regression: building the candidate list must not claim a
@@ -419,10 +480,11 @@ class TestBreakerAdmission:
 
 
 class TestMalformedReplies:
-    def test_short_labels_list_degrades_the_bucket(self):
-        """A host answering with fewer labels than keys probed is a
-        protocol bug: the bucket degrades with an explicit reason — it
-        must not crash the batch merge (regression: KeyError)."""
+    def test_host_without_v2_degrades_malformed(self):
+        """A host that answers the hello with something other than a v2
+        ack (here: a bare labels list) does not speak the probe
+        protocol: the bucket degrades with an explicit ``malformed``
+        reason — it must not crash the batch merge."""
         import json
         import threading
 
@@ -465,7 +527,7 @@ class TestMalformedReplies:
                 deadline=2.0, try_timeout=0.5, retries=0, sync_tables=False,
             )
             probes = [_fp(i) for i in range(6)]
-            verdicts = remote.probe_many(probes)  # 6 keys, 1 label back
+            verdicts = remote.probe_many(probes)
             assert all(v.degraded for v in verdicts)
             assert all("malformed" in v.reason for v in verdicts)
             assert set(remote.last_degraded) == set(probes)
@@ -668,3 +730,29 @@ class TestShardserveCLI:
         with pytest.raises(SystemExit, match="--remote-shards"):
             main(["serve", "--remote", "all@127.0.0.1:1", "--depth", "2",
                   "--listen", "127.0.0.1:0"])
+
+    def test_serve_remote_unreachable_fleet_is_a_named_exit(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match=r"no remote host answered "
+                                             r"for shard\(s\) 0 of 1"):
+            main(["serve", "--remote", "all@127.0.0.1:1",
+                  "--remote-shards", "1", "--depth", "2",
+                  "--input", os.devnull])
+
+    def test_serve_bad_remote_value_is_a_named_exit(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit,
+                           match="efd serve: deadline must be positive"):
+            main(["serve", "--remote", "all@127.0.0.1:1",
+                  "--remote-shards", "1", "--depth", "2",
+                  "--remote-deadline", "0", "--input", os.devnull])
+
+    def test_serve_family_spec_requires_family(self, tmp_path):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match="--family-spec requires --family"):
+            main(["serve", "--efd", str(tmp_path / "efd.json"),
+                  "--depth", "2", "--family-spec",
+                  str(tmp_path / "spec.json"), "--input", os.devnull])

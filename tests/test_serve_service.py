@@ -12,9 +12,14 @@ crash that must surface as a ``WorkerError`` naming the failing session.
 
 from __future__ import annotations
 
+import ast
 import asyncio
+import dataclasses
+import pathlib
 
 import pytest
+
+import repro
 
 from repro.core.recognizer import EFDRecognizer
 from repro.core.streaming import StreamingRecognizer
@@ -894,6 +899,26 @@ class TestServeConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ServeConfig(**kwargs)
+
+    def test_every_field_is_read_outside_its_definition(self):
+        """Dead-config guard: a ``ServeConfig`` field that no code reads
+        is a knob that silently does nothing.  Every field must be read
+        as an attribute somewhere in ``src/repro`` outside
+        ``serve/config.py``."""
+        root = pathlib.Path(repro.__file__).parent
+        definition = root / "serve" / "config.py"
+        read = set()
+        for path in root.rglob("*.py"):
+            if path == definition:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Load
+                ):
+                    read.add(node.attr)
+        unread = [f.name for f in dataclasses.fields(ServeConfig)
+                  if f.name not in read]
+        assert unread == []
 
 
 class TestLearnWhileServing:
