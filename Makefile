@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-smoke bench-e2e docs-check docs-check-run selftest serve-demo serve-smoke reshard-smoke mutation-smoke faultinject-smoke replicate-smoke remote-smoke family-smoke
+.PHONY: test bench bench-smoke bench-e2e docs-check docs-check-run selftest serve-demo serve-smoke reshard-smoke mutation-smoke faultinject-smoke replicate-smoke remote-smoke family-smoke records-smoke
 
 test:            ## tier-1 correctness suite (the merge gate)
 	$(PYTHON) -m pytest -x -q
@@ -43,6 +43,10 @@ family-smoke:    ## cascade property/unit tier + coarse-absorption bench
 	$(PYTHON) -m pytest tests/test_family_cascade.py -q
 	BENCH_FAMILY_EXECS=500 $(PYTHON) -m pytest \
 	    benchmarks/test_bench_family_cascade.py -m bench -q
+
+records-smoke:   ## record-path means/verdict equivalence + a short openworld run (correctness, not speed)
+	$(PYTHON) -m pytest tests/test_records_path.py -q
+	$(PYTHON) e2ebench/run.py --workload recognize_openworld --seed 1 --seconds 3 --trace 0
 
 mutation-smoke:  ## delta-log write-throughput bench at tiny scale
 	BENCH_MUTATION_KEYS=20000 BENCH_MUTATION_APPENDS=200 $(PYTHON) -m pytest \

@@ -6,12 +6,17 @@ overhead per node (scalar interval means, per-lookup dataclass hashing)
 and per execution (rebuilding the application order).  At batch scale
 all of that amortizes:
 
-- interval means are computed as one NumPy matrix reduction over all
-  nodes of an execution (bit-identical to the scalar path: clean rows
-  reduce over the same contiguous data, rows with dropout fall back to
-  the exact scalar routine);
+- interval means are computed batch-wide: every node window of the
+  batch that shares one sampler config is concatenated into a single
+  matrix and reduced in one NumPy call (bit-identical to the scalar
+  path: each row reduces over the same contiguous samples; rows with
+  dropout are compacted per valid-sample count and reduced the same
+  way, so they need no per-row scalar call either);
 - rounding is vectorized (:func:`~repro.core.rounding.round_depth_array`
   mirrors the scalar function bit-for-bit);
+- stored records resolve every ``(node, value)`` probe of the batch to
+  an integer entry handle in one call, and a record's verdict is
+  computed once per distinct handle pattern;
 - duplicate fingerprints across the batch are looked up once, and the
   unique-key lookups fan out shard-parallel via
   :func:`repro.parallel.pool.parallel_map`;
@@ -36,7 +41,11 @@ from repro.core.rounding import round_depth_array
 from repro.core.streaming import StreamSession
 from repro.data.dataset import ExecutionRecord
 from repro.telemetry.timeseries import TimeSeries
-from repro.engine.columnar import ColumnarBatchIndex, ColumnarDictionary
+from repro.engine.columnar import (
+    ColumnarBatchIndex,
+    ColumnarDictionary,
+    ResolvedProbes,
+)
 from repro.engine.remote import RemoteShardBackend
 from repro.engine.sharded import ShardedDictionary, shard_index
 from repro.engine.stats import EngineStats
@@ -47,6 +56,9 @@ AnyDictionary = Union[ExecutionFingerprintDictionary, ShardedDictionary]
 
 #: The batch lookup table: (node, value) -> (label list, distinct apps).
 TupleIndex = Dict[Tuple[int, float], Tuple[List[str], Tuple[str, ...]]]
+
+#: A memoized record verdict: the MatchResult fields, then the hit count.
+_Verdict = Tuple[Tuple[str, ...], Dict[str, int], Dict[str, int], int, int, int]
 
 
 def _shard_tuple_index(
@@ -211,6 +223,98 @@ def _check_metric(record: ExecutionRecord, metric: str) -> None:
     )
 
 
+def _gather(
+    records: Sequence[ExecutionRecord], metric: str
+) -> List[TimeSeries]:
+    """Every (record, node) slot's series, record-major, node-minor.
+
+    A miss raises the same ``KeyError`` as ``build_fingerprints``: the
+    metric guard's when the record lacks the metric outright, else the
+    one :meth:`ExecutionRecord.series` names for the missing node.
+    """
+    slots: List[TimeSeries] = []
+    for record in records:
+        telemetry = record.telemetry
+        try:
+            slots += [
+                telemetry[(metric, node)] for node in range(record.n_nodes)
+            ]
+        except KeyError:
+            _check_metric(record, metric)
+            for node in range(record.n_nodes):
+                record.series(metric, node)
+    return slots
+
+
+def _row_means(matrix: np.ndarray) -> np.ndarray:
+    """NaN-skipping mean of each row, bit-identical to the scalar path.
+
+    Rows with dropout are compacted — grouped by valid-sample count
+    ``k`` and gathered with one boolean mask into a ``(rows, k)``
+    matrix — so every row still reduces over exactly the contiguous
+    samples the scalar routine would mean.  ``k == 0`` gives NaN.
+    """
+    means = matrix.mean(axis=1)
+    poisoned = np.flatnonzero(np.isnan(means))
+    if len(poisoned) == 0:
+        return means
+    rows = matrix[poisoned]
+    valid = ~np.isnan(rows)
+    counts = valid.sum(axis=1)
+    for k in np.unique(counts).tolist():
+        if k == matrix.shape[1]:
+            continue  # no dropout: +inf and -inf met, the scalar NaN too
+        group = counts == k
+        if k == 0:
+            means[poisoned[group]] = np.nan
+        else:
+            means[poisoned[group]] = (
+                rows[group][valid[group]].reshape(-1, k).mean(axis=1)
+            )
+    return means
+
+
+def _window_means(
+    slots: Sequence[TimeSeries], start: float, end: float
+) -> np.ndarray:
+    """Interval mean per slot over ``[start, end)``; NaN where a node
+    has no valid sample in the window.
+
+    Slots sharing ``(period, t0, length)`` — the common case is one
+    group for the whole batch: one cluster, one sampler config — read
+    the same ``[lo:hi]`` window, which one ``np.concatenate`` of views
+    turns into a single matrix.  Series the window overruns (or
+    misses) defer to the scalar routine, which clips.
+    """
+    means = np.empty(len(slots))
+    if not slots:
+        return means
+    head = slots[0]
+    period, t0, length = head.period, head.t0, len(head.values)
+    if all(
+        s.period == period and s.t0 == t0 and len(s.values) == length
+        for s in slots
+    ):
+        groups = {(period, t0, length): (slice(None), slots)}
+    else:
+        groups = {}
+        for pos, s in enumerate(slots):
+            where, members = groups.setdefault(
+                (s.period, s.t0, len(s.values)), ([], [])
+            )
+            where.append(pos)
+            members.append(s)
+    for (period, t0, length), (where, members) in groups.items():
+        lo = max(int(np.ceil((start - t0) / period)), 0)
+        hi = int(np.ceil((end - t0) / period))
+        if hi <= lo or length < hi:
+            means[where] = [s.interval_mean(start, end) for s in members]
+            continue
+        matrix = np.concatenate([s.values[lo:hi] for s in members])
+        means[where] = _row_means(matrix.reshape(len(members), hi - lo))
+    return means
+
+
 def _batch_rounded_means(
     records: Sequence[ExecutionRecord],
     metric: str,
@@ -220,46 +324,45 @@ def _batch_rounded_means(
 ) -> np.ndarray:
     """Rounded interval means for every (record, node) slot, flattened.
 
-    All series across the whole batch that share period, origin, and
-    length (the common case — one cluster, one sampler config) are
-    stacked into a single matrix and reduced in one NumPy call.  A clean
-    row reduces over exactly the same contiguous samples as the scalar
-    path, so the result is bit-identical; rows containing dropout (NaN)
-    and series the fixed window overruns defer to the exact scalar
-    routine.  Slots are ordered record-major, node-minor; NaN marks a
-    node with no usable fingerprint.
+    Slots are ordered record-major, node-minor; NaN marks a node with
+    no usable fingerprint.  Bit-identical to ``round_depth`` of each
+    slot's scalar ``interval_mean`` (property-tested).
     """
-    slots: List[TimeSeries] = []
-    groups: Dict[Tuple[float, float], List[int]] = {}
-    for record in records:
-        _check_metric(record, metric)
-        for node in range(record.n_nodes):
-            series = record.series(metric, node)
-            groups.setdefault((series.period, series.t0), []).append(len(slots))
-            slots.append(series)
-    means = np.empty(len(slots))
-    for (period, t0), positions in groups.items():
-        lo = max(int(np.ceil((start - t0) / period)), 0)
-        hi = int(np.ceil((end - t0) / period))
-        stacked: List[int] = []
-        for pos in positions:
-            if hi <= lo or len(slots[pos].values) < hi:
-                # Window overruns (or misses) this series — the scalar
-                # routine clips and may mean a shorter window; defer.
-                means[pos] = slots[pos].interval_mean(start, end)
-            else:
-                stacked.append(pos)
-        if not stacked:
-            continue
-        matrix = np.stack([slots[pos].values[lo:hi] for pos in stacked])
-        row_means = matrix.mean(axis=1)  # NaN rows poison themselves only
-        has_nan = np.isnan(row_means)
-        if has_nan.any():
-            # Dropout: the scalar path compacts NaNs before the mean.
-            for i in np.nonzero(has_nan)[0]:
-                row_means[i] = slots[stacked[i]].interval_mean(start, end)
-        means[stacked] = row_means
+    means = _window_means(_gather(records, metric), start, end)
     return round_depth_array(means, depth)
+
+
+def _slot_nodes(records: Sequence[ExecutionRecord]) -> np.ndarray:
+    """Node id per (record, node) slot, in :func:`_batch_rounded_means`
+    order."""
+    counts = np.fromiter(
+        (r.n_nodes for r in records), dtype=np.int64, count=len(records)
+    )
+    firsts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
+        firsts, counts
+    )
+
+
+def _dict_resolve(
+    table: TupleIndex, nodes: np.ndarray, values: np.ndarray
+) -> ResolvedProbes:
+    """Resolve a batch's probes against the generic dict index, handing
+    out one handle per distinct hit key (NaN probes miss)."""
+    handles = np.full(len(values), -1, dtype=np.int64)
+    handle_of: Dict[Tuple[int, float], int] = {}
+    entries: Dict[int, Tuple[List[str], Tuple[str, ...]]] = {}
+    get = table.get
+    for i, probe in enumerate(zip(nodes.tolist(), values.tolist())):
+        handle = handle_of.get(probe)
+        if handle is None:
+            entry = get(probe)
+            if entry is None:
+                continue
+            handle = handle_of[probe] = len(entries)
+            entries[handle] = entry
+        handles[i] = handle
+    return ResolvedProbes(handles, entries, nodes, values)
 
 
 def build_fingerprints_batch(
@@ -356,6 +459,11 @@ class BatchRecognizer:
                 # needs it.
                 self.dictionary.warm_index()
         else:
+            if isinstance(self.dictionary, ColumnarDictionary):
+                # On a filtered store the index would otherwise wait
+                # behind its filter guard for the first batch with a
+                # surviving probe — and that batch would pay the build.
+                self.dictionary.warm_batch_index(self.metric, self.interval)
             self._tuple_index()
         return self
 
@@ -393,32 +501,31 @@ class BatchRecognizer:
         """Full match detail for each record, one batched pass.
 
         ``results[i]`` equals the sequential
-        ``match_fingerprints(dictionary, build_fingerprints(records[i], ...))``.
-        The hot path never constructs (or hashes) a
-        :class:`~repro.core.fingerprint.Fingerprint`: node means are
-        reduced batch-wide, rounded in one vectorized call, and resolved
-        through a ``(node, value)`` tuple index built shard-parallel and
-        cached until the dictionary changes.
+        ``match_fingerprints(dictionary, build_fingerprints(records[i], ...))``
+        — ``==`` and the insertion order of ``votes`` and
+        ``matched_labels`` alike.  The hot path never constructs (or
+        hashes) a :class:`~repro.core.fingerprint.Fingerprint` or a
+        per-node key: node means are reduced batch-wide and rounded in
+        one vectorized call, every ``(node, value)`` probe resolves to
+        an integer entry handle through the lookup table (built once
+        and cached until the dictionary changes), and each record's
+        verdict is memoized on its handle pattern.
         """
         start, end = self.interval
         value_array = _batch_rounded_means(
             records, self.metric, self.depth, start, end
         )
-        values = value_array.tolist()
+        node_array = _slot_nodes(records)
         table = self._tuple_index()
         if isinstance(table, ColumnarBatchIndex):
-            # Columnar fast path: resolve every (node, value) probe of
-            # the batch in a handful of NumPy calls; the verdict loop
-            # below then probes a dict holding only this batch's hits.
-            node_array = (
-                np.concatenate(
-                    [np.arange(r.n_nodes, dtype=np.int64) for r in records]
-                )
-                if records
-                else np.empty(0, dtype=np.int64)
-            )
-            table = table.resolve_probes(node_array, value_array)
-        get = table.get
+            resolved = table.resolve_probes(node_array, value_array)
+        else:
+            resolved = _dict_resolve(table, node_array, value_array)
+        entries = resolved.entries
+        # -2 marks a node without a fingerprint, -1 a miss.
+        handles = np.where(
+            value_array != value_array, -2, resolved.handles
+        ).tolist()
         position = {
             app: i for i, app in enumerate(self.dictionary.app_names())
         }
@@ -428,32 +535,22 @@ class BatchRecognizer:
             return position.get(app, n_apps)
 
         # Repetitions of one workload collapse onto the same rounded
-        # values (that is the EFD's whole pruning idea), so identical
-        # per-node value patterns recur across a batch; their verdict is
-        # computed once and re-materialized per record (fresh MatchResult
-        # with copied dicts — the sequential path returns independent
-        # objects, and callers may mutate votes/matched_labels in place).
-        memo: Dict[Tuple[object, ...], Tuple[MatchResult, int]] = {}
+        # values (that is the EFD's whole pruning idea), and unknown
+        # workloads onto the same misses, so identical per-node handle
+        # patterns recur across a batch; their verdict is computed once
+        # and re-materialized per record (fresh MatchResult with copied
+        # dicts — the sequential path returns independent objects, and
+        # callers may mutate votes/matched_labels in place).
+        memo: Dict[Tuple[int, ...], _Verdict] = {}
         results: List[MatchResult] = []
         n_hits = 0
         pos = 0
         for record in records:
             n_nodes = record.n_nodes
-            pattern = tuple(
-                None if v != v else v for v in values[pos : pos + n_nodes]
-            )
+            pattern = tuple(handles[pos : pos + n_nodes])
             pos += n_nodes
-            cached = memo.get(pattern)
-            if cached is not None:
-                template, hits = cached
-                result = MatchResult(
-                    ranked=template.ranked,
-                    votes=dict(template.votes),
-                    matched_labels=dict(template.matched_labels),
-                    n_fingerprints=template.n_fingerprints,
-                    n_missing=template.n_missing,
-                )
-            else:
+            verdict = memo.get(pattern)
+            if verdict is None:
                 # Inlined vote(): each matched key contributes one vote
                 # per distinct application in its label list (the index
                 # precomputed that set).  Property tests pin this to the
@@ -462,14 +559,12 @@ class BatchRecognizer:
                 matched_labels: Dict[str, int] = {}
                 n_missing = 0
                 hits = 0
-                for node, value in enumerate(pattern):
-                    if value is None:  # no usable fingerprint on this node
-                        n_missing += 1
+                for handle in pattern:
+                    if handle < 0:
+                        if handle == -2:  # no usable fingerprint here
+                            n_missing += 1
                         continue
-                    entry = get((node, value))
-                    if entry is None:
-                        continue
-                    labels, apps = entry
+                    labels, apps = entries[handle]
                     hits += 1
                     for label in labels:
                         matched_labels[label] = matched_labels.get(label, 0) + 1
@@ -483,16 +578,20 @@ class BatchRecognizer:
                     ranked = tuple(tied)
                 else:
                     ranked = ()
-                result = MatchResult(
-                    ranked=ranked,
-                    votes=votes,
-                    matched_labels=matched_labels,
-                    n_fingerprints=n_nodes - n_missing,
-                    n_missing=n_missing,
+                verdict = memo[pattern] = (
+                    ranked, votes, matched_labels, n_nodes - n_missing,
+                    n_missing, hits,
                 )
-                memo[pattern] = (result, hits)
+            ranked, votes, matched_labels, n_fingerprints, n_missing, hits = (
+                verdict
+            )
             n_hits += hits
-            results.append(result)
+            # MatchResult's field order, positionally (keyword parsing
+            # costs a third of the construction on this hot path).
+            results.append(MatchResult(
+                ranked, dict(votes), dict(matched_labels), n_fingerprints,
+                n_missing,
+            ))
         self._record_stats(results, n_hits)
         return results
 

@@ -554,6 +554,48 @@ class _RankPackedIndex:
         return np.where(found, self._rows[pos_c], np.int64(-1))
 
 
+class ResolvedProbes:
+    """A batch's ``(node, value)`` probes resolved to entry handles.
+
+    ``handles[i]`` is ``-1`` when probe ``i`` hits no key (NaN probes —
+    nodes without a fingerprint — always miss); otherwise an opaque
+    non-negative id shared by every probe of the same key, and
+    ``entries[handle]`` is that key's ``(labels, apps)`` entry — one per
+    distinct handle.  Probes of one key resolve to one handle, so a
+    record's verdict depends only on its handle pattern.
+    """
+
+    __slots__ = ("handles", "entries", "_nodes", "_values", "_hit_keys")
+
+    def __init__(self, handles: np.ndarray, entries: Dict[int, Entry],
+                 nodes: np.ndarray, values: np.ndarray):
+        self.handles = handles
+        self.entries = entries
+        self._nodes = nodes
+        self._values = values
+        self._hit_keys: Optional[set] = None
+
+    def __contains__(self, probe: Tuple[int, float]) -> bool:
+        """Whether the ``(node, value)`` probe hit a key in this batch."""
+        if self._hit_keys is None:
+            hit = self.handles >= 0
+            self._hit_keys = set(zip(
+                self._nodes[hit].tolist(), self._values[hit].tolist()
+            ))
+        return probe in self._hit_keys
+
+
+def _batch_key(
+    metric: str, interval: Tuple[float, float]
+) -> Tuple[str, Tuple[float, float]]:
+    """Cache key of one (metric, interval) batch index."""
+    return str(metric), (float(interval[0]) + 0.0, float(interval[1]) + 0.0)
+
+
+def _misses(n: int) -> np.ndarray:
+    return np.full(n, -1, dtype=np.int64)
+
+
 class ColumnarBatchIndex:
     """The batch engine's ``(node, value)`` table, backed by columns.
 
@@ -561,9 +603,9 @@ class ColumnarBatchIndex:
     (:func:`repro.engine.batch._shard_tuple_index`): construction is a
     rank-pack + sort over the store's columns for one
     ``(metric, interval)``, and :meth:`resolve_probes` answers a whole
-    batch's probes in a handful of NumPy calls.  ``(labels, apps)``
-    entries materialize lazily, only for rows actually hit, and are
-    cached across batches.
+    batch's probes in a handful of NumPy calls.  Handles are the base
+    columns' global row ids; ``(labels, apps)`` entries materialize
+    lazily, only for rows actually hit, and are cached across batches.
     """
 
     __slots__ = ("_owner", "_index")
@@ -575,33 +617,31 @@ class ColumnarBatchIndex:
 
     def resolve_probes(
         self, nodes: np.ndarray, values: np.ndarray
-    ) -> Dict[Tuple[int, float], Entry]:
-        """Map every hitting ``(node, value)`` probe to its entry.
+    ) -> ResolvedProbes:
+        """Resolve every probe of a batch to its entry handle.
 
         ``values`` may contain NaN (nodes without a fingerprint) — those
-        probes are skipped.  Misses are simply absent, so the result's
-        ``.get`` is a drop-in for the dict index.
+        probes miss.  The per-key Python work runs once per *distinct*
+        hit key, never per probe.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
-        usable = np.nonzero(values == values)[0]
-        if len(usable) == 0:
-            return {}
-        rows = self._index.resolve(
-            [nodes[usable], _value_bits(values[usable])]
-        )
-        out: Dict[Tuple[int, float], Entry] = {}
-        hit = np.nonzero(rows >= 0)[0]
-        if len(hit) == 0:
-            return out
-        # One key maps to one row, so uniquing by row is uniquing by
-        # probe — the Python loop below runs once per *distinct* hit.
-        unique_rows, first = np.unique(rows[hit], return_index=True)
-        probe_at = usable[hit[first]]
-        for row, probe in zip(unique_rows.tolist(), probe_at.tolist()):
-            key = (int(nodes[probe]), float(values[probe]))
-            out[key] = self._owner._entry(row)
-        return out
+        handles = self._handles(nodes, values)
+        distinct = np.unique(handles[handles >= 0]).tolist()
+        entries = {handle: self._entry(handle) for handle in distinct}
+        return ResolvedProbes(handles, entries, nodes, values)
+
+    def _handles(self, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+        handles = _misses(len(values))
+        usable = np.flatnonzero(values == values)
+        if len(usable):
+            handles[usable] = self._index.resolve(
+                [nodes[usable], _value_bits(values[usable])]
+            )
+        return handles
+
+    def _entry(self, handle: int) -> Entry:
+        return self._owner._entry(handle)
 
 
 class _FilterGuardedBatchIndex(ColumnarBatchIndex):
@@ -609,13 +649,14 @@ class _FilterGuardedBatchIndex(ColumnarBatchIndex):
 
     Returned by :meth:`ColumnarDictionary.batch_index` on a filtered
     store whose real ``(metric, interval)`` index has not been built
-    yet: a batch whose probes all fail the per-shard Bloom filters is
-    answered ``{}`` without reading a single column file, so a cold
-    store serving unknown-heavy record traffic never pays the column
-    read + rank-pack sort at all.  The first batch with a surviving
-    probe builds (and caches) the real index and delegates to it; under
-    rank-space overflow it delegates to the owner's exact dict fallback
-    instead of demoting the engine.
+    yet: a batch whose probes all fail the per-shard Bloom filters
+    resolves to all misses without reading a single column file, so a
+    cold store serving unknown-heavy record traffic never pays the
+    column read + rank-pack sort at all.  The first batch with a
+    surviving probe builds (and caches) the real index and delegates to
+    it; under rank-space overflow it delegates to the owner's exact
+    dict fallback instead of demoting the engine.  Either way handles
+    are base row ids.
     """
 
     __slots__ = ("_key", "_metric_id", "_interval_id")
@@ -627,20 +668,16 @@ class _FilterGuardedBatchIndex(ColumnarBatchIndex):
         self._metric_id = owner._metric_map.get(key[0])
         self._interval_id = owner._interval_map.get(key[1])
 
-    def resolve_probes(
-        self, nodes: np.ndarray, values: np.ndarray
-    ) -> Dict[Tuple[int, float], Entry]:
+    def _handles(self, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
         if self._metric_id is None or self._interval_id is None:
-            return {}
+            return _misses(len(values))
         owner = self._owner
-        nodes = np.asarray(nodes, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
         if self._key in owner._batch_indices:
             base = owner._batch_indices[self._key]
         else:
-            usable = np.nonzero(values == values)[0]
+            usable = np.flatnonzero(values == values)
             if len(usable) == 0:
-                return {}
+                return _misses(len(values))
             n = len(usable)
             hashes = key_hashes(
                 np.full(n, self._metric_id, dtype=np.int64),
@@ -649,36 +686,55 @@ class _FilterGuardedBatchIndex(ColumnarBatchIndex):
                 _value_bits(values[usable]),
             )
             if not owner._filter_might(hashes).any():
-                return {}
+                return _misses(len(values))
             base = owner._built_batch_index(self._key)
         if base is None:
-            return owner._overflow_resolve(self._key, nodes, values)
-        return base.resolve_probes(nodes, values)
+            return owner._overflow_handles(self._key, nodes, values)
+        return base._handles(nodes, values)
 
 
 class _PatchedBatchIndex(ColumnarBatchIndex):
     """A pristine base index plus the delta overlay's few keys.
 
     The expensive half — the rank-packed, sorted base table — is shared
-    and never rebuilt; only the patch dict (one entry per overlay key of
-    this (metric, interval), with fully merged ``base ∪ overlay``
-    labels) is recomputed when the overlay changes.  Patch entries
-    simply override base hits, so a probe that matches an updated key
-    sees the merged labels and a probe of a brand-new key hits at all.
+    and never rebuilt; only the patch (one handle per overlay key of
+    this (metric, interval), numbered past the base rows, with fully
+    merged ``base ∪ overlay`` labels) is recomputed when the overlay
+    changes.  Patch handles simply override base hits, so a probe that
+    matches an updated key sees the merged labels and a probe of a
+    brand-new key hits at all.
     """
 
     __slots__ = ("_base", "_patch")
 
-    def __init__(self, base: ColumnarBatchIndex, patch: Dict[Tuple[int, float], Entry]):
+    def __init__(self, base: ColumnarBatchIndex, patch: "_OverlayPatch"):
         self._base = base
         self._patch = patch
 
-    def resolve_probes(
-        self, nodes: np.ndarray, values: np.ndarray
-    ) -> Dict[Tuple[int, float], Entry]:
-        out = self._base.resolve_probes(nodes, values)
-        out.update(self._patch)
-        return out
+    def _handles(self, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+        handles = self._base._handles(nodes, values)
+        patched = self._patch.index.resolve([nodes, _value_bits(values)])
+        hit = patched >= 0
+        handles[hit] = patched[hit]
+        return handles
+
+    def _entry(self, handle: int) -> Entry:
+        found = self._patch.entries.get(handle)
+        if found is None:
+            return self._base._entry(handle)
+        return found
+
+
+class _OverlayPatch:
+    """The overlay's keys of one (metric, interval), probe-ready: a
+    ``(node, value)`` index onto handles numbered past the base rows,
+    and each handle's merged entry."""
+
+    __slots__ = ("index", "entries")
+
+    def __init__(self, index: _RankPackedIndex, entries: Dict[int, Entry]):
+        self.index = index
+        self.entries = entries
 
 
 def _merge_labels(base: List[str], extra: Sequence[str]) -> List[str]:
@@ -841,7 +897,7 @@ class ColumnarDictionary(ShardedDictionary):
         # (shard_sizes / occupancy gauges must include them).
         self._delta_new_keys: Dict[Fingerprint, None] = {}
         self._new_per_shard: List[int] = [0] * self.n_shards
-        self._patch_cache: Dict[object, Dict[Tuple[int, float], Entry]] = {}
+        self._patch_cache: Dict[object, Optional[_OverlayPatch]] = {}
         replayed = self._delta.replay()
         if replayed:
             # One vectorized membership pass over the distinct replayed
@@ -1235,8 +1291,9 @@ class ColumnarDictionary(ShardedDictionary):
         filtered store the returned index is additionally guarded
         (:class:`_FilterGuardedBatchIndex`): the real index is not
         built — no column file is even read — until a batch carries a
-        probe that survives the per-shard Bloom filters, so unknown-
-        heavy record traffic resolves at filter speed.  ``None`` when a
+        probe that survives the per-shard Bloom filters (or
+        :meth:`warm_batch_index` builds it), so unknown-heavy record
+        traffic resolves at filter speed.  ``None`` when a
         shard was mutated behind the delta-log (the base columns are
         stale) or the rank space cannot pack into 64 bits on an
         unfiltered store — callers fall back to the generic dict index
@@ -1244,10 +1301,7 @@ class ColumnarDictionary(ShardedDictionary):
         """
         if self._base_mutated():
             return None
-        key = (
-            str(metric),
-            (float(interval[0]) + 0.0, float(interval[1]) + 0.0),
-        )
+        key = _batch_key(metric, interval)
         if self._filters is not None:
             built = self._batch_indices.get(key)
             if built is not None:
@@ -1262,9 +1316,21 @@ class ColumnarDictionary(ShardedDictionary):
         if base is None:
             return None
         patch = self._overlay_patch(key)
-        if not patch:
+        if patch is None:
             return base
         return _PatchedBatchIndex(base, patch)
+
+    def warm_batch_index(
+        self, metric: str, interval: Tuple[float, float]
+    ) -> None:
+        """Build the real ``(node, value)`` index for one (metric,
+        interval) now, filters or not — what an explicit engine warm
+        calls so the first record batch resolves at steady-state
+        latency.  A no-op once a shard was mutated behind the
+        delta-log; under rank-space overflow the guard keeps answering
+        through the exact dict fallback."""
+        if not self._base_mutated():
+            self._built_batch_index(_batch_key(metric, interval))
 
     def _built_batch_index(
         self, key: Tuple[str, Tuple[float, float]]
@@ -1295,11 +1361,12 @@ class ColumnarDictionary(ShardedDictionary):
         self._batch_indices[key] = base
         return base
 
-    def _overflow_resolve(
+    def _overflow_handles(
         self, key: Tuple[str, Tuple[float, float]],
         nodes: np.ndarray, values: np.ndarray,
-    ) -> Dict[Tuple[int, float], Entry]:
-        """Exact ``(node, value)`` resolution without rank-packing.
+    ) -> np.ndarray:
+        """Base row per ``(node, value)`` probe (``-1`` on a miss),
+        exact, without rank-packing.
 
         The guard's fallback when the real index cannot be built
         (rank-space overflow — astronomically large stores): a plain
@@ -1323,29 +1390,26 @@ class ColumnarDictionary(ShardedDictionary):
                 ):
                     table[(int(n_), float(v_))] = int(r_)
             self._overflow_dicts[key] = table
-        out: Dict[Tuple[int, float], Entry] = {}
-        usable = np.nonzero(values == values)[0]
-        for i in usable.tolist():
-            probe = (int(nodes[i]), float(values[i]))
-            row = table.get(probe)
-            if row is not None:
-                out[probe] = self._entry(row)
-        return out
+        get = table.get
+        return np.fromiter(
+            (get(probe, -1) for probe in zip(nodes.tolist(), values.tolist())),
+            dtype=np.int64, count=len(values),
+        )
 
     def _overlay_patch(
         self, key: Tuple[str, Tuple[float, float]]
-    ) -> Dict[Tuple[int, float], Entry]:
-        """Merged entries for the overlay's keys of one (metric, interval).
+    ) -> Optional[_OverlayPatch]:
+        """The overlay's keys of one (metric, interval), merged entries
+        included; ``None`` when the overlay holds none.
 
         Invalidated wholesale on every write (the overlay is small, so
         a rebuild is O(pending) against the vectorized base resolve).
         """
         overlay = self._delta.overlay
         if len(overlay) == 0:
-            return {}
-        cached = self._patch_cache.get(key)
-        if cached is not None:
-            return cached
+            return None
+        if key in self._patch_cache:
+            return self._patch_cache[key]
         metric, interval = key
         fps = [
             fp for fp, _ in overlay.entries()
@@ -1353,11 +1417,23 @@ class ColumnarDictionary(ShardedDictionary):
             and (float(fp.interval[0]) + 0.0,
                  float(fp.interval[1]) + 0.0) == interval
         ]
-        patch: Dict[Tuple[int, float], Entry] = {}
-        for fp, base_labels in zip(fps, self._base_labels_many(fps)):
-            labels = _merge_labels(base_labels, overlay.lookup(fp))
-            apps = tuple(dict.fromkeys(app_of_label(l) for l in labels))
-            patch[(int(fp.node), float(fp.value))] = (labels, apps)
+        patch: Optional[_OverlayPatch] = None
+        if fps:
+            first = sum(f.n_keys for f in self._files)  # past every base row
+            handles = np.arange(first, first + len(fps), dtype=np.int64)
+            entries: Dict[int, Entry] = {}
+            for handle, fp, base_labels in zip(
+                handles.tolist(), fps, self._base_labels_many(fps)
+            ):
+                labels = _merge_labels(base_labels, overlay.lookup(fp))
+                apps = tuple(dict.fromkeys(app_of_label(l) for l in labels))
+                entries[handle] = (labels, apps)
+            index = _RankPackedIndex(
+                [[int(fp.node) for fp in fps],
+                 _value_bits([float(fp.value) for fp in fps])],
+                handles,
+            )
+            patch = _OverlayPatch(index, entries)
         self._patch_cache[key] = patch
         return patch
 
