@@ -867,8 +867,13 @@ def _cmd_engine_info(args: argparse.Namespace) -> int:
 
         from repro.engine import EngineStats
 
-        with open(args.stats, "r", encoding="utf-8") as fh:
-            snapshot = EngineStats.from_dict(json.load(fh))
+        try:
+            with open(args.stats, "r", encoding="utf-8") as fh:
+                snapshot = EngineStats.from_dict(json.load(fh))
+        except (OSError, ValueError) as exc:
+            print(f"engine info: bad stats snapshot {args.stats}: {exc}",
+                  file=sys.stderr)
+            return 2
         print(f"engine counters from {args.stats}")
         print(snapshot.render())
     return 0

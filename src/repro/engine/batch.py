@@ -118,7 +118,7 @@ def _batch_lookup(
         # which sees the live shard state — and count the demotion so
         # `efd engine info --stats` surfaces the lost fast path.
         if stats is not None:
-            stats.record_index_demotion()
+            stats.add(index_demotions=1)
         # The shard buckets below cannot see pending overlay keys;
         # their slots are patched from the merged point path after.
         overlay_keys = frozenset(dictionary.overlay_keys())
@@ -613,7 +613,7 @@ class BatchRecognizer:
                 self._index = index
                 self._index_version = version
                 return index
-            self.stats.record_index_demotion()
+            self.stats.add(index_demotions=1)
         if isinstance(self.dictionary, ShardedDictionary):
             tasks = [
                 (shard, self.metric, self.interval)

@@ -580,7 +580,7 @@ class ShardServer:
                         reader, error=RemoteError
                     )
                 except RemoteError:
-                    self.stats.record_protocol_error()
+                    self.stats.add(n_protocol_errors=1)
                     dropped = True
                     return
                 if payload is None:
@@ -597,7 +597,7 @@ class ShardServer:
                             None, self._dispatch, msg, state
                         )
                 except RemoteError as exc:
-                    self.stats.record_protocol_error()
+                    self.stats.add(n_protocol_errors=1)
                     reply = {"error": str(exc)}
                     dropped = True
                 except RemoteOpError as exc:
@@ -1371,12 +1371,12 @@ class RemoteShardBackend:
         self.close()
 
     # -- stats plumbing ------------------------------------------------------
-    def _rec(self, recorder: Callable, *args) -> None:
+    def _rec(self, **deltas: float) -> None:
         with self._stats_lock:
-            recorder(*args)
+            self.engine_stats.add(**deltas)
 
     def _on_breaker_open(self) -> None:
-        self._rec(self.engine_stats.record_breaker_open)
+        self._rec(remote_breaker_opens=1)
 
     # -- connection pool -----------------------------------------------------
     def _io_timeout(self, deadline: float) -> float:
@@ -1396,9 +1396,9 @@ class RemoteShardBackend:
                     break
                 conn.close()
         if reused is not None:
-            self._rec(self.engine_stats.record_pool_checkout, True)
+            self._rec(remote_pool_checkouts=1, remote_pool_reuses=1)
             return reused
-        self._rec(self.engine_stats.record_pool_checkout, False)
+        self._rec(remote_pool_checkouts=1, remote_pool_redials=1)
         return self._dial(host, deadline)
 
     def _checkin(self, host: RemoteHost, conn: _PooledConnection) -> None:
@@ -1474,7 +1474,7 @@ class RemoteShardBackend:
                 f"{conn.endpoint} closed the connection before replying"
             )
         reply = framing.parse_json(raw, require_op=False, error=RemoteError)
-        self._rec(self.engine_stats.record_remote_wire, sent, len(raw) + 4)
+        self._rec(remote_bytes_sent=sent, remote_bytes_received=len(raw) + 4)
         return reply
 
     # -- one physical attempt ------------------------------------------------
@@ -1508,7 +1508,7 @@ class RemoteShardBackend:
                 # Never dialed: hand back a claimed half-open probe slot.
                 host.breaker.release()
                 raise _CallFailed("deadline exhausted")
-            self._rec(self.engine_stats.record_remote_call, n_keys)
+            self._rec(remote_calls=1, remote_keys=n_keys)
         start = time.monotonic()
         conn: Optional[_PooledConnection] = None
         try:
@@ -1518,13 +1518,13 @@ class RemoteShardBackend:
         except (socket.timeout, TimeoutError):
             if conn is not None:
                 self._evict(conn)
-            self._rec(self.engine_stats.record_remote_timeout)
+            self._rec(remote_timeouts=1)
             host.breaker.record_failure()
             raise _CallFailed(f"timeout talking to {host.endpoint}")
         except (RemoteError, ConnectionError, OSError) as exc:
             if conn is not None:
                 self._evict(conn)
-            self._rec(self.engine_stats.record_remote_error)
+            self._rec(remote_errors=1)
             host.breaker.record_failure()
             raise _CallFailed(f"{host.endpoint}: {exc}")
         except (RemoteOpError, _DegradeBucket):
@@ -1623,7 +1623,7 @@ class RemoteShardBackend:
             if attempt >= self.retries:
                 return None, reason
             attempt += 1
-            self._rec(self.engine_stats.record_remote_retry)
+            self._rec(remote_retries=1)
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return None, f"deadline exhausted ({reason})"
@@ -1657,7 +1657,7 @@ class RemoteShardBackend:
                 )
                 if backup is not None:
                     hedged = True
-                    self._rec(self.engine_stats.record_remote_hedge)
+                    self._rec(remote_hedges=1)
                     futures[self._io_pool.submit(call, backup)] = True
         pending = set(futures)
         failure: Optional[_CallFailed] = None
@@ -1679,9 +1679,9 @@ class RemoteShardBackend:
                     failure = exc
                     continue
                 if hedged:
-                    self._rec(
-                        self.engine_stats.record_remote_hedge, futures[future]
-                    )
+                    won = futures[future]
+                    self._rec(remote_hedges_won=int(won),
+                              remote_hedges_lost=int(not won))
                 return reply
         if failure is not None:
             raise failure
@@ -1876,9 +1876,10 @@ class RemoteShardBackend:
                     host.endpoint, rep["store_version"]
                 )
         finally:
-            with self._stats_lock:
-                self.engine_stats.record_remote_wire(sent_b, recv_b)
-                self.engine_stats.record_remote_codec(enc_s, dec_s)
+            self._rec(
+                remote_bytes_sent=sent_b, remote_bytes_received=recv_b,
+                remote_encode_s=enc_s, remote_decode_s=dec_s,
+            )
         return verdicts
 
     # -- filter mirrors ------------------------------------------------------
@@ -1987,7 +1988,9 @@ class RemoteShardBackend:
             raw = framing.recv_frame_sock(conn.sock, error=RemoteError)
             if raw is None:
                 raise RemoteError(f"{host.endpoint} closed mid-filters")
-            self._rec(self.engine_stats.record_remote_wire, sent, len(raw) + 4)
+            self._rec(
+                remote_bytes_sent=sent, remote_bytes_received=len(raw) + 4
+            )
             if not framing.is_v2_frame(raw):
                 try:
                     reply = framing.parse_json(
@@ -2107,7 +2110,7 @@ class RemoteShardBackend:
                     verdict.counts = {}
                 out[fp] = verdict
         if out:
-            self._rec(self.engine_stats.record_filter_mirror_hits, len(out))
+            self._rec(filter_mirror_hits=len(out))
         return out
 
     def _mirror_note_versions(self, versions: Dict[str, int]) -> None:
@@ -2208,7 +2211,7 @@ class RemoteShardBackend:
                 # protocol bug, not a dead host: degrade the bucket
                 # (every key gets a verdict, so the merge below cannot
                 # KeyError) instead of crashing the whole batch.
-                self._rec(self.engine_stats.record_remote_error)
+                self._rec(remote_errors=1)
                 return [
                     RemoteVerdict([], degraded=True, reason=exc.reason)
                     for _ in fps
@@ -2238,7 +2241,7 @@ class RemoteShardBackend:
                     degraded[fp] = verdict.reason
         self.last_degraded = degraded
         if degraded:
-            self._rec(self.engine_stats.record_remote_degraded, len(degraded))
+            self._rec(remote_degraded=len(degraded))
         return [by_key[fp] for fp in fingerprints]
 
     def lookup_many(
@@ -2307,9 +2310,7 @@ class RemoteShardBackend:
         ]
         self.last_sizes_unreachable = unreachable
         if unreachable:
-            self._rec(
-                self.engine_stats.record_remote_degraded, len(unreachable)
-            )
+            self._rec(remote_degraded=len(unreachable))
             return sizes  # degraded snapshot: do not cache the undercount
         self._len_cache = (self._version, sizes)
         return sizes

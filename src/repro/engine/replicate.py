@@ -381,7 +381,7 @@ class ReplicationPublisher:
             op = msg.get("op")
             if op == "subscribe":
                 follower = True
-                self.stats.record_follower_open()
+                self.stats.add(repl_followers=1)
                 await self._stream(
                     writer,
                     int(msg.get("generation", -1)),
@@ -410,7 +410,7 @@ class ReplicationPublisher:
         finally:
             self._conn_tasks.discard(task)
             if follower:
-                self.stats.record_follower_close()
+                self.stats.add(repl_followers=-1)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -473,7 +473,9 @@ class ReplicationPublisher:
                     "records": fresh,
                 })
                 applied = start + len(fresh)
-                self.stats.record_segment_shipped(len(fresh), n_bytes)
+                self.stats.add(repl_segments_shipped=1,
+                               repl_records_shipped=len(fresh),
+                               repl_bytes_shipped=n_bytes)
                 last_sent = loop.time()
                 need_sync = False
                 continue  # the segment may still be growing: poll again
@@ -518,7 +520,7 @@ class ReplicationPublisher:
         total += await _send_json(writer, {
             "op": "snapshot-commit", "generation": generation,
         })
-        self.stats.record_snapshot_shipped(total)
+        self.stats.add(repl_snapshots_shipped=1, repl_bytes_shipped=total)
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +827,9 @@ class ReplicationFollower:
 
         applied = await self._loop.run_in_executor(None, _apply)
         if applied:
-            self.stats.record_segment_applied(applied, n_bytes)
+            self.stats.add(repl_segments_applied=1,
+                           repl_records_applied=applied,
+                           repl_bytes_applied=n_bytes)
         self.leader_position = (
             generation, int(msg.get("total", start + len(records)))
         )
@@ -917,7 +921,8 @@ class ReplicationFollower:
                 self._install_snapshot(manifest, generation)
 
         await loop.run_in_executor(None, _install)
-        self.stats.record_snapshot_applied(total + len(payload) + _LEN.size)
+        self.stats.add(repl_snapshots_applied=1,
+                       repl_bytes_applied=total + len(payload) + _LEN.size)
         self.leader_position = (generation, 0)
         self._record_lag()
         if self.on_swap is not None:

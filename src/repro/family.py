@@ -482,11 +482,11 @@ class FamilyCascade:
             if verdicts[-1].outcome == OUTCOME_NEAR_FAMILY:
                 n_near += 1
         if self.stats is not None:
-            self.stats.record_cascade(
-                coarse_hits=coarse_hits,
-                short_circuits=short_circuits,
-                refinements=len(need_fine),
-                near_family=n_near,
+            self.stats.add(
+                family_coarse_hits=coarse_hits,
+                family_shortcircuits=short_circuits,
+                family_refinements=len(need_fine),
+                family_near=n_near,
             )
         return verdicts, n_hits
 

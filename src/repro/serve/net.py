@@ -371,7 +371,7 @@ class NetListener:
                     batch, eof = await self._read_batch(reader, decoder)
                 except ProtocolError as exc:
                     dropped = True
-                    stats.record_protocol_error()
+                    stats.add(n_protocol_errors=1)
                     n_accepted += await self._submit(exc.parsed)
                     await self._reply(writer, {
                         "error": str(exc), "accepted": n_accepted,

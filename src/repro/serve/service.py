@@ -470,7 +470,7 @@ class IngestService:
             refused = set(block.jobs).difference(self._sessions)
             refused.difference_update(self._pending_opens)
             kept = SampleBlock.of(s for s in block if s.job not in refused)
-            self.stats.record_shed(len(block) - len(kept))
+            self.stats.add(n_shed=len(block) - len(kept))
             block = kept
         q = self._ingest_q
         n = len(block)
@@ -492,7 +492,7 @@ class IngestService:
                     # if the queue is *still* full.
                     await asyncio.sleep(0)
                     if q.room() <= 0:
-                        self.stats.record_shed(n - pos)
+                        self.stats.add(n_shed=n - pos)
                         self._unadmit(admitted, block.jobs[:pos])
                         break
                 end = min(stop, pos + q.room())
@@ -697,7 +697,7 @@ class IngestService:
             if session.ready:
                 self._queue_ready(state)
         if late:
-            self.stats.record_late(late)
+            self.stats.add(n_late=late)
 
     def _open(self, job: str, n_nodes: Optional[int]) -> _SessionState:
         """Create the session for a first-seen job id.
@@ -724,7 +724,7 @@ class IngestService:
         )
         self._sessions[job] = state
         self._n_active += 1
-        self.stats.record_session_open()
+        self.stats.add(sessions_active=1)
         return state
 
     def _queue_ready(self, state: _SessionState, forced: bool = False) -> None:
@@ -852,7 +852,7 @@ class IngestService:
                     continue
                 if now - state.last_activity < timeout:
                     continue
-                self.stats.record_eviction()
+                self.stats.add(n_evicted=1)
                 if self.config.evict == "force":
                     self._queue_ready(state, forced=True)
                 else:

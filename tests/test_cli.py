@@ -262,6 +262,24 @@ class TestEngineCommands:
         err = capsys.readouterr().err
         assert victim in err
 
+    @pytest.mark.parametrize("payload, named", [
+        ("[1, 2, 3]", "list"),
+        ('{"shed": "lots"}', "'shed'"),
+        (None, "No such file"),
+    ])
+    def test_info_bad_stats_snapshot_named_exit_2(
+        self, payload, named, tmp_path, capsys
+    ):
+        # Regression: a malformed or missing --stats snapshot used to
+        # traceback out of `efd engine info`.
+        path = str(tmp_path / "stats.json")
+        if payload is not None:
+            open(path, "w").write(payload)
+        assert main(["engine", "info", "--stats", path]) == 2
+        err = capsys.readouterr().err
+        assert f"engine info: bad stats snapshot {path}:" in err
+        assert named in err
+
     def test_serve_from_columnar_directory(self, tmp_path, capsys):
         data = str(tmp_path / "ds.npz")
         efd = str(tmp_path / "efd.json")

@@ -354,8 +354,8 @@ class TestDemotionCounter:
         from repro.engine import EngineStats
 
         stats = EngineStats()
-        stats.record_index_demotion()
-        stats.record_index_demotion()
+        stats.add(index_demotions=1)
+        stats.add(index_demotions=1)
         snapshot = EngineStats.from_dict(stats.as_dict())
         assert snapshot.index_demotions == 2
         assert "demotions" in snapshot.render()

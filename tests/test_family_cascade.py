@@ -423,8 +423,8 @@ class TestCascadeStats:
         stats = EngineStats()
         assert not stats.cascading
         assert stats.coarse_absorption == 0.0
-        stats.record_cascade(coarse_hits=6, short_circuits=4, refinements=2,
-                             near_family=1)
+        stats.add(family_coarse_hits=6, family_shortcircuits=4,
+                  family_refinements=2, family_near=1)
         assert stats.coarse_absorption == pytest.approx(1 - 2 / 10)
         clone = EngineStats.from_dict(stats.as_dict())
         assert clone.family_coarse_hits == 6

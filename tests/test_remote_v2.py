@@ -534,13 +534,13 @@ class TestFilterMirrors:
 class TestV2StatsRoundTrip:
     def test_wire_pool_and_mirror_counters_round_trip(self):
         stats = EngineStats()
-        stats.record_remote_wire(1200, 3400)
-        stats.record_remote_wire(100, 0)
-        stats.record_remote_codec(0.25, 0.5)
-        stats.record_pool_checkout(False)
-        stats.record_pool_checkout(True)
-        stats.record_pool_checkout(True)
-        stats.record_filter_mirror_hits(17)
+        stats.add(remote_bytes_sent=1200, remote_bytes_received=3400)
+        stats.add(remote_bytes_sent=100, remote_bytes_received=0)
+        stats.add(remote_encode_s=0.25, remote_decode_s=0.5)
+        stats.add(remote_pool_checkouts=1, remote_pool_redials=1)
+        stats.add(remote_pool_checkouts=1, remote_pool_reuses=1)
+        stats.add(remote_pool_checkouts=1, remote_pool_reuses=1)
+        stats.add(filter_mirror_hits=17)
         clone = EngineStats.from_dict(stats.as_dict())
         assert clone.remote_bytes_sent == 1300
         assert clone.remote_bytes_received == 3400
@@ -554,9 +554,9 @@ class TestV2StatsRoundTrip:
 
     def test_wire_counters_render_in_the_remote_block(self):
         stats = EngineStats()
-        stats.record_remote_wire(10, 20)
-        stats.record_pool_checkout(False)
-        stats.record_filter_mirror_hits(2)
+        stats.add(remote_bytes_sent=10, remote_bytes_received=20)
+        stats.add(remote_pool_checkouts=1, remote_pool_redials=1)
+        stats.add(filter_mirror_hits=2)
         rendered = stats.render()
         assert "remote wire" in rendered
         assert "remote pool" in rendered
