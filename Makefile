@@ -32,12 +32,13 @@ faultinject-smoke: ## crash/fault-injection sweep over the columnar write paths
 replicate-smoke: ## one live leader->replica bootstrap/trickle/swap round trip
 	$(PYTHON) -m pytest tests/test_replicate.py -q -k smoke
 
-remote-smoke:    ## live 3-host fan-out: v2 protocol + fault sweep + wire-tax gate
+remote-smoke:    ## live fan-out: v2 protocol + column-path equivalence + fault sweep + wire-tax gate + a short remote_fanout run (correctness, not speed)
 	$(PYTHON) -m pytest tests/test_remote_v2.py -q
 	$(PYTHON) -m pytest tests/test_faultinject.py -q -k TestRemoteFaultSweep
 	BENCH_REMOTE_PROBES=50000 BENCH_REMOTE_KEYS=5000 \
 	    BENCH_REMOTE_MAX_WIRE_TAX=1.6 $(PYTHON) -m pytest \
 	    benchmarks/test_bench_remote_fanout.py -m bench -q
+	$(PYTHON) e2ebench/run.py --workload remote_fanout --seed 1 --seconds 3 --trace 0
 
 family-smoke:    ## cascade property/unit tier + coarse-absorption bench
 	$(PYTHON) -m pytest tests/test_family_cascade.py -q

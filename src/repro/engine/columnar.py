@@ -119,6 +119,7 @@ from repro.engine.keyfilter import (
     hash_index_filename,
     key_hashes,
     pack_hash_index,
+    probe_columns,
     unpack_hash_index,
 )
 from repro.engine.mmapstore import (
@@ -1462,20 +1463,9 @@ class ColumnarDictionary(ShardedDictionary):
         """Fingerprints as the (metric_id, interval_id, node, value_bits)
         component arrays every vectorized path consumes; unknown metric/
         interval strings map to id ``-1`` (a guaranteed miss)."""
-        n = len(fingerprints)
-        metric_id = np.empty(n, dtype=np.int64)
-        interval_id = np.empty(n, dtype=np.int64)
-        node = np.empty(n, dtype=np.int64)
-        value = np.empty(n, dtype=np.float64)
-        for i, fp in enumerate(fingerprints):
-            metric_id[i] = self._metric_map.get(str(fp.metric), -1)
-            interval_id[i] = self._interval_map.get(
-                (float(fp.interval[0]) + 0.0, float(fp.interval[1]) + 0.0),
-                -1,
-            )
-            node[i] = int(fp.node)
-            value[i] = float(fp.value)
-        return metric_id, interval_id, node, _value_bits(value)
+        cols = probe_columns(fingerprints)
+        metric_id, interval_id = cols.ids(self._metric_map, self._interval_map)
+        return metric_id, interval_id, cols.node, cols.value_bits
 
     def _base_resolve(
         self, fingerprints: Sequence[Fingerprint]

@@ -11,6 +11,9 @@ matches.  This module is the negative-lookup fast path:
   interval_id, node, value_bits)`` component arrays the rank-packed
   indexes already use — to one ``uint64`` hash per key, fully
   vectorized (a splitmix64-style finalizer folded over the components).
+  :func:`probe_columns` builds those components from a batch of
+  fingerprints in C-level passes; the columnar store and the remote
+  client both probe through it.
 - :class:`KeyFilter` is a classic Bloom filter over those hashes:
   ``bits_per_key`` bits per key (default 10 ≈ 1% false positives),
   ``k ≈ bits_per_key·ln 2`` probes per query via double hashing, all
@@ -40,6 +43,9 @@ properties).
 from __future__ import annotations
 
 import struct
+from itertools import repeat
+from operator import attrgetter
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -172,6 +178,86 @@ def key_hashes(
         comp = np.asarray(component, dtype=np.int64).view(np.uint64)
         h = _mix64(h ^ comp)
     return h
+
+
+_METRIC = attrgetter("metric")
+_INTERVAL = attrgetter("interval")
+_NODE = attrgetter("node")
+_VALUE = attrgetter("value")
+
+
+class ProbeColumns(NamedTuple):
+    """A probe batch as key columns against batch-local string tables.
+
+    ``metric_idx``/``interval_idx`` index ``metrics``/``intervals`` (the
+    batch's distinct strings in first-seen order, intervals
+    ``+0.0``-normalized); ``value_bits`` are the ``+0.0``-normalized
+    float64 bit patterns.  Two rows are equal exactly when their
+    fingerprints are equal.  :meth:`ids` translates the local indexes
+    through any store's or peer's interned tables."""
+
+    metrics: List[str]
+    intervals: List[Tuple[float, float]]
+    metric_idx: np.ndarray
+    interval_idx: np.ndarray
+    node: np.ndarray
+    value_bits: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "ProbeColumns":
+        """The given rows, against the same local tables."""
+        return self._replace(
+            metric_idx=self.metric_idx[rows],
+            interval_idx=self.interval_idx[rows],
+            node=self.node[rows],
+            value_bits=self.value_bits[rows],
+        )
+
+    def ids(
+        self,
+        metric_ids: Mapping[str, int],
+        interval_ids: Mapping[Tuple[float, float], int],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(metric_id, interval_id)`` columns in another id space; a
+        string that space has never seen maps to ``-1``."""
+        m = np.fromiter(
+            map(metric_ids.get, self.metrics, repeat(-1)),
+            np.int64, len(self.metrics),
+        )
+        i = np.fromiter(
+            map(interval_ids.get, self.intervals, repeat(-1)),
+            np.int64, len(self.intervals),
+        )
+        return m[self.metric_idx], i[self.interval_idx]
+
+
+def _local_ids(values: list) -> Tuple[list, np.ndarray]:
+    """Distinct ``values`` in first-seen order, and each value's index
+    into them (a constant fill when there is only one)."""
+    if not values or values.count(values[0]) == len(values):
+        return values[:1], np.zeros(len(values), np.int64)
+    table: Dict[object, int] = dict.fromkeys(values)
+    for k, key in enumerate(table):
+        table[key] = k
+    return list(table), np.fromiter(
+        map(table.__getitem__, values), np.int64, len(values)
+    )
+
+
+def probe_columns(fingerprints: Sequence) -> ProbeColumns:
+    """Build a batch's :class:`ProbeColumns` in C-level passes: one
+    ``attrgetter`` map per component, no per-key Python."""
+    n = len(fingerprints)
+    metrics, metric_idx = _local_ids(list(map(_METRIC, fingerprints)))
+    intervals, interval_idx = _local_ids(list(map(_INTERVAL, fingerprints)))
+    value = np.fromiter(map(_VALUE, fingerprints), np.float64, n) + 0.0
+    return ProbeColumns(
+        metrics=[str(m) for m in metrics],
+        intervals=[(float(a) + 0.0, float(b) + 0.0) for a, b in intervals],
+        metric_idx=metric_idx,
+        interval_idx=interval_idx,
+        node=np.fromiter(map(_NODE, fingerprints), np.int64, n),
+        value_bits=value.view(np.int64),
+    )
 
 
 class KeyFilter:

@@ -82,6 +82,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import (
     Any,
     Callable,
@@ -106,7 +107,12 @@ from repro.core.serialization import (
     fingerprint_to_record,
 )
 from repro.engine.backend import DictionaryBackend, merge_into
-from repro.engine.keyfilter import KeyFilter, key_hashes
+from repro.engine.keyfilter import (
+    KeyFilter,
+    ProbeColumns,
+    key_hashes,
+    probe_columns,
+)
 from repro.engine.sharded import ShardedDictionary, shard_index
 from repro.engine.stats import EngineStats
 
@@ -409,7 +415,7 @@ class _ShardSnapshot:
     index gathers instead of 20k Fingerprint constructions and dict
     probes.  Every store version bump rebuilds the whole shard, so a
     write-heavy learn-while-serving host re-sorts once per flush (the
-    caveat in docs/serving.md, ROADMAP item 4(d))."""
+    caveat in docs/serving.md, ROADMAP item 3(c))."""
 
     __slots__ = (
         "version", "n", "packed", "label_off", "label_n", "label_ids",
@@ -1183,6 +1189,59 @@ def _socket_is_idle(sock: socket.socket) -> bool:
     return not readable
 
 
+def _dedupe(
+    cols: ProbeColumns,
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """The first row of each distinct key, in first-seen order, and each
+    row's index into those; ``(None, None)`` when every row is distinct.
+    Rows are equal exactly when their fingerprints are."""
+    n = len(cols.node)
+    if n < 2:
+        return None, None
+    columns = (cols.value_bits, cols.node, cols.interval_idx, cols.metric_idx)
+    order = np.lexsort(columns)
+    new = np.zeros(n, dtype=bool)
+    new[0] = True
+    for column in columns:
+        ranked = column[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    if new.all():
+        return None, None
+    starts = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, starts)
+    by_seen = np.argsort(first)
+    rank = np.empty(len(first), np.int64)
+    rank[by_seen] = np.arange(len(first))
+    inverse = np.empty(n, np.int64)
+    inverse[order] = rank[np.cumsum(new) - 1]
+    return first[by_seen], inverse
+
+
+#: One bucket's answer, key-aligned: label lists, plus per-key label
+#: counts when the probe asked for them.
+_BucketReply = Tuple[List[List[str]], Optional[List[Dict[str, int]]]]
+
+
+def _conn_ids(
+    table: list, ids: dict, local: list, idx: np.ndarray,
+    ext: Dict[str, list], name: str,
+) -> np.ndarray:
+    """Batch-local indexes ``idx`` into ``local`` as one connection's
+    ids.  A string the peer has not seen is appended to ``table``/``ids``
+    and announced under ``ext[name]`` (the in-band table extension)."""
+    used = [0] if len(local) == 1 else np.unique(idx).tolist()
+    lut = np.zeros(len(local), np.int32)
+    for k in used:
+        key = local[k]
+        j = ids.get(key)
+        if j is None:
+            j = ids[key] = len(table)
+            table.append(key)
+            ext.setdefault(name, []).append(key)
+        lut[k] = j
+    return lut[idx]
+
+
 @dataclass
 class _FilterMirror:
     """A client-side copy of one shard's Bloom sidecar.
@@ -1692,115 +1751,81 @@ class RemoteShardBackend:
         self,
         host: RemoteHost,
         shard: int,
-        fps: List[Fingerprint],
+        cols: ProbeColumns,
         counts: bool,
         deadline: float,
-    ) -> List[RemoteVerdict]:
+    ) -> _BucketReply:
         """One bucket exchange against one host: binary pipelined
         chunks through :meth:`_attempt`.  A refusal or a structurally
         invalid reply evicts the connection — pipelined replies may
         still be in flight behind it."""
-        def exchange(conn: _PooledConnection) -> List[RemoteVerdict]:
+        def exchange(conn: _PooledConnection) -> _BucketReply:
             try:
                 return self._probe_v2_on_conn(
-                    conn, host, shard, fps, counts, deadline
+                    conn, host, shard, cols, counts, deadline
                 )
             except (RemoteOpError, _DegradeBucket):
                 self._evict(conn)
                 raise
 
-        return self._attempt(host, deadline, exchange, len(fps))
-
-    def _encode_probe_chunk(
-        self,
-        conn: _PooledConnection,
-        request_id: int,
-        shard: int,
-        fps: List[Fingerprint],
-        counts: bool,
-    ) -> bytes:
-        """Pack one chunk as v2 id/value columns against the
-        connection's tables, extending them in-band for strings the
-        peer has not seen on this connection."""
-        m_ids = conn.metric_ids
-        i_ids = conn.interval_ids
-        metrics = conn.metrics
-        intervals = conn.intervals
-        mids: List[int] = []
-        iids: List[int] = []
-        nodes: List[int] = []
-        values: List[float] = []
-        ext_m: List[str] = []
-        ext_i: List[List[float]] = []
-        for fp in fps:
-            mi = m_ids.get(fp.metric)
-            if mi is None:
-                mi = len(metrics)
-                metrics.append(fp.metric)
-                m_ids[fp.metric] = mi
-                ext_m.append(fp.metric)
-            key = (fp.interval[0] + 0.0, fp.interval[1] + 0.0)
-            ii = i_ids.get(key)
-            if ii is None:
-                ii = len(intervals)
-                intervals.append(key)
-                i_ids[key] = ii
-                ext_i.append([key[0], key[1]])
-            mids.append(mi)
-            iids.append(ii)
-            nodes.append(fp.node)
-            values.append(fp.value)
-        ext: Optional[dict] = None
-        if ext_m or ext_i:
-            ext = {}
-            if ext_m:
-                ext["metrics"] = ext_m
-            if ext_i:
-                ext["intervals"] = ext_i
-        return framing.encode_probe_request(
-            request_id, shard,
-            np.asarray(mids, dtype="<i4"), np.asarray(iids, dtype="<i4"),
-            np.asarray(nodes, dtype="<i8"), np.asarray(values, dtype="<f8"),
-            table_ext=ext, counts=counts,
-        )
+        return self._attempt(host, deadline, exchange, len(cols.node))
 
     def _probe_v2_on_conn(
         self,
         conn: _PooledConnection,
         host: RemoteHost,
         shard: int,
-        fps: List[Fingerprint],
+        cols: ProbeColumns,
         counts: bool,
         deadline: float,
-    ) -> List[RemoteVerdict]:
+    ) -> _BucketReply:
         """The bucket as pipelined binary chunks: up to
         ``_PIPELINE_WINDOW`` requests in flight, replies read in order
         and verified by request id.  A well-framed reply that is not
         the expected binary reply (a duplicated frame, a JSON frame
         out of turn) is a *desync* — retryable on a fresh connection —
         while a structurally invalid binary reply degrades the bucket
-        immediately."""
+        immediately.
+
+        Each frame is cut from column slices: the batch-local metric /
+        interval indexes go through the connection's tables (extended
+        in-band for strings this peer has not seen), and each reply's
+        CSR label ids become per-key label lists by slicing one list of
+        names."""
         sock = conn.sock
         chunk = max(1, self.pipeline_chunk)
-        verdicts: List[RemoteVerdict] = []
+        n = len(cols.node)
+        labels: List[List[str]] = []
+        label_counts: Optional[List[Dict[str, int]]] = [] if counts else None
         pending: Deque[Tuple[int, int]] = deque()
         enc_s = dec_s = 0.0
         sent_b = recv_b = 0
         try:
             next_i = 0
-            while next_i < len(fps) or pending:
-                if next_i < len(fps) and len(pending) < _PIPELINE_WINDOW:
-                    part = fps[next_i:next_i + chunk]
+            while next_i < n or pending:
+                if next_i < n and len(pending) < _PIPELINE_WINDOW:
+                    part = slice(next_i, next_i + chunk)
                     request_id = conn.next_request_id()
                     t0 = time.perf_counter()
-                    frame = self._encode_probe_chunk(
-                        conn, request_id, shard, part, counts
+                    ext: Dict[str, list] = {}
+                    mids = _conn_ids(
+                        conn.metrics, conn.metric_ids, cols.metrics,
+                        cols.metric_idx[part], ext, "metrics",
+                    )
+                    iids = _conn_ids(
+                        conn.intervals, conn.interval_ids, cols.intervals,
+                        cols.interval_idx[part], ext, "intervals",
+                    )
+                    frame = framing.encode_probe_request(
+                        request_id, shard, mids, iids, cols.node[part],
+                        cols.value_bits[part].view(np.float64),
+                        table_ext=ext or None, counts=counts,
                     )
                     enc_s += time.perf_counter() - t0
                     sock.settimeout(self._io_timeout(deadline))
                     sent_b += framing.send_frame_sock(sock, frame)
-                    pending.append((request_id, len(part)))
-                    next_i += len(part)
+                    pending.append((request_id, len(mids)))
+                    next_i += len(mids)
                     continue
                 request_id, n_part = pending.popleft()
                 sock.settimeout(self._io_timeout(deadline))
@@ -1854,23 +1879,17 @@ class RemoteShardBackend:
                         f"malformed v2 probe reply for shard {shard}: "
                         f"counts column missing"
                     )
-                table = conn.labels
-                id_list = ids.tolist()
-                lc_list = lcounts.tolist() if lcounts is not None else None
-                pos = 0
-                for k in mc.tolist():
-                    if k:
-                        labels = [table[j] for j in id_list[pos:pos + k]]
-                    else:
-                        labels = []
-                    verdict = RemoteVerdict(labels)
-                    if counts:
-                        verdict.counts = (
-                            dict(zip(labels, lc_list[pos:pos + k]))
-                            if k else {}
-                        )
-                    verdicts.append(verdict)
-                    pos += k
+                names = list(map(conn.labels.__getitem__, ids.tolist()))
+                ends = np.cumsum(mc, dtype=np.int64).tolist()
+                spans = list(zip([0] + ends[:-1], ends))
+                part_labels = [names[a:b] for a, b in spans]
+                labels += part_labels
+                if label_counts is not None:
+                    lc = lcounts.tolist()
+                    label_counts += [
+                        dict(zip(got, lc[a:b]))
+                        for got, (a, b) in zip(part_labels, spans)
+                    ]
                 dec_s += time.perf_counter() - t0
                 self._note_host_version(
                     host.endpoint, rep["store_version"]
@@ -1880,7 +1899,7 @@ class RemoteShardBackend:
                 remote_bytes_sent=sent_b, remote_bytes_received=recv_b,
                 remote_encode_s=enc_s, remote_decode_s=dec_s,
             )
-        return verdicts
+        return labels, label_counts
 
     # -- filter mirrors ------------------------------------------------------
     def _note_host_version(self, endpoint: str, version: int) -> None:
@@ -2049,10 +2068,9 @@ class RemoteShardBackend:
             with self._mirror_lock:
                 self._mirrors[s] = mirror
 
-    def _mirror_resolve(
-        self, keys: List[Fingerprint], counts: bool
-    ) -> Dict[Fingerprint, RemoteVerdict]:
-        """Resolve definitely-absent keys locally against the mirrors.
+    def _mirror_absent(self, cols: ProbeColumns) -> Optional[np.ndarray]:
+        """Which keys the mirrors prove absent, or ``None`` when they
+        cannot say.
 
         Sound only when *every* shard has a fresh mirror: a key that no
         shard's filter might contain is absent everywhere (Bloom
@@ -2062,16 +2080,11 @@ class RemoteShardBackend:
         missing or stale — go over the wire as usual."""
         with self._mirror_lock:
             if len(self._mirrors) < self.n_shards:
-                return {}
+                return None
             mirrors = list(self._mirrors.values())
             if any(not m.fresh for m in mirrors):
-                return {}
-        n = len(keys)
-        nodes = np.fromiter((fp.node for fp in keys), np.int64, n)
-        vbits = (
-            np.fromiter((fp.value for fp in keys), np.float64, n) + 0.0
-        ).view(np.int64)
-        might = np.zeros(n, dtype=bool)
+                return None
+        might = np.zeros(len(cols.node), dtype=bool)
         # Hosts may intern tables in different orders; group mirrors by
         # table content so ids (and hashes) are computed once per group.
         groups: Dict[Tuple, List[_FilterMirror]] = {}
@@ -2081,37 +2094,23 @@ class RemoteShardBackend:
             ).append(mirror)
         for members in groups.values():
             ref = members[0]
-            m_map = ref.metric_ids
-            i_map = ref.interval_ids
-            mids = np.fromiter(
-                (m_map.get(fp.metric, -1) for fp in keys), np.int64, n
-            )
-            iids = np.fromiter(
-                (i_map.get((fp.interval[0] + 0.0, fp.interval[1] + 0.0), -1)
-                 for fp in keys),
-                np.int64, n,
-            )
+            mids, iids = cols.ids(ref.metric_ids, ref.interval_ids)
             # A key whose metric/interval this table has never seen is
             # definitely absent from these shards — but its -1 ids hash
             # to junk, so mask filter hits down to known components.
             known = (mids >= 0) & (iids >= 0)
             if not known.any():
                 continue
-            hashes = key_hashes(mids, iids, nodes, vbits)
-            group_might = np.zeros(n, dtype=bool)
+            hashes = key_hashes(mids, iids, cols.node, cols.value_bits)
+            group_might = np.zeros(len(might), dtype=bool)
             for mirror in members:
                 group_might |= mirror.filter.might_contain(hashes)
             might |= group_might & known
-        out: Dict[Fingerprint, RemoteVerdict] = {}
-        for fp, hit in zip(keys, might.tolist()):
-            if not hit:
-                verdict = RemoteVerdict([])
-                if counts:
-                    verdict.counts = {}
-                out[fp] = verdict
-        if out:
-            self._rec(filter_mirror_hits=len(out))
-        return out
+        absent = ~might
+        hits = int(absent.sum())
+        if hits:
+            self._rec(filter_mirror_hits=hits)
+        return absent
 
     def _mirror_note_versions(self, versions: Dict[str, int]) -> None:
         """A write through this client landed on these hosts at these
@@ -2169,41 +2168,91 @@ class RemoteShardBackend:
         Never raises on host failure — unreachable key-space comes back
         as explicit ``degraded`` verdicts, and ``last_degraded`` maps
         exactly those keys to their reasons."""
+        labels, label_counts, reasons, take = self._resolve(
+            fingerprints, counts
+        )
+        verdicts = list(map(
+            RemoteVerdict, labels,
+            [r is not None for r in reasons], [r or "" for r in reasons],
+            label_counts if label_counts is not None else repeat(None),
+        ))
+        return list(map(verdicts.__getitem__, take))
+
+    def lookup_many(
+        self, fingerprints: Sequence[Fingerprint]
+    ) -> Optional[List[List[str]]]:
+        """Batch lookup over the wire; degraded keys resolve as unknown
+        (``[]``) with the explicit record kept in ``last_degraded`` and
+        the ``remote_degraded`` counter."""
+        labels, _, _, take = self._resolve(fingerprints, False)
+        return list(map(labels.__getitem__, take))
+
+    def _resolve(
+        self, fingerprints: Sequence[Fingerprint], counts: bool
+    ) -> Tuple[
+        List[List[str]], Optional[List[Optional[Dict[str, int]]]],
+        List[Optional[str]], List[int],
+    ]:
+        """The column path behind :meth:`probe_many`/:meth:`lookup_many`.
+
+        The batch becomes :class:`ProbeColumns` once and is deduplicated
+        by ``lexsort``; each distinct key is routed (one cache ``get``,
+        the mirrors and ``shard_index`` only for uncached keys), and
+        each shard's bucket travels as column slices.  Returns the
+        per-distinct-key ``labels``, ``label_counts`` (when ``counts``)
+        and degradation ``reasons`` (``None`` when answered), plus
+        ``take``: for each input position, its distinct key's slot."""
         deadline = time.monotonic() + self.deadline
-        unique: Dict[Fingerprint, int] = {}
-        for fp in fingerprints:
-            unique.setdefault(fp, len(unique))
-        keys = list(unique)
-        local: Dict[Fingerprint, RemoteVerdict] = {}
+        cols = probe_columns(fingerprints)
+        first, inverse = _dedupe(cols)
+        if first is not None:
+            cols = cols.take(first)
+            keys = list(map(fingerprints.__getitem__, first.tolist()))
+        else:
+            keys = list(fingerprints)
+        n = len(keys)
         route = self._route_cache
-        if self.filter_mirrors and keys:
+        shards = np.fromiter(map(route.get, keys, repeat(-1)), np.int64, n)
+        uncached = np.flatnonzero(shards < 0)
+        if self.filter_mirrors and n:
             self._maybe_refresh_mirrors()
             # A route-cached key already crossed the wire once — the
             # mirrors can only say "might contain" for it, so the Bloom
             # pass would be pure overhead on repeat-hit traffic.  Only
             # first-seen keys get the local-miss check.
-            fresh = [fp for fp in keys if fp not in route]
-            if fresh:
-                local = self._mirror_resolve(fresh, counts)
-        buckets: Dict[int, List[Fingerprint]] = {}
-        for fp in keys:
-            if fp in local:
-                continue
-            shard = route.get(fp)
-            if shard is None:
-                if len(route) >= _ROUTE_CACHE_MAX:
-                    route.clear()
-                shard = shard_index(fp, self.n_shards)
-                route[fp] = shard
-            buckets.setdefault(shard, []).append(fp)
+            if len(uncached):
+                absent = self._mirror_absent(cols.take(uncached))
+                if absent is not None:
+                    uncached = uncached[~absent]
+        for u in uncached.tolist():
+            fp = keys[u]
+            if len(route) >= _ROUTE_CACHE_MAX:
+                route.clear()
+            shards[u] = route[fp] = shard_index(fp, self.n_shards)
+        # Group the distinct keys by shard; the mirror-resolved ones
+        # (shard -1) sort first and never leave this process.
+        order = np.argsort(shards, kind="stable")
+        items = [
+            (int(shards[rows[0]]), rows)
+            for rows in np.split(
+                order, np.flatnonzero(np.diff(shards[order])) + 1
+            )
+            if len(rows)
+        ]
+        buckets = [
+            (shard, cols.take(rows)) for shard, rows in items if shard >= 0
+        ]
 
         def probe_bucket(
-            shard: int, fps: List[Fingerprint]
-        ) -> List[RemoteVerdict]:
+            item: Tuple[int, ProbeColumns]
+        ) -> Union[_BucketReply, str]:
+            shard, part = item
             try:
-                verdicts, reason = self._call_resilient(
+                reply, reason = self._call_resilient(
                     self._shard_hosts[shard],
-                    lambda h: self._probe_call(h, shard, fps, counts, deadline),
+                    lambda h: self._probe_call(
+                        h, shard, part, counts, deadline
+                    ),
                     deadline,
                 )
             except _DegradeBucket as exc:
@@ -2212,45 +2261,49 @@ class RemoteShardBackend:
                 # (every key gets a verdict, so the merge below cannot
                 # KeyError) instead of crashing the whole batch.
                 self._rec(remote_errors=1)
-                return [
-                    RemoteVerdict([], degraded=True, reason=exc.reason)
-                    for _ in fps
-                ]
-            if verdicts is None:
-                return [
-                    RemoteVerdict([], degraded=True, reason=reason)
-                    for _ in fps
-                ]
-            return verdicts
+                reason = exc.reason
+                reply = None
+            return reply if reply is not None else reason
 
-        items = sorted(buckets.items())
-        if not items:
-            resolved: List[List[RemoteVerdict]] = []
-        elif len(items) == 1:
-            resolved = [probe_bucket(*items[0])]
+        if len(buckets) <= 1:
+            answers = [probe_bucket(item) for item in buckets]
         else:
-            resolved = list(self._fan_pool.map(
-                lambda item: probe_bucket(*item), items
+            answers = list(self._fan_pool.map(probe_bucket, buckets))
+        if len(buckets) < len(items):
+            k = len(items[0][1])
+            answers.insert(0, (
+                [[] for _ in range(k)],
+                [{} for _ in range(k)] if counts else None,
             ))
-        by_key: Dict[Fingerprint, RemoteVerdict] = dict(local)
+        # Answers concatenate in ``order``: slot[order[j]] = j.
+        labels: List[List[str]] = []
+        label_counts: Optional[List[Optional[Dict[str, int]]]] = (
+            [] if counts else None
+        )
+        reasons: List[Optional[str]] = []
         degraded: Dict[Fingerprint, str] = {}
-        for (shard, fps), verdicts in zip(items, resolved):
-            for fp, verdict in zip(fps, verdicts):
-                by_key[fp] = verdict
-                if verdict.degraded:
-                    degraded[fp] = verdict.reason
+        for (shard, rows), answer in zip(items, answers):
+            k = len(rows)
+            if isinstance(answer, str):
+                labels += [[] for _ in range(k)]
+                if label_counts is not None:
+                    label_counts += [None] * k
+                reasons += [answer] * k
+                degraded.update(
+                    dict.fromkeys(map(keys.__getitem__, rows.tolist()), answer)
+                )
+                continue
+            labels += answer[0]
+            if label_counts is not None:
+                label_counts += answer[1]
+            reasons += [None] * k
+        slot = np.empty(n, np.int64)
+        slot[order] = np.arange(n)
         self.last_degraded = degraded
         if degraded:
             self._rec(remote_degraded=len(degraded))
-        return [by_key[fp] for fp in fingerprints]
-
-    def lookup_many(
-        self, fingerprints: Sequence[Fingerprint]
-    ) -> Optional[List[List[str]]]:
-        """Batch lookup over the wire; degraded keys resolve as unknown
-        (``[]``) with the explicit record kept in ``last_degraded`` and
-        the ``remote_degraded`` counter."""
-        return [v.labels for v in self.probe_many(fingerprints)]
+        take = slot if inverse is None else slot[inverse]
+        return labels, label_counts, reasons, take.tolist()
 
     def _probe_one(self, fingerprint: Fingerprint, counts: bool = False):
         verdict = self.probe_many([fingerprint], counts=counts)[0]

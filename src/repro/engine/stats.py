@@ -89,6 +89,8 @@ METRICS = (
            "retained", "completed sessions kept for verdict retrieval"),
     Metric("n_pruned", "pruned", "counter", "sessions", "pruned",
            "retained sessions auto-forgotten by the retention loop"),
+    Metric("tombstones", "tombstones", "gauge", "sessions", "tombstones",
+           "pruned jobs whose trailing samples still count as late"),
     Metric("n_latencies", "latencies", "counter", "latency", "verdicts",
            "verdicts with a measured ready-to-verdict time"),
     Metric("total_latency", "total_latency_s", "seconds", "latency",

@@ -48,7 +48,10 @@ Guarantees (property-tested in ``tests/test_serve_service.py``):
   retained for verdict retrieval until :meth:`IngestService.forget` —
   or, with ``retention_max_age`` / ``retention_max_done`` configured,
   until the retention loop auto-prunes them (the week-long-campaign
-  mode; see ``docs/serving.md``).
+  mode; see ``docs/serving.md``).  A pruned job leaves a *tombstone* so
+  its trailing samples still count as late instead of opening a fresh
+  session from a partial window; at most ``max_sessions`` tombstones
+  are kept, and each expires after ``session_timeout`` without samples.
 - **Explicit failure** — a recognition worker crash is isolated to the
   failing session and surfaces as a
   :class:`~repro.parallel.pool.WorkerError` carrying that session's job
@@ -59,7 +62,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -265,6 +268,10 @@ class IngestService:
         # stale entry behind, detected by comparing done_at on prune.
         self._done_order: Deque[Tuple[str, float]] = deque()
         self._n_done = 0              # DONE sessions still in _sessions
+        # Retention-pruned jobs -> loop time of their last sample, least
+        # recently active first: their late samples are dropped, not
+        # routed into a new session.
+        self._tombstones: "OrderedDict[str, float]" = OrderedDict()
 
     @property
     def engine_lock(self) -> threading.Lock:
@@ -469,6 +476,7 @@ class IngestService:
             # found no slot, keep the rest in order.
             refused = set(block.jobs).difference(self._sessions)
             refused.difference_update(self._pending_opens)
+            refused.difference_update(self._tombstones)
             kept = SampleBlock.of(s for s in block if s.job not in refused)
             self.stats.add(n_shed=len(block) - len(kept))
             block = kept
@@ -525,6 +533,7 @@ class IngestService:
         fresh = set(jobs[pos:] if pos else jobs).difference(self._sessions)
         if fresh:
             fresh.difference_update(self._pending_opens)
+            fresh.difference_update(self._tombstones)
         if not fresh:
             return n
         pending = self._pending_opens
@@ -636,10 +645,14 @@ class IngestService:
         (an errored, evicted, or close-cancelled verdict) are completed
         too: forgetting them must leave every
         :class:`~repro.engine.stats.EngineStats` session gauge at its
-        true value.
+        true value.  An explicit ``forget`` frees the job id for reuse;
+        a retention prune instead leaves a tombstone behind (see
+        :meth:`_route`).
         """
         state = self._sessions.get(job)
         if state is None:
+            if self._tombstones.pop(job, None) is not None:
+                self.stats.add(tombstones=-1)
             return
         if state.phase is not _Phase.DONE:
             raise RuntimeError(f"session {job!r} is still {state.phase.value}")
@@ -651,6 +664,12 @@ class IngestService:
         del self._sessions[job]
         self._n_done -= 1
         self.stats.record_session_forgotten(pruned=_pruned)
+        if _pruned:
+            self._tombstones[job] = self._loop.time()
+            self.stats.add(tombstones=1)
+            if len(self._tombstones) > self.config.max_sessions:
+                self._tombstones.popitem(last=False)
+                self.stats.add(tombstones=-1)
 
     # -- internals: routing ---------------------------------------------------
     async def _ingest_loop(self) -> None:
@@ -670,11 +689,19 @@ class IngestService:
         active = _Phase.ACTIVE
         now = self._loop.time()
         late = 0
+        tombstones = self._tombstones
         for job, node, t, value, n_nodes in zip(
             block.jobs, block.nodes, block.times, block.values, block.n_nodes
         ):
             state = sessions.get(job)
             if state is None:
+                if job in tombstones:
+                    # A retention-pruned job's trailing samples: late,
+                    # exactly as they were before the prune.
+                    tombstones[job] = now
+                    tombstones.move_to_end(job)
+                    late += 1
+                    continue
                 state = self._open(job, n_nodes)
             elif state.phase is not active:
                 # Verdict already queued/decided; the session may be in
@@ -847,6 +874,7 @@ class IngestService:
         while True:
             await asyncio.sleep(tick)
             now = self._loop.time()
+            self._expire_tombstones(now - timeout)
             for state in list(self._sessions.values()):
                 if state.phase is not _Phase.ACTIVE:
                     continue
@@ -859,6 +887,16 @@ class IngestService:
                     self._resolve_error(
                         state, SessionEvicted(state.job, timeout)
                     )
+
+    def _expire_tombstones(self, cutoff: float) -> None:
+        """Free the ids of pruned jobs silent since ``cutoff``."""
+        tombstones = self._tombstones
+        expired = 0
+        while tombstones and next(iter(tombstones.values())) <= cutoff:
+            tombstones.popitem(last=False)
+            expired += 1
+        if expired:
+            self.stats.add(tombstones=-expired)
 
     # -- internals: retention -------------------------------------------------
     async def _retention_loop(self) -> None:

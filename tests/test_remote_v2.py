@@ -29,6 +29,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro._util import framing
 from repro.core.dictionary import ExecutionFingerprintDictionary
@@ -564,3 +566,197 @@ class TestV2StatsRoundTrip:
 
     def test_empty_stats_omit_the_remote_block(self):
         assert "remote wire" not in EngineStats().render()
+
+
+# ---------------------------------------------------------------------------
+# The column path: equal to the flat reference key by key
+# ---------------------------------------------------------------------------
+
+def _variant(i: int, numpy_node: bool, zero: bool, neg_zero: bool,
+             unseen_metric: bool, int_interval: bool) -> Fingerprint:
+    """Key ``i`` (``i < 60`` stored, the rest misses) in one of the
+    spellings that must resolve exactly like its plain form."""
+    base = _fp(i)
+    value = 0.0 if zero else base.value
+    if neg_zero and value == 0.0:
+        value = -0.0
+    lo, hi = base.interval
+    return Fingerprint(
+        metric="m_never_seen" if unseen_metric else base.metric,
+        node=np.int64(base.node) if numpy_node else base.node,
+        interval=(int(lo), int(hi)) if int_interval else (lo, hi),
+        value=value,
+    )
+
+
+_probe = st.builds(
+    _variant, st.integers(0, 89), st.booleans(),
+    st.integers(0, 9).map(lambda k: k == 0), st.booleans(),
+    st.integers(0, 9).map(lambda k: k == 0), st.booleans(),
+)
+
+
+@pytest.fixture(scope="module")
+def column_fleet():
+    """Three one-shard hosts and a client per mirror mode."""
+    flat, stores = _seed_stores(3)
+    threads = [
+        ShardServerThread(stores[k], n_shards=3, shards=[k]).start()
+        for k in range(3)
+    ]
+    specs = [f"{k}@{threads[k].endpoint}" for k in range(3)]
+    clients = {
+        "fresh": _client(specs, deadline=5.0, try_timeout=2.0),
+        "stale": _client(specs, deadline=5.0, try_timeout=2.0),
+        "off": _client(specs, deadline=5.0, try_timeout=2.0,
+                       filter_mirrors=False, pipeline_chunk=3),
+    }
+    assert clients["fresh"].warm_filter_mirrors()
+    assert clients["stale"].warm_filter_mirrors()
+    yield flat, clients
+    for client in clients.values():
+        client.close()
+    for thread in threads:
+        thread.stop()
+
+
+class TestColumnPath:
+    @pytest.mark.parametrize("mirrors", ["fresh", "stale", "off"])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(batch=st.lists(_probe, max_size=40).flatmap(
+        lambda keys: st.lists(
+            st.sampled_from(keys), min_size=len(keys),
+            max_size=2 * len(keys),
+        ) if keys else st.just([])
+    ))
+    def test_lookup_and_probe_equal_the_flat_reference(
+        self, column_fleet, mirrors, batch
+    ):
+        flat, clients = column_fleet
+        remote = clients[mirrors]
+        remote._route_cache.clear()  # every key takes the first-seen path
+        if mirrors == "fresh":
+            assert remote.warm_filter_mirrors()
+        elif mirrors == "stale":
+            with remote._mirror_lock:
+                for mirror in remote._mirrors.values():
+                    mirror.fresh = False
+        assert remote.lookup_many(batch) == [flat.lookup(fp) for fp in batch]
+        assert remote.last_degraded == {}
+        verdicts = remote.probe_many(batch, counts=True)
+        assert [v.labels for v in verdicts] == [
+            flat.lookup(fp) for fp in batch
+        ]
+        assert [v.counts for v in verdicts] == [
+            flat.lookup_counts(fp) for fp in batch
+        ]
+        assert not any(v.degraded for v in verdicts)
+
+    def test_negative_zero_is_one_key(self, column_fleet):
+        flat, clients = column_fleet
+        remote = clients["fresh"]
+        remote._route_cache.clear()
+        assert remote.warm_filter_mirrors()
+        pos = _fp(0)
+        assert pos.value == 0.0 and flat.lookup(pos)
+        neg = Fingerprint(pos.metric, np.int64(pos.node), pos.interval, -0.0)
+        keys_before = remote.engine_stats.remote_keys
+        assert remote.lookup_many([neg, pos, neg]) == [flat.lookup(pos)] * 3
+        assert remote.engine_stats.remote_keys - keys_before == 1
+
+    def test_dead_host_degrades_exactly_its_shards_keys(self):
+        flat, stores = _seed_stores(3)
+        threads = [
+            ShardServerThread(stores[k], n_shards=3, shards=[k]).start()
+            for k in range(3)
+        ]
+        try:
+            specs = [f"{k}@{threads[k].endpoint}" for k in range(3)]
+            threads[2].stop()
+            remote = _client(
+                specs, deadline=1.5, try_timeout=0.3, retries=1,
+                backoff_base=0.01, backoff_cap=0.02, filter_mirrors=False,
+            )
+            keys = [
+                _variant(i, i % 2 == 0, i % 7 == 0, True, False, i % 3 == 0)
+                for i in range(80)
+            ]
+            batch = keys + keys[::-3]
+            dead = {fp for fp in keys if shard_index(fp, 3) == 2}
+            assert dead and len(dead) < len(keys)
+            verdicts = remote.probe_many(batch, counts=True)
+            for fp, verdict in zip(batch, verdicts):
+                if fp in dead:
+                    assert verdict.degraded and verdict.reason
+                    assert verdict.labels == [] and verdict.counts is None
+                else:
+                    assert not verdict.degraded
+                    assert verdict.labels == flat.lookup(fp)
+                    assert verdict.counts == flat.lookup_counts(fp)
+            assert set(remote.last_degraded) == dead
+            # Keyed by the first-seen spelling of each distinct key.
+            first = {}
+            for fp in batch:
+                first.setdefault(fp, fp)
+            assert all(k is first[k] for k in remote.last_degraded)
+            before = remote.engine_stats.remote_degraded
+            assert remote.lookup_many(batch) == [
+                [] if fp in dead else flat.lookup(fp) for fp in batch
+            ]
+            assert remote.engine_stats.remote_degraded - before == len(dead)
+            remote.close()
+        finally:
+            for thread in threads:
+                thread.stop()
+
+    def test_counter_deltas_of_a_fixed_sequence(self):
+        """The column path sends the same keys over the wire as the
+        per-key path it replaced: these deltas are that path's."""
+        flat, stores = _seed_stores(3)
+        threads = [
+            ShardServerThread(stores[k], n_shards=3, shards=[k]).start()
+            for k in range(3)
+        ]
+        try:
+            specs = [f"{k}@{threads[k].endpoint}" for k in range(3)]
+            remote = _client(
+                specs, deadline=2.0, try_timeout=0.5, retries=1,
+                backoff_base=0.01, backoff_cap=0.02,
+            )
+            assert remote.warm_filter_mirrors()
+            stats = remote.engine_stats
+            names = ("remote_calls", "remote_keys", "filter_mirror_hits",
+                     "remote_degraded")
+            seen = []
+
+            def step(call):
+                before = [getattr(stats, n) for n in names]
+                call()
+                seen.append(tuple(
+                    getattr(stats, n) - b for n, b in zip(names, before)
+                ))
+
+            mixed = [_fp(i) for i in range(0, 120, 3)]
+            step(lambda: remote.lookup_many(mixed + mixed[:10]))
+            step(lambda: remote.lookup_many(mixed))  # routes now cached
+            odd = [_variant(i, True, i % 4 == 0, True, i % 5 == 0, True)
+                   for i in range(30, 110, 2)]
+            step(lambda: remote.probe_many(odd, counts=True))
+            threads[1].stop()
+            step(lambda: remote.lookup_many(
+                [_fp(i) for i in range(200, 260)] + mixed
+            ))
+            assert seen == PINNED_DELTAS
+            remote.close()
+        finally:
+            for thread in threads:
+                thread.stop()
+
+
+#: (remote_calls, remote_keys, filter_mirror_hits, remote_degraded) per
+#: step of ``test_counter_deltas_of_a_fixed_sequence``, as produced by
+#: the per-key client path.
+PINNED_DELTAS = [
+    (3, 21, 19, 0), (3, 21, 19, 0), (3, 7, 17, 0), (4, 27, 79, 6),
+]

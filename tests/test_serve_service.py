@@ -878,6 +878,115 @@ class TestRetention:
         assert service.n_sessions == 1
 
 
+def _split_at_verdict(record, job):
+    """A job's in-order stream cut where its session turns ready: the
+    head decides the verdict, the tail is what trails in after it."""
+    samples = list(interleave_records([record], METRIC, [job]))
+    cut = max(i for i, s in enumerate(samples) if s.time <= 121.0) + 1
+    return samples[:cut], samples[cut:]
+
+
+class TestTombstones:
+    """A retention-pruned job stays finished: its trailing samples are
+    late, never the first samples of a new session."""
+
+    def test_trailing_samples_of_a_pruned_job_count_as_late(
+        self, recognizer, dataset
+    ):
+        record = list(dataset)[0]
+        head, tail = _split_at_verdict(record, "pruned")
+        assert tail
+        engine = _engine(recognizer)
+
+        async def run():
+            config = ServeConfig(batch_max_delay=0.002, retention_max_done=0)
+            async with IngestService(engine, config) as service:
+                await service.submit_many(head)
+                await service.drain()
+                assert service.n_sessions == 0  # verdict out, then pruned
+                late_before = engine.stats.n_late
+                await service.submit_many(tail)
+                await service.drain()
+                assert service.n_sessions == 0
+                assert engine.stats.n_late - late_before == len(tail)
+
+        asyncio.run(run())
+        stats = engine.stats
+        assert stats.n_pruned == 1
+        assert stats.sessions_active == 0
+        assert stats.n_latencies == 1  # one verdict, no second session
+        assert stats.tombstones == 1
+
+    def test_forget_frees_a_tombstoned_job_id(self, recognizer, dataset):
+        record = list(dataset)[0]
+        head, _ = _split_at_verdict(record, "reused")
+        engine = _engine(recognizer)
+
+        async def run():
+            config = ServeConfig(batch_max_delay=0.002, retention_max_done=0)
+            async with IngestService(engine, config) as service:
+                await service.submit_many(head)
+                await service.drain()
+                assert engine.stats.tombstones == 1
+                service.forget("reused")
+                assert engine.stats.tombstones == 0
+                await service.submit_many(head)
+                await service.drain()
+                # The id opened a second session, which resolved and
+                # was pruned in turn.
+                assert engine.stats.n_latencies == 2
+                assert engine.stats.tombstones == 1
+
+        asyncio.run(run())
+        assert engine.stats.n_pruned == 2
+
+    def test_tombstones_are_capped_at_max_sessions(self, recognizer, dataset):
+        records = list(dataset)[:5]
+        job_ids = [f"job-{i}" for i in range(len(records))]
+        engine = _engine(recognizer)
+
+        async def run():
+            config = ServeConfig(
+                batch_max_delay=0.002, retention_max_done=0, max_sessions=2,
+            )
+            async with IngestService(engine, config) as service:
+                for record, job in zip(records, job_ids):
+                    head, _ = _split_at_verdict(record, job)
+                    await service.submit_many(head)
+                    await service.drain()
+                # The oldest tombstones went first: job-0's id is free.
+                assert list(service._tombstones) == job_ids[-2:]
+
+        asyncio.run(run())
+        assert engine.stats.n_pruned == 5
+        assert engine.stats.tombstones == 2
+
+    def test_tombstone_expires_after_session_timeout(
+        self, recognizer, dataset
+    ):
+        record = list(dataset)[0]
+        head, _ = _split_at_verdict(record, "quiet")
+        engine = _engine(recognizer)
+
+        async def run():
+            config = ServeConfig(
+                batch_max_delay=0.002, retention_max_done=0,
+                session_timeout=0.05,
+            )
+            async with IngestService(engine, config) as service:
+                await service.submit_many(head)
+                await service.drain()
+                assert engine.stats.tombstones == 1
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 5.0
+                while engine.stats.tombstones:
+                    assert loop.time() < deadline, "tombstone never expired"
+                    await asyncio.sleep(0.02)
+                assert not service._tombstones
+
+        asyncio.run(run())
+
+
 class TestServeConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"max_pending_samples": 0},
