@@ -45,8 +45,7 @@ def main() -> None:
     print("=== 2. Batch-recognize the whole dataset in one call ===")
     records = list(dataset)
     engine = BatchRecognizer(
-        sharded, metric="nr_mapped_vmstat", depth=recognizer.depth_,
-        backend="thread", n_workers=4,
+        sharded, metric="nr_mapped_vmstat", depth=recognizer.depth_
     )
     t0 = time.perf_counter()
     batch_results = engine.recognize_records(records)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import zipfile
 from typing import List, Optional
 
 from repro import __version__
@@ -182,9 +183,6 @@ def _add_engine(sub: argparse._SubParsersAction) -> None:
                            help="rounding depth the dictionary was built with")
     recognize.add_argument("--interval", nargs=2, type=float,
                            default=[60.0, 120.0])
-    recognize.add_argument("--backend", default="thread",
-                           choices=["serial", "thread", "process"])
-    recognize.add_argument("--workers", type=int, default=None)
 
     info = esub.add_parser(
         "info",
@@ -304,10 +302,6 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
                    help="evict sessions idle this many seconds (default: never)")
     p.add_argument("--evict", default="force", choices=["force", "drop"],
                    help="eviction outcome: early verdict, or error")
-    p.add_argument("--backend", default="serial",
-                   choices=["serial", "thread", "process"],
-                   help="engine shard fan-out backend")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--family", action="store_true",
                    help="serve family-cascade verdicts: a coarse family "
                         "tier at --family-coarse-depth screens probes "
@@ -444,9 +438,6 @@ def _add_family(sub: argparse._SubParsersAction) -> None:
     report.add_argument("--metric", default="nr_mapped_vmstat")
     report.add_argument("--interval", nargs=2, type=float,
                         default=[60.0, 120.0])
-    report.add_argument("--backend", default="serial",
-                        choices=["serial", "thread", "process"])
-    report.add_argument("--workers", type=int, default=None)
     report.add_argument("--quiet", action="store_true",
                         help="suppress per-execution verdict lines")
 
@@ -649,13 +640,8 @@ def _cmd_engine_selftest(args: argparse.Namespace) -> int:
         if match_fingerprints(sharded, fps) != match_fingerprints(flat, fps):
             failures.append(f"sharded lookup mismatch on record {record.record_id}")
             break
-    engine = None
-    for backend in ("serial", "thread", "process"):
-        engine = BatchRecognizer(
-            sharded, depth=2, backend=backend, n_workers=2
-        )
-        if engine.recognize_records(records) != sequential:
-            failures.append(f"batch mismatch on backend {backend!r}")
+    if BatchRecognizer(sharded, depth=2).recognize_records(records) != sequential:
+        failures.append("batch mismatch")
 
     streaming = StreamingRecognizer.from_recognizer(recognizer)
     sessions = []
@@ -665,9 +651,9 @@ def _cmd_engine_selftest(args: argparse.Namespace) -> int:
             series = record.series("nr_mapped_vmstat", node)
             session.ingest_many(node, series.times, series.values)
         sessions.append(session)
-    batch_verdicts = BatchRecognizer(
-        sharded, depth=2, backend="serial"
-    ).recognize_sessions(sessions, force=True)
+    batch_verdicts = BatchRecognizer(sharded, depth=2).recognize_sessions(
+        sessions, force=True
+    )
     if batch_verdicts != [s.verdict(force=True) for s in sessions]:
         failures.append("session batch mismatch")
 
@@ -696,8 +682,7 @@ def _cmd_engine_selftest(args: argparse.Namespace) -> int:
         f"{len(flat)} keys across {args.shards} shard(s) "
         f"{sharded.shard_sizes()}"
     )
-    if engine is not None:
-        print(engine.stats.render())
+    print(engine.stats.render())
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}")
@@ -786,22 +771,36 @@ def _cmd_engine_reshard(args: argparse.Namespace) -> int:
     return 0
 
 
+def _error_text(exc: BaseException) -> str:
+    """One-line message of ``exc`` (a ``KeyError`` prints its message,
+    not the repr of its key)."""
+    if isinstance(exc, KeyError) and exc.args:
+        return str(exc.args[0])
+    return str(exc)
+
+
+#: What a missing or corrupt store or dataset raises on load, and what a
+#: dataset without the requested ``--metric`` raises on recognition.
+_INPUT_ERRORS = (OSError, ValueError, KeyError, zipfile.BadZipFile)
+
+
 def _cmd_engine_recognize(args: argparse.Namespace) -> int:
     from repro.data.io import load_dataset
     from repro.engine import BatchRecognizer, load_sharded
 
-    sharded = load_sharded(args.efd_dir)
-    dataset = load_dataset(args.data)
-    engine = BatchRecognizer(
-        sharded,
-        metric=args.metric,
-        depth=args.depth,
-        interval=(args.interval[0], args.interval[1]),
-        backend=args.backend,
-        n_workers=args.workers,
-    )
-    records = list(dataset)
-    predictions = engine.predict(records)
+    try:
+        sharded = load_sharded(args.efd_dir)
+        records = list(load_dataset(args.data))
+        engine = BatchRecognizer(
+            sharded,
+            metric=args.metric,
+            depth=args.depth,
+            interval=(args.interval[0], args.interval[1]),
+        )
+        predictions = engine.predict(records)
+    except _INPUT_ERRORS as exc:
+        print(f"engine recognize: {_error_text(exc)}", file=sys.stderr)
+        return 2
     correct = sum(
         1 for r, p in zip(records, predictions) if p == r.app_name
     )
@@ -968,8 +967,6 @@ def _serve_build_engine(args: argparse.Namespace, listening: bool = False):
             cascade,
             metric=args.metric,
             interval=(args.interval[0], args.interval[1]),
-            backend=args.backend,
-            n_workers=args.workers,
         )
     else:
         engine = BatchRecognizer(
@@ -977,8 +974,6 @@ def _serve_build_engine(args: argparse.Namespace, listening: bool = False):
             metric=args.metric,
             depth=depth,
             interval=(args.interval[0], args.interval[1]),
-            backend=args.backend,
-            n_workers=args.workers,
         )
     if getattr(args, "remote", None) is not None:
         # One stats object end to end: the backend's remote_* counters
@@ -1436,13 +1431,17 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _family_load_dictionary(args: argparse.Namespace):
-    if args.efd is not None:
-        from repro.core.serialization import load_dictionary
-
-        return load_dictionary(args.efd)
+    from repro.core.serialization import load_dictionary
     from repro.engine import load_sharded
 
-    return load_sharded(args.efd_dir)
+    try:
+        if args.efd is not None:
+            return load_dictionary(args.efd)
+        return load_sharded(args.efd_dir)
+    except _INPUT_ERRORS as exc:
+        raise SystemExit(
+            f"efd family {args.family_command}: {_error_text(exc)}"
+        )
 
 
 def _cmd_family_build(args: argparse.Namespace) -> int:
@@ -1497,14 +1496,15 @@ def _cmd_family_report(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"efd family report: {exc}")
-    records = list(load_dataset(args.data))
-    verdicts = cascade.recognize_records(
-        records,
-        metric=args.metric,
-        interval=(args.interval[0], args.interval[1]),
-        backend=args.backend,
-        n_workers=args.workers,
-    )
+    try:
+        records = list(load_dataset(args.data))
+        verdicts = cascade.recognize_records(
+            records,
+            metric=args.metric,
+            interval=(args.interval[0], args.interval[1]),
+        )
+    except _INPUT_ERRORS as exc:
+        raise SystemExit(f"efd family report: {_error_text(exc)}")
     tally = {"match": 0, "near-family": 0, "unknown": 0}
     for record, verdict in zip(records, verdicts):
         tally[verdict.outcome] += 1

@@ -27,9 +27,9 @@ would run.  ``repro.engine`` is the scale-out layer:
 - :class:`~repro.engine.batch.BatchRecognizer` recognizes many
   executions (or many live :class:`~repro.core.streaming.StreamSession`
   objects) in one call: interval means are computed vectorized over
-  nodes with NumPy, unique fingerprints are looked up once via a
-  per-shard tuple index built in parallel over shards
-  (``repro.parallel.pool`` — serial / thread / process backends), and
+  nodes with NumPy, unique fingerprints are resolved once through the
+  store's own batch path (``lookup_many``, or a ``(node, value)`` index
+  built from the store), all serially in the calling thread, and
   per-execution votes reuse the exact matcher semantics.
 
 - :class:`~repro.engine.stats.EngineStats` counts lookups, hits, ties,
@@ -114,7 +114,7 @@ Shard layouts on disk::
 
 Equivalence with the flat dictionary is enforced by property tests
 (``tests/test_engine_properties.py``) across storage backends
-({flat, sharded-JSON, npz, mmap}), shard counts, and pool backends.
+({flat, sharded-JSON, npz, mmap}) and shard counts.
 """
 
 from repro.engine.backend import DictionaryBackend, merge_into

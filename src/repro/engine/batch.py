@@ -17,19 +17,18 @@ all of that amortizes:
 - stored records resolve every ``(node, value)`` probe of the batch to
   an integer entry handle in one call, and a record's verdict is
   computed once per distinct handle pattern;
-- duplicate fingerprints across the batch are looked up once, and the
-  unique-key lookups fan out shard-parallel via
-  :func:`repro.parallel.pool.parallel_map`;
+- duplicate fingerprints across the batch are looked up once, in one
+  ``lookup_many`` call on the store (vectorized columns, routed shards
+  or a remote scatter/gather — whatever the store's batch path is);
 - the application order for tie-breaking is computed once per batch.
 
 The result list is element-wise equal to a sequential loop of
-``match_fingerprints`` calls — property-tested across shard counts and
-pool backends in ``tests/test_engine_properties.py``.
+``match_fingerprints`` calls — property-tested across storage layouts
+and shard counts in ``tests/test_engine_properties.py``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -47,10 +46,8 @@ from repro.engine.columnar import (
     ResolvedProbes,
 )
 from repro.engine.remote import RemoteShardBackend
-from repro.engine.sharded import ShardedDictionary, shard_index
+from repro.engine.sharded import ShardedDictionary
 from repro.engine.stats import EngineStats
-from repro.parallel.partition import chunk_evenly
-from repro.parallel.pool import parallel_map
 
 AnyDictionary = Union[ExecutionFingerprintDictionary, ShardedDictionary]
 
@@ -62,7 +59,7 @@ _Verdict = Tuple[Tuple[str, ...], Dict[str, int], Dict[str, int], int, int, int]
 
 
 def _shard_tuple_index(
-    task: Tuple[AnyDictionary, str, Tuple[float, float]]
+    store: AnyDictionary, metric: str, interval: Tuple[float, float]
 ) -> TupleIndex:
     """(node, value) -> (label list, distinct apps) for one store's keys
     of one (metric, interval) — the engine's O(1) batch lookup table.
@@ -70,7 +67,6 @@ def _shard_tuple_index(
     The per-key app tuple precomputes what ``vote()`` would re-derive
     for every lookup: the applications this key's labels span, deduped.
     """
-    store, metric, interval = task
     index: TupleIndex = {}
     for fp, labels in store.entries():
         if fp.metric == metric and fp.interval == interval:
@@ -79,89 +75,31 @@ def _shard_tuple_index(
     return index
 
 
-def _lookup_chunk(
-    task: Tuple[AnyDictionary, List[Fingerprint]]
-) -> List[List[str]]:
-    """Look a chunk of unique fingerprints up in one store (pool worker)."""
-    store, fps = task
-    return [store.lookup(fp) for fp in fps]
-
-
 def _batch_lookup(
     dictionary: AnyDictionary,
     unique: List[Fingerprint],
-    backend: str,
-    n_workers: Optional[int],
     stats: Optional[EngineStats] = None,
 ) -> Dict[Fingerprint, List[str]]:
     """Resolve each unique fingerprint to its label list.
 
-    For a columnar store the whole batch resolves vectorized against the
-    column arrays (``base ∪ delta overlay``) — no shard is hydrated and
-    no pool is spun up.  For a sharded store the work units are the
-    shards themselves (each worker queries only the shard that owns its
-    keys); a flat store is split into even chunks.
+    One ``lookup_many`` call: every store answers a batch through its
+    own path (vectorized columns, routed shards, a remote
+    scatter/gather).  ``None`` means the store has no batch path that
+    reflects its live state (a columnar base mutated behind the
+    delta-log), so the keys fall back to per-key ``lookup`` and the
+    demotion is counted for ``efd engine info --stats``.
     """
-    overlay_keys: frozenset = frozenset()
-    if isinstance(dictionary, RemoteShardBackend):
-        # Remote stores must never fall through to per-key lookups (one
-        # round trip per key): probe_many IS the batch path — a parallel
-        # scatter/gather with the resilience layer around every call.
-        label_lists = dictionary.lookup_many(unique)
-        return dict(zip(unique, label_lists))
-    if isinstance(dictionary, ColumnarDictionary):
-        label_lists = dictionary.lookup_many(unique)
-        if label_lists is not None:
-            return dict(zip(unique, label_lists))
-        # A shard was mutated behind the delta-log (or the rank space
-        # overflowed): fall through to the generic shard-bucket path,
-        # which sees the live shard state — and count the demotion so
-        # `efd engine info --stats` surfaces the lost fast path.
+    label_lists = dictionary.lookup_many(unique)
+    if label_lists is None:
         if stats is not None:
             stats.add(index_demotions=1)
-        # The shard buckets below cannot see pending overlay keys;
-        # their slots are patched from the merged point path after.
-        overlay_keys = frozenset(dictionary.overlay_keys())
-    if isinstance(dictionary, ShardedDictionary):
-        buckets: List[List[Fingerprint]] = [
-            [] for _ in range(dictionary.n_shards)
-        ]
-        for fp in unique:
-            buckets[shard_index(fp, dictionary.n_shards)].append(fp)
-        tasks = [
-            (dictionary.shards[i], bucket)
-            for i, bucket in enumerate(buckets)
-            if bucket
-        ]
-    else:
-        tasks = [
-            (dictionary, chunk) for chunk in chunk_evenly(unique, _n_tasks(n_workers))
-        ]
-    label_lists = parallel_map(
-        _lookup_chunk, tasks, backend=backend, n_workers=n_workers
-    )
-    table: Dict[Fingerprint, List[str]] = {}
-    for (_, fps), labels in zip(tasks, label_lists):
-        for fp, found in zip(fps, labels):
-            table[fp] = found
-    if overlay_keys:
-        for fp in unique:
-            if fp in overlay_keys:
-                table[fp] = dictionary.lookup(fp)  # merged live state
-    return table
-
-
-def _n_tasks(n_workers: Optional[int]) -> int:
-    if n_workers is not None:
-        return max(n_workers, 1)
-    return max(os.cpu_count() or 1, 1)
+        label_lists = [dictionary.lookup(fp) for fp in unique]
+    return dict(zip(unique, label_lists))
 
 
 def match_fingerprints_batch(
     dictionary: AnyDictionary,
     fingerprint_lists: Sequence[Sequence[Optional[Fingerprint]]],
-    backend: str = "serial",
-    n_workers: Optional[int] = None,
     stats: Optional[EngineStats] = None,
 ) -> Tuple[List[MatchResult], int]:
     """Match many executions' fingerprints in one pass.
@@ -178,7 +116,7 @@ def match_fingerprints_batch(
         for fp in fps:
             if fp is not None:
                 unique.setdefault(fp, None)
-    table = _batch_lookup(dictionary, list(unique), backend, n_workers, stats)
+    table = _batch_lookup(dictionary, list(unique), stats)
     position = {app: i for i, app in enumerate(dictionary.app_names())}
     results: List[MatchResult] = []
     n_hits = 0
@@ -405,9 +343,6 @@ class BatchRecognizer:
     metric / depth / interval / unknown_label:
         Fingerprint configuration, as in
         :class:`~repro.core.recognizer.EFDRecognizer`.
-    backend / n_workers:
-        :func:`~repro.parallel.pool.parallel_map` configuration for the
-        shard fan-out (``"serial"``, ``"thread"``, or ``"process"``).
     """
 
     def __init__(
@@ -417,8 +352,6 @@ class BatchRecognizer:
         depth: int = 3,
         interval: Tuple[float, float] = DEFAULT_INTERVAL,
         unknown_label: str = "unknown",
-        backend: str = "serial",
-        n_workers: Optional[int] = None,
     ):
         if len(dictionary) == 0:
             raise ValueError("cannot recognize against an empty dictionary")
@@ -432,8 +365,6 @@ class BatchRecognizer:
         self.depth = int(depth)
         self.interval = (float(start), float(end))
         self.unknown_label = unknown_label
-        self.backend = backend
-        self.n_workers = n_workers
         self.stats = EngineStats()
         self._index: Optional[Union[TupleIndex, ColumnarBatchIndex]] = None
         self._index_version: Optional[int] = None
@@ -469,11 +400,7 @@ class BatchRecognizer:
 
     @classmethod
     def from_recognizer(
-        cls,
-        recognizer,
-        n_shards: int = 1,
-        backend: str = "serial",
-        n_workers: Optional[int] = None,
+        cls, recognizer, n_shards: int = 1
     ) -> "BatchRecognizer":
         """Bind to a fitted :class:`~repro.core.recognizer.EFDRecognizer`.
 
@@ -490,8 +417,6 @@ class BatchRecognizer:
             depth=recognizer.depth_,
             interval=recognizer.interval,
             unknown_label=recognizer.unknown_label,
-            backend=backend,
-            n_workers=n_workers,
         )
 
     # -- batch over stored executions --------------------------------------
@@ -601,7 +526,7 @@ class BatchRecognizer:
         Against a pristine :class:`ColumnarDictionary` this is the
         vectorized rank-packed index built straight from the columns (no
         shard hydration, no per-key Python work); otherwise the classic
-        per-key dict is built shard-parallel.
+        per-key dict is built shard by shard.
         """
         version = self.dictionary.version
         if self._index is not None and self._index_version == version:
@@ -614,22 +539,14 @@ class BatchRecognizer:
                 self._index_version = version
                 return index
             self.stats.add(index_demotions=1)
-        if isinstance(self.dictionary, ShardedDictionary):
-            tasks = [
-                (shard, self.metric, self.interval)
-                for shard in self.dictionary.shards
-            ]
-        else:
-            tasks = [(self.dictionary, self.metric, self.interval)]
-        partials = parallel_map(
-            _shard_tuple_index,
-            tasks,
-            backend=self.backend,
-            n_workers=self.n_workers,
+        stores = (
+            self.dictionary.shards
+            if isinstance(self.dictionary, ShardedDictionary)
+            else [self.dictionary]
         )
         index: TupleIndex = {}
-        for partial in partials:
-            index.update(partial)
+        for store in stores:
+            index.update(_shard_tuple_index(store, self.metric, self.interval))
         if columnar:
             # The shard scan cannot see pending delta-overlay keys.
             index.update(
@@ -679,11 +596,7 @@ class BatchRecognizer:
         self, fingerprint_lists: Sequence[Sequence[Optional[Fingerprint]]]
     ) -> List[MatchResult]:
         results, n_hits = match_fingerprints_batch(
-            self.dictionary,
-            fingerprint_lists,
-            backend=self.backend,
-            n_workers=self.n_workers,
-            stats=self.stats,
+            self.dictionary, fingerprint_lists, stats=self.stats
         )
         self._record_stats(results, n_hits)
         return results
@@ -702,5 +615,5 @@ class BatchRecognizer:
         kind = type(self.dictionary).__name__
         return (
             f"BatchRecognizer({kind}, metric={self.metric!r}, "
-            f"depth={self.depth}, backend={self.backend!r})"
+            f"depth={self.depth})"
         )

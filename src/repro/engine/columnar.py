@@ -481,20 +481,10 @@ class _LazyShard:
     def __getattr__(self, name: str):
         return getattr(self._hydrate(), name)
 
-    def __reduce__(self):
-        # Pool workers (process backend) cannot share this proxy's file
-        # handles or owner: ship the hydrated flat shard instead, which
-        # satisfies the same read contract on the other side.
-        return _as_is, (self._hydrate(),)
-
     def __repr__(self) -> str:
         state = "hydrated" if self.hydrated else "lazy"
         return f"_LazyShard(index={self._index}, n_keys={len(self)}, {state})"
 
-
-def _as_is(efd: ExecutionFingerprintDictionary) -> ExecutionFingerprintDictionary:
-    """Pickle helper for :meth:`_LazyShard.__reduce__`."""
-    return efd
 
 # ---------------------------------------------------------------------------
 # Vectorized lookup
@@ -1044,24 +1034,6 @@ class ColumnarDictionary(ShardedDictionary):
             self._delta.append_label(label)
         self._label_order.setdefault(label, None)
         self._app_order.setdefault(app_of_label(label), None)
-
-    def bulk_add(self, pairs, backend: str = "serial",
-                 n_workers: Optional[int] = None) -> int:
-        """Insert many pairs through the delta-log.
-
-        The sharded bucketing fan-out would bypass the log (it merges
-        into the shard objects directly), so the columnar store takes
-        the sequential routed path — the JSONL append dominates either
-        way.  ``None`` fingerprints still register their label.
-        """
-        n = 0
-        for fp, label in pairs:
-            if fp is None:
-                self.register_label(label)
-                continue
-            self.add(fp, label)
-            n += 1
-        return n
 
     def compact_delta(self) -> int:
         """Fold pending delta-log records into the base columns, in place.

@@ -29,7 +29,6 @@ from repro.core.dictionary import (
 )
 from repro.core.fingerprint import Fingerprint
 from repro.core.serialization import dictionary_from_json, dictionary_to_json
-from repro.parallel.pool import parallel_map
 
 _MANIFEST_NAME = "manifest.json"
 _SHARD_FORMAT_VERSION = 1
@@ -61,16 +60,6 @@ def shard_index(fingerprint: Fingerprint, n_shards: int) -> int:
 
 def _shard_filename(index: int) -> str:
     return f"shard-{index:02d}.json"
-
-
-def _efd_from_pairs(
-    pairs: Sequence[Tuple[Fingerprint, str]]
-) -> ExecutionFingerprintDictionary:
-    """Build a flat EFD from (fingerprint, label) pairs (bulk_add worker)."""
-    efd = ExecutionFingerprintDictionary()
-    for fp, label in pairs:
-        efd.add(fp, label)
-    return efd
 
 
 class ShardedDictionary:
@@ -160,43 +149,22 @@ class ShardedDictionary:
         return n
 
     def bulk_add(
-        self,
-        pairs: Sequence[Tuple[Optional[Fingerprint], str]],
-        backend: str = "serial",
-        n_workers: Optional[int] = None,
+        self, pairs: Sequence[Tuple[Optional[Fingerprint], str]]
     ) -> int:
-        """Insert many (fingerprint, label) pairs, shard-parallel.
-
-        Pairs are bucketed by owning shard, each bucket is folded into a
-        fresh flat dictionary by one :func:`parallel_map` worker, and the
-        results are merged shard-by-shard.  Global orders are fixed from
-        the pair sequence *before* dispatch, so the outcome is identical
-        to a sequential :meth:`add` loop for every backend.  ``None``
-        fingerprints are skipped (their label still registers, so the
-        first-seen orders match every other backend's ``bulk_add``);
-        returns the number inserted.
+        """Insert many (fingerprint, label) pairs in order; returns how
+        many were inserted.  ``None`` fingerprints are skipped, but
+        their label still registers, so the first-seen orders match
+        every other backend's ``bulk_add``.  Subclasses inherit the
+        routing through their own :meth:`add` (the columnar store's
+        goes through its delta-log).
         """
-        buckets: List[List[Tuple[Fingerprint, str]]] = [
-            [] for _ in range(self.n_shards)
-        ]
         n = 0
         for fp, label in pairs:
             if fp is None:
                 self.register_label(label)
                 continue
-            self._key_order.setdefault(fp, None)
-            self.register_label(label)
-            buckets[shard_index(fp, self.n_shards)].append((fp, label))
+            self.add(fp, label)
             n += 1
-        occupied = [i for i, b in enumerate(buckets) if b]
-        built = parallel_map(
-            _efd_from_pairs,
-            [buckets[i] for i in occupied],
-            backend=backend,
-            n_workers=n_workers,
-        )
-        for i, efd in zip(occupied, built):
-            self.shards[i].merge(efd)
         return n
 
     def merge(self, other) -> None:

@@ -391,29 +391,25 @@ class FamilyCascade:
     def cascade_match(
         self,
         fingerprint_lists: Sequence[Sequence[Optional[Fingerprint]]],
-        backend: str = "serial",
-        n_workers: Optional[int] = None,
     ) -> List[FamilyVerdict]:
         """Cascade a batch of executions' *fine-depth* fingerprints.
 
         Per execution: project every fingerprint onto the coarse tier
         and vote at family level; probes whose projection misses are
         guaranteed global misses and never reach the fine backend.  The
-        surviving unique keys resolve through the fine backend's batch
-        path (``lookup_many`` scatter/gather for a remote store, the
-        vectorized columnar index, shard buckets, or chunked flat
-        lookups), and the full-depth verdict is assembled exactly as
+        surviving unique keys resolve through the fine backend's own
+        ``lookup_many`` (scatter/gather for a remote store, the
+        vectorized columnar index, routed shard lookups), and the
+        full-depth verdict is assembled exactly as
         flat recognition would — so ``verdict.match`` is element-wise
         equal to ``match_fingerprints(fine, fps)``.
         """
-        verdicts, _ = self._cascade(fingerprint_lists, backend, n_workers)
+        verdicts, _ = self._cascade(fingerprint_lists)
         return verdicts
 
     def _cascade(
         self,
         fingerprint_lists: Sequence[Sequence[Optional[Fingerprint]]],
-        backend: str = "serial",
-        n_workers: Optional[int] = None,
     ) -> Tuple[List[FamilyVerdict], int]:
         """:meth:`cascade_match` plus the fine-tier hit count (the
         ``n_hits`` that :meth:`EngineStats.record_batch` expects)."""
@@ -433,9 +429,7 @@ class FamilyCascade:
         }
         need_fine = [fp for fp in unique if coarse_table[fp]]
         fine_table = (
-            _batch_lookup(self.fine, need_fine, backend, n_workers, self.stats)
-            if need_fine
-            else {}
+            _batch_lookup(self.fine, need_fine, self.stats) if need_fine else {}
         )
         fam_position = {f: i for i, f in enumerate(self.coarse.labels())}
         app_position = {a: i for i, a in enumerate(self.fine.app_names())}
@@ -565,8 +559,6 @@ class FamilyCascade:
         records: Sequence,
         metric: str = "nr_mapped_vmstat",
         interval: Tuple[float, float] = DEFAULT_INTERVAL,
-        backend: str = "serial",
-        n_workers: Optional[int] = None,
     ) -> List[FamilyVerdict]:
         """Cascade stored :class:`~repro.data.dataset.ExecutionRecord`\\ s:
         fingerprints are built once at ``fine_depth`` (the coarse probes
@@ -576,9 +568,7 @@ class FamilyCascade:
         fingerprint_lists = build_fingerprints_batch(
             records, metric, self.fine_depth, interval
         )
-        return self.cascade_match(
-            fingerprint_lists, backend=backend, n_workers=n_workers
-        )
+        return self.cascade_match(fingerprint_lists)
 
     def coarse_stats(self) -> Dict[str, int]:
         """Tier sizes: how small the coarse tier actually stays."""
@@ -603,8 +593,6 @@ def make_family_engine(
     metric: str = "nr_mapped_vmstat",
     interval: Tuple[float, float] = DEFAULT_INTERVAL,
     unknown_label: str = "unknown",
-    backend: str = "serial",
-    n_workers: Optional[int] = None,
 ):
     """A :class:`FamilyBatchRecognizer` bound to ``cascade`` (deferred
     import helper so ``repro.family`` stays importable without the
@@ -627,17 +615,12 @@ def make_family_engine(
                 depth=cascade.fine_depth,
                 interval=interval,
                 unknown_label=unknown_label,
-                backend=backend,
-                n_workers=n_workers,
             )
             self.cascade = cascade
             cascade.stats = self.stats
 
         def _match(self, fingerprint_lists):
-            verdicts, n_hits = cascade._cascade(
-                fingerprint_lists, backend=self.backend,
-                n_workers=self.n_workers,
-            )
+            verdicts, n_hits = cascade._cascade(fingerprint_lists)
             self._record_stats(verdicts, n_hits)
             return verdicts
 

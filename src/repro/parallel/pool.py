@@ -6,28 +6,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
 
+from repro._util.errors import WorkerError
+
 T = TypeVar("T")
 R = TypeVar("R")
 
 _BACKENDS = ("serial", "thread", "process")
-
-
-class WorkerError(RuntimeError):
-    """A ``parallel_map`` worker raised.
-
-    Carries which item failed (``index``) and the original exception
-    (``original``, also chained as ``__cause__``) — with pooled workers
-    the bare exception otherwise surfaces with no hint of which of the
-    N items caused it.
-    """
-
-    def __init__(self, index: int, n_items: int, original: BaseException):
-        self.index = index
-        self.original = original
-        super().__init__(
-            f"worker failed on item {index} of {n_items}: "
-            f"{type(original).__name__}: {original}"
-        )
 
 
 def _default_workers() -> int:

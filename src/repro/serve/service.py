@@ -54,7 +54,7 @@ Guarantees (property-tested in ``tests/test_serve_service.py``):
   are kept, and each expires after ``session_timeout`` without samples.
 - **Explicit failure** — a recognition worker crash is isolated to the
   failing session and surfaces as a
-  :class:`~repro.parallel.pool.WorkerError` carrying that session's job
+  :class:`~repro._util.errors.WorkerError` carrying that session's job
   id; healthy sessions in the same micro-batch still resolve.
 """
 
@@ -79,10 +79,10 @@ from typing import (
     Union,
 )
 
+from repro._util.errors import WorkerError
 from repro.core.matcher import MatchResult
 from repro.core.streaming import StreamSession
 from repro.engine.batch import BatchRecognizer
-from repro.parallel.pool import WorkerError
 from repro.serve.config import ServeConfig
 from repro.serve.stream import Sample, SampleBlock
 
@@ -113,7 +113,7 @@ class SessionEvicted(ServeError):
 class SessionWorkerError(WorkerError):
     """Recognition crashed on one session of a micro-batch.
 
-    A :class:`~repro.parallel.pool.WorkerError` (so existing handlers
+    A :class:`~repro._util.errors.WorkerError` (so existing handlers
     keep working) that additionally names the failing session's job id
     (:attr:`session_id`).
     """
@@ -567,7 +567,7 @@ class IngestService:
         yet-routed job is waited for (the ingest queue is flushed first);
         a job the service has truly never seen raises :class:`KeyError`.
         Raises :class:`SessionEvicted` for dropped sessions and
-        :class:`~repro.parallel.pool.WorkerError` when recognition
+        :class:`~repro._util.errors.WorkerError` when recognition
         crashed on this session.  Wrap in :func:`asyncio.wait_for` for a
         deadline — cancelling this coroutine never cancels the verdict
         itself (the underlying future is shielded).
@@ -817,9 +817,8 @@ class IngestService:
                     None, partial(self._recognize, [state.session])
                 )
             except Exception as exc:
-                original = exc.original if isinstance(exc, WorkerError) else exc
                 self._resolve_error(
-                    state, SessionWorkerError(state.job, index, n, original)
+                    state, SessionWorkerError(state.job, index, n, exc)
                 )
             else:
                 self._resolve(state, result[0])

@@ -110,7 +110,7 @@ class TestEngineCommands:
 
         assert main([
             "engine", "recognize", "--efd-dir", shards, "--data", data,
-            "--depth", "2", "--backend", "thread",
+            "--depth", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert "accuracy:" in out
@@ -303,6 +303,90 @@ class TestEngineCommands:
         ]) == 0
         out = capsys.readouterr().out
         assert "served 1 session(s)" in out
+
+
+
+class TestNamedInputErrors:
+    """A missing or corrupt store or dataset, or a dataset without the
+    requested metric, is a one-line named error, never a traceback:
+    ``engine recognize`` exits 2, ``family build``/``report`` raise a
+    ``SystemExit`` naming the command."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("inputs")
+        data = str(root / "ds.npz")
+        efd = str(root / "efd.json")
+        shards = str(root / "efd-shards")
+        main(["generate", "--out", data, "--repetitions", "1",
+              "--duration-cap", "150", "--seed", "11"])
+        main(["fit", "--data", data, "--out", efd, "--depth", "2"])
+        main(["engine", "shard", "--efd", efd, "--out", shards,
+              "--shards", "2"])
+        truncated = str(root / "truncated.npz")
+        with open(data, "rb") as src, open(truncated, "wb") as dst:
+            dst.write(src.read(300))
+        garbled = str(root / "garbled")
+        os.makedirs(garbled)
+        with open(os.path.join(garbled, "manifest.json"), "w") as fh:
+            fh.write("{not json")
+        return {
+            "data": data, "efd": efd, "shards": shards,
+            "truncated": truncated, "garbled": garbled,
+            "missing": str(root / "nonexistent"),
+        }
+
+    @pytest.mark.parametrize("store, dataset, metric, named", [
+        ("missing", "data", "nr_mapped_vmstat", "nonexistent"),
+        ("garbled", "data", "nr_mapped_vmstat", "garbled"),
+        ("shards", "missing", "nr_mapped_vmstat", "nonexistent"),
+        ("shards", "truncated", "nr_mapped_vmstat", "zip"),
+        ("shards", "data", "bogus_metric", "no telemetry for metric"),
+    ])
+    def test_engine_recognize_exit_2(
+        self, inputs, store, dataset, metric, named, capsys
+    ):
+        capsys.readouterr()
+        assert main([
+            "engine", "recognize", "--efd-dir", inputs[store],
+            "--data", inputs[dataset], "--depth", "2", "--metric", metric,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("engine recognize: ")
+        assert named in captured.err
+        assert "Traceback" not in captured.err
+        assert "accuracy" not in captured.out
+
+    @pytest.mark.parametrize("source, dataset, metric, named", [
+        (["--efd-dir", "missing"], "data", "nr_mapped_vmstat", "nonexistent"),
+        (["--efd-dir", "garbled"], "data", "nr_mapped_vmstat", "garbled"),
+        (["--efd", "missing"], "data", "nr_mapped_vmstat", "nonexistent"),
+        (["--efd", "data"], "data", "nr_mapped_vmstat", "decode"),
+        (["--efd", "efd"], "missing", "nr_mapped_vmstat", "nonexistent"),
+        (["--efd", "efd"], "truncated", "nr_mapped_vmstat", "zip"),
+        (["--efd", "efd"], "data", "bogus_metric", "no telemetry for metric"),
+    ])
+    def test_family_report_names_the_error(
+        self, inputs, source, dataset, metric, named
+    ):
+        flag, key = source
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "family", "report", flag, inputs[key],
+                "--data", inputs[dataset], "--depth", "2",
+                "--metric", metric, "--quiet",
+            ])
+        message = str(excinfo.value.code)
+        assert message.startswith("efd family report: ")
+        assert named in message
+
+    def test_family_build_names_a_missing_store(self, inputs):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["family", "build", "--efd-dir", inputs["missing"],
+                  "--depth", "2"])
+        message = str(excinfo.value.code)
+        assert message.startswith("efd family build: ")
+        assert "nonexistent" in message
 
 
 class TestServeCommand:

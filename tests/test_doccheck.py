@@ -1,14 +1,18 @@
-"""Doc health is part of tier-1: broken cross-links or examples that no
-longer import cleanly fail the suite, not just `make docs-check`."""
+"""Doc health is part of tier-1: broken cross-links, examples that no
+longer run, and documented command lines the CLI no longer accepts fail
+the suite, not just `make docs-check`."""
 
 from __future__ import annotations
 
 import os
+import re
+import shlex
 import textwrap
 
 import pytest
 
 from repro._util import doccheck
+from repro.cli import build_parser
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -29,6 +33,74 @@ class TestThisRepo:
         names = [os.path.basename(p) for p in doccheck.example_files(REPO_ROOT)]
         assert "quickstart.py" in names
         assert "live_serving.py" in names
+
+    def test_examples_run(self, capsys):
+        assert doccheck.main(["--root", REPO_ROOT, "--run"]) == 0
+        assert "doccheck: OK" in capsys.readouterr().out
+
+
+#: Tokens that end one command of a shell line.
+_SHELL_OPERATORS = {"|", "||", "&", "&&", ";", ">", ">>", "<"}
+
+
+def _documented_commands(root):
+    """``(file, argv)`` for every ``efd ...`` (or ``python -m repro ...``)
+    command inside a ```` ```sh ```` fence of README.md and docs/*.md,
+    with ``\\`` continuations joined and comments dropped."""
+    commands = []
+    for path in doccheck.markdown_files(root):
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+            for line in block.replace("\\\n", " ").splitlines():
+                tokens = shlex.split(line, comments=True)
+                for i, token in enumerate(tokens):
+                    if token == "efd":
+                        start = i + 1
+                    elif tokens[i:i + 3] == ["python", "-m", "repro"]:
+                        start = i + 3
+                    else:
+                        continue
+                    argv = []
+                    for arg in tokens[start:]:
+                        if arg in _SHELL_OPERATORS:
+                            break
+                        argv.append(arg)
+                    commands.append((os.path.relpath(path, root), argv))
+                    break
+    return commands
+
+
+class TestDocumentedCommandLines:
+    def test_every_documented_command_line_parses(self):
+        parser = build_parser()
+        commands = _documented_commands(REPO_ROOT)
+        assert len(commands) > 50  # the scan really found the fences
+        bad = []
+        for path, argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                bad.append(f"{path}: efd {' '.join(argv)}")
+        assert bad == []
+
+    def test_stale_option_is_flagged(self, tmp_path):
+        root = str(tmp_path)
+        with open(os.path.join(root, "README.md"), "w") as fh:
+            fh.write(textwrap.dedent("""\
+                ```sh
+                efd engine selftest --shards 4   # fine
+                cat s.jsonl | efd serve --demo \\
+                    --no-such-option 4
+                ```
+            """))
+        commands = _documented_commands(root)
+        assert [argv for _, argv in commands] == [
+            ["engine", "selftest", "--shards", "4"],
+            ["serve", "--demo", "--no-such-option", "4"],
+        ]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(commands[1][1])
 
 
 class TestSlugs:

@@ -4,8 +4,8 @@ Sharding and batching are pure reorganizations — every observable
 (lookups, tie arrays, vote counts, stats) must be byte-identical to the
 single-dictionary, one-execution-at-a-time reference path.  These tests
 drive both layers with randomized dictionaries (seeded — reproducible)
-and with the synthetic datasets, across shard counts {1, 2, 4, 8} and
-all three pool backends.
+and with the synthetic datasets, across storage layouts and shard counts
+{1, 2, 4, 8}.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.engine import (
 from repro.engine.batch import build_fingerprints_batch
 
 SHARD_COUNTS = (1, 2, 4, 8)
-BACKENDS = ("serial", "thread", "process")
 
 _METRICS = ("nr_mapped_vmstat", "Committed_AS_meminfo")
 _INTERVALS = ((60.0, 120.0), (0.0, 60.0))
@@ -174,15 +173,14 @@ class TestShardedEqualsFlat:
 
 
 class TestBulkAddAndMerge:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_bulk_add_equals_sequential(self, backend):
+    def test_bulk_add_equals_sequential(self):
         rng = random.Random(55)
         pairs = _random_pairs(rng, 200)
         sequential = ShardedDictionary(4)
         for fp, label in pairs:
             sequential.add(fp, label)
         bulk = ShardedDictionary(4)
-        inserted = bulk.bulk_add(pairs, backend=backend, n_workers=2)
+        inserted = bulk.bulk_add(pairs)
         assert inserted == len(pairs)
         assert list(bulk.entries()) == list(sequential.entries())
         assert bulk.labels() == sequential.labels()
@@ -233,36 +231,27 @@ class TestBatchEqualsSequential:
         ]
         assert batched == expected
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-    def test_recognize_records_equals_loop(self, fitted, backend, n_shards):
+    def test_recognize_records_equals_loop(self, fitted, n_shards):
         recognizer, records, sequential = fitted
         sharded = ShardedDictionary.from_flat(recognizer.dictionary_, n_shards)
-        engine = BatchRecognizer(
-            sharded, depth=2, backend=backend, n_workers=2
-        )
+        engine = BatchRecognizer(sharded, depth=2)
         assert engine.recognize_records(records) == sequential
         # Second pass exercises the cached lookup index.
         assert engine.recognize_records(records) == sequential
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_flat_dictionary_accepted_too(self, fitted, backend):
+    def test_flat_dictionary_accepted_too(self, fitted):
         recognizer, records, sequential = fitted
-        engine = BatchRecognizer(
-            recognizer.dictionary_, depth=2, backend=backend, n_workers=2
-        )
+        engine = BatchRecognizer(recognizer.dictionary_, depth=2)
         assert engine.recognize_records(records) == sequential
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_match_fingerprints_batch_equals_loop(self, fitted, backend):
+    def test_match_fingerprints_batch_equals_loop(self, fitted):
         recognizer, records, sequential = fitted
         fingerprint_lists = [
             build_fingerprints(r, "nr_mapped_vmstat", 2) for r in records
         ]
         sharded = ShardedDictionary.from_flat(recognizer.dictionary_, 4)
-        results, n_hits = match_fingerprints_batch(
-            sharded, fingerprint_lists, backend=backend, n_workers=2
-        )
+        results, n_hits = match_fingerprints_batch(sharded, fingerprint_lists)
         assert results == sequential
         assert n_hits == sum(
             1
@@ -475,29 +464,38 @@ class TestColumnarBackendEqualsFlat:
         ]
         assert engine.recognize_records(records[:4]) == expected
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mutated_columnar_correct_on_every_backend(
-        self, fitted, backend, tmp_path
+    def test_mutated_columnar_falls_back_to_per_key_lookup(
+        self, fitted, tmp_path
     ):
-        # After a write the columnar store answers through the generic
-        # shard fan-out — including process workers, which must be able
-        # to pickle the lazily-hydrating shard proxies.
+        # A write *behind* the delta-log (straight into a shard) voids
+        # the vectorized paths: lookup_many returns None, and the batch
+        # engine answers through per-key lookups, counting one demotion
+        # per call.
         recognizer, records, _ = fitted
         store = self._stores(recognizer, 4, tmp_path)["columnar"]
-        fps = build_fingerprints(records[0], "nr_mapped_vmstat", 2)
-        for fp in fps:
+        reference = ShardedDictionary.from_flat(recognizer.dictionary_, 1).to_flat()
+        store.register_label("zz_Q")
+        for fp in build_fingerprints(records[0], "nr_mapped_vmstat", 2):
             if fp is not None:
-                store.add(fp, "zz_Q")
-        engine = BatchRecognizer(store, depth=2, backend=backend, n_workers=2)
-        results = engine.recognize_records(records[:6])
-        assert "zz" in results[0].votes
+                store.shards[shard_index(fp, 4)].add(fp, "zz_Q")
+                reference.add(fp, "zz_Q")
         fingerprint_lists = [
             build_fingerprints(r, "nr_mapped_vmstat", 2) for r in records[:6]
         ]
-        batch, _ = match_fingerprints_batch(
-            store, fingerprint_lists, backend=backend, n_workers=2
+        expected, expected_hits = match_fingerprints_batch(
+            reference, fingerprint_lists
         )
-        assert batch == results
+        assert "zz" in expected[0].votes
+        engine = BatchRecognizer(store, depth=2)
+        for call in (1, 2):
+            before = engine.stats.index_demotions
+            batch, n_hits = match_fingerprints_batch(
+                store, fingerprint_lists, stats=engine.stats
+            )
+            assert batch == expected
+            assert n_hits == expected_hits
+            assert engine.stats.index_demotions == before + 1
+        assert engine.recognize_records(records[:6]) == expected
 
     def test_warm_prebuilds_and_keeps_results_identical(
         self, fitted, tmp_path
@@ -1178,3 +1176,41 @@ class TestFamilyCascadeEquivalence:
         finally:
             for close in closers:
                 close()
+
+
+class TestEnginePathImportsNoPool:
+    def test_no_engine_serve_or_family_module_imports_parallel(self):
+        """The engine resolves every batch through the store's own
+        ``lookup_many``; the process/thread pool in ``repro.parallel``
+        belongs to the experiment runner alone.  A new import of it on
+        the recognition path would bring the fan-out back."""
+        import ast
+        import pathlib
+
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        paths = [
+            *sorted((root / "engine").rglob("*.py")),
+            *sorted((root / "serve").rglob("*.py")),
+            root / "family.py",
+        ]
+        bad = []
+        for path in paths:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                for name in names:
+                    if name == "repro.parallel" or name.startswith(
+                        "repro.parallel."
+                    ):
+                        bad.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert len(paths) > 15  # the guard really walked the packages
+        assert bad == []
