@@ -3,8 +3,9 @@
 The acceptance bar for the columnar backend (ISSUE 3): against a
 synthetic ~1M-key dictionary,
 
-- the columnar directory must **load >= 5x faster** and be **>= 3x
-  smaller on disk** than the JSON shard layout, and
+- the columnar directory (raw memory-mapped ``shard-NN.mmap`` files)
+  must **load >= 5x faster** and be **>= 3x smaller on disk** than the
+  JSON shard layout, and
 - a cold :class:`~repro.engine.batch.BatchRecognizer` over the columnar
   index (index construction included) must be **>= 2x** the cached-dict
   index at a 1k-execution batch — with element-wise identical results.

@@ -11,7 +11,7 @@ pre-write baseline for the untouched keys.  This bench measures
 - **recognition drag**: the per-batch wall time while the overlay is
   non-empty vs. the pristine baseline, and
 - **compaction wall time**: folding the accumulated log back into the
-  ``shard-NN.npz`` base.
+  ``shard-NN.mmap`` base.
 
 ``BENCH_MUTATION_KEYS`` / ``BENCH_MUTATION_APPENDS`` scale the store
 down for smoke runs (``make mutation-smoke``); the throughput floor
@@ -190,7 +190,7 @@ def test_mutation_throughput(tmp_path, save_report, bench_record):
         f"under trickle {mean_batch * 1e3:8.1f} ms/batch "
         f"(batch={BATCH_SIZE})",
         f"compaction : {t_compact:8.2f} s to fold {folded} records into "
-        f"the npz base",
+        f"the mmap base",
         f"post-fold  : {t_post_compact * 1e3:8.1f} ms/batch "
         f"(cold index rebuild included)",
     ])

@@ -15,7 +15,7 @@ Subcommands
   (smoke-check shard/batch/columnar equivalence), ``shard`` (partition a
   flat dictionary JSON into a shard directory, ``--format json|columnar``),
   ``compact``/``expand`` (convert a shard directory between the JSON and
-  columnar npz layouts, in place or to ``--out``; ``compact`` also folds
+  columnar layouts, in place or to ``--out``; ``compact`` also folds
   a columnar directory's pending delta-log, and ``expand`` refuses one),
   ``reshard`` (rewrite a directory at a new shard count without a
   relearn), ``recognize`` (batch recognition against a shard directory,
@@ -122,31 +122,22 @@ def _add_engine(sub: argparse._SubParsersAction) -> None:
     shard.add_argument("--out", required=True, help="output shard directory")
     shard.add_argument("--shards", type=int, default=8)
     shard.add_argument("--format", default="json",
-                       choices=["json", "columnar", "mmap"],
-                       help="on-disk layout: diffable JSON shards, the "
-                            "columnar npz codec (smaller, faster to load), "
-                            "or columnar with raw memory-mapped shards "
-                            "(query-ready instantly, page-cache shared)")
+                       choices=["json", "columnar"],
+                       help="on-disk layout: diffable JSON shards, or "
+                            "columnar raw memory-mapped shards (smaller, "
+                            "query-ready instantly, page-cache shared)")
 
     compact = esub.add_parser(
         "compact",
         help="convert a JSON shard directory to the columnar layout, "
-             "fold a columnar directory's pending delta-log into its "
-             "base, or switch the columnar storage (--layout)",
+             "or fold a columnar directory's pending delta-log into its "
+             "base",
     )
     compact.add_argument("--dir", required=True, dest="directory",
                          help="JSON shard directory to convert, or a "
-                              "columnar directory with a pending delta-log "
-                              "or a different --layout")
+                              "columnar directory with a pending delta-log")
     compact.add_argument("--out", default=None,
                          help="write here instead of converting in place")
-    compact.add_argument("--layout", default=None,
-                         choices=["npz", "mmap"],
-                         help="columnar storage: compressed npz archives "
-                              "(archival) or raw memory-mapped files "
-                              "(serving; shared page-cache copy). Default: "
-                              "npz for a JSON source, keep the current "
-                              "storage for a columnar one")
 
     expand = esub.add_parser(
         "expand",
@@ -189,11 +180,8 @@ def _add_engine(sub: argparse._SubParsersAction) -> None:
         help="shard directory layout/occupancy, and/or render an "
              "EngineStats snapshot (--stats)",
     )
-    info.add_argument("--efd-dir", default=None, help="shard directory")
-    info.add_argument("--format", default="auto",
-                      choices=["auto", "json", "columnar"],
-                      help="expected directory layout (auto-detected by "
-                           "default; a mismatch is an error)")
+    info.add_argument("--efd-dir", default=None,
+                      help="shard directory (layout auto-detected)")
     info.add_argument("--stats", default=None, metavar="JSON",
                       help="render an EngineStats snapshot written by "
                            "`efd serve --stats-out`")
@@ -697,76 +685,13 @@ def _cmd_engine_shard(args: argparse.Namespace) -> int:
 
     flat = load_dictionary(args.efd)
     sharded = ShardedDictionary.from_flat(flat, args.shards)
-    if args.format in ("columnar", "mmap"):
-        save_columnar(
-            sharded, args.out,
-            storage="mmap" if args.format == "mmap" else "npz",
-        )
+    if args.format == "columnar":
+        save_columnar(sharded, args.out)
     else:
         save_sharded(sharded, args.out)
     print(
         f"sharded {len(flat)} keys into {args.shards} shard(s) "
         f"[{args.format}] {sharded.shard_sizes()} -> {args.out}"
-    )
-    return 0
-
-
-def _cmd_engine_compact(args: argparse.Namespace) -> int:
-    from repro.engine import compact_shards
-
-    try:
-        summary = compact_shards(
-            args.directory, out=args.out, layout=args.layout
-        )
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"engine compact: {exc}", file=sys.stderr)
-        return 2
-    if "folded_records" in summary:
-        print(
-            f"folded {summary['folded_records']} delta-log record(s) into "
-            f"{summary['n_keys']} keys across {summary['n_shards']} "
-            f"shard(s): {summary['columnar_bytes']} B columnar "
-            f"[{summary['storage']}] at {summary['directory']}"
-        )
-        return 0
-    ratio = (summary["json_bytes"] / summary["columnar_bytes"]
-             if summary["columnar_bytes"] else float("inf"))
-    print(
-        f"compacted {summary['n_keys']} keys across "
-        f"{summary['n_shards']} shard(s): "
-        f"{summary['json_bytes']} B JSON -> "
-        f"{summary['columnar_bytes']} B columnar [{summary['storage']}] "
-        f"({ratio:.1f}x smaller) at {summary['directory']}"
-    )
-    return 0
-
-
-def _cmd_engine_expand(args: argparse.Namespace) -> int:
-    from repro.engine import PendingDeltaError, expand_shards
-
-    try:
-        summary = expand_shards(args.directory, out=args.out)
-    except PendingDeltaError as exc:
-        print(f"engine expand: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"expanded {summary['n_keys']} keys across "
-        f"{summary['n_shards']} shard(s): "
-        f"{summary['columnar_bytes']} B columnar -> "
-        f"{summary['json_bytes']} B JSON at {summary['directory']}"
-    )
-    return 0
-
-
-def _cmd_engine_reshard(args: argparse.Namespace) -> int:
-    from repro.engine import reshard
-
-    summary = reshard(args.directory, args.shards, out=args.out)
-    print(
-        f"resharded {summary['n_keys']} keys [{summary['layout']}]: "
-        f"{summary['old_shards']} -> {summary['new_shards']} shard(s), "
-        f"{summary['moved_keys']} key(s) moved, occupancy "
-        f"{summary['shard_sizes']} at {summary['directory']}"
     )
     return 0
 
@@ -782,6 +707,68 @@ def _error_text(exc: BaseException) -> str:
 #: What a missing or corrupt store or dataset raises on load, and what a
 #: dataset without the requested ``--metric`` raises on recognition.
 _INPUT_ERRORS = (OSError, ValueError, KeyError, zipfile.BadZipFile)
+
+
+def _cmd_engine_compact(args: argparse.Namespace) -> int:
+    from repro.engine import compact_shards
+
+    try:
+        summary = compact_shards(args.directory, out=args.out)
+    except _INPUT_ERRORS as exc:
+        print(f"engine compact: {_error_text(exc)}", file=sys.stderr)
+        return 2
+    if "folded_records" in summary:
+        print(
+            f"folded {summary['folded_records']} delta-log record(s) into "
+            f"{summary['n_keys']} keys across {summary['n_shards']} "
+            f"shard(s): {summary['columnar_bytes']} B columnar "
+            f"at {summary['directory']}"
+        )
+        return 0
+    ratio = (summary["json_bytes"] / summary["columnar_bytes"]
+             if summary["columnar_bytes"] else float("inf"))
+    print(
+        f"compacted {summary['n_keys']} keys across "
+        f"{summary['n_shards']} shard(s): "
+        f"{summary['json_bytes']} B JSON -> "
+        f"{summary['columnar_bytes']} B columnar "
+        f"({ratio:.1f}x smaller) at {summary['directory']}"
+    )
+    return 0
+
+
+def _cmd_engine_expand(args: argparse.Namespace) -> int:
+    from repro.engine import expand_shards
+
+    try:
+        summary = expand_shards(args.directory, out=args.out)
+    except _INPUT_ERRORS as exc:
+        print(f"engine expand: {_error_text(exc)}", file=sys.stderr)
+        return 2
+    print(
+        f"expanded {summary['n_keys']} keys across "
+        f"{summary['n_shards']} shard(s): "
+        f"{summary['columnar_bytes']} B columnar -> "
+        f"{summary['json_bytes']} B JSON at {summary['directory']}"
+    )
+    return 0
+
+
+def _cmd_engine_reshard(args: argparse.Namespace) -> int:
+    from repro.engine import reshard
+
+    try:
+        summary = reshard(args.directory, args.shards, out=args.out)
+    except _INPUT_ERRORS as exc:
+        print(f"engine reshard: {_error_text(exc)}", file=sys.stderr)
+        return 2
+    print(
+        f"resharded {summary['n_keys']} keys [{summary['layout']}]: "
+        f"{summary['old_shards']} -> {summary['new_shards']} shard(s), "
+        f"{summary['moved_keys']} key(s) moved, occupancy "
+        f"{summary['shard_sizes']} at {summary['directory']}"
+    )
+    return 0
 
 
 def _cmd_engine_recognize(args: argparse.Namespace) -> int:
@@ -818,28 +805,18 @@ def _cmd_engine_info(args: argparse.Namespace) -> int:
     if args.efd_dir is not None:
         from repro.engine import is_columnar, load_sharded
 
-        layout = "columnar" if is_columnar(args.efd_dir) else "json"
-        expected = getattr(args, "format", "auto")
-        if expected != "auto" and expected != layout:
-            print(
-                f"engine info: {args.efd_dir} holds a {layout} layout, "
-                f"not {expected}",
-                file=sys.stderr,
-            )
-            return 2
         try:
+            layout = "columnar" if is_columnar(args.efd_dir) else "json"
             sharded = load_sharded(args.efd_dir)
             stats = sharded.stats()
-        except (FileNotFoundError, ValueError) as exc:
+        except _INPUT_ERRORS as exc:
             # A manifest referencing a missing/corrupt shard, filter,
             # or key-order file names the offender — report it, don't
             # traceback.
-            print(f"engine info: {exc}", file=sys.stderr)
+            print(f"engine info: {_error_text(exc)}", file=sys.stderr)
             return 2
-        storage = getattr(sharded, "storage", None)
         print(f"sharded EFD at {args.efd_dir}")
-        print(f"layout      : {layout}"
-              + (f" ({storage})" if storage else ""))
+        print(f"layout      : {layout}")
         filters = getattr(sharded, "filter_info", None)
         if filters is not None:
             info = filters()

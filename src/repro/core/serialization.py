@@ -10,13 +10,11 @@ process restarts.  Two codecs share this module:
   :func:`dictionary_from_columns`): one flat EFD as parallel NumPy
   arrays — node ids, rounded values, interned metric/interval ids, and
   CSR-style offsets into a label-id column with repetition counts.
-  This is the per-shard payload of the engine's shard codecs — the
-  compressed ``.npz`` archival layout and the raw memory-mapped
-  ``.mmap`` serving layout (:mod:`repro.engine.columnar` /
-  :mod:`repro.engine.mmapstore`); string tables are interned by the
+  This is the per-shard payload of the engine's columnar shard codec,
+  the raw memory-mapped ``.mmap`` layout (:mod:`repro.engine.columnar`
+  / :mod:`repro.engine.mmapstore`); string tables are interned by the
   caller so label ids stay globally consistent across shards.
-  :data:`COLUMN_DTYPES` and :func:`column_lengths` pin the wire schema
-  both shard codecs share.
+  :data:`COLUMN_DTYPES` and :func:`column_lengths` pin its schema.
 
 Both codecs are lossless: keys, per-key label lists (first-seen order),
 repetition counts, and the dictionary's own label registration order

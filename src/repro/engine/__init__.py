@@ -49,10 +49,10 @@ would run.  ``repro.engine`` is the scale-out layer:
 
 - :mod:`repro.engine.columnar` is the storage fast path for that
   machinery: a column-oriented shard codec (parallel arrays + a small
-  JSON manifest with interned string tables and checksums) in two
-  storages — compressed ``shard-NN.npz`` archives and raw memory-mapped
-  ``shard-NN.mmap`` files (:mod:`repro.engine.mmapstore`) that N
-  serving processes share through one page-cache copy — lazy shard
+  JSON manifest with interned string tables and checksums) stored as
+  raw memory-mapped ``shard-NN.mmap`` files
+  (:mod:`repro.engine.mmapstore`) that N serving processes share
+  through one page-cache copy — lazy shard
   hydration (:class:`~repro.engine.columnar.ColumnarDictionary` reads a
   shard file only when it is actually probed), per-shard Bloom filters
   (:mod:`repro.engine.keyfilter`) that answer unknown-heavy batches
@@ -60,16 +60,15 @@ would run.  ``repro.engine`` is the scale-out layer:
   index that replaces the batch engine's per-key Python dict
   construction with a handful of NumPy calls.  ``efd engine
   compact|expand`` convert between the JSON and columnar layouts
-  losslessly (``compact --layout`` picks the storage);
-  :func:`load_sharded` auto-detects either.
+  losslessly; :func:`load_sharded` auto-detects either.
 
 - :mod:`repro.engine.deltalog` makes columnar writes first-class: every
   mutation appends to a write-ahead ``delta-log.jsonl`` and lands in a
   small in-memory overlay, reads answer ``base ∪ overlay`` (the
   vectorized index stays hot under a trickle of new learnings), and
-  compaction folds the log back into the columnar base (either
-  storage) — triggered by a pending-record threshold, ``efd engine
-  compact``, or serve shutdown.
+  compaction folds the log back into the columnar base — triggered by
+  a pending-record threshold, ``efd engine compact``, or serve
+  shutdown.
 
 - :mod:`repro.engine.reshard` changes a directory's shard count without
   a relearn (``efd engine reshard``): the movement is computed offline
@@ -106,15 +105,15 @@ Shard layouts on disk::
 
     efd-shards/                       efd-columnar/
       manifest.json                     manifest.json   # layout="columnar",
-      shard-00.json   # flat EFD JSON                   # storage="npz"|"mmap"
-      shard-01.json                     shard-00.npz    # parallel arrays
+      shard-00.json   # flat EFD JSON                   # storage="mmap"
+      shard-01.json                     shard-00.mmap   # parallel arrays
       ...                               shard-00.filter # Bloom sidecar
                                         shard-00.hashidx # sorted-hash index
                                         ...
 
 Equivalence with the flat dictionary is enforced by property tests
 (``tests/test_engine_properties.py``) across storage backends
-({flat, sharded-JSON, npz, mmap}) and shard counts.
+({flat, sharded-JSON, columnar}) and shard counts.
 """
 
 from repro.engine.backend import DictionaryBackend, merge_into

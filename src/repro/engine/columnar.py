@@ -1,4 +1,4 @@
-"""Columnar (npz) EFD backend: shard codec + vectorized lookup index.
+"""Columnar EFD backend: mmap shard codec + vectorized lookup index.
 
 JSON shards are diffable but expensive: loading a million-key dictionary
 means parsing a million JSON objects and building a million ``dict``
@@ -12,17 +12,16 @@ paper-faithful reference:
   :func:`repro.core.serialization.dictionary_to_columns`) plus a small
   ``manifest.json`` header holding the interned label/app/metric/interval
   string tables in global first-seen order, the global key order, a
-  format version, and per-shard checksums.  Two storages share the
-  manifest format: compressed ``shard-NN.npz`` archives (``storage=
-  "npz"``, the default) and raw aligned little-endian ``shard-NN.mmap``
-  files (``storage="mmap"``, :mod:`repro.engine.mmapstore`) that open
-  zero-copy through :func:`numpy.memmap` — query-ready in O(manifest),
-  one OS page-cache copy shared across serving processes.  Conversion
-  between the JSON shard layout and either storage is lossless
+  format version, and per-shard checksums.  Each shard is one raw
+  aligned little-endian ``shard-NN.mmap`` file
+  (:mod:`repro.engine.mmapstore`) that opens zero-copy through
+  :func:`numpy.memmap` — query-ready in O(manifest), one OS page-cache
+  copy shared across serving processes.  Conversion between the JSON
+  shard layout and the columnar one is lossless
   (:func:`compact_shards` / :func:`expand_shards`, surfaced as ``efd
-  engine compact --layout npz|mmap`` / ``efd engine expand``).
-- **Negative-lookup filters** — every shard (both storages) is fronted
-  by a small per-shard Bloom filter over its full-key hashes
+  engine compact`` / ``efd engine expand``).
+- **Negative-lookup filters** — every shard is fronted by a small
+  per-shard Bloom filter over its full-key hashes
   (:mod:`repro.engine.keyfilter`, ``shard-NN.filter`` sidecars,
   checksummed in the manifest) and by a ``shard-NN.hashidx`` sidecar
   holding the same hashes sorted with their row permutation.
@@ -40,7 +39,7 @@ paper-faithful reference:
 - **Lazy shards** — :func:`load_columnar` (also reached through
   :func:`repro.engine.sharded.load_sharded`, which dispatches on the
   manifest) opens a directory by reading only the manifest.  Each
-  shard's ``.npz`` is read, checksummed, and decoded the first time that
+  shard's ``.mmap`` is mapped and checksummed the first time that
   shard is actually probed; until then a shard costs one small proxy
   object.  Point lookups hydrate exactly the owning shard.
 - **Vectorized lookup index** — :meth:`ColumnarDictionary.batch_index`
@@ -59,7 +58,7 @@ paper-faithful reference:
   rank-packed base indexes stay hot under a trickle of new learnings
   instead of demoting to the generic dict index.
   :meth:`ColumnarDictionary.compact_delta` folds the log back into the
-  ``shard-NN.npz`` base (auto-triggered past a pending threshold, or
+  ``shard-NN.mmap`` base (auto-triggered past a pending threshold, or
   via ``efd engine compact`` / serve shutdown).
 
 Results are element-wise identical to the flat path — enforced together
@@ -69,14 +68,12 @@ the backend satisfies :class:`repro.engine.backend.DictionaryBackend`.
 Directory layout::
 
     efd-columnar/
-      manifest.json     # layout="columnar", storage="npz"|"mmap",
+      manifest.json     # layout="columnar", storage="mmap",
                         # string tables, checksums, delta_generation
       key-order.npz     # global key insertion order as (shard, pos) columns
-      shard-00.npz      # node/value/metric_id/interval_id + CSR label cols
-      shard-01.npz      # (compressed, integer columns narrowed to int32
-      ...               #  where values allow — the reader upcasts;
-                        #  storage="mmap" writes shard-NN.mmap instead:
-                        #  raw aligned LE columns opened with np.memmap)
+      shard-00.mmap     # node/value/metric_id/interval_id + CSR label cols
+      shard-01.mmap     # (raw aligned LE columns opened with np.memmap)
+      ...
       shard-00.filter   # per-shard Bloom filter over full-key hashes
       shard-00.hashidx  # the same hashes sorted + row permutation —
       ...               # filter survivors resolve by searchsorted
@@ -102,7 +99,6 @@ from repro.core.dictionary import (
 )
 from repro.core.fingerprint import Fingerprint
 from repro.core.serialization import (
-    COLUMN_NAMES,
     dictionary_from_columns,
     dictionary_to_columns,
 )
@@ -137,8 +133,8 @@ _MANIFEST_NAME = "manifest.json"
 _KEY_ORDER_NAME = "key-order.npz"
 _COLUMNAR_LAYOUT = "columnar"
 _COLUMNAR_FORMAT_VERSION = 1
-#: Manifest ``storage`` values: compressed archives vs. raw mmap files.
-COLUMNAR_STORAGES = ("npz", "mmap")
+#: The one manifest ``storage`` value: raw memory-mapped shard files.
+_STORAGE = "mmap"
 #: Filter-passing probe count up to which a cold ``lookup_many`` batch
 #: resolves by hash-scanning the columns instead of building the full
 #: rank-packed index (the scan is one pass; the index build sorts).
@@ -151,26 +147,6 @@ Entry = Tuple[List[str], Tuple[str, ...]]
 
 def _checksum_bytes(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
-
-
-def _npz_filename(index: int, generation: int = 0) -> str:
-    """Shard file name; generations > 0 get a distinguishing suffix.
-
-    Compaction rewrites the base under *new* names and commits the
-    switch with one atomic manifest replace — a crash mid-rewrite can
-    therefore never mix new shard bytes with a manifest that expects
-    the old checksums.  Generation 0 keeps the plain historical name.
-    """
-    if generation:
-        return f"shard-{index:02d}.g{generation}.npz"
-    return f"shard-{index:02d}.npz"
-
-
-def _shard_filename(index: int, generation: int, storage: str) -> str:
-    """Shard file name for either storage, generation-suffixed alike."""
-    if storage == "mmap":
-        return mmap_filename(index, generation)
-    return _npz_filename(index, generation)
 
 
 def _key_order_filename(generation: int = 0) -> str:
@@ -192,10 +168,10 @@ def _value_bits(values: np.ndarray) -> np.ndarray:
 def _narrowed(columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """Shrink integer columns to int32 where the values allow it.
 
-    Ids, nodes, offsets, and typical repetition counts all fit in 32
-    bits; columns that do not (e.g. counts beyond 2**31) stay int64.
-    The reader upcasts everything back, so narrowing is invisible to
-    consumers — it halves the dominant on-disk cost before compression.
+    The key-order ``(shard, pos)`` columns fit in 32 bits below 2**31
+    keys; larger ones stay int64.  The reader upcasts back, so
+    narrowing is invisible to consumers — it halves the on-disk cost
+    before compression.
     """
     out: Dict[str, np.ndarray] = {}
     lo, hi = np.iinfo(np.int32).min, np.iinfo(np.int32).max
@@ -214,7 +190,7 @@ def _narrowed(columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def save_columnar(sharded, directory: str, generation: int = 0,
-                  storage: Optional[str] = None,
+                  storage: str = _STORAGE,
                   filters: bool = True,
                   filter_bits_per_key: int = DEFAULT_BITS_PER_KEY) -> None:
     """Write a sharded dictionary as a columnar directory.
@@ -226,10 +202,9 @@ def save_columnar(sharded, directory: str, generation: int = 0,
     shard is encoded, so label ids are consistent across shards and the
     manifest preserves the order that drives tie-breaking.
 
-    ``storage`` picks the shard codec: ``"npz"`` (compressed archival
-    files, the default) or ``"mmap"`` (raw aligned little-endian files
-    opened zero-copy, :mod:`repro.engine.mmapstore`); ``None`` keeps
-    the source store's storage when it is itself columnar.  Unless
+    Each shard is written as one raw aligned little-endian file opened
+    zero-copy at load (:mod:`repro.engine.mmapstore`); ``storage`` names
+    that codec and accepts only ``"mmap"``.  Unless
     ``filters=False``, each shard is fronted by a Bloom filter over its
     full-key hashes (``filter_bits_per_key`` bits per key) written as a
     ``shard-NN.filter`` sidecar, plus a ``shard-NN.hashidx`` sidecar
@@ -249,12 +224,10 @@ def save_columnar(sharded, directory: str, generation: int = 0,
     generation stamped into the manifest; compaction advances it so a
     log segment orphaned by a crash is recognized as already folded.
     """
-    if storage is None:
-        storage = getattr(sharded, "storage", None) or "npz"
-    if storage not in COLUMNAR_STORAGES:
+    if storage != _STORAGE:
         raise ValueError(
-            f"unknown columnar storage {storage!r} "
-            f"(expected one of {COLUMNAR_STORAGES})"
+            f"unsupported columnar storage {storage!r}: shards are "
+            f"written as {_STORAGE!r} only"
         )
     delta = getattr(sharded, "_delta", None)
     if delta is not None and delta.pending:
@@ -276,18 +249,8 @@ def save_columnar(sharded, directory: str, generation: int = 0,
         columns = dictionary_to_columns(
             shard, label_index, metric_index, interval_index
         )
-        name = _shard_filename(i, generation, storage)
-        if storage == "mmap":
-            checksum = write_mmap_shard(
-                os.path.join(directory, name), columns
-            )
-        else:
-            buffer = io.BytesIO()
-            np.savez_compressed(buffer, **_narrowed(columns))
-            data = buffer.getvalue()
-            with open(os.path.join(directory, name), "wb") as fh:
-                fh.write(data)
-            checksum = _checksum_bytes(data)
+        name = mmap_filename(i, generation)
+        checksum = write_mmap_shard(os.path.join(directory, name), columns)
         shard_meta.append(
             {"file": name, "n_keys": len(shard), "checksum": checksum}
         )
@@ -344,7 +307,7 @@ def save_columnar(sharded, directory: str, generation: int = 0,
     manifest = {
         "format_version": _COLUMNAR_FORMAT_VERSION,
         "layout": _COLUMNAR_LAYOUT,
-        "storage": storage,
+        "storage": _STORAGE,
         "delta_generation": int(generation),
         "n_shards": sharded.n_shards,
         "label_order": list(label_index),
@@ -375,66 +338,6 @@ def save_columnar(sharded, directory: str, generation: int = 0,
 # ---------------------------------------------------------------------------
 # Lazy shard loading
 # ---------------------------------------------------------------------------
-
-class _ShardFile:
-    """One ``shard-NN.npz``: read, checksummed, and decoded on demand."""
-
-    __slots__ = ("path", "name", "checksum", "n_keys", "_columns")
-
-    def __init__(self, path: str, name: str, checksum: Optional[str],
-                 n_keys: int):
-        self.path = path
-        self.name = name
-        self.checksum = checksum
-        self.n_keys = int(n_keys)
-        self._columns: Optional[Dict[str, np.ndarray]] = None
-
-    def columns(self) -> Dict[str, np.ndarray]:
-        """The shard's parallel arrays (first access reads the file)."""
-        if self._columns is not None:
-            return self._columns
-        if not os.path.isfile(self.path):
-            raise FileNotFoundError(
-                f"columnar EFD is incomplete: missing shard file "
-                f"{self.name!r}"
-            )
-        with open(self.path, "rb") as fh:
-            data = fh.read()
-        if self.checksum is not None and _checksum_bytes(data) != self.checksum:
-            raise ValueError(
-                f"shard file {self.name!r} is corrupt: checksum mismatch "
-                f"(expected {self.checksum})"
-            )
-        try:
-            with np.load(io.BytesIO(data), allow_pickle=False) as payload:
-                columns = {name: payload[name] for name in COLUMN_NAMES}
-        except KeyError as exc:
-            raise ValueError(
-                f"shard file {self.name!r} is corrupt: missing member {exc}"
-            ) from exc
-        except Exception as exc:  # zipfile/np.load parse failures
-            raise ValueError(
-                f"shard file {self.name!r} is corrupt: {exc}"
-            ) from exc
-        # Undo on-disk narrowing: every consumer sees int64/float64.
-        for name, array in columns.items():
-            columns[name] = array.astype(
-                np.float64 if name == "value" else np.int64, copy=False
-            )
-        if len(columns["node"]) != self.n_keys:
-            raise ValueError(
-                f"shard file {self.name!r} holds {len(columns['node'])} keys "
-                f"but the manifest expects {self.n_keys}"
-            )
-        self._columns = columns
-        return columns
-
-    def peek_columns(self) -> Dict[str, np.ndarray]:
-        """Same as :meth:`columns` — decompression is a full (and
-        checksummed) read anyway; only the mmap codec has a cheaper
-        few-row path."""
-        return self.columns()
-
 
 class _LazyShard:
     """Duck-types a flat EFD, hydrating from its columns on first probe.
@@ -757,7 +660,7 @@ class ColumnarDictionary(ShardedDictionary):
     Mutations route through the write-ahead delta-log
     (:mod:`repro.engine.deltalog`): an ``add`` appends one JSONL record
     to the directory's ``delta-log.jsonl`` and folds into a small
-    in-memory overlay; the base ``shard-NN.npz`` columns — and the
+    in-memory overlay; the base ``shard-NN.mmap`` columns — and the
     vectorized indexes built on them — are never touched.  Every read
     answers from ``base ∪ overlay``, so a store under a sustained write
     trickle keeps the rank-packed ``searchsorted`` fast path, and a
@@ -781,7 +684,6 @@ class ColumnarDictionary(ShardedDictionary):
         self.n_shards = int(manifest["n_shards"])
         self._directory = directory
         self._validate = bool(validate)
-        self.storage = str(manifest.get("storage", "npz"))
         self._label_table: List[str] = list(manifest["label_order"])
         self._metric_table: List[str] = [
             str(m) for m in manifest["metric_table"]
@@ -790,9 +692,8 @@ class ColumnarDictionary(ShardedDictionary):
             (float(iv[0]) + 0.0, float(iv[1]) + 0.0)
             for iv in manifest["interval_table"]
         ]
-        shard_file = MmapShardFile if self.storage == "mmap" else _ShardFile
         self._files = [
-            shard_file(
+            MmapShardFile(
                 path=os.path.join(directory, meta["file"]),
                 name=meta["file"],
                 checksum=meta.get("checksum"),
@@ -1059,7 +960,6 @@ class ColumnarDictionary(ShardedDictionary):
         old_manifest = _read_manifest(self._directory)
         save_columnar(
             merged, self._directory, generation=generation,
-            storage=self.storage,
             filters=self._filters is not None,
             filter_bits_per_key=self._filter_bits_per_key,
         )
@@ -1213,7 +1113,7 @@ class ColumnarDictionary(ShardedDictionary):
             if len(parts) == 1:
                 # Zero-copy: with one shard the global rows *are* the
                 # shard's rows, so the vectorized indexes build directly
-                # over the (for mmap storage, memory-mapped) arrays.
+                # over the memory-mapped arrays.
                 self._concat_cache = parts[0]
                 return self._concat_cache
             offsets = [np.zeros(1, dtype=np.int64)]
@@ -1573,9 +1473,9 @@ class ColumnarDictionary(ShardedDictionary):
         """Labels of one base row, reading only its own shard.
 
         Shares the global-row cache with :meth:`_labels_of_row` but
-        hydrates nothing beyond the touched shard — for the mmap
-        storage only the faulted pages, via ``peek_columns`` (the
-        whole-file checksum still runs on the first bulk access).
+        hydrates nothing beyond the touched shard — only the faulted
+        pages, via ``peek_columns`` (the whole-file checksum still runs
+        on the first bulk access).
         """
         row = int(self._shard_start_rows()[shard]) + local
         found = self._row_labels.get(row)
@@ -1653,7 +1553,7 @@ class ColumnarDictionary(ShardedDictionary):
             return None
         # Keys live only in their stable-hash shard, so each survivor
         # probes exactly one shard's hash table — untouched shards stay
-        # unread (for npz, undecompressed).
+        # unread.
         routes = np.asarray(
             [shard_index(fingerprints[i], self.n_shards)
              for i in survivors.tolist()],
@@ -1790,9 +1690,9 @@ def load_columnar(
     objects — unless a pending ``delta-log.jsonl`` exists, in which case
     its records replay into the in-memory overlay (column files are
     consulted for membership, still no per-key hydration).  Shard files
-    are read, checksummed, and decoded on first probe; with ``validate``
+    are mapped and checksummed on first probe; with ``validate``
     (default) hydration additionally checks that every decoded key
-    hashes to its host shard, catching renamed or swapped ``.npz`` files
+    hashes to its host shard, catching renamed or swapped ``.mmap`` files
     exactly like the JSON loader does.  Structural manifest damage
     (wrong counts, out-of-range or duplicate key-order entries,
     inconsistent app order) is rejected eagerly.  ``delta_max_pending``
@@ -1810,11 +1710,15 @@ def load_columnar(
             f"unsupported columnar EFD format version {version!r} "
             f"(expected {_COLUMNAR_FORMAT_VERSION})"
         )
+    # Stores written before mmap became the only codec carry
+    # storage="npz" or, older still, no storage field at all.
     storage = manifest.get("storage", "npz")
-    if storage not in COLUMNAR_STORAGES:
+    if storage != _STORAGE:
         raise ValueError(
-            f"unsupported columnar storage {storage!r} "
-            f"(expected one of {COLUMNAR_STORAGES})"
+            f"columnar EFD at {directory!r} uses {storage!r} storage, "
+            f"which this revision no longer reads (only {_STORAGE!r}); "
+            f"expand it to JSON with an earlier revision (`efd engine "
+            f"expand`), then `efd engine compact` it here"
         )
     n_shards = int(manifest["n_shards"])
     if n_shards < 1:
@@ -1953,80 +1857,42 @@ def _dir_bytes(directory: str, names: Sequence[str]) -> int:
     return total
 
 
-def compact_shards(directory: str, out: Optional[str] = None,
-                   layout: Optional[str] = None) -> dict:
+def compact_shards(directory: str, out: Optional[str] = None) -> dict:
     """Convert a JSON shard directory to the columnar layout — or fold
-    a columnar directory's pending delta-log into its base, or switch a
-    columnar directory between the npz and mmap storages.
+    a columnar directory's pending delta-log into its base.
 
-    ``layout`` picks the columnar storage (``"npz"`` compressed
-    archives, ``"mmap"`` raw memory-mapped files); ``None`` means npz
-    for a JSON source and "keep the current storage" for a columnar
-    one.  In place by default (the superseded files are removed after
-    the new ones are committed); pass ``out`` to write elsewhere and
-    leave the source untouched.  Returns a summary dict with key
-    counts, the resulting storage, and on-disk byte sizes.
+    In place by default (the superseded files are removed after the new
+    ones are committed); pass ``out`` to write elsewhere and leave the
+    source untouched.  Returns a summary dict with key counts and
+    on-disk byte sizes.
 
-    On a directory that is *already* columnar: a pending
+    On a directory that is *already* columnar, a pending
     ``delta-log.jsonl`` is folded into the base (the summary carries
-    ``folded_records``), and a ``layout`` differing from the current
-    storage rewrites the base files in the requested storage — with
-    filters, generation advanced, committed by one atomic manifest
-    replace exactly like a compaction.  A clean columnar directory with
-    no storage change requested is an error, as before.
+    ``folded_records``); a clean columnar directory is an error.
     """
-    from repro.engine.deltalog import segment_path
     from repro.engine.sharded import load_sharded
 
-    if layout is not None and layout not in COLUMNAR_STORAGES:
-        raise ValueError(
-            f"unknown columnar storage {layout!r} "
-            f"(expected one of {COLUMNAR_STORAGES})"
-        )
     manifest = _read_manifest(directory)
     if manifest.get("layout") == _COLUMNAR_LAYOUT:
-        current = manifest.get("storage", "npz")
-        target_storage = layout or current
-        generation = int(manifest.get("delta_generation", 0))
-        n_pending = pending_records(directory, generation)
-        if not n_pending and target_storage == current:
+        store = load_columnar(directory)
+        if not store.delta_pending:
             raise ValueError(
                 f"sharded EFD at {directory!r} is already columnar "
-                f"({current} storage, no pending delta-log to fold)"
+                f"(no pending delta-log to fold)"
             )
-        store = load_columnar(directory)
-        in_place = _in_place(directory, out)
-        target = directory if in_place else out
-        if not in_place:
-            folded = store.delta_pending
-            save_columnar(store, out, storage=target_storage)
-        elif target_storage == current:
+        if _in_place(directory, out):
+            target = directory
             folded = store.compact_delta()
         else:
-            # Storage switch (folding any pending records with it):
-            # the new base lands under generation-suffixed names and
-            # one atomic manifest replace commits it, exactly like a
-            # compaction — a crash mid-switch leaves the old storage
-            # loading cleanly.
+            target = out
             folded = store.delta_pending
-            merged = ShardedDictionary(store.n_shards)
-            merged.merge(store)
-            save_columnar(
-                merged, directory, generation=generation + 1,
-                storage=target_storage,
-            )
-            _remove_superseded_files(
-                directory, manifest, _read_manifest(directory)
-            )
-            segment = segment_path(directory)
-            if os.path.isfile(segment):
-                os.remove(segment)
+            # Keep the base's filter kind, as the in-place fold does.
+            save_columnar(store, out, filters=store._filters is not None)
         new_manifest = _read_manifest(target)
         return {
             "n_keys": len(store),
             "n_shards": store.n_shards,
             "folded_records": folded,
-            "storage": new_manifest.get("storage", "npz"),
             "columnar_bytes": _dir_bytes(
                 target, _manifest_files(new_manifest) + [_MANIFEST_NAME]
             ),
@@ -2036,7 +1902,7 @@ def compact_shards(directory: str, out: Optional[str] = None,
     json_files = [meta["file"] for meta in manifest.get("shards", [])]
     json_bytes = _dir_bytes(directory, json_files + [_MANIFEST_NAME])
     target = directory if _in_place(directory, out) else out
-    save_columnar(sharded, target, storage=layout or "npz")
+    save_columnar(sharded, target)
     new_manifest = _read_manifest(target)
     columnar_bytes = _dir_bytes(
         target, _manifest_files(new_manifest) + [_MANIFEST_NAME]
@@ -2050,7 +1916,6 @@ def compact_shards(directory: str, out: Optional[str] = None,
         "n_keys": len(sharded),
         "n_shards": sharded.n_shards,
         "json_bytes": json_bytes,
-        "storage": new_manifest.get("storage", "npz"),
         "columnar_bytes": columnar_bytes,
         "directory": target,
     }

@@ -16,10 +16,9 @@ first-class instead:
   learnings never costs the vectorized path.  Overlay keys are checked
   *before* the per-shard negative-lookup filters, so a key learned
   after the last compaction can never be filtered out as absent;
-- **compaction** folds the log back into the base shard files —
-  ``shard-NN.npz`` or ``shard-NN.mmap``, whichever storage the
-  directory uses, with the filter sidecars rebuilt alongside — and
-  truncates it.  It triggers on a pending-record threshold
+- **compaction** folds the log back into the base ``shard-NN.mmap``
+  files, with the filter sidecars rebuilt alongside, and truncates
+  it.  It triggers on a pending-record threshold
   (:attr:`DeltaLog.max_pending`), explicitly via ``efd engine compact``,
   or at serve shutdown (``ServeConfig.compact_on_close``).
 

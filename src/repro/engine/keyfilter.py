@@ -3,9 +3,8 @@
 The paper's unknown-detection evaluation makes *misses* the dominant
 case on open traffic — most probed fingerprints belong to applications
 that were never learned.  Yet the columnar store historically paid its
-full cost on exactly that traffic: the first batch read (and, for npz,
-decompressed) every shard's columns just to discover that nothing
-matches.  This module is the negative-lookup fast path:
+full cost on exactly that traffic: the first batch read every shard's
+columns just to discover that nothing matches.  This module is the negative-lookup fast path:
 
 - :func:`key_hashes` maps full fingerprint keys — the ``(metric_id,
   interval_id, node, value_bits)`` component arrays the rank-packed

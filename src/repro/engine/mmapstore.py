@@ -1,19 +1,14 @@
-"""Raw memory-mapped shard files: the columnar store's serving layout.
+"""Raw memory-mapped shard files: the columnar store's shard codec.
 
-The compressed ``.npz`` shard codec is the *archival* layout — small on
-disk, but every process that opens it decompresses its own private copy
-of every column before the first vectorized probe can run.  This module
-is the *serving* layout (``efd engine compact --layout mmap``): each
-shard's parallel arrays are written as one raw little-endian file that
-:class:`~repro.engine.columnar.ColumnarDictionary` opens with
+Each shard's parallel arrays are written as one raw little-endian file
+that :class:`~repro.engine.columnar.ColumnarDictionary` opens with
 :func:`numpy.memmap`, so
 
 - **query-ready is O(manifest)** — opening a shard maps it, it does not
   read it; columns fault in lazily as probes touch them;
 - **N serving processes share one copy** — the mapping is backed by the
-  OS page cache, so every ``efd serve`` worker (and the process-pool
-  batch backend) reads the same physical pages instead of each holding
-  a decompressed private heap copy;
+  OS page cache, so every ``efd serve`` process reads the same physical
+  pages instead of each holding a private heap copy;
 - **the vectorized indexes build zero-copy** — the rank-packed
   ``searchsorted`` index consumes the mapped arrays directly (a
   single-shard store concatenates nothing at all).
@@ -64,7 +59,13 @@ _HEADER = struct.Struct("<8sQQQ")
 
 
 def mmap_filename(index: int, generation: int = 0) -> str:
-    """Shard file name in the mmap layout (generation-suffixed like npz)."""
+    """Shard file name; generations > 0 get a distinguishing suffix.
+
+    Compaction rewrites the base under *new* names and commits the
+    switch with one atomic manifest replace — a crash mid-rewrite can
+    therefore never mix new shard bytes with a manifest that expects
+    the old checksums.
+    """
     if generation:
         return f"shard-{index:02d}.g{generation}.mmap"
     return f"shard-{index:02d}.mmap"
@@ -126,13 +127,11 @@ def write_mmap_shard(path: str, columns: Dict[str, np.ndarray]) -> str:
 class MmapShardFile:
     """One ``shard-NN.mmap``: mapped on demand, checksummed once.
 
-    Drop-in for the npz ``_ShardFile`` proxy — same attributes, same
-    ``columns()`` contract, same error names — except ``columns()``
-    returns zero-copy views into one shared :func:`numpy.memmap`
-    instead of decompressed private arrays.  Structural damage
-    (missing file, bad magic, size/key-count mismatch) is rejected
-    before mapping; the manifest checksum is verified on the first
-    ``columns()`` call, which also prefaults the shard's pages.
+    ``columns()`` returns zero-copy views into one shared
+    :func:`numpy.memmap`.  Structural damage (missing file, bad magic,
+    size/key-count mismatch) is rejected before mapping; the manifest
+    checksum is verified on the first ``columns()`` call, which also
+    prefaults the shard's pages.
     """
 
     __slots__ = ("path", "name", "checksum", "n_keys", "_columns", "_mm",

@@ -48,7 +48,7 @@ talks)::
 Frames from leader to follower::
 
     {"op": "snapshot", "generation": G, "manifest": {...},
-     "files": ["shard-00.g3.npz", ...]}                  # then N binary
+     "files": ["shard-00.g3.mmap", ...]}                 # then N binary
                                                          # frames, then:
     {"op": "snapshot-commit", "generation": G}
     {"op": "records", "generation": G, "start": S,

@@ -77,12 +77,11 @@ def reshard(directory: str, n_shards: int,
 
     In place by default; pass ``out`` to write the resharded directory
     elsewhere and leave the source untouched.  JSON directories stay
-    JSON, columnar stay columnar — including the columnar storage (npz
-    or mmap) and per-shard negative-lookup filters, which are rebuilt
-    for the new key routing under the same atomic manifest replace.  An
-    in-place rewrite removes shard files orphaned by a shrinking count
-    (and a pending delta-log segment, whose records are folded into the
-    rewritten base).
+    JSON, columnar stay columnar — including per-shard negative-lookup
+    filters, which are rebuilt for the new key routing under the same
+    atomic manifest replace.  An in-place rewrite removes shard files
+    orphaned by a shrinking count (and a pending delta-log segment,
+    whose records are folded into the rewritten base).
     Returns a summary dict with the key/move counts and new occupancy.
     """
     if n_shards < 1:
@@ -112,12 +111,11 @@ def reshard(directory: str, n_shards: int,
             generation = old_generation + 1
         else:
             generation = old_generation
-        # Preserve what the source had: its storage (npz or mmap) and
-        # whether its shards carry negative-lookup filters — resharding
-        # changes the key routing, never the representation.
+        # Preserve whether the source's shards carry negative-lookup
+        # filters — resharding changes the key routing, never the
+        # representation.
         save_columnar(
             target, outdir, generation=generation,
-            storage=old_manifest.get("storage", "npz"),
             filters="filters" in old_manifest,
         )
     else:

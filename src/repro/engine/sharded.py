@@ -58,7 +58,7 @@ def shard_index(fingerprint: Fingerprint, n_shards: int) -> int:
     ) % n_shards
 
 
-def _shard_filename(index: int) -> str:
+def _json_shard_filename(index: int) -> str:
     return f"shard-{index:02d}.json"
 
 
@@ -323,7 +323,7 @@ def save_sharded(sharded: ShardedDictionary, directory: str) -> None:
     shard_positions: List[Dict[Fingerprint, int]] = []
     for i, shard in enumerate(sharded.shards):
         text = dictionary_to_json(shard)
-        name = _shard_filename(i)
+        name = _json_shard_filename(i)
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
             fh.write(text)
         shard_meta.append(

@@ -10,7 +10,7 @@ two-tier hierarchy on top of any :class:`~repro.engine.backend.
 DictionaryBackend`:
 
 - the **fine tier** is the full-depth dictionary you already have —
-  flat, sharded, columnar (npz or mmap, with delta-log learning), or
+  flat, sharded, columnar (memory-mapped, with delta-log learning), or
   remote; every label names an application *variant* (a version);
 - the **coarse tier** is a small flat in-memory EFD whose keys are the
   fine keys re-rounded at ``coarse_depth`` and whose labels are *family*

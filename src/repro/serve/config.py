@@ -98,7 +98,7 @@ class ServeConfig:
     compact_on_close:
         When the engine's dictionary is a columnar store with pending
         delta-log records (a learn-while-serving deployment), fold the
-        log into the ``shard-NN.npz`` base at service shutdown so the
+        log into the ``shard-NN.mmap`` base at service shutdown so the
         next boot opens a clean directory.  The log is write-ahead, so
         disabling this loses nothing — the records replay on the next
         load; it only defers the fold.  Forced off in replica mode

@@ -303,7 +303,7 @@ class IngestService:
         # vectorized full-key index — the negative-lookup filters alone
         # load at open and would otherwise defer this build to the
         # first batch that survives them), so the first micro-batch —
-        # and the event loop — never pays for it.  With mmap storage
+        # and the event loop — never pays for it.  On a columnar store
         # the build also reads through the OS page cache, prefaulting
         # pages every serve worker then shares.
         warm = getattr(self.engine, "warm", None)

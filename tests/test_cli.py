@@ -136,18 +136,11 @@ class TestEngineCommands:
             "--shards", "4", "--format", "columnar",
         ]) == 0
         assert "[columnar]" in capsys.readouterr().out
-        assert os.path.exists(os.path.join(columnar, "shard-00.npz"))
+        assert os.path.exists(os.path.join(columnar, "shard-00.mmap"))
 
-        assert main([
-            "engine", "info", "--efd-dir", columnar, "--format", "columnar",
-        ]) == 0
+        assert main(["engine", "info", "--efd-dir", columnar]) == 0
         out = capsys.readouterr().out
         assert "layout      : columnar" in out
-        # A layout mismatch is an error, not a silent reinterpretation.
-        assert main([
-            "engine", "info", "--efd-dir", columnar, "--format", "json",
-        ]) == 2
-        capsys.readouterr()
 
         # Both layouts recognize identically through the CLI.
         assert main([
@@ -170,14 +163,18 @@ class TestEngineCommands:
         # compact in place, then expand back.
         assert main(["engine", "compact", "--dir", shards]) == 0
         assert "compacted" in capsys.readouterr().out
-        assert os.path.exists(os.path.join(shards, "shard-00.npz"))
+        assert os.path.exists(os.path.join(shards, "shard-00.mmap"))
         assert not os.path.exists(os.path.join(shards, "shard-00.json"))
+        assert main(["engine", "info", "--efd-dir", shards]) == 0
+        assert "layout      : columnar" in capsys.readouterr().out
         assert main(["engine", "expand", "--dir", shards]) == 0
         assert "expanded" in capsys.readouterr().out
         assert os.path.exists(os.path.join(shards, "shard-00.json"))
-        assert not os.path.exists(os.path.join(shards, "shard-00.npz"))
+        assert not os.path.exists(os.path.join(shards, "shard-00.mmap"))
+        assert main(["engine", "info", "--efd-dir", shards]) == 0
+        assert "layout      : json" in capsys.readouterr().out
 
-    def _columnar_dir(self, tmp_path, storage="npz", n=60):
+    def _columnar_dir(self, tmp_path, n=60):
         from repro.core.fingerprint import Fingerprint
         from repro.engine import ShardedDictionary, save_columnar
 
@@ -188,52 +185,57 @@ class TestEngineCommands:
                 f"app{i % 5}_X",
             )
         directory = str(tmp_path / "efd-dir")
-        save_columnar(sharded, directory, storage=storage)
+        save_columnar(sharded, directory)
         return directory
 
     def test_mmap_layout_round_trip(self, tmp_path, capsys):
-        directory = self._columnar_dir(tmp_path, storage="mmap")
+        directory = self._columnar_dir(tmp_path)
         assert os.path.exists(os.path.join(directory, "shard-00.mmap"))
         assert os.path.exists(os.path.join(directory, "shard-00.filter"))
 
         assert main(["engine", "info", "--efd-dir", directory]) == 0
         out = capsys.readouterr().out
-        assert "layout      : columnar (mmap)" in out
+        assert "layout      : columnar" in out
         assert "filters     : per-shard Bloom" in out
 
-        # --layout switches the storage in place ...
-        assert main([
-            "engine", "compact", "--dir", directory, "--layout", "npz",
-        ]) == 0
-        assert "[npz]" in capsys.readouterr().out
-        assert main(["engine", "info", "--efd-dir", directory]) == 0
-        assert "columnar (npz)" in capsys.readouterr().out
-        # ... and a no-op switch is a named refusal, not a traceback.
-        assert main([
-            "engine", "compact", "--dir", directory, "--layout", "npz",
-        ]) == 2
+        # Compacting a clean columnar directory is a named refusal, not
+        # a traceback.
+        assert main(["engine", "compact", "--dir", directory]) == 2
         assert "already columnar" in capsys.readouterr().err
 
-    def test_shard_format_mmap(self, tmp_path, capsys):
-        data = str(tmp_path / "ds.npz")
-        efd = str(tmp_path / "efd.json")
-        out_dir = str(tmp_path / "efd-mmap")
-        main(["generate", "--out", data, "--repetitions", "2",
-              "--duration-cap", "150", "--seed", "11"])
-        main(["fit", "--data", data, "--out", efd, "--depth", "2"])
-        capsys.readouterr()
-        assert main([
-            "engine", "shard", "--efd", efd, "--out", out_dir,
-            "--shards", "4", "--format", "mmap",
-        ]) == 0
-        assert "[mmap]" in capsys.readouterr().out
-        assert main([
-            "engine", "recognize", "--efd-dir", out_dir, "--data", data,
-            "--depth", "2",
-        ]) == 0
-        assert "accuracy:" in capsys.readouterr().out
+    @pytest.mark.parametrize("cmd", ["info", "recognize", "compact",
+                                     "expand", "reshard"])
+    @pytest.mark.parametrize("storage", ["npz", None])
+    def test_legacy_storage_named_exit_2(self, cmd, storage, tmp_path,
+                                         capsys):
+        # A store written when npz was the default codec (storage="npz",
+        # or no storage field at all) fails by name, never a traceback.
+        directory = self._columnar_dir(tmp_path)
+        manifest_path = os.path.join(directory, "manifest.json")
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        if storage is None:
+            del manifest["storage"]
+        else:
+            manifest["storage"] = storage
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        argv = {
+            "info": ["--efd-dir", directory],
+            "recognize": ["--efd-dir", directory, "--data",
+                          str(tmp_path / "unused.npz"), "--depth", "2"],
+            "compact": ["--dir", directory],
+            "expand": ["--dir", directory],
+            "reshard": ["--dir", directory, "--shards", "2"],
+        }[cmd]
+        assert main(["engine", cmd, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"engine {cmd}: ")
+        assert directory in err
+        assert "'npz' storage" in err
+        assert "earlier revision" in err
 
-    @pytest.mark.parametrize("suffix", [".filter", ".hashidx", ".npz"])
+    @pytest.mark.parametrize("suffix", [".filter", ".hashidx", ".mmap"])
     def test_info_missing_sidecar_named_exit_2(
         self, suffix, tmp_path, capsys
     ):

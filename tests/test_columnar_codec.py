@@ -1,11 +1,12 @@
 """Columnar codec: lossless round-trips and hostile-input edges.
 
-Mirrors the JSON shard-manifest tests: every corruption mode —
-truncated or tampered ``.npz`` bytes, a deleted member, a missing or
-swapped shard file, inconsistent manifests — must be reported by shard
-file name, and every value/label edge the JSON codec survives (-0.0,
-subnormals, unicode/underscore-heavy labels, empty shards, repetition
-counts beyond 2**31) must round-trip exactly.
+Mirrors the JSON shard-manifest tests: every corruption mode — a
+missing or swapped shard file, damaged key-order bytes, inconsistent
+manifests, a legacy storage — must be reported by name (byte-level
+damage inside one ``.mmap`` shard is pinned in
+``tests/test_mmap_filters.py``), and every value/label edge the JSON
+codec survives (-0.0, subnormals, unicode/underscore-heavy labels,
+empty shards, repetition counts beyond 2**31) must round-trip exactly.
 """
 
 from __future__ import annotations
@@ -233,7 +234,7 @@ class TestColumnarDirectory:
         victim_index = next(
             i for i, size in enumerate(sharded.shard_sizes()) if size > 0
         )
-        victim = f"shard-{victim_index:02d}.npz"
+        victim = f"shard-{victim_index:02d}.mmap"
         os.remove(os.path.join(directory, victim))
         # Keys of *other* shards still resolve — shards load lazily ...
         other = next(
@@ -245,82 +246,70 @@ class TestColumnarDirectory:
         with pytest.raises(FileNotFoundError, match=victim):
             list(loaded.entries())
 
-    def test_tampered_npz_fails_checksum_by_name(self, tmp_path):
+    @staticmethod
+    def _rewrite_shard(directory, name, data):
+        """Replace a shard file and re-stamp its manifest checksum, so
+        only the codec's structural checks can catch the damage."""
+        import hashlib
+
+        open(os.path.join(directory, name), "wb").write(data)
+        manifest_path = os.path.join(directory, "manifest.json")
+        manifest = json.loads(open(manifest_path).read())
+        for meta in manifest["shards"]:
+            if meta["file"] == name:
+                meta["checksum"] = hashlib.blake2b(
+                    data, digest_size=16
+                ).hexdigest()
+        open(manifest_path, "w").write(json.dumps(manifest))
+
+    def _occupied_shard(self, tmp_path):
         sharded = _sample_sharded()
         directory = str(tmp_path / "col")
         save_columnar(sharded, directory)
         occupied = next(
             i for i, size in enumerate(sharded.shard_sizes()) if size > 0
         )
-        name = f"shard-{occupied:02d}.npz"
+        return directory, f"shard-{occupied:02d}.mmap"
+
+    def test_tampered_mmap_fails_checksum_by_name(self, tmp_path):
+        directory, name = self._occupied_shard(tmp_path)
         path = os.path.join(directory, name)
         data = bytearray(open(path, "rb").read())
         data[len(data) // 2] ^= 0xFF
         open(path, "wb").write(bytes(data))
         loaded = load_columnar(directory)
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=f"{name}.*checksum"):
             list(loaded.entries())
 
-    def test_truncated_npz_named_even_with_matching_checksum(self, tmp_path):
-        sharded = _sample_sharded()
-        directory = str(tmp_path / "col")
-        save_columnar(sharded, directory)
-        occupied = next(
-            i for i, size in enumerate(sharded.shard_sizes()) if size > 0
-        )
-        name = f"shard-{occupied:02d}.npz"
-        path = os.path.join(directory, name)
-        data = open(path, "rb").read()[:40]  # not a zip anymore
-        open(path, "wb").write(data)
-        manifest_path = os.path.join(directory, "manifest.json")
-        manifest = json.loads(open(manifest_path).read())
-        import hashlib
-
-        for meta in manifest["shards"]:
-            if meta["file"] == name:
-                meta["checksum"] = hashlib.blake2b(
-                    data, digest_size=16
-                ).hexdigest()
-        open(manifest_path, "w").write(json.dumps(manifest))
+    def test_truncated_mmap_named_even_with_matching_checksum(
+        self, tmp_path
+    ):
+        directory, name = self._occupied_shard(tmp_path)
+        data = open(os.path.join(directory, name), "rb").read()
+        self._rewrite_shard(directory, name, data[: len(data) - 64])
         loaded = load_columnar(directory)
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=f"{name}.*truncated"):
             list(loaded.entries())
 
-    def test_missing_npz_member_named(self, tmp_path):
-        sharded = _sample_sharded()
-        directory = str(tmp_path / "col")
-        save_columnar(sharded, directory)
-        occupied = next(
-            i for i, size in enumerate(sharded.shard_sizes()) if size > 0
+    def test_short_label_column_named_even_with_matching_checksum(
+        self, tmp_path
+    ):
+        # A raw shard has no members to drop; the analogue of a missing
+        # column is a header whose label-entry count disagrees with the
+        # bytes that follow it.
+        directory, name = self._occupied_shard(tmp_path)
+        data = bytearray(open(os.path.join(directory, name), "rb").read())
+        magic, n_keys, n_entries, n_order = struct.unpack_from(
+            "<8sQQQ", data
         )
-        name = f"shard-{occupied:02d}.npz"
-        path = os.path.join(directory, name)
-        with np.load(path) as payload:
-            partial = {
-                key: payload[key] for key in payload.files
-                if key != "label_counts"
-            }
-        import io as _io
-
-        buffer = _io.BytesIO()
-        np.savez(buffer, **partial)
-        data = buffer.getvalue()
-        open(path, "wb").write(data)
-        manifest_path = os.path.join(directory, "manifest.json")
-        manifest = json.loads(open(manifest_path).read())
-        import hashlib
-
-        for meta in manifest["shards"]:
-            if meta["file"] == name:
-                meta["checksum"] = hashlib.blake2b(
-                    data, digest_size=16
-                ).hexdigest()
-        open(manifest_path, "w").write(json.dumps(manifest))
+        struct.pack_into("<8sQQQ", data, 0, magic, n_keys,
+                         n_entries + 64, n_order)
+        self._rewrite_shard(directory, name, bytes(data))
         loaded = load_columnar(directory)
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=f"{name}.*header implies"):
             list(loaded.entries())
 
-    def test_swapped_npz_files_detected_on_hydration(self, tmp_path):
+    def test_swapped_mmap_files_detected_on_hydration(self, tmp_path):
         # Grow until two distinct shards hold the same number of keys, so
         # swapping their files defeats every structural check (sizes,
         # checksums, key_order ranges) and only routing validation is
@@ -343,8 +332,8 @@ class TestColumnarDirectory:
         assert pair is not None
         directory = str(tmp_path / "col")
         save_columnar(sharded, directory)
-        a = os.path.join(directory, f"shard-{pair[0]:02d}.npz")
-        b = os.path.join(directory, f"shard-{pair[1]:02d}.npz")
+        a = os.path.join(directory, f"shard-{pair[0]:02d}.mmap")
+        b = os.path.join(directory, f"shard-{pair[1]:02d}.mmap")
         data_a, data_b = open(a, "rb").read(), open(b, "rb").read()
         open(a, "wb").write(data_b)
         open(b, "wb").write(data_a)
@@ -435,6 +424,39 @@ class TestColumnarDirectory:
         with_manifest(lambda m: m["shards"].pop())
         with pytest.raises(ValueError, match="shard files"):
             load_columnar(directory)
+
+    @pytest.mark.parametrize("storage", ["npz", None, "zip"])
+    def test_legacy_storage_rejected_by_name(self, storage, tmp_path):
+        # Stores from before mmap became the only codec say
+        # storage="npz" or (older still) carry no storage field.
+        directory = str(tmp_path / "col")
+        save_columnar(_sample_sharded(), directory)
+        manifest_path = os.path.join(directory, "manifest.json")
+        manifest = json.loads(open(manifest_path).read())
+        assert manifest["storage"] == "mmap"
+        if storage is None:
+            del manifest["storage"]
+        else:
+            manifest["storage"] = storage
+        open(manifest_path, "w").write(json.dumps(manifest))
+        named = repr(storage or "npz")
+        for loader in (load_columnar, load_sharded):
+            with pytest.raises(ValueError) as excinfo:
+                loader(directory)
+            message = str(excinfo.value)
+            assert repr(directory) in message
+            assert f"{named} storage" in message
+            assert "earlier revision" in message
+
+    @pytest.mark.parametrize("storage", ["npz", "zip", None])
+    def test_save_accepts_only_mmap_storage(self, storage, tmp_path):
+        directory = str(tmp_path / "col")
+        with pytest.raises(ValueError, match="unsupported columnar storage"):
+            save_columnar(_sample_sharded(), directory, storage=storage)
+        assert not os.path.exists(directory)
+        save_columnar(_sample_sharded(), directory, storage="mmap")
+        assert load_columnar(directory).labels() == \
+            _sample_sharded().labels()
 
 
 class TestLazyHydration:

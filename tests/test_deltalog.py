@@ -402,9 +402,9 @@ class TestCompactionCrashSafety:
         flat.add(_fp(90000.0), "zz_Q")
         col.compact_delta()
         names = set(os.listdir(directory))
-        assert "shard-00.g1.npz" in names
+        assert "shard-00.g1.mmap" in names
         assert "key-order.g1.npz" in names
-        assert "shard-00.npz" not in names      # superseded base removed
+        assert "shard-00.mmap" not in names     # superseded base removed
         assert "key-order.npz" not in names
         _assert_equal_stores(load_columnar(directory), flat)
         # A second fold advances again and reclaims generation 1.
@@ -412,8 +412,8 @@ class TestCompactionCrashSafety:
         flat.add(_fp(90001.0), "zz_Q")
         col.compact_delta()
         names = set(os.listdir(directory))
-        assert "shard-00.g2.npz" in names
-        assert "shard-00.g1.npz" not in names
+        assert "shard-00.g2.mmap" in names
+        assert "shard-00.g1.mmap" not in names
         _assert_equal_stores(load_columnar(directory), flat)
 
     def test_uncommitted_rewrite_leaves_old_base_loadable(self, tmp_path):
@@ -426,7 +426,7 @@ class TestCompactionCrashSafety:
         flat.add(_fp(90000.0), "zz_Q")
         # Simulate the pre-commit half of a fold: write garbage where
         # the next generation's files would land.
-        for name in ("shard-00.g1.npz", "shard-01.g1.npz",
+        for name in ("shard-00.g1.mmap", "shard-01.g1.mmap",
                      "key-order.g1.npz"):
             with open(os.path.join(directory, name), "wb") as fh:
                 fh.write(b"torn write")

@@ -340,8 +340,8 @@ class TestBatchEqualsSequential:
 class TestColumnarBackendEqualsFlat:
     """The storage-backend equivalence matrix.
 
-    Every backend — flat, sharded-JSON round trip, columnar in both its
-    npz and mmap storages — must produce byte-identical MatchResults,
+    Every backend — flat, sharded-JSON round trip, columnar (mmap) —
+    must produce byte-identical MatchResults,
     across shard counts, on both the record path (vectorized column
     index) and the session path (vectorized full-key lookup)."""
 
@@ -367,13 +367,10 @@ class TestColumnarBackendEqualsFlat:
         save_sharded(sharded, json_dir)
         col_dir = str(tmp_path / "col")
         save_columnar(sharded, col_dir)
-        mmap_dir = str(tmp_path / "mmap")
-        save_columnar(sharded, mmap_dir, storage="mmap")
         return {
             "flat": flat,
             "sharded-json": load_sharded(json_dir),
             "columnar": load_columnar(col_dir),
-            "columnar-mmap": load_columnar(mmap_dir),
         }
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
@@ -534,17 +531,17 @@ class TestColumnarBackendEqualsFlat:
 
 
 class TestStorageEquivalenceUnderInterleavings:
-    """Element-wise verdict equality across {flat, sharded-JSON, npz,
-    mmap} under random learn/compact/reshard interleavings.
+    """Element-wise verdict equality across {flat, sharded-JSON,
+    columnar} under random learn/compact/reshard interleavings.
 
-    The flat dictionary is the oracle; the columnar directories go
-    through real on-disk compactions and reshards between probes, so
-    the delta-log overlay, the rebuilt filters, and the generation
-    machinery are all exercised mid-stream, in both storages.
+    The flat dictionary is the oracle; the columnar directories (one
+    with key filters, one without) go through real on-disk compactions
+    and reshards between probes, so the delta-log overlay, the rebuilt
+    filters, and the generation machinery are all exercised mid-stream.
     """
 
     N_OPS = 10
-    _COLUMNAR = ("columnar-npz", "columnar-mmap")
+    _COLUMNAR = ("columnar-mmap", "columnar-unfiltered")
 
     def _assert_equal(self, flat, stores, probes):
         expected = [flat.lookup(fp) for fp in probes]
@@ -574,13 +571,13 @@ class TestStorageEquivalenceUnderInterleavings:
             flat.add(fp, label)
             sharded.add(fp, label)
         dirs = {
-            "columnar-npz": str(tmp_path / "npz"),
             "columnar-mmap": str(tmp_path / "mmap"),
+            "columnar-unfiltered": str(tmp_path / "unfiltered"),
         }
         json_dir = str(tmp_path / "json")
         save_sharded(sharded, json_dir)
-        save_columnar(sharded, dirs["columnar-npz"], storage="npz")
-        save_columnar(sharded, dirs["columnar-mmap"], storage="mmap")
+        save_columnar(sharded, dirs["columnar-mmap"])
+        save_columnar(sharded, dirs["columnar-unfiltered"], filters=False)
         stores = {"sharded-json": load_sharded(json_dir)}
         for name, path in dirs.items():
             stores[name] = load_columnar(path)
@@ -619,27 +616,6 @@ class TestStorageEquivalenceUnderInterleavings:
                     stores[name] = load_columnar(dirs[name])
             self._assert_equal(flat, stores, probes())
 
-    @pytest.mark.parametrize("seed", (0, 1))
-    def test_storage_conversion_mid_stream(self, seed, tmp_path):
-        from repro.engine import compact_shards
-
-        rng = random.Random(900 + seed)
-        flat, sharded, _ = _build_both(seed=900 + seed, n_shards=4)
-        directory = str(tmp_path / "efd")
-        save_columnar(sharded, directory, storage="npz")
-        store = load_columnar(directory)
-        for target in ("mmap", "npz", "mmap"):
-            for fp, label in _random_pairs(rng, 3):
-                flat.add(fp, label)
-                store.add(fp, label)
-            compact_shards(directory, layout=target)
-            store = load_columnar(directory)
-            assert store.storage == target
-            known = [fp for fp, _ in flat.entries()]
-            mix = [rng.choice(known) for _ in range(15)]
-            mix += [_random_fingerprint(rng) for _ in range(15)]
-            assert store.lookup_many(mix) == [flat.lookup(fp) for fp in mix]
-
 
 class TestReplicaEqualsLeaderUnderInterleavings:
     """Element-wise verdict equality across a live replication link.
@@ -653,14 +629,15 @@ class TestReplicaEqualsLeaderUnderInterleavings:
     point the replica has converged to the leader's exact
     ``(generation, applied)`` position and its verdicts must be
     element-wise equal to the leader's — which must equal the flat
-    oracle's — in both storages.
+    oracle's — with and without the base's key filters.
     """
 
     N_OPS = 12
 
-    @pytest.mark.parametrize("storage", ("npz", "mmap"))
+    @pytest.mark.parametrize("filters", (True, False),
+                             ids=("filtered", "unfiltered"))
     @pytest.mark.parametrize("seed", (0, 1, 2))
-    def test_random_learn_compact_ship(self, storage, seed, tmp_path):
+    def test_random_learn_compact_ship(self, seed, filters, tmp_path):
         import asyncio
 
         from repro.engine.replicate import (
@@ -677,7 +654,7 @@ class TestReplicaEqualsLeaderUnderInterleavings:
             sharded.add(fp, label)
         leader_dir = str(tmp_path / "leader")
         replica_dir = str(tmp_path / "replica")
-        save_columnar(sharded, leader_dir, storage=storage)
+        save_columnar(sharded, leader_dir, filters=filters)
 
         def probes():
             known = [fp for fp, _ in flat.entries()]
@@ -744,25 +721,25 @@ class TestReplicaEqualsLeaderUnderInterleavings:
 class TestRemoteEqualsFlatUnderInterleavings:
     """Element-wise equality of the distributed fan-out client.
 
-    Each host loads a real columnar directory (npz or mmap) and serves
+    Each host loads a real columnar directory and serves
     a slice of the shard space over the framed probe protocol; the
     flat dictionary is the oracle.  Learns go through
     :class:`~repro.engine.remote.RemoteShardBackend` mid-stream — the
     write path propagates to the owning hosts — and every probe batch
     (plain, with counts, and through the batch matcher) must stay
     element-wise identical to the single-process path, across host
-    counts {1, 2, 3} and both storage layouts.
+    counts {1, 2, 3}, with and without the hosts' key filters.
     """
 
     N_SHARDS = 3
 
-    def _spawn(self, tmp_path, storage, n_hosts, sharded):
+    def _spawn(self, tmp_path, n_hosts, sharded, filters):
         from repro.engine.remote import ShardServerThread
 
         threads, specs = [], []
         for k in range(n_hosts):
             directory = str(tmp_path / f"host{k}")
-            save_columnar(sharded, directory, storage=storage)
+            save_columnar(sharded, directory, filters=filters)
             owned = [s for s in range(self.N_SHARDS) if s % n_hosts == k]
             thread = ShardServerThread(
                 load_columnar(directory), n_shards=self.N_SHARDS,
@@ -774,21 +751,22 @@ class TestRemoteEqualsFlatUnderInterleavings:
             )
         return threads, specs
 
-    @pytest.mark.parametrize("storage", ("npz", "mmap"))
+    @pytest.mark.parametrize("filters", (True, False),
+                             ids=("filtered", "unfiltered"))
     @pytest.mark.parametrize("n_hosts", (1, 2, 3))
     def test_random_learn_probe_interleavings(
-        self, storage, n_hosts, tmp_path
+        self, n_hosts, filters, tmp_path
     ):
         from repro.engine.remote import RemoteShardBackend
 
-        rng = random.Random(1000 + 10 * n_hosts + (storage == "mmap"))
+        rng = random.Random(1000 + 10 * n_hosts + filters)
         pairs = _random_pairs(rng, 150)
         flat = ExecutionFingerprintDictionary()
         sharded = ShardedDictionary(self.N_SHARDS)
         for fp, label in pairs:
             flat.add(fp, label)
             sharded.add(fp, label)
-        threads, specs = self._spawn(tmp_path, storage, n_hosts, sharded)
+        threads, specs = self._spawn(tmp_path, n_hosts, sharded, filters)
         try:
             remote = RemoteShardBackend(
                 specs, n_shards=self.N_SHARDS, rng=random.Random(0)
@@ -852,11 +830,10 @@ class TestFilterSoundness:
     learn-while-serving overlay keys), and a false-positive rate under
     the configured bound at 1e-2 tolerance."""
 
-    @pytest.mark.parametrize("storage", ("npz", "mmap"))
-    def test_no_false_negatives_through_store(self, storage, tmp_path):
+    def test_no_false_negatives_through_store(self, tmp_path):
         flat, sharded, rng = _build_both(seed=77, n_shards=4)
-        directory = str(tmp_path / storage)
-        save_columnar(sharded, directory, storage=storage)
+        directory = str(tmp_path / "mmap")
+        save_columnar(sharded, directory)
         store = load_columnar(directory)
         keys = [fp for fp, _ in flat.entries()]
         # Every stored key must resolve — cold (filters consulted) ...
@@ -975,7 +952,7 @@ class TestFamilyCascadeEquivalence:
     """The cascade equivalence matrix (hierarchical == flat, everywhere).
 
     Two disciplines, each replayed element-wise against every fine-tier
-    backend — flat, sharded-JSON, columnar npz, columnar mmap, and the
+    backend — flat, sharded-JSON, columnar, and the
     remote fan-out client — under interleaved learns *through the
     cascade*:
 
@@ -1066,8 +1043,6 @@ class TestFamilyCascadeEquivalence:
         save_sharded(sharded, json_dir)
         col_dir = str(tmp_path / "col")
         save_columnar(sharded, col_dir)
-        mmap_dir = str(tmp_path / "mmap")
-        save_columnar(sharded, mmap_dir, storage="mmap")
 
         threads, specs = [], []
         for k in range(2):
@@ -1089,7 +1064,6 @@ class TestFamilyCascadeEquivalence:
             "flat": flat,
             "sharded-json": load_sharded(json_dir),
             "columnar": load_columnar(col_dir),
-            "columnar-mmap": load_columnar(mmap_dir),
             "remote": remote,
         }
         closers = [remote.close] + [t.stop for t in threads]

@@ -1,6 +1,6 @@
 """Crash/fault injection for the columnar write paths.
 
-Every base rewrite (delta-log fold, storage conversion, reshard —
+Every base rewrite (delta-log fold, reshard —
 each of which also rebuilds the per-shard filters) follows the same
 protocol: write every new data file under generation-suffixed names,
 then commit with one atomic ``os.replace`` of the manifest, then clean
@@ -320,8 +320,8 @@ def _fp(i: int) -> Fingerprint:
     )
 
 
-def _seed_directory(tmp_path, storage: str, n_base: int = 40,
-                    n_delta: int = 6):
+def _seed_directory(tmp_path, n_base: int = 40, n_delta: int = 6,
+                    filters: bool = True):
     """A columnar directory with a pending delta-log, plus the expected
     merged (base ∪ overlay) reference dictionary."""
     expected = ExecutionFingerprintDictionary()
@@ -330,7 +330,7 @@ def _seed_directory(tmp_path, storage: str, n_base: int = 40,
         sharded.add(_fp(i), f"app{i % 5}_X")
         expected.add(_fp(i), f"app{i % 5}_X")
     directory = str(tmp_path / "seed")
-    save_columnar(sharded, directory, storage=storage)
+    save_columnar(sharded, directory, filters=filters)
     store = load_columnar(directory)
     for i in range(10_000, 10_000 + n_delta):
         store.add(_fp(i), f"late{i % 3}_Y")
@@ -353,11 +353,17 @@ def _assert_state(directory, expected):
     ] + [[] for _ in misses]
 
 
+_UNFILTERED = {"filters": False, "n_base": 80}
+
+#: name -> (``_seed_directory`` arguments, the rewrite).  An unfiltered
+#: base commits fewer files, and every rewrite must keep the base's
+#: filter kind; it gets twice the keys so that its rewrite still
+#: outgrows the largest ENOSPC budget below.
 OPERATIONS = {
-    "fold-npz": ("npz", lambda d: compact_shards(d)),
-    "fold-mmap": ("mmap", lambda d: compact_shards(d)),
-    "convert-to-mmap": ("npz", lambda d: compact_shards(d, layout="mmap")),
-    "reshard-mmap": ("mmap", lambda d: reshard(d, 3)),
+    "fold-mmap": ({}, lambda d: compact_shards(d)),
+    "fold-unfiltered": (_UNFILTERED, lambda d: compact_shards(d)),
+    "reshard-mmap": ({}, lambda d: reshard(d, 3)),
+    "reshard-unfiltered": (_UNFILTERED, lambda d: reshard(d, 3)),
 }
 
 
@@ -372,8 +378,8 @@ class TestCrashPointSweep:
 
     @pytest.mark.parametrize("name", sorted(OPERATIONS))
     def test_every_interruption_point(self, name, tmp_path):
-        storage, op = OPERATIONS[name]
-        directory, expected = _seed_directory(tmp_path, storage)
+        seed, op = OPERATIONS[name]
+        directory, expected = _seed_directory(tmp_path, **seed)
         # Dry run on a copy to count this operation's commit events.
         with pytest.MonkeyPatch.context() as mp:
             counter = FaultInjector().install(mp)
@@ -390,8 +396,8 @@ class TestCrashPointSweep:
 
     @pytest.mark.parametrize("name", sorted(OPERATIONS))
     def test_torn_file_at_every_write(self, name, tmp_path):
-        storage, op = OPERATIONS[name]
-        directory, expected = _seed_directory(tmp_path, storage)
+        seed, op = OPERATIONS[name]
+        directory, expected = _seed_directory(tmp_path, **seed)
         with pytest.MonkeyPatch.context() as mp:
             counter = FaultInjector().install(mp)
             op(_copy(directory, tmp_path, "dry"))
@@ -406,8 +412,8 @@ class TestCrashPointSweep:
     @pytest.mark.parametrize("name", sorted(OPERATIONS))
     def test_interrupted_then_retried_succeeds(self, name, tmp_path):
         # A crashed rewrite must be recoverable by simply re-running it.
-        storage, op = OPERATIONS[name]
-        directory, expected = _seed_directory(tmp_path, storage)
+        seed, op = OPERATIONS[name]
+        directory, expected = _seed_directory(tmp_path, **seed)
         run_dir = _copy(directory, tmp_path, "retry")
         with pytest.MonkeyPatch.context() as mp:
             FaultInjector(fail_after=2).install(mp)
@@ -415,15 +421,19 @@ class TestCrashPointSweep:
                 op(run_dir)
         op(run_dir)  # no injector: the retry completes
         _assert_state(run_dir, expected)
-        assert load_columnar(run_dir).delta_pending == 0
+        store = load_columnar(run_dir)
+        assert store.delta_pending == 0
+        assert (store.filter_info() is None) == (
+            not seed.get("filters", True)
+        )
 
 
 class TestDiskFull:
     @pytest.mark.parametrize("name", sorted(OPERATIONS))
     @pytest.mark.parametrize("budget", (0, 200, 5_000))
     def test_enospc_mid_rewrite(self, name, budget, tmp_path):
-        storage, op = OPERATIONS[name]
-        directory, expected = _seed_directory(tmp_path, storage)
+        seed, op = OPERATIONS[name]
+        directory, expected = _seed_directory(tmp_path, **seed)
         run_dir = _copy(directory, tmp_path, f"enospc{budget}")
         with pytest.MonkeyPatch.context() as mp:
             FaultInjector(byte_budget=budget).install(mp)
@@ -622,7 +632,7 @@ class TestRemoteFaultSweep:
         flat, stores, threads = self._topology()
         threads[1].stop()  # shard 1 moves to a killable subprocess
         directory = str(tmp_path / "host1")
-        save_columnar(stores[1], directory, storage="npz")
+        save_columnar(stores[1], directory)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
@@ -695,7 +705,7 @@ class TestPostCommitMediaDamage:
     finally read, never decode garbage."""
 
     def _committed(self, tmp_path):
-        directory, expected = _seed_directory(tmp_path, "mmap")
+        directory, expected = _seed_directory(tmp_path)
         compact_shards(directory)  # fold cleanly: single-generation base
         return directory, expected
 

@@ -1,11 +1,10 @@
 """Unit tests for the mmap shard codec and the negative-lookup filters.
 
 The property suite (``tests/test_engine_properties.py``) pins the
-behavioral equivalence of the mmap storage; this file pins the codec
+behavioral equivalence of the columnar store; this file pins the codec
 mechanics: byte layout, zero-copy mapping, named structural errors,
-filter serialization, and the storage-conversion paths of
-``compact_shards(layout=...)``.  The crash-interruption cases live in
-``tests/test_faultinject.py``.
+filter serialization, and the conversion paths of ``compact_shards``.
+The crash-interruption cases live in ``tests/test_faultinject.py``.
 """
 
 from __future__ import annotations
@@ -229,10 +228,9 @@ class TestKeyFilterCodec:
 
 
 class TestStoreLevelFilters:
-    @pytest.mark.parametrize("storage", ("npz", "mmap"))
-    def test_missing_filter_file_named_at_load(self, storage, tmp_path):
+    def test_missing_filter_file_named_at_load(self, tmp_path):
         directory = str(tmp_path / "efd")
-        save_columnar(_sharded(), directory, storage=storage)
+        save_columnar(_sharded(), directory)
         victim = next(
             f for f in sorted(os.listdir(directory)) if f.endswith(".filter")
         )
@@ -240,10 +238,9 @@ class TestStoreLevelFilters:
         with pytest.raises(FileNotFoundError, match=victim):
             load_columnar(directory)
 
-    @pytest.mark.parametrize("storage", ("npz", "mmap"))
-    def test_corrupt_filter_file_named_at_load(self, storage, tmp_path):
+    def test_corrupt_filter_file_named_at_load(self, tmp_path):
         directory = str(tmp_path / "efd")
-        save_columnar(_sharded(), directory, storage=storage)
+        save_columnar(_sharded(), directory)
         victim = next(
             f for f in sorted(os.listdir(directory)) if f.endswith(".filter")
         )
@@ -254,10 +251,9 @@ class TestStoreLevelFilters:
         with pytest.raises(ValueError, match=victim):
             load_columnar(directory)
 
-    @pytest.mark.parametrize("storage", ("npz", "mmap"))
-    def test_missing_hash_index_named_at_load(self, storage, tmp_path):
+    def test_missing_hash_index_named_at_load(self, tmp_path):
         directory = str(tmp_path / "efd")
-        save_columnar(_sharded(), directory, storage=storage)
+        save_columnar(_sharded(), directory)
         victim = next(
             f for f in sorted(os.listdir(directory)) if f.endswith(".hashidx")
         )
@@ -265,12 +261,11 @@ class TestStoreLevelFilters:
         with pytest.raises(FileNotFoundError, match=victim):
             load_columnar(directory)
 
-    @pytest.mark.parametrize("storage", ("npz", "mmap"))
-    def test_corrupt_hash_index_named_at_first_scan(self, storage, tmp_path):
+    def test_corrupt_hash_index_named_at_first_scan(self, tmp_path):
         # The hash index reads lazily — open stays O(manifest) — so the
         # damage surfaces, by name, on the first filter-passing probe.
         directory = str(tmp_path / "efd")
-        save_columnar(_sharded(), directory, storage=storage)
+        save_columnar(_sharded(), directory)
         victim = next(
             f for f in sorted(os.listdir(directory)) if f.endswith(".hashidx")
         )
@@ -295,12 +290,11 @@ class TestStoreLevelFilters:
         assert store.filter_info() is None
         assert store.lookup(_fp(10_001)) == ["late_X"]
 
-    @pytest.mark.parametrize("storage", ("npz", "mmap"))
-    def test_unknown_metric_batch_reads_no_columns(self, storage, tmp_path):
+    def test_unknown_metric_batch_reads_no_columns(self, tmp_path):
         # Probes whose metric/interval was never learned short-circuit
         # before hashing — guaranteed zero column reads.
         directory = str(tmp_path / "efd")
-        save_columnar(_sharded(), directory, storage=storage)
+        save_columnar(_sharded(), directory)
         store = load_columnar(directory)
         misses = [
             Fingerprint("never_learned", i % 4, (0.0, 60.0), float(i))
@@ -311,27 +305,25 @@ class TestStoreLevelFilters:
         assert all(f._columns is None for f in store._files)
         assert store._full_index is None
 
-    @pytest.mark.parametrize("storage", ("npz", "mmap"))
-    def test_all_miss_batch_stays_lazy(self, storage, tmp_path):
+    def test_all_miss_batch_stays_lazy(self, tmp_path):
         # Known-metric misses resolve through the filters; the rare
         # false positive falls through to the exact hash-scan (which
         # may read columns) but never hydrates per-shard dicts or
         # builds the full rank-packed index.
         directory = str(tmp_path / "efd")
-        save_columnar(_sharded(), directory, storage=storage)
+        save_columnar(_sharded(), directory)
         store = load_columnar(directory)
         misses = [_fp(i) for i in range(50_000, 50_200)]
         assert store.lookup_many(misses) == [[] for _ in misses]
         assert not any(shard.hydrated for shard in store.shards)
         assert store._full_index is None
 
-    @pytest.mark.parametrize("storage", ("npz", "mmap"))
-    def test_small_hit_batch_stays_lazy(self, storage, tmp_path):
+    def test_small_hit_batch_stays_lazy(self, tmp_path):
         # A few filter-surviving probes resolve via the hash-scan
         # without paying the full rank-packed index build.
         directory = str(tmp_path / "efd")
         sharded = _sharded()
-        save_columnar(sharded, directory, storage=storage)
+        save_columnar(sharded, directory)
         store = load_columnar(directory)
         probes = [_fp(3), _fp(50_000), _fp(7)]
         assert store.lookup_many(probes) == [
@@ -361,78 +353,78 @@ class TestStoreLevelFilters:
             load_columnar(directory)
 
 
-class TestStorageConversion:
-    def test_npz_to_mmap_and_back(self, tmp_path):
-        directory = str(tmp_path / "efd")
-        sharded = _sharded()
-        save_columnar(sharded, directory, storage="npz")
-        summary = compact_shards(directory, layout="mmap")
-        assert summary["storage"] == "mmap"
-        names = sorted(os.listdir(directory))
-        assert not any(n.startswith("shard") and n.endswith(".npz")
-                       for n in names)
-        assert any(n.endswith(".mmap") for n in names)
-        store = load_columnar(directory)
-        assert store.storage == "mmap"
-        assert list(store.entries()) == list(sharded.entries())
-        summary = compact_shards(directory, layout="npz")
-        assert summary["storage"] == "npz"
-        store = load_columnar(directory)
-        assert store.storage == "npz"
-        assert list(store.entries()) == list(sharded.entries())
-
-    def test_conversion_to_out_leaves_source(self, tmp_path):
-        src = str(tmp_path / "src")
-        dst = str(tmp_path / "dst")
-        save_columnar(_sharded(), src, storage="npz")
-        before = sorted(os.listdir(src))
-        compact_shards(src, out=dst, layout="mmap")
-        assert sorted(os.listdir(src)) == before
-        assert load_columnar(dst).storage == "mmap"
-
-    def test_noop_conversion_refused(self, tmp_path):
-        directory = str(tmp_path / "efd")
-        save_columnar(_sharded(), directory, storage="mmap")
-        with pytest.raises(ValueError, match="already columnar"):
-            compact_shards(directory, layout="mmap")
-
-    def test_unknown_layout_rejected(self, tmp_path):
-        directory = str(tmp_path / "efd")
-        save_columnar(_sharded(), directory)
-        with pytest.raises(ValueError, match="unknown columnar storage"):
-            compact_shards(directory, layout="zip")
-
-    def test_conversion_folds_pending_log(self, tmp_path):
-        directory = str(tmp_path / "efd")
-        save_columnar(_sharded(), directory, storage="npz")
-        store = load_columnar(directory)
-        late = _fp(70_000)
-        store.add(late, "late_X")
-        summary = compact_shards(directory, layout="mmap")
-        assert summary["folded_records"] == 1
-        store = load_columnar(directory)
-        assert store.delta_pending == 0
-        assert store.lookup(late) == ["late_X"]
-
+class TestConversion:
     def test_json_to_mmap_direct(self, tmp_path):
         from repro.engine import save_sharded
 
         directory = str(tmp_path / "efd")
         sharded = _sharded()
         save_sharded(sharded, directory)
-        summary = compact_shards(directory, layout="mmap")
-        assert summary["storage"] == "mmap"
+        summary = compact_shards(directory)
+        assert summary["n_keys"] == len(sharded)
+        names = sorted(os.listdir(directory))
+        assert not any(n.startswith("shard") and n.endswith(".json")
+                       for n in names)
+        assert any(n.endswith(".mmap") for n in names)
         store = load_columnar(directory)
-        assert store.storage == "mmap"
         assert list(store.entries()) == list(sharded.entries())
 
-    @pytest.mark.parametrize("storage", ("npz", "mmap"))
-    def test_expand_removes_all_sidecars(self, storage, tmp_path):
+    def test_conversion_to_out_leaves_source(self, tmp_path):
+        from repro.engine import save_sharded
+
+        src = str(tmp_path / "src")
+        dst = str(tmp_path / "dst")
+        save_sharded(_sharded(), src)
+        before = sorted(os.listdir(src))
+        compact_shards(src, out=dst)
+        assert sorted(os.listdir(src)) == before
+        assert any(n.endswith(".mmap") for n in os.listdir(dst))
+        assert list(load_columnar(dst).entries()) == list(
+            _sharded().entries()
+        )
+
+    def test_noop_conversion_refused(self, tmp_path):
+        directory = str(tmp_path / "efd")
+        save_columnar(_sharded(), directory)
+        with pytest.raises(ValueError, match="already columnar"):
+            compact_shards(directory)
+
+    def test_conversion_folds_pending_log(self, tmp_path):
+        directory = str(tmp_path / "efd")
+        save_columnar(_sharded(), directory)
+        store = load_columnar(directory)
+        late = _fp(70_000)
+        store.add(late, "late_X")
+        summary = compact_shards(directory)
+        assert summary["folded_records"] == 1
+        store = load_columnar(directory)
+        assert store.delta_pending == 0
+        assert store.lookup(late) == ["late_X"]
+
+    @pytest.mark.parametrize("filters", [True, False],
+                             ids=["filtered", "unfiltered"])
+    def test_fold_to_out_leaves_source_log(self, filters, tmp_path):
+        src = str(tmp_path / "src")
+        dst = str(tmp_path / "dst")
+        save_columnar(_sharded(), src, filters=filters)
+        late = _fp(70_000)
+        load_columnar(src).add(late, "late_X")
+        summary = compact_shards(src, out=dst)
+        assert summary["folded_records"] == 1
+        assert load_columnar(src).delta_pending == 1
+        store = load_columnar(dst)
+        assert store.delta_pending == 0
+        assert store.lookup(late) == ["late_X"]
+        assert (store.filter_info() is None) == (not filters)
+
+    @pytest.mark.parametrize("filters", [True, False],
+                             ids=["filtered", "unfiltered"])
+    def test_expand_removes_all_sidecars(self, filters, tmp_path):
         from repro.engine import expand_shards, load_sharded
 
         directory = str(tmp_path / "efd")
         sharded = _sharded()
-        save_columnar(sharded, directory, storage=storage)
+        save_columnar(sharded, directory, filters=filters)
         expand_shards(directory)
         leftovers = [
             f for f in os.listdir(directory)

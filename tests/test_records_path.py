@@ -197,17 +197,16 @@ def _columnar(flat, path, **kwargs):
 
 class TestRecordsEqualSequential:
     @pytest.mark.parametrize(
-        "kind", ["flat", "sharded", "npz", "mmap", "npz-unfiltered"]
+        "kind", ["flat", "sharded", "mmap", "mmap-unfiltered"]
     )
     def test_every_store_kind(self, openworld, kind, tmp_path):
         flat, records, _ = openworld
         store = {
             "flat": lambda: flat,
             "sharded": lambda: ShardedDictionary.from_flat(flat, 3),
-            "npz": lambda: _columnar(flat, tmp_path),
-            "mmap": lambda: _columnar(flat, tmp_path, storage="mmap"),
-            "npz-unfiltered": lambda: _columnar(flat, tmp_path,
-                                                filters=False),
+            "mmap": lambda: _columnar(flat, tmp_path),
+            "mmap-unfiltered": lambda: _columnar(flat, tmp_path,
+                                                 filters=False),
         }[kind]()
         engine = BatchRecognizer(store, metric=METRIC, depth=DEPTH)
         want = _sequential(flat, records, DEPTH)
@@ -274,7 +273,7 @@ class TestRecordsEqualSequential:
             assert isinstance(engine._index, dict)
             assert engine.stats.index_demotions >= 1
 
-    @pytest.mark.parametrize("kind", ["flat", "npz", "npz-unfiltered"])
+    @pytest.mark.parametrize("kind", ["flat", "mmap", "mmap-unfiltered"])
     def test_signed_zero_probes(self, kind, tmp_path):
         flat = ExecutionFingerprintDictionary()
         flat.add(Fingerprint(METRIC, 0, INTERVAL, -0.0), "neg_A")
@@ -283,9 +282,9 @@ class TestRecordsEqualSequential:
         flat.add(Fingerprint(METRIC, 0, INTERVAL, 0.0), "pos_B")
         store = {
             "flat": lambda: flat,
-            "npz": lambda: _columnar(flat, tmp_path),
-            "npz-unfiltered": lambda: _columnar(flat, tmp_path,
-                                                filters=False),
+            "mmap": lambda: _columnar(flat, tmp_path),
+            "mmap-unfiltered": lambda: _columnar(flat, tmp_path,
+                                                 filters=False),
         }[kind]()
         length = 150
         windows = [
@@ -365,11 +364,12 @@ class TestMissErrors:
 # -- warm ----------------------------------------------------------------------
 
 class TestWarmBuildsRecordsIndex:
-    @pytest.mark.parametrize("storage", ["npz", "mmap"])
+    @pytest.mark.parametrize("filters", [True, False],
+                             ids=["mmap", "mmap-unfiltered"])
     def test_first_batch_builds_nothing(self, openworld, tmp_path,
-                                        monkeypatch, storage):
+                                        monkeypatch, filters):
         flat, records, _ = openworld
-        store = _columnar(flat, tmp_path, storage=storage)
+        store = _columnar(flat, tmp_path, filters=filters)
         key = columnar_mod._batch_key(METRIC, INTERVAL)
         engine = BatchRecognizer(store, metric=METRIC, depth=DEPTH).warm()
         assert store._batch_indices.get(key) is not None

@@ -660,7 +660,7 @@ class TestShardserveCLI:
 
         flat, stores = _seed_stores(1)
         directory = str(tmp_path / "store")
-        save_columnar(stores[0], directory, storage="npz")
+        save_columnar(stores[0], directory)
         env = self._env()
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "shardserve",
@@ -692,7 +692,7 @@ class TestShardserveCLI:
 
         _, stores = _seed_stores(1)
         directory = str(tmp_path / "store")
-        save_columnar(stores[0], directory, storage="npz")
+        save_columnar(stores[0], directory)
         env = self._env()
         backend = subprocess.Popen(
             [sys.executable, "-m", "repro", "shardserve",

@@ -13,8 +13,7 @@ leader's directory (base files *and* delta-log segment).
 :class:`test_faultinject.FrameProxy` injects the faults; each one is
 armed once, so the follower's reconnect loop is what the sweep
 actually exercises.  ``make replicate-smoke`` runs the ``smoke``
-subset: one live bootstrap → trickle → base-swap round trip per
-storage.
+subset: one live bootstrap → trickle → base-swap round trip.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from repro.engine.replicate import (
     replication_request,
 )
 
-STORAGES = ("npz", "mmap")
 N_BASE = 24
 N_DELTA = 10
 
@@ -72,12 +70,13 @@ def _delta_ops(n: int = N_DELTA):
     ]
 
 
-def _seed_leader(tmp_path, storage: str, n_base: int = N_BASE) -> str:
+def _seed_leader(tmp_path, n_base: int = N_BASE,
+                 filters: bool = True) -> str:
     sharded = ShardedDictionary(2)
     for fp, label in _base_pairs(n_base):
         sharded.add(fp, label)
     directory = str(tmp_path / "leader")
-    save_columnar(sharded, directory, storage=storage)
+    save_columnar(sharded, directory, filters=filters)
     return directory
 
 
@@ -157,7 +156,7 @@ async def _settled_copy(replica_dir, tmp_path, tag):
     return dst
 
 
-async def _drive_link(tmp_path, storage, proxy_kwargs=None,
+async def _drive_link(tmp_path, filters, proxy_kwargs=None,
                       tear_swap=False, crash_apply_at=None):
     """One full replication round trip, optionally through a fault.
 
@@ -165,9 +164,10 @@ async def _drive_link(tmp_path, storage, proxy_kwargs=None,
     trickles ``N_DELTA`` appends, waits for convergence, compacts the
     leader (base swap), waits for the swap to land, and returns the
     mid-fault directory copies taken along the way for offline
-    invariant checks.
+    invariant checks.  ``filters`` picks whether the leader's base
+    (and so every shipped snapshot) carries the per-shard key filters.
     """
-    leader_dir = _seed_leader(tmp_path, storage)
+    leader_dir = _seed_leader(tmp_path, filters=filters)
     replica_dir = str(tmp_path / "replica")
     ops = _delta_ops()
     leader = load_columnar(leader_dir)
@@ -247,6 +247,8 @@ async def _drive_link(tmp_path, storage, proxy_kwargs=None,
                 generation + 1, 0, timeout=30.0
             ), f"replica never swapped (lag={follower.lag})"
             _assert_dirs_equal(leader_dir, replica_dir)
+            assert (load_columnar(replica_dir).filter_info() is None) \
+                == (not filters)
             if proxy is not None and (proxy_kwargs or tear_swap):
                 assert proxy.fired, "the armed fault never fired"
         finally:
@@ -261,13 +263,20 @@ async def _drive_link(tmp_path, storage, proxy_kwargs=None,
     return ops, copies, post_swap
 
 
+#: Bases with and without the per-shard key filters: the snapshot
+#: frames differ (no ``.filter`` files), and the swap must keep the kind.
+FILTERS = pytest.mark.parametrize(
+    "filters", (True, False), ids=("filtered", "unfiltered")
+)
+
+
 class TestSmokeRoundTrip:
     """Clean-link round trip: bootstrap, trickle, base swap, converge."""
 
-    @pytest.mark.parametrize("storage", STORAGES)
-    def test_smoke_bootstrap_trickle_swap(self, storage, tmp_path):
+    @FILTERS
+    def test_smoke_bootstrap_trickle_swap(self, filters, tmp_path):
         ops, copies, post_swap = asyncio.run(
-            _drive_link(tmp_path, storage)
+            _drive_link(tmp_path, filters)
         )
         states = _expected_states(ops)
         for copy_dir in copies:
@@ -286,24 +295,24 @@ class TestSocketFaultSweep:
         ("duplicate_at", n) for n in (1, 4, 9, 14)
     ]
 
-    @pytest.mark.parametrize("storage", STORAGES)
+    @FILTERS
     @pytest.mark.parametrize("fault", FAULTS,
                              ids=[f"{k}{n}" for k, n in FAULTS])
-    def test_fault_recovers_exact_state(self, storage, fault, tmp_path):
+    def test_fault_recovers_exact_state(self, fault, filters, tmp_path):
         kind, index = fault
         ops, copies, post_swap = asyncio.run(
-            _drive_link(tmp_path, storage, proxy_kwargs={kind: index})
+            _drive_link(tmp_path, filters, proxy_kwargs={kind: index})
         )
         states = _expected_states(ops)
         for copy_dir in copies:
             _assert_old_or_new(copy_dir, states, post_swap)
 
-    @pytest.mark.parametrize("storage", STORAGES)
-    def test_leader_killed_mid_base_swap(self, storage, tmp_path):
+    @FILTERS
+    def test_leader_killed_mid_base_swap(self, filters, tmp_path):
         # Passthrough proxy during the trickle; the tear is armed right
         # before compaction so it hits the swap snapshot's frames.
         ops, copies, post_swap = asyncio.run(
-            _drive_link(tmp_path, storage,
+            _drive_link(tmp_path, filters,
                         proxy_kwargs={"tear_at": 10 ** 9},
                         tear_swap=True)
         )
@@ -311,10 +320,10 @@ class TestSocketFaultSweep:
         for copy_dir in copies:
             _assert_old_or_new(copy_dir, states, post_swap)
 
-    @pytest.mark.parametrize("storage", STORAGES)
-    def test_replica_crash_mid_apply_resumes(self, storage, tmp_path):
+    @FILTERS
+    def test_replica_crash_mid_apply_resumes(self, filters, tmp_path):
         ops, copies, post_swap = asyncio.run(
-            _drive_link(tmp_path, storage, crash_apply_at=3)
+            _drive_link(tmp_path, filters, crash_apply_at=3)
         )
         states = _expected_states(ops)
         for copy_dir in copies:
@@ -325,7 +334,7 @@ class TestControlPlane:
     """status / promote / follow round trips against a live publisher."""
 
     def test_status_reports_position(self, tmp_path):
-        directory = _seed_leader(tmp_path, "npz")
+        directory = _seed_leader(tmp_path)
 
         async def run():
             store = load_columnar(directory)
@@ -347,7 +356,7 @@ class TestControlPlane:
         # control client must hand them back instead of rejecting the
         # frame (which made elect_and_promote report a successful
         # re-follow as failed).
-        directory = _seed_leader(tmp_path, "npz")
+        directory = _seed_leader(tmp_path)
 
         async def run():
             async def on_follow(msg):
@@ -370,7 +379,7 @@ class TestControlPlane:
         assert "error" in refused  # no on_promote: refusal, not a parse error
 
     def test_promote_folds_and_leads(self, tmp_path):
-        leader_dir = _seed_leader(tmp_path, "npz")
+        leader_dir = _seed_leader(tmp_path)
         replica_dir = str(tmp_path / "replica")
 
         async def run():
@@ -405,7 +414,7 @@ class TestControlPlane:
     def test_elect_and_promote_picks_most_advanced(self, tmp_path):
         from repro.engine.replicate import elect_and_promote
 
-        leader_dir = _seed_leader(tmp_path, "npz")
+        leader_dir = _seed_leader(tmp_path)
         ahead_dir = str(tmp_path / "ahead")
         behind_dir = str(tmp_path / "behind")
 
@@ -520,7 +529,7 @@ class TestFollowerRedialBackoff:
 
     def test_successful_subscribe_resets_the_sequence(self, tmp_path):
         async def run():
-            leader_dir = _seed_leader(tmp_path, "npz")
+            leader_dir = _seed_leader(tmp_path)
             replica_dir = str(tmp_path / "replica")
             async with ReplicationPublisher(
                 leader_dir, port=0, poll_interval=0.005, heartbeat=0.02
@@ -577,7 +586,7 @@ class TestCLIFailover:
     def test_kill_leader_promote_converge(self, tmp_path):
         from repro.cli import main
 
-        leader_dir = _seed_leader(tmp_path, "npz")
+        leader_dir = _seed_leader(tmp_path)
         replica_dirs = [str(tmp_path / f"replica{i}") for i in (0, 1)]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(

@@ -3,7 +3,7 @@
 The reshard contract (ISSUE 5 acceptance): ``reshard`` changes a
 directory's shard count without a relearn, moving only keys whose
 ``stable_hash % N != stable_hash % M``; a reshard N→M→N round-trips to
-*byte-identical* files (both layouts — npz writes are deterministic);
+*byte-identical* files (both layouts — columnar writes are deterministic);
 and verdicts over a 500-execution batch are element-wise identical
 before and after, across {1, 2, 4, 8} → {2, 3, 8, 16}.
 """
@@ -218,7 +218,7 @@ class TestReshardDirectory:
         assert len(manifest["shards"]) == 2
         on_disk = {
             name for name in os.listdir(directory)
-            if name.endswith(".npz")
+            if name.endswith((".mmap", ".npz"))
         }
         assert on_disk == referenced  # all 8 old shard files reclaimed
         assert load_columnar(directory).n_shards == 2
