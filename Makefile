@@ -19,9 +19,10 @@ bench-smoke:     ## columnar codec bench at tiny scale (fast regression gate)
 bench-e2e:       ## end-to-end benchmark: every workload, traced per-layer waterfalls
 	$(PYTHON) e2ebench/run.py --workload all --seed 1 --seconds 20 --trace 1
 
-serve-smoke:     ## UDS listener smoke + block decoder and block accounting gates
+serve-smoke:     ## UDS listener smoke + block decoder, block accounting and batch drain gates + a short serve_flood run (correctness, not speed)
 	$(PYTHON) -m pytest tests/test_serve_net.py -q -k "smoke or BlockDecoder"
-	$(PYTHON) -m pytest tests/test_serve_service.py -q -k BlockAccounting
+	$(PYTHON) -m pytest tests/test_serve_service.py -q -k "BlockAccounting or BatchDrain"
+	$(PYTHON) e2ebench/run.py --workload serve_flood --seed 1 --seconds 3 --trace 0
 
 reshard-smoke:   ## reshard N->M->N byte-identity + verdict equivalence gate
 	$(PYTHON) -m pytest tests/test_reshard.py -q

@@ -1385,10 +1385,19 @@ class ColumnarDictionary(ShardedDictionary):
         """True when the filters prove the base lacks this key (exact).
 
         False when filters are absent, a shard was mutated behind the
-        delta-log (the filters describe stale columns), or the key
-        *might* be present — callers then take the exact path.
+        delta-log (the filters describe stale columns), the key is in
+        the store's own key order (so present: this is what keeps
+        :meth:`entries` and every ``entries`` + ``lookup_counts`` walk,
+        the delta-log fold's merge among them, free of per-key filter
+        probes), or the key *might* be present — callers then take the
+        exact path.
         """
-        if self._filters is None or self._base_mutated():
+        if self._filters is None:
+            return False
+        order = self._key_order_cache
+        if order is not None and fingerprint in order:
+            return False
+        if self._base_mutated():
             return False
         metric_id = self._metric_map.get(str(fingerprint.metric))
         if metric_id is None:

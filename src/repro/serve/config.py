@@ -44,16 +44,24 @@ class ServeConfig:
         than the cap will stall the producer — lossless systems should
         pair the cap with a timeout.
     batch_max_sessions:
-        Upper bound on the size of one recognition micro-batch.
+        Upper bound on the size of one recognition micro-batch.  A
+        batch takes every ready session up to this cap in one step, so
+        sessions that turn ready together (one routed block, a flood's
+        pass of interleaved jobs) leave together.
     batch_max_delay:
-        Seconds the batcher waits for more ready sessions before
-        dispatching a partial micro-batch.  Trades verdict latency for
-        batch efficiency; 0 dispatches every ready session immediately.
+        Seconds the oldest ready session may wait for the batch to fill
+        before a partial micro-batch is dispatched (one timer per
+        batch, not per session).  Trades verdict latency for batch
+        efficiency; 0 dispatches every ready session immediately, as
+        many as the cap allows per batch.
     max_inflight_batches:
         How many micro-batches may be resolving on the worker executor
         at once.  Recognition itself is serialized per engine (the
         engine's stats and index cache are not thread-safe), so values
-        above 1 only overlap executor scheduling with ingestion.
+        above 1 only overlap executor scheduling with ingestion.  Keep
+        it at 2: on the ``serve_flood`` benchmark (2 shared vCPUs), 1
+        raised the verdict p50 (123 → 169 ms and 137 → 203 ms in two
+        paired runs) and cut samples/s by 11–13%.
     session_timeout:
         Seconds of *wall-clock* inactivity (no samples accepted) after
         which a session that never became ready is evicted.  ``None``

@@ -20,8 +20,8 @@ one event loop, moves blocks, never single samples::
                           │ cap? split  ▼                         per-job StreamSession
                           ▼             backpressure              │ session.ready?
                      backpressure                                 ▼
-                                                            [ready queue] ─> _batch_loop
-                                                                              │ coalesce
+                                                            [ready deque] ─> _batch_loop
+                                                                              │ slice ≤ cap
                                                                               ▼
                                                  executor: recognize_sessions(batch)
                                                                               │
@@ -132,7 +132,7 @@ class SessionWorkerError(WorkerError):
 
 class _Phase(Enum):
     ACTIVE = "active"      # accepting samples, not yet ready
-    QUEUED = "queued"      # on the ready queue / in a resolving batch
+    QUEUED = "queued"      # on the ready deque / in a resolving batch
     DONE = "done"          # future resolved (verdict or error)
 
 
@@ -252,7 +252,10 @@ class IngestService:
         self._n_active = 0            # sessions not yet DONE
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._ingest_q: Optional[_BlockQueue] = None
-        self._ready_q: Optional["asyncio.Queue[str]"] = None
+        # QUEUED sessions awaiting a batch, oldest first; the event wakes
+        # the batch loop when the deque turns non-empty or fills a batch.
+        self._ready: Deque[_SessionState] = deque()
+        self._ready_event: Optional[asyncio.Event] = None
         self._ingest_task: Optional["asyncio.Task[None]"] = None
         self._batch_task: Optional["asyncio.Task[None]"] = None
         self._tasks: List["asyncio.Task[None]"] = []
@@ -292,7 +295,8 @@ class IngestService:
             raise RuntimeError("service already started")
         self._loop = asyncio.get_running_loop()
         self._ingest_q = _BlockQueue(self.config.max_pending_samples)
-        self._ready_q = asyncio.Queue()
+        self._ready = deque()
+        self._ready_event = asyncio.Event()
         self._inflight = asyncio.Semaphore(self.config.max_inflight_batches)
         self._session_freed = asyncio.Event()
         self._quiescent = asyncio.Event()
@@ -760,33 +764,48 @@ class IngestService:
         state.ready_at = self._loop.time()
         self._n_unresolved += 1
         self._quiescent.clear()
-        self._ready_q.put_nowait(state.job)
+        ready = self._ready
+        ready.append(state)
+        if len(ready) == 1 or len(ready) == self.config.batch_max_sessions:
+            self._ready_event.set()
 
     # -- internals: batching --------------------------------------------------
     async def _batch_loop(self) -> None:
+        """Cut the ready deque into micro-batches, a batch at a time.
+
+        A batch leaves when it is full or when its oldest session has
+        waited ``batch_max_delay``; it then takes every ready session up
+        to ``batch_max_sessions`` in one slice.  The loop sleeps on one
+        event (set by :meth:`_queue_ready` when the deque turns
+        non-empty or fills a batch) and arms at most one timer per
+        batch, so its cost is per batch, not per session.
+        """
         cfg = self.config
+        loop = self._loop
+        ready = self._ready
+        event = self._ready_event
         while True:
-            job = await self._ready_q.get()
-            batch = [job]
-            deadline = self._loop.time() + cfg.batch_max_delay
-            while len(batch) < cfg.batch_max_sessions:
-                remaining = deadline - self._loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._ready_q.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
-                    break
+            while not ready:
+                event.clear()
+                await event.wait()
+            if len(ready) < cfg.batch_max_sessions:
+                deadline = ready[0].ready_at + cfg.batch_max_delay
+                if deadline > loop.time():
+                    event.clear()
+                    timer = loop.call_at(deadline, event.set)
+                    try:
+                        await event.wait()
+                    finally:
+                        timer.cancel()
             await self._inflight.acquire()
-            task = self._loop.create_task(self._resolve_batch(batch))
+            n = min(len(ready), cfg.batch_max_sessions)
+            batch = [ready.popleft() for _ in range(n)]
+            task = loop.create_task(self._resolve_batch(batch))
             self._batches.add(task)
             task.add_done_callback(self._batches.discard)
 
-    async def _resolve_batch(self, jobs: List[str]) -> None:
+    async def _resolve_batch(self, states: List[_SessionState]) -> None:
         try:
-            states = [self._sessions[job] for job in jobs]
             sessions = [state.session for state in states]
             try:
                 results = await self._loop.run_in_executor(

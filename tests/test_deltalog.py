@@ -252,6 +252,40 @@ class TestCompaction:
         _assert_equal_stores(load_columnar(directory), flat)
         assert col.compact_delta() == 0           # idempotent
 
+    def test_fold_is_byte_identical_and_probes_no_filter(
+        self, tmp_path, monkeypatch
+    ):
+        # The fold reads keys of the store's own key order straight
+        # from the base shards plus the overlay: no Bloom-filter probe
+        # per key, and the same bytes as a save of the flat reference
+        # grown the same way.
+        flat = _small_flat(400)
+        col, directory = _columnar(tmp_path, flat, n_shards=4)
+        for i in range(60):
+            fp = _fp(100.0 * (7 * i + 1), (7 * i) % 4)   # existing keys
+            col.add_repeated(fp, "lu_X" if i % 2 else "ft_X", 1 + i % 3)
+            flat.add_repeated(fp, "lu_X" if i % 2 else "ft_X", 1 + i % 3)
+            col.add(_fp(90000.0 + i, i % 4), "zz_Q")        # new keys
+            flat.add(_fp(90000.0 + i, i % 4), "zz_Q")
+        probes = []
+        might = type(col)._filter_might
+        monkeypatch.setattr(
+            type(col), "_filter_might",
+            lambda self, hashes: probes.append(len(hashes)) or might(
+                self, hashes),
+        )
+        col.compact_delta()
+        assert probes == []
+        reference = str(tmp_path / "reference")
+        save_columnar(ShardedDictionary.from_flat(flat, 4), reference,
+                      generation=1)
+        names = sorted(os.listdir(reference))
+        assert sorted(os.listdir(directory)) == names
+        for name in names:
+            with open(os.path.join(directory, name), "rb") as a, \
+                    open(os.path.join(reference, name), "rb") as b:
+                assert a.read() == b.read(), name
+
     def test_version_stays_monotonic_across_compaction(self, tmp_path):
         col, _ = _columnar(tmp_path, _small_flat(), n_shards=2)
         col.add(_fp(90000.0), "zz_Q")

@@ -521,6 +521,57 @@ class TestBlockAccounting:
         assert folded_at_pull == [8, 16, 24, 32]
 
 
+class TestBatchDrain:
+    """The batcher takes every ready session, up to the cap, in one
+    step: sessions that turn ready together leave together."""
+
+    def test_sessions_ready_together_fill_whole_batches(
+        self, recognizer, dataset
+    ):
+        base = list(dataset)
+        records = [base[i % len(base)] for i in range(300)]
+        job_ids = [f"job-{i:03d}" for i in range(len(records))]
+        reference = _reference_verdicts(recognizer, records, job_ids)
+        samples = list(interleave_records(records, METRIC, job_ids))
+        engine = _engine(recognizer)
+
+        async def run():
+            config = ServeConfig(
+                max_pending_samples=len(samples), batch_max_sessions=128,
+                batch_max_delay=0,
+            )
+            async with IngestService(engine, config) as service:
+                await service.submit_many(SampleBlock.of(samples))
+                await service.drain()
+                return service
+
+        service = asyncio.run(run())
+        assert engine.stats.n_batches == 3   # 128 + 128 + 44
+        assert engine.stats.max_batch == 128
+        assert service.results == reference
+
+    def test_lone_session_leaves_after_the_delay(self, recognizer, dataset):
+        record = list(dataset)[0]
+        samples = list(interleave_records([record], METRIC, ["solo"]))
+        engine = _engine(recognizer)
+        delay = 0.2
+
+        async def run():
+            config = ServeConfig(batch_max_sessions=64,
+                                 batch_max_delay=delay)
+            async with IngestService(engine, config) as service:
+                await service.submit_many(SampleBlock.of(samples))
+                verdict = await asyncio.wait_for(
+                    service.verdict("solo"), timeout=10
+                )
+                return service, verdict
+
+        service, verdict = asyncio.run(run())
+        assert verdict == service.results["solo"]
+        assert engine.stats.n_batches == 1
+        assert engine.stats.max_latency >= delay
+
+
 # ---------------------------------------------------------------------------
 # Eviction
 # ---------------------------------------------------------------------------
