@@ -2,7 +2,7 @@
 
 The mutation fast path's acceptance bar (ISSUE 5): a columnar store
 under a sustained write trickle — appends interleaved with 1k-batch
-recognitions — keeps the rank-packed ``searchsorted`` index active
+recognitions — keeps the key-hash ``searchsorted`` lookup active
 (zero ``index_demotions``), with verdicts element-wise identical to the
 pre-write baseline for the untouched keys.  This bench measures
 

@@ -9,10 +9,10 @@ against a ~1M-key store,
   + filters; no column bytes read);
 - a **99%-unknown 1k-batch** must resolve **>= 10x** faster than the
   pre-filter miss path — the same mmap store saved with
-  ``filters=False``, which builds the full rank-packed index on its
-  first batch — and
+  ``filters=False``, which has no hash sidecars and so hashes and sorts
+  every key into its key-hash table on its first batch — and
 - a cold 1k-batch with a 10% hit mix must stay **>= 5x** over that
-  unfiltered index — all with element-wise identical answers.
+  unfiltered store — all with element-wise identical answers.
 
 ``BENCH_NEGLOOKUP_KEYS`` scales the store down for smoke runs; the
 hard thresholds only assert at full scale.  Every number lands in
@@ -145,8 +145,9 @@ def test_negative_lookup(tmp_path, save_report, bench_record):
 
     # Cold batches: first resolution on a fresh store object (best of
     # three fresh stores; the page cache is steady, so each repeat is
-    # the same cold code path — full index build for the pre-filter
-    # baseline, filter + hash-index probes for the filtered store —
+    # the same cold code path — full key-hash table build for the
+    # pre-filter baseline, filter + hash-sidecar probes for the
+    # filtered store —
     # without cross-run scheduler noise).
     timings = {}
     for tag, batch in (("99pct-unknown", batch_99), ("90pct-unknown", batch_90)):

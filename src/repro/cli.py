@@ -956,7 +956,15 @@ def _serve_build_engine(args: argparse.Namespace, listening: bool = False):
         # One stats object end to end: the backend's remote_* counters
         # land in the same EngineStats the service renders at exit.
         dictionary.engine_stats = engine.stats
-    return engine, samples, expected, stream_fh
+    return engine, dictionary, samples, expected, stream_fh
+
+
+def _close_store(store) -> None:
+    """Release what an opened store holds (a columnar store's delta-log
+    file, a remote client's connections); a no-op for in-memory ones."""
+    close = getattr(store, "close", None)
+    if close is not None:
+        close()
 
 
 def _serve_remote_backend(args: argparse.Namespace):
@@ -1113,7 +1121,7 @@ async def _serve_replicated(args, config, reporter):
     stop = asyncio.Event()
     for sig in (signal.SIGTERM, signal.SIGINT):
         loop.add_signal_handler(sig, stop.set)
-    follower = publisher = listener = None
+    follower = publisher = listener = store = None
     try:
         if args.follow or args.follow_uds:
             upstream = (parse_replica_endpoint(args.follow)
@@ -1131,7 +1139,7 @@ async def _serve_replicated(args, config, reporter):
                 )
             print(f"replica synced at generation {follower.generation}",
                   flush=True)
-        engine, _, _, _ = _serve_build_engine(args, listening=True)
+        engine, store, _, _, _ = _serve_build_engine(args, listening=True)
         service = IngestService(engine, config, on_verdict=reporter)
         if follower is not None:
             # Attach before the event loop runs anything else so no
@@ -1196,6 +1204,7 @@ async def _serve_replicated(args, config, reporter):
     finally:
         for sig in (signal.SIGTERM, signal.SIGINT):
             loop.remove_signal_handler(sig)
+        _close_store(store)
     return service
 
 
@@ -1222,9 +1231,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.family_spec is not None and not args.family:
         raise SystemExit("efd serve: --family-spec requires --family")
     if replicating:
-        engine = samples = expected = stream_fh = None
+        engine = store = samples = expected = stream_fh = None
     else:
-        engine, samples, expected, stream_fh = _serve_build_engine(
+        engine, store, samples, expected, stream_fh = _serve_build_engine(
             args, listening=listening
         )
     config = ServeConfig(
@@ -1245,23 +1254,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # generation past the leader's; only a promote may compact.
         config = dataclasses.replace(config, compact_on_close=False)
     reporter = _VerdictReporter(args.quiet)
-    if replicating:
-        service = asyncio.run(_serve_replicated(args, config, reporter))
-    elif listening:
-        service = asyncio.run(
-            _serve_listen(engine, config, args.listen, args.uds, reporter)
-        )
-    else:
-        # Live stdin: read sample-by-sample so verdicts flow as soon as
-        # the interval completes; files/demo streams read in chunks.
-        chunk_size = 1 if (not args.demo and args.input == "-") else 256
-        try:
+    try:
+        if replicating:
+            service = asyncio.run(_serve_replicated(args, config, reporter))
+        elif listening:
+            service = asyncio.run(
+                _serve_listen(engine, config, args.listen, args.uds, reporter)
+            )
+        else:
+            # Live stdin: read sample-by-sample so verdicts flow as soon
+            # as the interval completes; files/demo streams read in
+            # chunks.
+            chunk_size = 1 if (not args.demo and args.input == "-") else 256
             service = asyncio.run(
                 _serve_run(engine, samples, config, reporter, chunk_size)
             )
-        finally:
-            if stream_fh is not None:
-                stream_fh.close()
+    finally:
+        if stream_fh is not None:
+            stream_fh.close()
+        _close_store(store)
     # Summarize from the stats gauges and the reporter tally, not the
     # session table — retention may already have pruned resolved
     # sessions out of service.results.
@@ -1334,7 +1345,10 @@ def _cmd_shardserve(args: argparse.Namespace) -> int:
                 loop.remove_signal_handler(sig)
         return server
 
-    server = asyncio.run(run())
+    try:
+        server = asyncio.run(run())
+    finally:
+        _close_store(store)
     print(server.stats.render())
     if args.stats_out is not None:
         with open(args.stats_out, "w", encoding="utf-8") as fh:

@@ -56,8 +56,9 @@ would run.  ``repro.engine`` is the scale-out layer:
   hydration (:class:`~repro.engine.columnar.ColumnarDictionary` reads a
   shard file only when it is actually probed), per-shard Bloom filters
   (:mod:`repro.engine.keyfilter`) that answer unknown-heavy batches
-  without touching any column file, and a vectorized rank-packed lookup
-  index that replaces the batch engine's per-key Python dict
+  without touching any column file, and one sorted key-hash table
+  (merged from the per-shard ``.hashidx`` sidecars) that both batch
+  paths search, replacing the batch engine's per-key Python dict
   construction with a handful of NumPy calls.  ``efd engine
   compact|expand`` convert between the JSON and columnar layouts
   losslessly; :func:`load_sharded` auto-detects either.
@@ -65,7 +66,7 @@ would run.  ``repro.engine`` is the scale-out layer:
 - :mod:`repro.engine.deltalog` makes columnar writes first-class: every
   mutation appends to a write-ahead ``delta-log.jsonl`` and lands in a
   small in-memory overlay, reads answer ``base ∪ overlay`` (the
-  vectorized index stays hot under a trickle of new learnings), and
+  base key-hash table stays hot under a trickle of new learnings), and
   compaction folds the log back into the columnar base — triggered by
   a pending-record threshold, ``efd engine compact``, or serve
   shutdown.

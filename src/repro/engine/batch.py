@@ -372,29 +372,19 @@ class BatchRecognizer:
     def warm(self, for_sessions: bool = False) -> "BatchRecognizer":
         """Prebuild the lookup structures so the first batch pays no setup.
 
-        The two batch entry points resolve through different indexes:
-        :meth:`recognize_records` probes the ``(node, value)`` tuple (or
-        columnar) index, while :meth:`recognize_sessions` resolves full
-        fingerprint keys.  ``for_sessions`` selects which path to warm —
-        :class:`repro.serve.IngestService` warms the session path at
+        A :class:`ColumnarDictionary` builds its key-hash table, which
+        both batch entry points search; :meth:`recognize_records` also
+        needs its ``(node, value)`` index, built unless ``for_sessions``
+        — :class:`repro.serve.IngestService` warms the session path at
         startup so its first micro-batch answers at steady-state
-        latency.  Idempotent; a no-op where the requested path has no
-        prebuildable structure (flat/sharded stores answer sessions
-        through plain dict lookups already).
+        latency.  Idempotent; flat/sharded stores answer sessions
+        through plain dict lookups already.
         """
-        if for_sessions:
-            if isinstance(self.dictionary, ColumnarDictionary):
-                # Explicitly build the full-key index: cold lookups
-                # would otherwise answer through the negative-lookup
-                # filters and defer the build until a batch actually
-                # needs it.
-                self.dictionary.warm_index()
-        else:
-            if isinstance(self.dictionary, ColumnarDictionary):
-                # On a filtered store the index would otherwise wait
-                # behind its filter guard for the first batch with a
-                # surviving probe — and that batch would pay the build.
-                self.dictionary.warm_batch_index(self.metric, self.interval)
+        if isinstance(self.dictionary, ColumnarDictionary):
+            # Cold lookups would otherwise answer through the filters
+            # and defer the build until a batch actually needs it.
+            self.dictionary.warm_index()
+        if not for_sessions:
             self._tuple_index()
         return self
 
@@ -523,10 +513,10 @@ class BatchRecognizer:
     def _tuple_index(self) -> Union[TupleIndex, "ColumnarBatchIndex"]:
         """Build (or reuse) the batch lookup table.
 
-        Against a pristine :class:`ColumnarDictionary` this is the
-        vectorized rank-packed index built straight from the columns (no
-        shard hydration, no per-key Python work); otherwise the classic
-        per-key dict is built shard by shard.
+        Against a pristine :class:`ColumnarDictionary` this is its
+        vectorized index over the key-hash table (no shard hydration,
+        no per-key Python work); otherwise the classic per-key dict is
+        built shard by shard.
         """
         version = self.dictionary.version
         if self._index is not None and self._index_version == version:

@@ -1,4 +1,4 @@
-"""Columnar EFD backend: mmap shard codec + vectorized lookup index.
+"""Columnar EFD backend: mmap shard codec + one key-hash lookup kernel.
 
 JSON shards are diffable but expensive: loading a million-key dictionary
 means parsing a million JSON objects and building a million ``dict``
@@ -20,43 +20,42 @@ paper-faithful reference:
   shard layout and the columnar one is lossless
   (:func:`compact_shards` / :func:`expand_shards`, surfaced as ``efd
   engine compact`` / ``efd engine expand``).
-- **Negative-lookup filters** — every shard is fronted by a small
-  per-shard Bloom filter over its full-key hashes
-  (:mod:`repro.engine.keyfilter`, ``shard-NN.filter`` sidecars,
-  checksummed in the manifest) and by a ``shard-NN.hashidx`` sidecar
-  holding the same hashes sorted with their row permutation.
-  :meth:`ColumnarDictionary.lookup_many` and
-  :meth:`ColumnarDictionary.batch_index` consult the filters *before*
-  any hydration or index build, so unknown-heavy traffic — the
-  dominant case of the paper's unknown-detection evaluation — resolves
-  at filter speed without touching a column file; the few survivors
-  (hits plus the ~1% Bloom false positives) resolve by ``searchsorted``
-  into their routed shard's hash index and are verified against only
-  that shard's columns.  Overlay
-  keys from the delta-log are checked first (never a false negative
-  under learn-while-serving), and compaction/reshard rebuild the
-  filters generation-tagged under the same atomic manifest replace.
+- **Key-hash tables** — each shard of a store saved with filters (the
+  default) carries a ``shard-NN.hashidx`` sidecar: the 64-bit
+  :func:`~repro.engine.keyfilter.key_hashes` of its keys, sorted, with
+  their row permutation.  Merged into global rows, these sidecars are
+  the store's one base lookup structure (a store without sidecars
+  computes the same table from its columns).
+  Both batch paths — :meth:`ColumnarDictionary.lookup_many` (full
+  keys, the session path) and
+  :meth:`ColumnarBatchIndex.resolve_probes` (``(node, value)`` probes
+  of one metric and interval, the records path) — hash their probes,
+  ``searchsorted`` the table and verify each candidate against the key
+  columns, walking the rare run of equal hashes, so answers are exact.
+  ``(label list, distinct apps)`` entries materialize as Python
+  objects only for rows actually probed.
+- **Negative-lookup filters** — every shard is also fronted by a small
+  Bloom filter over the same hashes (:mod:`repro.engine.keyfilter`,
+  ``shard-NN.filter``; both sidecars are checksummed in the manifest).
+  Until the merged table is built, a filtered store answers a batch
+  whose filter survivors are few from the per-shard sidecars alone, so
+  unknown-heavy traffic — the dominant case of the paper's
+  unknown-detection evaluation — resolves without reading a column
+  file.  Compaction/reshard rebuild both sidecars generation-tagged
+  under the same atomic manifest replace.
 - **Lazy shards** — :func:`load_columnar` (also reached through
   :func:`repro.engine.sharded.load_sharded`, which dispatches on the
   manifest) opens a directory by reading only the manifest.  Each
   shard's ``.mmap`` is mapped and checksummed the first time that
   shard is actually probed; until then a shard costs one small proxy
   object.  Point lookups hydrate exactly the owning shard.
-- **Vectorized lookup index** — :meth:`ColumnarDictionary.batch_index`
-  builds the batch engine's ``(node, value)`` table directly from the
-  columns: keys are rank-packed into one sorted ``uint64`` array, and a
-  whole batch's unique probes resolve with a handful of
-  :func:`numpy.searchsorted` calls instead of a million-entry Python
-  dict build.  ``(label list, distinct apps)`` entries materialize as
-  Python objects only for rows actually probed.
-  :meth:`ColumnarDictionary.lookup_many` does the same for full
-  fingerprint keys (the streaming-session batch path).
 - **First-class writes** — mutations route through the write-ahead
   delta-log (:mod:`repro.engine.deltalog`): every ``add`` appends one
   JSONL record to ``delta-log.jsonl`` and lands in a small in-memory
-  overlay, and the batch paths answer from ``base ∪ overlay`` — the
-  rank-packed base indexes stay hot under a trickle of new learnings
-  instead of demoting to the generic dict index.
+  overlay with a key-hash table of its own, whose handles carry the
+  merged ``base ∪ overlay`` entries — the base table stays hot under a
+  trickle of new learnings instead of demoting to the generic dict
+  index.
   :meth:`ColumnarDictionary.compact_delta` folds the log back into the
   ``shard-NN.mmap`` base (auto-triggered past a pending threshold, or
   via ``efd engine compact`` / serve shutdown).
@@ -75,20 +74,21 @@ Directory layout::
       shard-01.mmap     # (raw aligned LE columns opened with np.memmap)
       ...
       shard-00.filter   # per-shard Bloom filter over full-key hashes
-      shard-00.hashidx  # the same hashes sorted + row permutation —
-      ...               # filter survivors resolve by searchsorted
-                        # (negative lookups answer without hydration)
+      shard-00.hashidx  # the same hashes sorted + row permutation:
+      ...               # the key-hash table every batch searches
       delta-log.jsonl   # pending mutations since the last compaction
                         # (absent on a clean directory)
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import io
+import itertools
 import json
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -135,9 +135,9 @@ _COLUMNAR_LAYOUT = "columnar"
 _COLUMNAR_FORMAT_VERSION = 1
 #: The one manifest ``storage`` value: raw memory-mapped shard files.
 _STORAGE = "mmap"
-#: Filter-passing probe count up to which a cold ``lookup_many`` batch
-#: resolves by hash-scanning the columns instead of building the full
-#: rank-packed index (the scan is one pass; the index build sorts).
+#: Filter-passing probe count up to which a batch on a filtered store
+#: resolves from the per-shard sidecars before the merged key-hash
+#: table exists; a larger batch builds the merged table.
 _SCAN_MAX = 256
 
 #: A resolved index entry: (label list, distinct apps) — what ``vote()``
@@ -393,59 +393,68 @@ class _LazyShard:
 # Vectorized lookup
 # ---------------------------------------------------------------------------
 
-class _RankPackedIndex:
-    """Exact-match lookup over composite int64 keys, all NumPy.
+#: A key-hash table: the :func:`key_hashes` of some keys in ascending
+#: order, and the row of each key in the table's key columns.
+HashTable = Tuple[np.ndarray, np.ndarray]
+#: Key columns by name: ``metric_id``, ``interval_id``, ``node``, ``value``.
+Columns = Dict[str, np.ndarray]
 
-    Each key component is rank-compressed against its sorted distinct
-    values, the ranks are packed into a single ``uint64`` per key, and
-    the packed keys are sorted once.  A batch of probes then resolves
-    with one :func:`numpy.searchsorted` per component plus one over the
-    packed table — no Python per-key work at all.
 
-    Raises :class:`OverflowError` if the rank-space product cannot fit
-    in 64 bits (astronomically large stores); callers fall back to the
-    Python dict index.
+def _search(table: HashTable, columns: Callable[[], Columns],
+            hashes: np.ndarray, keys: Sequence[np.ndarray]) -> np.ndarray:
+    """Row of each probe's key in ``columns`` (``-1`` on a miss), exact.
+
+    The one exact-match kernel.  ``hashes`` are the probes'
+    :func:`key_hashes` and ``keys`` their ``(metric_id, interval_id,
+    node, value_bits)`` columns.  Each probe's candidates are the run of
+    table slots holding its hash, found by ``searchsorted``; every
+    candidate is verified against the key columns, so a hash collision
+    never answers a wrong key.  The run is walked one slot per round
+    for the probes still unmatched — rounds are vectorized over probes,
+    and distinct keys sharing a 64-bit hash are rare enough that runs
+    are a slot long.  ``columns`` is called only once some probe's hash
+    is in the table, so a batch of misses reads no column bytes.
     """
+    # Each distinct probe hash is searched once, in hash order: batches
+    # repeat keys, and numpy's binary search narrows each search by the
+    # previous one's result, so sorted probes stay in cache.
+    sorted_hashes, rows = table
+    n = len(sorted_hashes)
+    order = np.argsort(hashes)
+    ordered = hashes[order]
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    pos = np.empty(len(hashes), dtype=np.int64)
+    pos[order] = np.searchsorted(sorted_hashes, ordered[first])[
+        np.cumsum(first) - 1
+    ]
+    out = np.full(len(hashes), -1, dtype=np.int64)
+    todo = np.flatnonzero(pos < n)
+    todo = todo[sorted_hashes[pos[todo]] == hashes[todo]]
+    if len(todo) == 0:
+        return out
+    cols = columns()
+    metric_id, interval_id, node, bits = keys
+    while len(todo):
+        cand = rows[pos[todo]]
+        match = (
+            (cols["node"][cand] == node[todo])
+            & (_value_bits(cols["value"][cand]) == bits[todo])
+            & (cols["metric_id"][cand] == metric_id[todo])
+            & (cols["interval_id"][cand] == interval_id[todo])
+        )
+        out[todo[match]] = cand[match]
+        todo = todo[~match]
+        pos[todo] += 1
+        todo = todo[pos[todo] < n]
+        todo = todo[sorted_hashes[pos[todo]] == hashes[todo]]
+    return out
 
-    __slots__ = ("_uniques", "_packed", "_rows", "_n")
 
-    def __init__(self, components: Sequence[np.ndarray], rows: np.ndarray):
-        self._n = len(rows)
-        self._uniques: List[np.ndarray] = []
-        capacity = 1
-        packed = np.zeros(self._n, dtype=np.uint64)
-        for component in components:
-            component = np.asarray(component, dtype=np.int64)
-            values = np.unique(component)
-            capacity *= max(len(values), 1)
-            if capacity >= 1 << 64:
-                raise OverflowError("rank space exceeds 64 bits")
-            self._uniques.append(values)
-            ranks = np.searchsorted(values, component).astype(np.uint64)
-            packed = packed * np.uint64(max(len(values), 1)) + ranks
-        order = np.argsort(packed, kind="stable")
-        self._packed = packed[order]
-        self._rows = np.asarray(rows, dtype=np.int64)[order]
-
-    def resolve(self, probes: Sequence[np.ndarray]) -> np.ndarray:
-        """Row id per probe tuple; ``-1`` where no key matches."""
-        n_probes = len(probes[0]) if probes else 0
-        if self._n == 0 or n_probes == 0:
-            return np.full(n_probes, -1, dtype=np.int64)
-        valid = np.ones(n_probes, dtype=bool)
-        packed = np.zeros(n_probes, dtype=np.uint64)
-        for component, values in zip(probes, self._uniques):
-            component = np.asarray(component, dtype=np.int64)
-            if len(values) == 0:
-                return np.full(n_probes, -1, dtype=np.int64)
-            idx = np.searchsorted(values, component)
-            idx_c = np.minimum(idx, len(values) - 1)
-            valid &= (idx < len(values)) & (values[idx_c] == component)
-            packed = packed * np.uint64(len(values)) + idx_c.astype(np.uint64)
-        pos = np.searchsorted(self._packed, packed)
-        pos_c = np.minimum(pos, self._n - 1)
-        found = valid & (pos < self._n) & (self._packed[pos_c] == packed)
-        return np.where(found, self._rows[pos_c], np.int64(-1))
+def _sorted_table(hashes: np.ndarray, rows: np.ndarray) -> HashTable:
+    order = np.argsort(hashes, kind="stable")
+    return hashes[order], rows[order]
 
 
 class ResolvedProbes:
@@ -479,35 +488,31 @@ class ResolvedProbes:
         return probe in self._hit_keys
 
 
-def _batch_key(
-    metric: str, interval: Tuple[float, float]
-) -> Tuple[str, Tuple[float, float]]:
-    """Cache key of one (metric, interval) batch index."""
-    return str(metric), (float(interval[0]) + 0.0, float(interval[1]) + 0.0)
-
-
-def _misses(n: int) -> np.ndarray:
-    return np.full(n, -1, dtype=np.int64)
+def _interval_key(interval) -> Tuple[float, float]:
+    return float(interval[0]) + 0.0, float(interval[1]) + 0.0
 
 
 class ColumnarBatchIndex:
-    """The batch engine's ``(node, value)`` table, backed by columns.
+    """The batch engine's ``(node, value)`` table for one (metric,
+    interval), backed by the store's key-hash tables.
 
     Replaces the per-key Python dict the generic path builds
-    (:func:`repro.engine.batch._shard_tuple_index`): construction is a
-    rank-pack + sort over the store's columns for one
-    ``(metric, interval)``, and :meth:`resolve_probes` answers a whole
-    batch's probes in a handful of NumPy calls.  Handles are the base
-    columns' global row ids; ``(labels, apps)`` entries materialize
-    lazily, only for rows actually hit, and are cached across batches.
+    (:func:`repro.engine.batch._shard_tuple_index`): nothing is built
+    per (metric, interval).  :meth:`resolve_probes` completes each probe
+    to a full key with constant metric/interval ids and resolves the
+    batch through the same search as
+    :meth:`ColumnarDictionary.lookup_many`.  Handles are base rows, or
+    overlay handles past them; ``(labels, apps)`` entries materialize
+    only for keys actually hit, and are cached across batches.
     """
 
-    __slots__ = ("_owner", "_index")
+    __slots__ = ("_owner", "_metric", "_interval")
 
-    def __init__(self, owner: "ColumnarDictionary", node: np.ndarray,
-                 bits: np.ndarray, rows: np.ndarray):
+    def __init__(self, owner: "ColumnarDictionary", metric: str,
+                 interval: Tuple[float, float]):
         self._owner = owner
-        self._index = _RankPackedIndex([node, bits], rows)
+        self._metric = str(metric)
+        self._interval = _interval_key(interval)
 
     def resolve_probes(
         self, nodes: np.ndarray, values: np.ndarray
@@ -518,117 +523,23 @@ class ColumnarBatchIndex:
         probes miss.  The per-key Python work runs once per *distinct*
         hit key, never per probe.
         """
+        owner = self._owner
         nodes = np.asarray(nodes, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
-        handles = self._handles(nodes, values)
+        metric_id = np.full(
+            len(values), owner._metric_ids.get(self._metric, -1), np.int64
+        )
+        metric_id[values != values] = -1
+        interval_id = np.full(
+            len(values), owner._interval_ids.get(self._interval, -1),
+            np.int64,
+        )
+        handles = owner._handles(
+            metric_id, interval_id, nodes, _value_bits(values)
+        )
         distinct = np.unique(handles[handles >= 0]).tolist()
-        entries = {handle: self._entry(handle) for handle in distinct}
+        entries = {handle: owner._entry(handle) for handle in distinct}
         return ResolvedProbes(handles, entries, nodes, values)
-
-    def _handles(self, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
-        handles = _misses(len(values))
-        usable = np.flatnonzero(values == values)
-        if len(usable):
-            handles[usable] = self._index.resolve(
-                [nodes[usable], _value_bits(values[usable])]
-            )
-        return handles
-
-    def _entry(self, handle: int) -> Entry:
-        return self._owner._entry(handle)
-
-
-class _FilterGuardedBatchIndex(ColumnarBatchIndex):
-    """A batch index that consults the shard filters before existing.
-
-    Returned by :meth:`ColumnarDictionary.batch_index` on a filtered
-    store whose real ``(metric, interval)`` index has not been built
-    yet: a batch whose probes all fail the per-shard Bloom filters
-    resolves to all misses without reading a single column file, so a
-    cold store serving unknown-heavy record traffic never pays the
-    column read + rank-pack sort at all.  The first batch with a
-    surviving probe builds (and caches) the real index and delegates to
-    it; under rank-space overflow it delegates to the owner's exact
-    dict fallback instead of demoting the engine.  Either way handles
-    are base row ids.
-    """
-
-    __slots__ = ("_key", "_metric_id", "_interval_id")
-
-    def __init__(self, owner: "ColumnarDictionary",
-                 key: Tuple[str, Tuple[float, float]]):
-        self._owner = owner
-        self._key = key
-        self._metric_id = owner._metric_map.get(key[0])
-        self._interval_id = owner._interval_map.get(key[1])
-
-    def _handles(self, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
-        if self._metric_id is None or self._interval_id is None:
-            return _misses(len(values))
-        owner = self._owner
-        if self._key in owner._batch_indices:
-            base = owner._batch_indices[self._key]
-        else:
-            usable = np.flatnonzero(values == values)
-            if len(usable) == 0:
-                return _misses(len(values))
-            n = len(usable)
-            hashes = key_hashes(
-                np.full(n, self._metric_id, dtype=np.int64),
-                np.full(n, self._interval_id, dtype=np.int64),
-                nodes[usable],
-                _value_bits(values[usable]),
-            )
-            if not owner._filter_might(hashes).any():
-                return _misses(len(values))
-            base = owner._built_batch_index(self._key)
-        if base is None:
-            return owner._overflow_handles(self._key, nodes, values)
-        return base._handles(nodes, values)
-
-
-class _PatchedBatchIndex(ColumnarBatchIndex):
-    """A pristine base index plus the delta overlay's few keys.
-
-    The expensive half — the rank-packed, sorted base table — is shared
-    and never rebuilt; only the patch (one handle per overlay key of
-    this (metric, interval), numbered past the base rows, with fully
-    merged ``base ∪ overlay`` labels) is recomputed when the overlay
-    changes.  Patch handles simply override base hits, so a probe that
-    matches an updated key sees the merged labels and a probe of a
-    brand-new key hits at all.
-    """
-
-    __slots__ = ("_base", "_patch")
-
-    def __init__(self, base: ColumnarBatchIndex, patch: "_OverlayPatch"):
-        self._base = base
-        self._patch = patch
-
-    def _handles(self, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
-        handles = self._base._handles(nodes, values)
-        patched = self._patch.index.resolve([nodes, _value_bits(values)])
-        hit = patched >= 0
-        handles[hit] = patched[hit]
-        return handles
-
-    def _entry(self, handle: int) -> Entry:
-        found = self._patch.entries.get(handle)
-        if found is None:
-            return self._base._entry(handle)
-        return found
-
-
-class _OverlayPatch:
-    """The overlay's keys of one (metric, interval), probe-ready: a
-    ``(node, value)`` index onto handles numbered past the base rows,
-    and each handle's merged entry."""
-
-    __slots__ = ("index", "entries")
-
-    def __init__(self, index: _RankPackedIndex, entries: Dict[int, Entry]):
-        self.index = index
-        self.entries = entries
 
 
 def _merge_labels(base: List[str], extra: Sequence[str]) -> List[str]:
@@ -661,10 +572,10 @@ class ColumnarDictionary(ShardedDictionary):
     (:mod:`repro.engine.deltalog`): an ``add`` appends one JSONL record
     to the directory's ``delta-log.jsonl`` and folds into a small
     in-memory overlay; the base ``shard-NN.mmap`` columns — and the
-    vectorized indexes built on them — are never touched.  Every read
-    answers from ``base ∪ overlay``, so a store under a sustained write
-    trickle keeps the rank-packed ``searchsorted`` fast path, and a
-    restart replays the pending log.  :meth:`compact_delta` folds the
+    key-hash table over them — are never touched.  Every read answers
+    from ``base ∪ overlay``, so a store under a sustained write trickle
+    keeps the ``searchsorted`` fast path, and a restart replays the
+    pending log.  :meth:`compact_delta` folds the
     log back into the base files (automatic past
     ``DeltaLog.max_pending`` records; also ``efd engine compact`` and
     serve shutdown).
@@ -689,8 +600,7 @@ class ColumnarDictionary(ShardedDictionary):
             str(m) for m in manifest["metric_table"]
         ]
         self._interval_table: List[Tuple[float, float]] = [
-            (float(iv[0]) + 0.0, float(iv[1]) + 0.0)
-            for iv in manifest["interval_table"]
+            _interval_key(iv) for iv in manifest["interval_table"]
         ]
         self._files = [
             MmapShardFile(
@@ -755,9 +665,8 @@ class ColumnarDictionary(ShardedDictionary):
         self._hash_index_cache: Dict[
             int, Tuple[np.ndarray, np.ndarray]
         ] = {}
-        self._shard_starts: Optional[np.ndarray] = None
-        self._overflow_dicts: Dict[object, Dict] = {}
-        self._guard_indices: Dict[object, "_FilterGuardedBatchIndex"] = {}
+        self._shard_starts: Optional[List[int]] = None
+        self._n_base = sum(f.n_keys for f in self._files)
         self._label_order = {label: None for label in self._label_table}
         self._app_order: Dict[str, None] = {}
         for label in self._label_table:
@@ -765,14 +674,14 @@ class ColumnarDictionary(ShardedDictionary):
         self._key_shard = key_shard
         self._key_pos = key_pos
         self._key_order_cache: Optional[Dict[Fingerprint, None]] = None
-        self._metric_map = {m: i for i, m in enumerate(self._metric_table)}
-        self._interval_map = {
+        # Probe ids: the manifest's, then one past them for each metric
+        # or interval that only delta-log keys carry.
+        self._metric_ids = {m: i for i, m in enumerate(self._metric_table)}
+        self._interval_ids = {
             iv: i for i, iv in enumerate(self._interval_table)
         }
         self._concat_cache: Optional[Dict[str, np.ndarray]] = None
-        self._batch_indices: Dict[object, Optional[ColumnarBatchIndex]] = {}
-        self._full_index: object = None
-        self._row_labels: Dict[int, List[str]] = {}
+        self._table: Optional[HashTable] = None
         self._row_entries: Dict[int, Entry] = {}
         # -- delta-log state -------------------------------------------------
         # Preserves version monotonicity across in-place compactions so
@@ -789,27 +698,25 @@ class ColumnarDictionary(ShardedDictionary):
         # (shard_sizes / occupancy gauges must include them).
         self._delta_new_keys: Dict[Fingerprint, None] = {}
         self._new_per_shard: List[int] = [0] * self.n_shards
-        self._patch_cache: Dict[object, Optional[_OverlayPatch]] = {}
+        # Per overlay key, in first-sight order: its overlay row, its
+        # base row (-1 when new) and its merged ``base ∪ overlay``
+        # entry, kept current by every write; the overlay's key-hash
+        # table is rebuilt only when a key is added.
+        self._overlay_rows: Dict[Fingerprint, int] = {}
+        self._overlay_base: List[int] = []
+        self._overlay_entries: List[Entry] = []
+        self._overlay_cache: Optional[Tuple[HashTable, Columns]] = None
         replayed = self._delta.replay()
         if replayed:
             # One vectorized membership pass over the distinct replayed
             # keys — per-record resolves would make reopening a store
             # with a large pending segment O(records) numpy round-trips.
             distinct = list(dict.fromkeys(fp for fp, _, _ in replayed))
-            rows = self._base_resolve(distinct)
-            if rows is None:  # rank-space overflow: per-shard membership
-                in_base = [
-                    ShardedDictionary.__contains__(self, fp)
-                    for fp in distinct
-                ]
-            else:
-                in_base = (rows >= 0).tolist()
-            for fp, present in zip(distinct, in_base):
-                if not present:
-                    self._delta_new_keys[fp] = None
-                    self._new_per_shard[
-                        shard_index(fp, self.n_shards)
-                    ] += 1
+            self._intern_ids(distinct)
+            rows = self._handles(*self._probe(distinct), with_overlay=False)
+            for fp, row in zip(distinct, rows.tolist()):
+                self._track_overlay_key(fp, row)
+                self._refresh_entry(fp)
         for label in self._delta.overlay.labels():
             self._label_order.setdefault(label, None)
             self._app_order.setdefault(app_of_label(label), None)
@@ -897,24 +804,51 @@ class ColumnarDictionary(ShardedDictionary):
         """
         return any(s.version for s in self.shards)
 
-    def _note_delta_key(self, fingerprint: Fingerprint) -> None:
-        """Track an overlay key's first sighting (new-key bookkeeping)."""
-        if fingerprint in self._delta_new_keys or self._base_has(fingerprint):
+    def _track_overlay_key(self, fingerprint: Fingerprint,
+                           base_row: int) -> None:
+        """Track an overlay key's first sighting: its overlay row, and
+        the new-key bookkeeping when the base lacks it."""
+        self._overlay_rows[fingerprint] = len(self._overlay_base)
+        self._overlay_base.append(base_row)
+        self._overlay_entries.append(([], ()))
+        self._overlay_cache = None
+        if base_row >= 0 or fingerprint in self._delta_new_keys:
             return
         self._delta_new_keys[fingerprint] = None
         self._new_per_shard[shard_index(fingerprint, self.n_shards)] += 1
         if self._key_order_cache is not None:
             self._key_order_cache.setdefault(fingerprint, None)
 
+    def _refresh_entry(self, fingerprint: Fingerprint) -> None:
+        """Recompute an overlay key's merged ``base ∪ overlay`` entry."""
+        row = self._overlay_rows[fingerprint]
+        base = self._overlay_base[row]
+        labels = _merge_labels(
+            self._entry(base)[0] if base >= 0 else [],
+            self._delta.overlay.lookup(fingerprint),
+        )
+        apps = tuple(dict.fromkeys(map(app_of_label, labels)))
+        self._overlay_entries[row] = (labels, apps)
+
+    def _intern_ids(self, fingerprints: Sequence[Fingerprint]) -> None:
+        """Give metrics and intervals new to the store probe ids past
+        the manifest's, so overlay keys carrying them stay resolvable."""
+        for fp in fingerprints:
+            self._metric_ids.setdefault(str(fp.metric), len(self._metric_ids))
+            self._interval_ids.setdefault(
+                _interval_key(fp.interval), len(self._interval_ids)
+            )
+
     def _delta_apply(self, fingerprint: Fingerprint, label: str,
                      count: int) -> None:
         first_sight = fingerprint not in self._delta.overlay
         self._delta.append_add(fingerprint, label, count)
         if first_sight:
-            self._note_delta_key(fingerprint)
+            self._intern_ids([fingerprint])
+            self._track_overlay_key(fingerprint, self._base_row(fingerprint))
+        self._refresh_entry(fingerprint)
         self._label_order.setdefault(label, None)
         self._app_order.setdefault(app_of_label(label), None)
-        self._patch_cache.clear()
         if self._delta.over_threshold:
             self.compact_delta()
 
@@ -982,6 +916,16 @@ class ColumnarDictionary(ShardedDictionary):
         for shard in self.shards:
             shard._owner = self
         self._version_base = version_base
+
+    def close(self) -> None:
+        """Close the delta-log segment; the next write reopens it."""
+        self._delta.close()
+
+    def __enter__(self) -> "ColumnarDictionary":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- overlay-merged point reads ------------------------------------------
     def __len__(self) -> int:
@@ -1057,12 +1001,11 @@ class ColumnarDictionary(ShardedDictionary):
         out: Dict[Tuple[int, float], Entry] = {}
         if len(overlay) == 0:
             return out
-        key_interval = (float(interval[0]) + 0.0, float(interval[1]) + 0.0)
+        key_interval = _interval_key(interval)
         for fp, _ in overlay.entries():
             if str(fp.metric) != str(metric):
                 continue
-            if (float(fp.interval[0]) + 0.0,
-                    float(fp.interval[1]) + 0.0) != key_interval:
+            if _interval_key(fp.interval) != key_interval:
                 continue
             labels = self.lookup(fp)
             apps = tuple(dict.fromkeys(app_of_label(l) for l in labels))
@@ -1107,50 +1050,41 @@ class ColumnarDictionary(ShardedDictionary):
         return not self._base_mutated()
 
     def _concat(self) -> Dict[str, np.ndarray]:
-        """All shards' columns concatenated (global row = shard-major)."""
+        """All shards' key columns concatenated (global row = shard-major).
+
+        The bulk read: every shard's checksum is verified here."""
         if self._concat_cache is None:
-            parts = [self._files[i].columns() for i in range(self.n_shards)]
+            parts = [f.columns() for f in self._files]
             if len(parts) == 1:
                 # Zero-copy: with one shard the global rows *are* the
-                # shard's rows, so the vectorized indexes build directly
-                # over the memory-mapped arrays.
+                # shard's rows, so the search reads the mapped arrays.
                 self._concat_cache = parts[0]
-                return self._concat_cache
-            offsets = [np.zeros(1, dtype=np.int64)]
-            shift = 0
-            for part in parts:
-                offsets.append(part["label_offsets"][1:] + shift)
-                shift += part["label_offsets"][-1]
-            self._concat_cache = {
-                "node": np.concatenate([p["node"] for p in parts]),
-                "value": np.concatenate([p["value"] for p in parts]),
-                "metric_id": np.concatenate([p["metric_id"] for p in parts]),
-                "interval_id": np.concatenate(
-                    [p["interval_id"] for p in parts]
-                ),
-                "label_offsets": np.concatenate(offsets),
-                "label_ids": np.concatenate([p["label_ids"] for p in parts]),
-            }
+            else:
+                self._concat_cache = {
+                    name: np.concatenate([p[name] for p in parts])
+                    for name in ("metric_id", "interval_id", "node", "value")
+                }
         return self._concat_cache
 
-    def _labels_of_row(self, row: int) -> List[str]:
-        found = self._row_labels.get(row)
-        if found is None:
-            columns = self._concat()
-            lo = columns["label_offsets"][row]
-            hi = columns["label_offsets"][row + 1]
-            table = self._label_table
-            found = [table[j] for j in columns["label_ids"][lo:hi].tolist()]
-            self._row_labels[row] = found
-        return found
+    def _entry(self, handle: int) -> Entry:
+        """``(labels, apps)`` of a base row or an overlay handle.
 
-    def _entry(self, row: int) -> Entry:
-        found = self._row_entries.get(row)
+        A base row's labels are read from its own shard's mapped
+        columns — only the touched pages fault in — and cached.
+        """
+        if handle >= self._n_base:
+            return self._overlay_entries[handle - self._n_base]
+        found = self._row_entries.get(handle)
         if found is None:
-            labels = self._labels_of_row(row)
-            apps = tuple(dict.fromkeys(app_of_label(l) for l in labels))
-            found = (labels, apps)
-            self._row_entries[row] = found
+            starts = self._shard_start_rows()
+            shard = bisect.bisect_right(starts, handle) - 1
+            local = handle - starts[shard]
+            columns = self._files[shard].peek_columns()
+            lo, hi = columns["label_offsets"][local:local + 2].tolist()
+            table = self._label_table
+            labels = [table[j] for j in columns["label_ids"][lo:hi].tolist()]
+            found = (labels, tuple(dict.fromkeys(map(app_of_label, labels))))
+            self._row_entries[handle] = found
         return found
 
     def batch_index(
@@ -1158,213 +1092,129 @@ class ColumnarDictionary(ShardedDictionary):
     ) -> Optional[ColumnarBatchIndex]:
         """Vectorized ``(node, value)`` index for one (metric, interval).
 
-        With pending overlay keys the sorted base table is reused as-is
-        and wrapped with a per-key patch (:class:`_PatchedBatchIndex`)
-        — a write trickle never rebuilds the expensive half.  On a
-        filtered store the returned index is additionally guarded
-        (:class:`_FilterGuardedBatchIndex`): the real index is not
-        built — no column file is even read — until a batch carries a
-        probe that survives the per-shard Bloom filters (or
-        :meth:`warm_batch_index` builds it), so unknown-heavy record
-        traffic resolves at filter speed.  ``None`` when a
-        shard was mutated behind the delta-log (the base columns are
-        stale) or the rank space cannot pack into 64 bits on an
-        unfiltered store — callers fall back to the generic dict index
-        and count a demotion.
+        Answers ``base ∪ overlay`` through the store's key-hash tables;
+        building it costs nothing.  ``None`` when a shard was mutated
+        behind the delta-log (the base columns are stale) — callers fall
+        back to the generic dict index and count a demotion.
         """
         if self._base_mutated():
             return None
-        key = _batch_key(metric, interval)
-        if self._filters is not None:
-            built = self._batch_indices.get(key)
-            if built is not None:
-                base: Optional[ColumnarBatchIndex] = built
-            else:
-                base = self._guard_indices.get(key)
-                if base is None:
-                    base = _FilterGuardedBatchIndex(self, key)
-                    self._guard_indices[key] = base
-        else:
-            base = self._built_batch_index(key)
-        if base is None:
-            return None
-        patch = self._overlay_patch(key)
-        if patch is None:
-            return base
-        return _PatchedBatchIndex(base, patch)
+        return ColumnarBatchIndex(self, metric, interval)
 
-    def warm_batch_index(
-        self, metric: str, interval: Tuple[float, float]
-    ) -> None:
-        """Build the real ``(node, value)`` index for one (metric,
-        interval) now, filters or not — what an explicit engine warm
-        calls so the first record batch resolves at steady-state
-        latency.  A no-op once a shard was mutated behind the
-        delta-log; under rank-space overflow the guard keeps answering
-        through the exact dict fallback."""
-        if not self._base_mutated():
-            self._built_batch_index(_batch_key(metric, interval))
-
-    def _built_batch_index(
-        self, key: Tuple[str, Tuple[float, float]]
-    ) -> Optional[ColumnarBatchIndex]:
-        """The real (eagerly built) index for ``key``; ``None`` on
-        rank-space overflow.  Cached — the sort runs once per key."""
-        if key in self._batch_indices:
-            return self._batch_indices[key]
-        columns = self._concat()
-        metric_id = self._metric_map.get(key[0])
-        interval_id = self._interval_map.get(key[1])
-        if metric_id is None or interval_id is None:
-            rows = np.empty(0, dtype=np.int64)
-        else:
-            rows = np.nonzero(
-                (columns["metric_id"] == metric_id)
-                & (columns["interval_id"] == interval_id)
-            )[0].astype(np.int64)
-        try:
-            base: Optional[ColumnarBatchIndex] = ColumnarBatchIndex(
-                self,
-                columns["node"][rows],
-                _value_bits(columns["value"][rows]),
-                rows,
-            )
-        except OverflowError:
-            base = None
-        self._batch_indices[key] = base
-        return base
-
-    def _overflow_handles(
-        self, key: Tuple[str, Tuple[float, float]],
-        nodes: np.ndarray, values: np.ndarray,
-    ) -> np.ndarray:
-        """Base row per ``(node, value)`` probe (``-1`` on a miss),
-        exact, without rank-packing.
-
-        The guard's fallback when the real index cannot be built
-        (rank-space overflow — astronomically large stores): a plain
-        dict over the key's rows, built once from the columns.
-        """
-        table = self._overflow_dicts.get(key)
-        if table is None:
-            table = {}
-            columns = self._concat()
-            metric_id = self._metric_map.get(key[0])
-            interval_id = self._interval_map.get(key[1])
-            if metric_id is not None and interval_id is not None:
-                rows = np.nonzero(
-                    (columns["metric_id"] == metric_id)
-                    & (columns["interval_id"] == interval_id)
-                )[0]
-                row_nodes = columns["node"][rows]
-                row_values = columns["value"][rows] + 0.0
-                for n_, v_, r_ in zip(
-                    row_nodes.tolist(), row_values.tolist(), rows.tolist()
-                ):
-                    table[(int(n_), float(v_))] = int(r_)
-            self._overflow_dicts[key] = table
-        get = table.get
-        return np.fromiter(
-            (get(probe, -1) for probe in zip(nodes.tolist(), values.tolist())),
-            dtype=np.int64, count=len(values),
-        )
-
-    def _overlay_patch(
-        self, key: Tuple[str, Tuple[float, float]]
-    ) -> Optional[_OverlayPatch]:
-        """The overlay's keys of one (metric, interval), merged entries
-        included; ``None`` when the overlay holds none.
-
-        Invalidated wholesale on every write (the overlay is small, so
-        a rebuild is O(pending) against the vectorized base resolve).
-        """
-        overlay = self._delta.overlay
-        if len(overlay) == 0:
-            return None
-        if key in self._patch_cache:
-            return self._patch_cache[key]
-        metric, interval = key
-        fps = [
-            fp for fp, _ in overlay.entries()
-            if str(fp.metric) == metric
-            and (float(fp.interval[0]) + 0.0,
-                 float(fp.interval[1]) + 0.0) == interval
-        ]
-        patch: Optional[_OverlayPatch] = None
-        if fps:
-            first = sum(f.n_keys for f in self._files)  # past every base row
-            handles = np.arange(first, first + len(fps), dtype=np.int64)
-            entries: Dict[int, Entry] = {}
-            for handle, fp, base_labels in zip(
-                handles.tolist(), fps, self._base_labels_many(fps)
-            ):
-                labels = _merge_labels(base_labels, overlay.lookup(fp))
-                apps = tuple(dict.fromkeys(app_of_label(l) for l in labels))
-                entries[handle] = (labels, apps)
-            index = _RankPackedIndex(
-                [[int(fp.node) for fp in fps],
-                 _value_bits([float(fp.value) for fp in fps])],
-                handles,
-            )
-            patch = _OverlayPatch(index, entries)
-        self._patch_cache[key] = patch
-        return patch
-
-    def _ensure_full_index(self) -> object:
-        """The base columns' full-key index (``"overflow"`` sentinel when
-        the rank space cannot pack into 64 bits)."""
-        if self._full_index is None:
-            columns = self._concat()
-            try:
-                self._full_index = _RankPackedIndex(
-                    [
-                        columns["metric_id"],
-                        columns["interval_id"],
-                        columns["node"],
-                        _value_bits(columns["value"]),
-                    ],
-                    np.arange(len(columns["node"]), dtype=np.int64),
-                )
-            except OverflowError:
-                self._full_index = "overflow"
-        return self._full_index
-
-    def _probe_arrays(
+    def _probe(
         self, fingerprints: Sequence[Fingerprint]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Fingerprints as the (metric_id, interval_id, node, value_bits)
-        component arrays every vectorized path consumes; unknown metric/
-        interval strings map to id ``-1`` (a guaranteed miss)."""
+        """Fingerprints as ``(metric_id, interval_id, node, value_bits)``
+        key columns; a metric/interval the store never saw maps to id
+        ``-1`` (a guaranteed miss)."""
         cols = probe_columns(fingerprints)
-        metric_id, interval_id = cols.ids(self._metric_map, self._interval_map)
+        metric_id, interval_id = cols.ids(self._metric_ids, self._interval_ids)
         return metric_id, interval_id, cols.node, cols.value_bits
 
-    def _base_resolve(
-        self, fingerprints: Sequence[Fingerprint]
-    ) -> Optional[np.ndarray]:
-        """Base-column row per fingerprint (-1 on miss); ``None`` on
-        rank-space overflow."""
-        index = self._ensure_full_index()
-        if index == "overflow":
-            return None
-        metric_id, interval_id, node, bits = self._probe_arrays(fingerprints)
-        return index.resolve([metric_id, interval_id, node, bits])
+    def _handles(self, metric_id: np.ndarray, interval_id: np.ndarray,
+                 node: np.ndarray, bits: np.ndarray,
+                 with_overlay: bool = True) -> np.ndarray:
+        """Handle per probe key: its base row, an overlay handle past
+        the base rows (overlay keys override base rows), or ``-1``.
 
-    def _base_has(self, fingerprint: Fingerprint) -> bool:
-        """Base-column membership without hydrating a shard.
+        Before the merged table exists, a filtered store answers from
+        the per-shard sidecars when few probes pass the filters.
+        """
+        handles = np.full(len(node), -1, dtype=np.int64)
+        usable = np.flatnonzero((metric_id >= 0) & (interval_id >= 0))
+        if len(usable) == 0:
+            return handles
+        keys = [k[usable] for k in (metric_id, interval_id, node, bits)]
+        hashes = key_hashes(*keys)
+        rows = None
+        if self._table is None and self._filters is not None:
+            rows = self._cold_rows(hashes, keys)
+        if rows is None:
+            rows = _search(self._hash_table(), self._concat, hashes, keys)
+        overlay = self._overlay() if with_overlay else None
+        if overlay is not None:
+            table, columns = overlay
+            found = _search(table, lambda: columns, hashes, keys)
+            hit = found >= 0
+            rows[hit] = found[hit] + self._n_base
+        handles[usable] = rows
+        return handles
+
+    def _cold_rows(self, hashes: np.ndarray,
+                   keys: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+        """Base row per probe from the per-shard sidecar tables, or
+        ``None`` when more than ``_SCAN_MAX`` probes pass the filters.
+
+        A key lives only in a shard whose Bloom filter passes it, so
+        each shard's table is searched for exactly the probes its filter
+        passes: probes that pass no filter cost no file access, and a
+        genuine miss that passes one reads that shard's sidecar but no
+        column bytes.
+        """
+        passed = [f.might_contain(hashes) for f in self._filters]
+        if np.count_nonzero(np.logical_or.reduce(passed)) > _SCAN_MAX:
+            return None
+        rows = np.full(len(hashes), -1, dtype=np.int64)
+        starts = self._shard_start_rows()
+        for shard, mine in enumerate(passed):
+            mine = np.flatnonzero(mine)
+            if len(mine) == 0:
+                continue
+            found = _search(
+                self._shard_hash_index(shard),
+                self._files[shard].peek_columns,
+                hashes[mine], [k[mine] for k in keys],
+            )
+            hit = found >= 0
+            rows[mine[hit]] = found[hit] + starts[shard]
+        return rows
+
+    def _hash_table(self) -> HashTable:
+        """The merged key-hash table over every base row (built once).
+
+        The per-shard sidecar tables, shifted to global rows and merged;
+        they are dropped afterwards, since nothing reads them once the
+        merged table exists.
+        """
+        if self._table is None:
+            parts = [self._shard_hash_index(i) for i in range(self.n_shards)]
+            self._table = _sorted_table(
+                np.concatenate([hashes for hashes, _ in parts]),
+                np.concatenate([
+                    rows.astype(np.int64) + start for (_, rows), start
+                    in zip(parts, self._shard_start_rows())
+                ]),
+            )
+            self._hash_index_cache.clear()
+        return self._table
+
+    def _overlay(self) -> Optional[Tuple[HashTable, Columns]]:
+        """The overlay's key-hash table and key columns, rows in
+        first-sight order (an overlay key's handle is its row past the
+        base rows); ``None`` while the overlay holds no key."""
+        if self._overlay_cache is None and self._overlay_rows:
+            keys = self._probe(list(self._overlay_rows))
+            metric_id, interval_id, node, bits = keys
+            self._overlay_cache = (
+                _sorted_table(
+                    key_hashes(*keys), np.arange(len(node), dtype=np.int64)
+                ),
+                {"metric_id": metric_id, "interval_id": interval_id,
+                 "node": node, "value": bits.view(np.float64)},
+            )
+        return self._overlay_cache
+
+    def _base_row(self, fingerprint: Fingerprint) -> int:
+        """Base row of one key (``-1`` when absent), hydrating nothing.
 
         The write path calls this once per first-seen overlay key; a
         "definitely absent" filter answer settles it without touching a
-        column file, otherwise the full-key index answers from the
-        column arrays (built on first use).  Under rank-space overflow
-        it falls back to hydrating the owning shard.
+        file, otherwise the key-hash tables answer.
         """
         if self._filter_definitely_absent(fingerprint):
-            return False
-        rows = self._base_resolve([fingerprint])
-        if rows is None:
-            return ShardedDictionary.__contains__(self, fingerprint)
-        return bool(rows[0] >= 0)
+            return -1
+        keys = self._probe([fingerprint])
+        return int(self._handles(*keys, with_overlay=False)[0])
 
     # -- negative-lookup filters ---------------------------------------------
     def _filter_might(self, hashes: np.ndarray) -> np.ndarray:
@@ -1399,12 +1249,11 @@ class ColumnarDictionary(ShardedDictionary):
             return False
         if self._base_mutated():
             return False
-        metric_id = self._metric_map.get(str(fingerprint.metric))
+        metric_id = self._metric_ids.get(str(fingerprint.metric))
         if metric_id is None:
             return True
-        interval_id = self._interval_map.get(
-            (float(fingerprint.interval[0]) + 0.0,
-             float(fingerprint.interval[1]) + 0.0)
+        interval_id = self._interval_ids.get(
+            _interval_key(fingerprint.interval)
         )
         if interval_id is None:
             return True
@@ -1416,25 +1265,21 @@ class ColumnarDictionary(ShardedDictionary):
         )
         return not bool(self._filter_might(hashes)[0])
 
-    def _shard_start_rows(self) -> np.ndarray:
+    def _shard_start_rows(self) -> List[int]:
         """Global row of each shard's first key (shard-major concat)."""
         if self._shard_starts is None:
-            counts = np.asarray(
-                [f.n_keys for f in self._files], dtype=np.int64
-            )
-            starts = np.zeros(self.n_shards, dtype=np.int64)
-            np.cumsum(counts[:-1], out=starts[1:])
-            self._shard_starts = starts
+            self._shard_starts = list(itertools.accumulate(
+                (f.n_keys for f in self._files[:-1]), initial=0
+            ))
         return self._shard_starts
 
     def _shard_hash_index(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
         """Shard ``i``'s ``(sorted hashes, row order)`` table (cached).
 
         Read from the ``shard-NN.hashidx`` sidecar written at save time
-        — no per-row hashing, no sort, no column bytes.  Directories
-        written before the sidecar existed fall back to computing the
-        table from the shard's (checksummed) columns; either way the
-        base is immutable, so the cache never invalidates.
+        — no per-row hashing, no sort, no column bytes.  Stores without
+        sidecars compute the same table from the shard's (checksummed)
+        columns.  Cached until the merged table supersedes it.
         """
         found = self._hash_index_cache.get(i)
         if found is not None:
@@ -1452,8 +1297,7 @@ class ColumnarDictionary(ShardedDictionary):
                 columns["node"],
                 _value_bits(columns["value"]),
             )
-            order = np.argsort(hashes, kind="stable")
-            found = (hashes[order], order)
+            found = _sorted_table(hashes, np.arange(len(hashes)))
         else:
             path = os.path.join(self._directory, name)
             if not os.path.isfile(path):
@@ -1478,117 +1322,17 @@ class ColumnarDictionary(ShardedDictionary):
         self._hash_index_cache[i] = found
         return found
 
-    def _labels_of_base_row(self, shard: int, local: int) -> List[str]:
-        """Labels of one base row, reading only its own shard.
-
-        Shares the global-row cache with :meth:`_labels_of_row` but
-        hydrates nothing beyond the touched shard — only the faulted
-        pages, via ``peek_columns`` (the whole-file checksum still runs
-        on the first bulk access).
-        """
-        row = int(self._shard_start_rows()[shard]) + local
-        found = self._row_labels.get(row)
-        if found is None:
-            columns = self._files[shard].peek_columns()
-            lo = columns["label_offsets"][local]
-            hi = columns["label_offsets"][local + 1]
-            table = self._label_table
-            found = [table[j] for j in columns["label_ids"][lo:hi].tolist()]
-            self._row_labels[row] = found
-        return found
-
-    def _hash_scan(self, shards, metric_id, interval_id, node, bits):
-        """``(shard, row-in-shard)`` per probe (``-1`` on miss), exact.
-
-        For a handful of filter-passing probes, a ``searchsorted`` into
-        each routed shard's persisted sorted-hash table beats building
-        the full rank-packed index (which must read and sort every
-        column).  Hash matches are verified against the real columns —
-        of that shard only — so the result is exact even across hash
-        collisions.
-        """
-        probe_hashes = key_hashes(metric_id, interval_id, node, bits)
-        out_shard = np.full(len(probe_hashes), -1, dtype=np.int64)
-        out_row = np.full(len(probe_hashes), -1, dtype=np.int64)
-        for s in np.unique(shards).tolist():
-            mine = np.flatnonzero(shards == s)
-            table, order = self._shard_hash_index(s)
-            left = np.searchsorted(table, probe_hashes[mine], side="left")
-            right = np.searchsorted(table, probe_hashes[mine], side="right")
-            matched = np.flatnonzero(right > left)
-            if len(matched) == 0:
-                continue
-            columns = self._files[s].peek_columns()
-            for j in matched.tolist():
-                i = int(mine[j])
-                want = (int(metric_id[i]), int(interval_id[i]),
-                        int(node[i]), int(bits[i]))
-                for local in order[left[j]:right[j]].tolist():
-                    got = (
-                        int(columns["metric_id"][local]),
-                        int(columns["interval_id"][local]),
-                        int(columns["node"][local]),
-                        int(_value_bits(columns["value"][local:local + 1])[0]),
-                    )
-                    if got == want:
-                        out_shard[i] = s
-                        out_row[i] = local
-                        break
-        return out_shard, out_row
-
-    def _filtered_resolve(
-        self, fingerprints: Sequence[Fingerprint]
-    ) -> Optional[List[List[str]]]:
-        """Base label lists via the filters, or ``None`` to defer.
-
-        The cold-path resolver behind :meth:`lookup_many`: probes that
-        fail every shard filter are exact misses and cost no column
-        access; a small surviving set (``<= _SCAN_MAX`` — real hits
-        plus the filters' ~1% false positives) resolves by hash-scan.
-        A larger surviving set means the batch is hit-heavy and the
-        full rank-packed index is worth building — ``None`` sends the
-        caller there.
-        """
-        metric_id, interval_id, node, bits = self._probe_arrays(fingerprints)
-        might = (metric_id >= 0) & (interval_id >= 0)
-        if might.any():
-            hashes = key_hashes(metric_id, interval_id, node, bits)
-            might &= self._filter_might(hashes)
-        survivors = np.flatnonzero(might)
-        results: List[List[str]] = [[] for _ in range(len(fingerprints))]
-        if len(survivors) == 0:
-            return results
-        if len(survivors) > _SCAN_MAX:
-            return None
-        # Keys live only in their stable-hash shard, so each survivor
-        # probes exactly one shard's hash table — untouched shards stay
-        # unread.
-        routes = np.asarray(
-            [shard_index(fingerprints[i], self.n_shards)
-             for i in survivors.tolist()],
-            dtype=np.int64,
-        )
-        found_shard, found_row = self._hash_scan(
-            routes, metric_id[survivors], interval_id[survivors],
-            node[survivors], bits[survivors],
-        )
-        for probe, s, local in zip(
-            survivors.tolist(), found_shard.tolist(), found_row.tolist()
-        ):
-            if local >= 0:
-                results[probe] = list(self._labels_of_base_row(s, local))
-        return results
-
     def warm_index(self) -> None:
-        """Prebuild the session batch path to steady-state shape.
+        """Prebuild the batch paths to steady-state shape.
 
-        What serve warm-start calls: builds the full-key rank-packed
-        index (and thereby reads — for mmap, prefaults — every column),
-        so the first live micro-batch resolves at steady-state latency
-        whether it is hit- or miss-heavy.  The filters are already
-        resident from load.
+        What ``BatchRecognizer.warm`` and serve warm-start call: builds
+        the merged key-hash table and reads every key column (verifying
+        each shard's checksum, so damage surfaces here by name, and
+        prefaulting its pages), so the first batch — sessions or
+        records, hit- or miss-heavy — resolves at steady-state latency.
         """
-        self._ensure_full_index()
+        self._hash_table()
+        self._concat()
 
     def filter_info(self) -> Optional[dict]:
         """Summary of the negative-lookup filters; None if this store
@@ -1603,58 +1347,27 @@ class ColumnarDictionary(ShardedDictionary):
                             default=0.0),
         }
 
-    def _base_labels_many(
-        self, fingerprints: Sequence[Fingerprint]
-    ) -> List[List[str]]:
-        """Base-column label list per fingerprint ([] on miss)."""
-        rows = self._base_resolve(fingerprints)
-        if rows is None:
-            return [
-                ShardedDictionary.lookup(self, fp) for fp in fingerprints
-            ]
-        return [
-            list(self._labels_of_row(int(row))) if row >= 0 else []
-            for row in rows.tolist()
-        ]
-
     def lookup_many(
         self, fingerprints: Sequence[Fingerprint]
     ) -> Optional[List[List[str]]]:
         """Label lists for many full keys, ``base ∪ overlay``, vectorized.
 
         Equivalent to ``[self.lookup(fp) for fp in fingerprints]`` but
-        without hydrating any shard: base keys resolve through the
-        rank-packed full-key index, then the overlay's few keys patch
-        their slots.  On a filtered store that has not yet built that
-        index, the per-shard Bloom filters are consulted *first*: an
-        unknown-heavy batch resolves at filter speed (plus a hash-scan
-        for the few filter-passing probes) without paying the index's
-        column read and sort — the cold negative-lookup fast path.
-        ``None`` when a shard was mutated behind the delta-log or the
-        rank space overflows — callers fall back to per-shard Python
-        lookups.
+        without hydrating any shard: the batch resolves through the
+        key-hash tables (see :meth:`_handles`), and overlay keys answer
+        with their merged labels.  ``None`` when a shard was mutated
+        behind the delta-log — callers fall back to per-key lookups.
         """
         if self._base_mutated():
             return None
-        results: Optional[List[List[str]]] = None
-        if self._filters is not None and self._full_index is None:
-            results = self._filtered_resolve(fingerprints)
-        if results is None:
-            rows = self._base_resolve(fingerprints)
-            if rows is None:
-                return None
-            # Fresh list per result, like lookup() — callers may mutate
-            # theirs; the row cache must never alias out.
-            results = [
-                list(self._labels_of_row(int(row))) if row >= 0 else []
-                for row in rows.tolist()
-            ]
-        overlay = self._delta.overlay
-        if len(overlay):
-            for i, fp in enumerate(fingerprints):
-                if fp in overlay:
-                    results[i] = _merge_labels(results[i], overlay.lookup(fp))
-        return results
+        handles = self._handles(*self._probe(fingerprints))
+        entry = self._entry
+        # Fresh list per result, like lookup() — callers may mutate
+        # theirs; the entry cache must never alias out.
+        return [
+            list(entry(handle)[0]) if handle >= 0 else []
+            for handle in handles.tolist()
+        ]
 
     def __repr__(self) -> str:
         hydrated = sum(1 for s in self.shards if s.hydrated)

@@ -11,9 +11,10 @@ first-class instead:
   directory (the write-ahead half) and folds into a small in-memory
   **overlay** dictionary (the serving half);
 - reads answer from ``base ∪ overlay``: the base column caches and the
-  rank-packed ``searchsorted`` indexes stay hot forever, and the batch
-  engine patches in the overlay's few keys per batch — a trickle of new
-  learnings never costs the vectorized path.  Overlay keys are checked
+  key-hash table stay hot forever, and the overlay's few keys get a
+  small key-hash table of their own (re-sorted when a key is added;
+  each key's merged entry is updated by its own write) — a trickle of
+  new learnings never costs the vectorized path.  Overlay keys are checked
   *before* the per-shard negative-lookup filters, so a key learned
   after the last compaction can never be filtered out as absent;
 - **compaction** folds the log back into the base ``shard-NN.mmap``

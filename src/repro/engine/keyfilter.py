@@ -6,10 +6,10 @@ that were never learned.  Yet the columnar store historically paid its
 full cost on exactly that traffic: the first batch read every shard's
 columns just to discover that nothing matches.  This module is the negative-lookup fast path:
 
-- :func:`key_hashes` maps full fingerprint keys — the ``(metric_id,
-  interval_id, node, value_bits)`` component arrays the rank-packed
-  indexes already use — to one ``uint64`` hash per key, fully
-  vectorized (a splitmix64-style finalizer folded over the components).
+- :func:`key_hashes` maps full fingerprint keys — ``(metric_id,
+  interval_id, node, value_bits)`` component arrays — to one
+  ``uint64`` hash per key, fully vectorized (a splitmix64-style
+  finalizer folded over the components).
   :func:`probe_columns` builds those components from a batch of
   fingerprints in C-level passes; the columnar store and the remote
   client both probe through it.
@@ -23,16 +23,18 @@ columns just to discover that nothing matches.  This module is the negative-look
   rewrites the base, under the same atomic manifest replace.
 - :func:`pack_hash_index` / :func:`unpack_hash_index` persist the same
   per-shard hashes **sorted**, with the row permutation, as a second
-  sidecar (``shard-NN.hashidx``): the exact-membership table behind the
-  Bloom filter.  A probe that survives the filter resolves by
-  ``searchsorted`` into this table — the hot-metadata / cold-bulk-bytes
-  split — so a cold unknown-heavy batch never hashes or sorts the base
-  and touches column bytes only for genuine hits.
+  sidecar (``shard-NN.hashidx``): the columnar store's exact-match
+  table.  Merged over shards it is the store's one base lookup
+  structure; before the merge, a probe that survives a shard's filter
+  resolves by ``searchsorted`` into that shard's table — the
+  hot-metadata / cold-bulk-bytes split — so a cold unknown-heavy batch
+  never hashes or sorts the base and touches column bytes only for
+  genuine hits.
 
 Soundness: a Bloom filter has **no false negatives** — every inserted
 key passes ``might_contain`` forever — so a "definitely absent" answer
 is exact and the store can return a miss without touching any column
-file.  False positives merely fall through to the exact index.  Keys
+file.  False positives merely fall through to the exact table.  Keys
 added after the last compaction live in the delta-log overlay and are
 checked *before* the filter, so learn-while-serving never yields a
 false negative either (``tests/test_engine_properties.py`` pins both
@@ -143,7 +145,7 @@ def unpack_hash_index(data: bytes, name: str = "hash index"):
     order = np.frombuffer(
         data, dtype="<u4", offset=_HIDX_HEADER.size + n_keys * 8,
         count=n_keys,
-    ).astype(np.int64)
+    ).astype(np.uint32, copy=False)
     return sorted_hashes, order
 
 
@@ -164,8 +166,7 @@ def key_hashes(
 ) -> np.ndarray:
     """One uint64 hash per full fingerprint key, vectorized.
 
-    Components are the same int64 arrays the rank-packed full-key index
-    consumes (``value_bits`` from
+    Components are int64 arrays (``value_bits`` from
     :func:`repro.engine.columnar._value_bits`, ids from the manifest's
     interned tables), so a probe hashes identically to the stored key
     it targets.  Components are folded sequentially through the

@@ -9,9 +9,9 @@ that :class:`~repro.engine.columnar.ColumnarDictionary` opens with
 - **N serving processes share one copy** — the mapping is backed by the
   OS page cache, so every ``efd serve`` process reads the same physical
   pages instead of each holding a private heap copy;
-- **the vectorized indexes build zero-copy** — the rank-packed
-  ``searchsorted`` index consumes the mapped arrays directly (a
-  single-shard store concatenates nothing at all).
+- **the lookup kernel reads zero-copy** — candidate rows are verified
+  against the mapped arrays directly (a single-shard store
+  concatenates nothing at all).
 
 File format (all little-endian, every column 64-byte aligned)::
 
@@ -27,10 +27,11 @@ File format (all little-endian, every column 64-byte aligned)::
 The total size is a pure function of the three header scalars, so
 truncation is detected by a size check before anything is mapped; the
 manifest carries a blake2b checksum of the whole file, verified once on
-the first *bulk* access (:meth:`MmapShardFile.columns` — index build,
-iteration, warm-start; bit flips raise by name, and the verification
-pass doubles as a page-cache prefault).  The hash-scan verification
-path reads a handful of rows through :meth:`MmapShardFile.peek_columns`
+the first *bulk* access (:meth:`MmapShardFile.columns` — warm-start,
+hydration, iteration; bit flips raise by name, and the verification
+pass doubles as a page-cache prefault).  The cold sidecar search and
+label reads touch a handful of rows through
+:meth:`MmapShardFile.peek_columns`
 after the structural checks alone, so a cold miss-heavy batch faults in
 kilobytes rather than checksumming whole shards.  Integer columns are
 stored at full width — narrowing would force the reader to copy,
@@ -144,7 +145,7 @@ class MmapShardFile:
         self.checksum = checksum
         self.n_keys = int(n_keys)
         self._columns: Optional[Dict[str, np.ndarray]] = None
-        self._mm: Optional[np.memmap] = None
+        self._mm: Optional[np.ndarray] = None
         self._verified = False
 
     def columns(self) -> Dict[str, np.ndarray]:
@@ -152,7 +153,7 @@ class MmapShardFile:
 
         The bulk accessor: the manifest checksum is verified on the
         first call (the pass doubles as a page-cache prefault), so
-        every full hydration — index build, iteration, ``_concat`` —
+        every full hydration — warm-start, iteration, ``_concat`` —
         sees integrity-checked bytes.
         """
         columns = self._map()
@@ -171,7 +172,7 @@ class MmapShardFile:
     def peek_columns(self) -> Dict[str, np.ndarray]:
         """The mapped views *without* the whole-file checksum pass.
 
-        For the few-row hash-scan verification path: structural damage
+        For the few-row cold search and label reads: structural damage
         (missing file, bad magic, truncation, key-count mismatch) is
         still rejected before mapping, but only the touched pages fault
         in — a cold 1k-batch with a handful of hits reads kilobytes,
@@ -213,7 +214,10 @@ class MmapShardFile:
                 f"shard file {self.name!r} is corrupt: file is {size} "
                 f"bytes but the header implies {total} (truncated?)"
             )
-        mm = np.memmap(self.path, dtype=np.uint8, mode="r")
+        # A plain ndarray view of the mapping (it keeps the mapping
+        # alive): slicing a ``numpy.memmap`` costs several times a plain
+        # slice, and labels are read one row's slice at a time.
+        mm = np.memmap(self.path, dtype=np.uint8, mode="r").view(np.ndarray)
         columns: Dict[str, np.ndarray] = {}
         for name, offset, length, dtype in plan:
             view = mm[offset:offset + length * dtype.itemsize].view(dtype)

@@ -304,12 +304,12 @@ class IngestService:
         self._running = True
         # Warm-start: prebuild the engine's session-path lookup index on
         # the executor (for a columnar shard directory that is the
-        # vectorized full-key index — the negative-lookup filters alone
+        # merged key-hash table — the negative-lookup filters alone
         # load at open and would otherwise defer this build to the
-        # first batch that survives them), so the first micro-batch —
-        # and the event loop — never pays for it.  On a columnar store
-        # the build also reads through the OS page cache, prefaulting
-        # pages every serve worker then shares.
+        # first large batch that survives them), so the first
+        # micro-batch — and the event loop — never pays for it.  On a
+        # columnar store the build also reads through the OS page
+        # cache, prefaulting pages every serve worker then shares.
         warm = getattr(self.engine, "warm", None)
         if warm is not None:
             await self._loop.run_in_executor(

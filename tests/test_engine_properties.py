@@ -502,9 +502,10 @@ class TestColumnarBackendEqualsFlat:
         engine = BatchRecognizer(store, depth=2).warm()
         assert engine._index is not None
         assert engine.recognize_records(records) == sequential
-        # Session-path warm builds the full-key index without hydration.
+        # Warm reads (and checksums) every shard's key columns without
+        # hydrating a shard.
         engine.warm(for_sessions=True)
-        assert store._full_index is not None
+        assert all(f._verified for f in store._files)
         assert not any(shard.hydrated for shard in store.shards)
 
     def test_lookup_many_returns_independent_lists(self, fitted, tmp_path):

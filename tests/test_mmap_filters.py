@@ -296,6 +296,10 @@ class TestStoreLevelFilters:
         directory = str(tmp_path / "efd")
         save_columnar(_sharded(), directory)
         store = load_columnar(directory)
+        # Nothing past the open may read a shard or hash-index file.
+        for name in os.listdir(directory):
+            if name.endswith((".mmap", ".hashidx")):
+                os.remove(os.path.join(directory, name))
         misses = [
             Fingerprint("never_learned", i % 4, (0.0, 60.0), float(i))
             for i in range(200)
@@ -303,24 +307,24 @@ class TestStoreLevelFilters:
         assert store.lookup_many(misses) == [[] for _ in misses]
         assert not any(shard.hydrated for shard in store.shards)
         assert all(f._columns is None for f in store._files)
-        assert store._full_index is None
 
     def test_all_miss_batch_stays_lazy(self, tmp_path):
         # Known-metric misses resolve through the filters; the rare
-        # false positive falls through to the exact hash-scan (which
-        # may read columns) but never hydrates per-shard dicts or
-        # builds the full rank-packed index.
+        # false positive falls through to its shard's sorted hash
+        # sidecar, where a miss finds no equal hash — so the batch
+        # hydrates no per-shard dict and maps no column file.
         directory = str(tmp_path / "efd")
         save_columnar(_sharded(), directory)
         store = load_columnar(directory)
         misses = [_fp(i) for i in range(50_000, 50_200)]
         assert store.lookup_many(misses) == [[] for _ in misses]
         assert not any(shard.hydrated for shard in store.shards)
-        assert store._full_index is None
+        assert all(f._columns is None for f in store._files)
 
     def test_small_hit_batch_stays_lazy(self, tmp_path):
-        # A few filter-surviving probes resolve via the hash-scan
-        # without paying the full rank-packed index build.
+        # A few filter-surviving probes resolve from the per-shard hash
+        # sidecars, verified against the touched rows only — no bulk
+        # (checksummed) read of any shard's columns.
         directory = str(tmp_path / "efd")
         sharded = _sharded()
         save_columnar(sharded, directory)
@@ -329,7 +333,7 @@ class TestStoreLevelFilters:
         assert store.lookup_many(probes) == [
             sharded.lookup(fp) for fp in probes
         ]
-        assert store._full_index is None
+        assert not any(f._verified for f in store._files)
 
     def test_filter_info_shape(self, tmp_path):
         directory = str(tmp_path / "efd")

@@ -231,47 +231,24 @@ class TestRecordsEqualSequential:
         assert store.delta_pending
         engine = BatchRecognizer(store, metric=METRIC, depth=DEPTH)
         assert isinstance(engine._tuple_index(),
-                          columnar_mod._PatchedBatchIndex)
+                          columnar_mod.ColumnarBatchIndex)
         _assert_same(engine.recognize_records(records),
                      _sequential(reference, records, DEPTH))
+        assert engine.stats.index_demotions == 0
 
-    def test_filter_guard_before_and_after_build(self, openworld, tmp_path):
+    def test_filters_before_and_after_hits(self, openworld, tmp_path):
         flat, records, unknown = openworld
         store = _columnar(flat, tmp_path)
-        key = columnar_mod._batch_key(METRIC, INTERVAL)
         engine = BatchRecognizer(store, metric=METRIC, depth=DEPTH)
-        # Unknown records only: every probe fails the filters, the real
-        # index stays unbuilt and the guard answers all misses.
+        # Unknown records only: every probe misses, so a cold store
+        # answers from the filters and hash sidecars without mapping a
+        # single column file.
         _assert_same(engine.recognize_records(unknown),
                      _sequential(flat, unknown, DEPTH))
-        assert key not in store._batch_indices
+        assert all(f._columns is None for f in store._files)
         _assert_same(engine.recognize_records(records),
                      _sequential(flat, records, DEPTH))
-        assert store._batch_indices[key] is not None
-
-    @pytest.mark.parametrize("filters", [True, False])
-    def test_overflow_paths(self, openworld, tmp_path, monkeypatch, filters):
-        # Rank-space overflow: a filtered store answers through the
-        # owner's exact row dict, an unfiltered one demotes to the
-        # generic tuple index.
-        flat, records, _ = openworld
-
-        def overflow(self, *args, **kwargs):
-            raise OverflowError("rank space exceeds 64 bits")
-
-        monkeypatch.setattr(columnar_mod.ColumnarBatchIndex, "__init__",
-                            overflow)
-        store = _columnar(flat, tmp_path, filters=filters)
-        engine = BatchRecognizer(store, metric=METRIC, depth=DEPTH)
-        want = _sequential(flat, records, DEPTH)
-        _assert_same(engine.recognize_records(records), want)
-        _assert_same(engine.recognize_records(records), want)
-        if filters:
-            assert store._overflow_dicts
-            assert engine.stats.index_demotions == 0
-        else:
-            assert isinstance(engine._index, dict)
-            assert engine.stats.index_demotions >= 1
+        assert any(f._columns is not None for f in store._files)
 
     @pytest.mark.parametrize("kind", ["flat", "mmap", "mmap-unfiltered"])
     def test_signed_zero_probes(self, kind, tmp_path):
@@ -370,34 +347,18 @@ class TestWarmBuildsRecordsIndex:
                                         monkeypatch, filters):
         flat, records, _ = openworld
         store = _columnar(flat, tmp_path, filters=filters)
-        key = columnar_mod._batch_key(METRIC, INTERVAL)
         engine = BatchRecognizer(store, metric=METRIC, depth=DEPTH).warm()
-        assert store._batch_indices.get(key) is not None
+        assert all(f._verified for f in store._files)
 
         def no_build(*args, **kwargs):
             raise AssertionError("the first batch rebuilt an index")
 
-        monkeypatch.setattr(columnar_mod.ColumnarBatchIndex, "__init__",
-                            no_build)
-        monkeypatch.setattr(columnar_mod._RankPackedIndex, "__init__",
+        # After warm() a batch reads no hash table and no bulk columns,
+        # and the engine reuses the index it warmed.
+        monkeypatch.setattr(columnar_mod.ColumnarDictionary,
+                            "_shard_hash_index", no_build)
+        monkeypatch.setattr(columnar_mod.MmapShardFile, "columns", no_build)
+        monkeypatch.setattr(columnar_mod.ColumnarDictionary, "batch_index",
                             no_build)
         _assert_same(engine.recognize_records(records),
                      _sequential(flat, records, DEPTH))
-
-    def test_warm_keeps_overflow_fallback(self, openworld, tmp_path,
-                                          monkeypatch):
-        flat, records, _ = openworld
-
-        def overflow(self, *args, **kwargs):
-            raise OverflowError("rank space exceeds 64 bits")
-
-        monkeypatch.setattr(columnar_mod.ColumnarBatchIndex, "__init__",
-                            overflow)
-        store = _columnar(flat, tmp_path)
-        engine = BatchRecognizer(store, metric=METRIC, depth=DEPTH).warm()
-        assert store._batch_indices[
-            columnar_mod._batch_key(METRIC, INTERVAL)
-        ] is None
-        _assert_same(engine.recognize_records(records),
-                     _sequential(flat, records, DEPTH))
-        assert engine.stats.index_demotions == 0

@@ -1148,7 +1148,8 @@ class TestLearnWhileServing:
                 await service.drain()
                 await service.learn("job-0", "learned_L")
 
-        asyncio.run(run())
+        with engine.dictionary:
+            asyncio.run(run())
         reopened = load_columnar(directory)
         assert reopened.delta_pending > 0        # replayed, not lost
         assert "learned_L" in reopened.labels()
@@ -1177,7 +1178,8 @@ class TestLearnWhileServing:
                 assert "taught_T" in verdict.matched_labels
             return True
 
-        assert asyncio.run(run())
+        with engine.dictionary:
+            assert asyncio.run(run())
         assert engine.stats.index_demotions == 0
 
     def test_learn_works_on_flat_and_sharded_backends(
