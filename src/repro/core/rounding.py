@@ -37,6 +37,13 @@ def _check_depth(depth: int) -> None:
 #: in two finite steps instead of overflowing to ``inf``.
 _MAX_POW10 = 308
 
+#: Significant digits a double always holds exactly (``DBL_DIG``).
+#: Below this depth the value is first rounded to this many digits, so
+#: a decimal tie such as ``0.95`` is seen as a tie however many ulps of
+#: binary noise the value carries: ``0.95`` and ``0.95 * 1e-6`` (which
+#: is ``9.499999999999999e-07``) then round alike at depth 1.
+_GUARD_DIGITS = 15
+
 #: Depth at which rounding any double is the identity: the quantum
 #: ``10**(magnitude - depth + 1)`` is then at least ~200x below half an
 #: ulp, so the nearest double to the rounded real value is the input
@@ -71,27 +78,53 @@ def round_depth(value: float, depth: int) -> float:
     # paths share the exact same power-of-ten constants and operation
     # order — ``10.0 ** k`` and ``np.power(10.0, k)`` differ by an ulp
     # at large ``k``, enough to break bit-for-bit agreement.
-    return _round_at_shift(value, depth - 1 - magnitude, round)
+    return _round_at_shift(value, depth, depth - 1 - magnitude, round)
 
 
-def _round_at_shift(value, shift: int, round_fn):
-    """Round ``value`` (scalar or ndarray) at an integral decimal shift.
+def _round_at_shift(value, depth: int, shift: int, round_fn):
+    """Round ``value`` (scalar or ndarray) to ``depth`` digits at an
+    integral decimal shift.
 
-    With ``depth < _IDENTITY_DEPTH`` the shift is bounded to
-    ``[-291, 341]`` and the scaled magnitude to ``< 10**18``, so the
+    Below ``_GUARD_DIGITS`` the value is first rounded to an integral
+    ``_GUARD_DIGITS``-digit mantissa (``< 10**15``, exact in a double),
+    and that mantissa is rounded to ``depth`` digits by one division by
+    an exact power of ten: a decimal tie divides to exactly ``k + 0.5``
+    and a non-tie stays several ulps away from it.
+
+    With ``depth < _IDENTITY_DEPTH`` the shifts are bounded to
+    ``[-294, 341]`` and the scaled magnitude to ``< 10**18``, so the
     only possible overflow is a value legitimately rounding up past the
     largest double (to ``inf``) on the way back down.
     """
+    if depth < _GUARD_DIGITS:
+        guard = _GUARD_DIGITS - depth
+        digits = round_fn(_scale(value, shift + guard))
+        units = round_fn(digits / 10.0 ** guard)
+    else:
+        units = round_fn(_scale(value, shift))
+    return _unscale(units, shift)
+
+
+def _scale(value, shift: int):
+    """``value * 10**shift``, multiplying by an exact positive power of
+    ten or dividing by one, in two finite steps past ``_MAX_POW10``."""
+    if shift > _MAX_POW10:
+        return value * 10.0 ** _MAX_POW10 * 10.0 ** (shift - _MAX_POW10)
     if shift >= 0:
-        if shift > _MAX_POW10:
-            lo = 10.0 ** _MAX_POW10
-            hi = 10.0 ** (shift - _MAX_POW10)
-            return round_fn(value * lo * hi) / hi / lo
-        scale = 10.0 ** shift
-        return round_fn(value * scale) / scale
-    # shift >= depth - 1 - 308 here, so 10.0 ** (-shift) never overflows.
-    scale = 10.0 ** (-shift)
-    return round_fn(value / scale) * scale
+        return value * 10.0 ** shift
+    # shift >= 14 - 308 here, so 10.0 ** (-shift) never overflows.
+    return value / 10.0 ** (-shift)
+
+
+def _unscale(value, shift: int):
+    """Inverse of :func:`_scale`: dividing by a positive power of ten
+    keeps large magnitudes exact (``10**k`` is exact for ``k >= 0``;
+    ``10**-k`` is not)."""
+    if shift > _MAX_POW10:
+        return value / 10.0 ** (shift - _MAX_POW10) / 10.0 ** _MAX_POW10
+    if shift >= 0:
+        return value / 10.0 ** shift
+    return value * 10.0 ** (-shift)
 
 
 def round_depth_array(values, depth: int) -> np.ndarray:
@@ -124,7 +157,7 @@ def round_depth_array(values, depth: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         for s in np.unique(shift):
             group = shift == s
-            rounded[group] = _round_at_shift(v[group], int(s), np.round)
+            rounded[group] = _round_at_shift(v[group], depth, int(s), np.round)
     out[finite] = rounded
     return out
 
