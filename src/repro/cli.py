@@ -285,7 +285,8 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--batch-size", type=int, default=64,
                    help="max sessions per recognition micro-batch")
     p.add_argument("--batch-delay", type=float, default=0.01,
-                   help="seconds to wait for a micro-batch to fill")
+                   help="longest a ready session waits for batch-mates "
+                        "while sessions keep turning ready (seconds)")
     p.add_argument("--session-timeout", type=float, default=None,
                    help="evict sessions idle this many seconds (default: never)")
     p.add_argument("--evict", default="force", choices=["force", "drop"],

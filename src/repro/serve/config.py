@@ -49,11 +49,15 @@ class ServeConfig:
         sessions that turn ready together (one routed block, a flood's
         pass of interleaved jobs) leave together.
     batch_max_delay:
-        Seconds the oldest ready session may wait for the batch to fill
-        before a partial micro-batch is dispatched (one timer per
-        batch, not per session).  Trades verdict latency for batch
-        efficiency; 0 dispatches every ready session immediately, as
-        many as the cap allows per batch.
+        Longest a ready session waits for batch-mates while sessions
+        keep turning ready: a partial micro-batch leaves once its
+        oldest session has waited this long (one timer per batch, not
+        per session).  A session that turns ready more than this after
+        the previous one leaves at once, with whatever else is ready,
+        since batch-mates that did not come within the delay are not
+        expected within the next.  Trades verdict latency for batch
+        efficiency under sustained load; 0 dispatches every ready
+        session immediately, as many as the cap allows per batch.
     max_inflight_batches:
         How many micro-batches may be resolving on the worker executor
         at once.  Recognition itself is serialized per engine (the

@@ -36,12 +36,15 @@ Guarantees (property-tested in ``tests/test_serve_service.py``):
 - **Equivalence** — with no samples shed and no sessions evicted, every
   verdict is element-wise identical to calling
   ``BatchRecognizer.recognize_sessions`` synchronously on sessions fed
-  the same samples, for every backpressure configuration.  Ingestion is
-  commutative (interval sums), so neither queueing order nor micro-batch
-  composition can change a verdict.  One delivery assumption: per-node
-  timestamps are non-decreasing (a monitoring bus's normal order) —
-  a sample retransmitted *out of order* after its session crossed the
-  interval mark is dropped as late rather than folded in.
+  the same samples, for every backpressure configuration.  Routing
+  folds each job's samples into its session in stream order, whatever
+  the queueing, so its sums are bit-for-bit those of the synchronous
+  feed (float addition is not associative: the order is what keeps
+  them equal), and micro-batch composition cannot change a verdict.
+  One delivery assumption: per-node timestamps are non-decreasing (a
+  monitoring bus's normal order) — a sample retransmitted *out of
+  order* after its session crossed the interval mark is dropped as
+  late rather than folded in.
 - **Bounded memory** — the ingest queue and the *active* session table
   are the only buffers, both capped by
   :class:`~repro.serve.config.ServeConfig`.  Completed sessions are
@@ -148,6 +151,9 @@ class _SessionState:
     ready_at: float = 0.0
     done_at: float = 0.0
     forced: bool = False
+    # Turned ready more than batch_max_delay after the previous ready
+    # session: its batch leaves without waiting for batch-mates.
+    sparse: bool = False
 
 
 class _BlockQueue:
@@ -256,6 +262,7 @@ class IngestService:
         # the batch loop when the deque turns non-empty or fills a batch.
         self._ready: Deque[_SessionState] = deque()
         self._ready_event: Optional[asyncio.Event] = None
+        self._last_ready = float("-inf")  # when a session last turned ready
         self._ingest_task: Optional["asyncio.Task[None]"] = None
         self._batch_task: Optional["asyncio.Task[None]"] = None
         self._tasks: List["asyncio.Task[None]"] = []
@@ -761,7 +768,9 @@ class IngestService:
     def _queue_ready(self, state: _SessionState, forced: bool = False) -> None:
         state.phase = _Phase.QUEUED
         state.forced = forced
-        state.ready_at = self._loop.time()
+        now = self._loop.time()
+        state.sparse = now - self._last_ready > self.config.batch_max_delay
+        state.ready_at = self._last_ready = now
         self._n_unresolved += 1
         self._quiescent.clear()
         ready = self._ready
@@ -773,12 +782,17 @@ class IngestService:
     async def _batch_loop(self) -> None:
         """Cut the ready deque into micro-batches, a batch at a time.
 
-        A batch leaves when it is full or when its oldest session has
-        waited ``batch_max_delay``; it then takes every ready session up
-        to ``batch_max_sessions`` in one slice.  The loop sleeps on one
-        event (set by :meth:`_queue_ready` when the deque turns
-        non-empty or fills a batch) and arms at most one timer per
-        batch, so its cost is per batch, not per session.
+        While sessions keep turning ready, a batch leaves when it is
+        full or when its oldest session has waited ``batch_max_delay``.
+        When its oldest session turned ready after a quiet spell (more
+        than ``batch_max_delay`` since the ready session before it),
+        the batch leaves at once: batch-mates that did not show up
+        within the delay are not expected within the next one.  Either
+        way it takes every ready session up to ``batch_max_sessions``
+        in one slice.  The loop sleeps on one event (set by
+        :meth:`_queue_ready` when the deque turns non-empty or fills a
+        batch) and arms at most one timer per batch, so its cost is per
+        batch, not per session.
         """
         cfg = self.config
         loop = self._loop
@@ -788,7 +802,7 @@ class IngestService:
             while not ready:
                 event.clear()
                 await event.wait()
-            if len(ready) < cfg.batch_max_sessions:
+            if len(ready) < cfg.batch_max_sessions and not ready[0].sparse:
                 deadline = ready[0].ready_at + cfg.batch_max_delay
                 if deadline > loop.time():
                     event.clear()

@@ -11,6 +11,7 @@ survives crash artifacts (torn tail, stale generation), and blocks
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -41,11 +42,23 @@ def _fp(value: float, node: int = 0, metric: str = "m") -> Fingerprint:
     )
 
 
-def _columnar(tmp_path, flat: ExecutionFingerprintDictionary, n_shards=4,
-              name="col", **kwargs):
-    directory = str(tmp_path / name)
-    save_columnar(ShardedDictionary.from_flat(flat, n_shards), directory)
-    return load_columnar(directory, **kwargs), directory
+@pytest.fixture
+def columnar(tmp_path):
+    """``columnar(flat, n_shards=4, name="col", **load_kwargs)`` saves
+    ``flat`` as a columnar store under ``tmp_path`` and returns the
+    loaded store and its directory; each store is closed at teardown,
+    which closes the delta-log segment its writes opened."""
+    with contextlib.ExitStack() as stores:
+
+        def build(flat: ExecutionFingerprintDictionary, n_shards=4,
+                  name="col", **kwargs):
+            directory = str(tmp_path / name)
+            save_columnar(ShardedDictionary.from_flat(flat, n_shards),
+                          directory)
+            store = stores.enter_context(load_columnar(directory, **kwargs))
+            return store, directory
+
+        yield build
 
 
 def _small_flat(n: int = 40) -> ExecutionFingerprintDictionary:
@@ -70,12 +83,12 @@ def _assert_equal_stores(a, b) -> None:
 class TestWriteTrickleKeepsIndexHot:
     """ISSUE 5 acceptance: appends never demote the vectorized path."""
 
-    def test_trickle_verdicts_match_flat_reference(self, tiny_dataset, tmp_path):
+    def test_trickle_verdicts_match_flat_reference(self, tiny_dataset, columnar):
         recognizer = EFDRecognizer(depth=2).fit(tiny_dataset)
         records = list(tiny_dataset)
         flat = ExecutionFingerprintDictionary()
         flat.merge(recognizer.dictionary_)
-        col, _ = _columnar(tmp_path, flat, n_shards=4)
+        col, _ = columnar(flat, n_shards=4)
         engine = BatchRecognizer(col, depth=2)
         # Sustained trickle: interleave single appends with recognition
         # batches over the whole dataset; mirror every append into the
@@ -99,12 +112,12 @@ class TestWriteTrickleKeepsIndexHot:
         assert col.pristine
         assert not any(shard.hydrated for shard in col.shards)
 
-    def test_thousand_appends_with_batch_recognitions(self, tmp_path):
+    def test_thousand_appends_with_batch_recognitions(self, columnar):
         # Volume version (synthetic keys): >=1k appends interleaved with
         # batched lookups, index live throughout, final state equal to
         # the flat reference.
         flat = _small_flat()
-        col, directory = _columnar(tmp_path, flat, n_shards=8)
+        col, directory = columnar(flat, n_shards=8)
         engine = BatchRecognizer(col, metric="m", depth=2)
         probes = [fp for fp, _ in flat.entries()]
         for i in range(1000):
@@ -121,9 +134,9 @@ class TestWriteTrickleKeepsIndexHot:
         assert col.pristine
         _assert_equal_stores(col, flat)
 
-    def test_session_lookup_path_stays_vectorized(self, tmp_path):
+    def test_session_lookup_path_stays_vectorized(self, columnar):
         flat = _small_flat()
-        col, _ = _columnar(tmp_path, flat, n_shards=4)
+        col, _ = columnar(flat, n_shards=4)
         col.add(_fp(91001.0, 1), "zz_Q")
         flat.add(_fp(91001.0, 1), "zz_Q")
         keys = [fp for fp, _ in flat.entries()] + [_fp(1.5)]
@@ -132,9 +145,9 @@ class TestWriteTrickleKeepsIndexHot:
 
 
 class TestDurability:
-    def test_log_replays_on_reload(self, tmp_path):
+    def test_log_replays_on_reload(self, columnar):
         flat = _small_flat()
-        col, directory = _columnar(tmp_path, flat, n_shards=4)
+        col, directory = columnar(flat, n_shards=4)
         col.add(_fp(90000.0, 3), "zz_Q")
         col.add(_fp(100.0, 0), "zz_Q")       # existing key, new label
         col.register_label("keyless_K")      # order-only registration
@@ -148,9 +161,9 @@ class TestDurability:
         auto = load_sharded(directory)
         _assert_equal_stores(auto, flat)
 
-    def test_torn_final_record_is_dropped(self, tmp_path):
+    def test_torn_final_record_is_dropped(self, columnar):
         flat = _small_flat()
-        col, directory = _columnar(tmp_path, flat, n_shards=2)
+        col, directory = columnar(flat, n_shards=2)
         col.add(_fp(90000.0), "zz_Q")
         flat.add(_fp(90000.0), "zz_Q")
         with open(segment_path(directory), "a", encoding="utf-8") as fh:
@@ -159,9 +172,9 @@ class TestDurability:
         assert reopened.delta_pending == 1   # the torn record is gone
         _assert_equal_stores(reopened, flat)
 
-    def test_corrupt_mid_file_record_raises_by_name(self, tmp_path):
+    def test_corrupt_mid_file_record_raises_by_name(self, columnar):
         flat = _small_flat()
-        col, directory = _columnar(tmp_path, flat, n_shards=2)
+        col, directory = columnar(flat, n_shards=2)
         col.add(_fp(90000.0), "zz_Q")
         with open(segment_path(directory), "a", encoding="utf-8") as fh:
             fh.write("not json\n")
@@ -169,15 +182,16 @@ class TestDurability:
         with pytest.raises(ValueError, match=SEGMENT_NAME):
             load_columnar(directory)
 
-    def test_stale_generation_segment_is_discarded(self, tmp_path):
+    def test_stale_generation_segment_is_discarded(self, columnar):
         # Crash window: compaction rewrote the base (generation bumped)
         # but died before removing the segment.  The records are already
         # folded — replaying them would double-count.
         flat = _small_flat()
-        col, directory = _columnar(tmp_path, flat, n_shards=2)
+        col, directory = columnar(flat, n_shards=2)
         col.add(_fp(90000.0), "zz_Q")
         flat.add(_fp(90000.0), "zz_Q")
-        segment = open(segment_path(directory), encoding="utf-8").read()
+        with open(segment_path(directory), encoding="utf-8") as fh:
+            segment = fh.read()
         col.compact_delta()
         assert not os.path.isfile(segment_path(directory))
         # Resurrect the pre-compaction segment (generation 0; the
@@ -198,17 +212,17 @@ class TestUnreadableSegment:
     reporting 0 would let a replica or a reload serve the base state
     while committed records sit unreadable on disk."""
 
-    def test_absent_segment_reports_zero(self, tmp_path):
+    def test_absent_segment_reports_zero(self, columnar):
         flat = _small_flat()
-        _, directory = _columnar(tmp_path, flat, n_shards=2)
+        _, directory = columnar(flat, n_shards=2)
         assert not os.path.exists(segment_path(directory))
         assert pending_records(directory, generation=0) == 0
 
-    def test_unreadable_segment_raises_by_name(self, tmp_path):
+    def test_unreadable_segment_raises_by_name(self, columnar):
         from repro.engine import SegmentReadError
 
         flat = _small_flat()
-        col, directory = _columnar(tmp_path, flat, n_shards=2)
+        col, directory = columnar(flat, n_shards=2)
         col.add(_fp(90000.0), "zz_Q")
         # A directory squatting on the segment path: open() fails with
         # EISDIR — an unreadable segment, not an absent one.  (chmod
@@ -239,9 +253,9 @@ class TestUnreadableSegment:
 
 
 class TestCompaction:
-    def test_explicit_compaction_folds_losslessly(self, tmp_path):
+    def test_explicit_compaction_folds_losslessly(self, columnar):
         flat = _small_flat()
-        col, directory = _columnar(tmp_path, flat, n_shards=4)
+        col, directory = columnar(flat, n_shards=4)
         for i in range(25):
             col.add(_fp(90000.0 + i, i % 4), "zz_Q")
             flat.add(_fp(90000.0 + i, i % 4), "zz_Q")
@@ -253,14 +267,14 @@ class TestCompaction:
         assert col.compact_delta() == 0           # idempotent
 
     def test_fold_is_byte_identical_and_probes_no_filter(
-        self, tmp_path, monkeypatch
+        self, tmp_path, columnar, monkeypatch
     ):
         # The fold reads keys of the store's own key order straight
         # from the base shards plus the overlay: no Bloom-filter probe
         # per key, and the same bytes as a save of the flat reference
         # grown the same way.
         flat = _small_flat(400)
-        col, directory = _columnar(tmp_path, flat, n_shards=4)
+        col, directory = columnar(flat, n_shards=4)
         for i in range(60):
             fp = _fp(100.0 * (7 * i + 1), (7 * i) % 4)   # existing keys
             col.add_repeated(fp, "lu_X" if i % 2 else "ft_X", 1 + i % 3)
@@ -286,8 +300,8 @@ class TestCompaction:
                     open(os.path.join(reference, name), "rb") as b:
                 assert a.read() == b.read(), name
 
-    def test_version_stays_monotonic_across_compaction(self, tmp_path):
-        col, _ = _columnar(tmp_path, _small_flat(), n_shards=2)
+    def test_version_stays_monotonic_across_compaction(self, columnar):
+        col, _ = columnar(_small_flat(), n_shards=2)
         col.add(_fp(90000.0), "zz_Q")
         before = col.version
         col.compact_delta()
@@ -299,18 +313,18 @@ class TestCompaction:
         flat = _small_flat()
         directory = str(tmp_path / "col")
         save_columnar(ShardedDictionary.from_flat(flat, 2), directory)
-        col = load_columnar(directory, delta_max_pending=10)
-        for i in range(25):
-            col.add(_fp(90000.0 + i), "zz_Q")
-            flat.add(_fp(90000.0 + i), "zz_Q")
-        # Folded at least twice; never more than the threshold pending.
-        assert col.delta_pending < 10
-        _assert_equal_stores(col, flat)
+        with load_columnar(directory, delta_max_pending=10) as col:
+            for i in range(25):
+                col.add(_fp(90000.0 + i), "zz_Q")
+                flat.add(_fp(90000.0 + i), "zz_Q")
+            # Folded at least twice; never more than the threshold pending.
+            assert col.delta_pending < 10
+            _assert_equal_stores(col, flat)
         _assert_equal_stores(load_columnar(directory), flat)
 
-    def test_cli_compact_folds_pending_log(self, tmp_path):
+    def test_cli_compact_folds_pending_log(self, columnar):
         flat = _small_flat()
-        col, directory = _columnar(tmp_path, flat, n_shards=2)
+        col, directory = columnar(flat, n_shards=2)
         col.add(_fp(90000.0), "zz_Q")
         flat.add(_fp(90000.0), "zz_Q")
         summary = compact_shards(directory)
@@ -320,9 +334,9 @@ class TestCompaction:
         with pytest.raises(ValueError, match="already columnar"):
             compact_shards(directory)    # clean directory: unchanged error
 
-    def test_compact_to_out_leaves_source_untouched(self, tmp_path):
+    def test_compact_to_out_leaves_source_untouched(self, tmp_path, columnar):
         flat = _small_flat()
-        col, directory = _columnar(tmp_path, flat, n_shards=2)
+        col, directory = columnar(flat, n_shards=2)
         col.add(_fp(90000.0), "zz_Q")
         flat.add(_fp(90000.0), "zz_Q")
         out = str(tmp_path / "folded")
@@ -333,9 +347,9 @@ class TestCompaction:
         _assert_equal_stores(load_columnar(out), flat)
         _assert_equal_stores(load_columnar(directory), flat)
 
-    def test_save_never_drops_pending_records(self, tmp_path):
+    def test_save_never_drops_pending_records(self, tmp_path, columnar):
         flat = _small_flat()
-        col, _ = _columnar(tmp_path, flat, n_shards=2)
+        col, _ = columnar(flat, n_shards=2)
         col.add(_fp(90000.0), "zz_Q")
         flat.add(_fp(90000.0), "zz_Q")
         from repro.engine import save_sharded
@@ -349,8 +363,8 @@ class TestCompaction:
 
 
 class TestExpandGuard:
-    def test_expand_refuses_unfolded_delta(self, tmp_path):
-        col, directory = _columnar(tmp_path, _small_flat(), n_shards=2)
+    def test_expand_refuses_unfolded_delta(self, columnar):
+        col, directory = columnar(_small_flat(), n_shards=2)
         col.add(_fp(90000.0), "zz_Q")
         with pytest.raises(PendingDeltaError, match="compact"):
             expand_shards(directory)
@@ -358,9 +372,9 @@ class TestExpandGuard:
         assert os.path.isfile(segment_path(directory))
         assert load_columnar(directory).delta_pending == 1
 
-    def test_expand_works_after_compaction(self, tmp_path):
+    def test_expand_works_after_compaction(self, columnar):
         flat = _small_flat()
-        col, directory = _columnar(tmp_path, flat, n_shards=2)
+        col, directory = columnar(flat, n_shards=2)
         col.add(_fp(90000.0), "zz_Q")
         flat.add(_fp(90000.0), "zz_Q")
         col.compact_delta()
@@ -370,10 +384,10 @@ class TestExpandGuard:
 
 class TestDemotionCounter:
     def test_direct_shard_mutation_is_counted_and_stays_correct(
-        self, tmp_path
+        self, columnar
     ):
         flat = _small_flat()
-        col, _ = _columnar(tmp_path, flat, n_shards=4)
+        col, _ = columnar(flat, n_shards=4)
         engine = BatchRecognizer(col, metric="m", depth=2)
         assert engine._tuple_index() is not None
         assert engine.stats.index_demotions == 0
@@ -394,12 +408,12 @@ class TestDemotionCounter:
         assert snapshot.index_demotions == 2
         assert "demotions" in snapshot.render()
 
-    def test_demoted_store_with_overlay_still_answers_merged(self, tmp_path):
+    def test_demoted_store_with_overlay_still_answers_merged(self, columnar):
         # Worst case: a pending overlay *and* a direct shard mutation.
         # The vectorized paths stand down, and the generic fallback must
         # still see both the shard mutation and the overlay.
         flat = _small_flat()
-        col, _ = _columnar(tmp_path, flat, n_shards=4)
+        col, _ = columnar(flat, n_shards=4)
         overlay_key = _fp(91000.0, 2)
         col.add(overlay_key, "zz_Q")
         flat.add(overlay_key, "zz_Q")
@@ -426,12 +440,12 @@ class TestDemotionCounter:
 
 
 class TestCompactionCrashSafety:
-    def test_fold_commits_new_base_under_generation_names(self, tmp_path):
+    def test_fold_commits_new_base_under_generation_names(self, columnar):
         # The rewrite lands under generation-suffixed names and is
         # committed by one atomic manifest replace; the superseded
         # generation-0 files are removed after the commit.
         flat = _small_flat()
-        col, directory = _columnar(tmp_path, flat, n_shards=2)
+        col, directory = columnar(flat, n_shards=2)
         col.add(_fp(90000.0), "zz_Q")
         flat.add(_fp(90000.0), "zz_Q")
         col.compact_delta()
@@ -450,12 +464,12 @@ class TestCompactionCrashSafety:
         assert "shard-00.g1.mmap" not in names
         _assert_equal_stores(load_columnar(directory), flat)
 
-    def test_uncommitted_rewrite_leaves_old_base_loadable(self, tmp_path):
+    def test_uncommitted_rewrite_leaves_old_base_loadable(self, columnar):
         # Crash before the manifest commit: new-generation files exist
         # but the manifest still names the old base — the store must
         # load and replay the log exactly as if the fold never started.
         flat = _small_flat()
-        col, directory = _columnar(tmp_path, flat, n_shards=2)
+        col, directory = columnar(flat, n_shards=2)
         col.add(_fp(90000.0), "zz_Q")
         flat.add(_fp(90000.0), "zz_Q")
         # Simulate the pre-commit half of a fold: write garbage where
@@ -468,14 +482,14 @@ class TestCompactionCrashSafety:
         assert reopened.delta_pending == 1
         _assert_equal_stores(reopened, flat)
 
-    def test_in_place_save_of_pending_store_is_a_compaction(self, tmp_path):
+    def test_in_place_save_of_pending_store_is_a_compaction(self, columnar):
         # Regression: save_columnar(store, its_own_directory) with
         # pending records used to write the merged base at the same
         # generation and leave the segment behind — the next load then
         # replayed the already-folded records (counts inflated per
         # save/reload cycle).  It must behave as a compaction instead.
         flat = _small_flat()
-        col, directory = _columnar(tmp_path, flat, n_shards=2)
+        col, directory = columnar(flat, n_shards=2)
         key = _fp(90000.0)
         col.add(key, "zz_Q")
         col.add(key, "zz_Q")
@@ -490,7 +504,7 @@ class TestCompactionCrashSafety:
         assert reopened.lookup_counts(key) == {"zz_Q": 2}  # not 3/4
         _assert_equal_stores(reopened, flat)
 
-    def test_overlay_new_key_sees_direct_shard_mutation(self, tmp_path):
+    def test_overlay_new_key_sees_direct_shard_mutation(self, columnar):
         # Corner of the degraded mode: a key first seen via the
         # delta-log, then *also* written straight onto its shard.  The
         # merged point path must report both labels once the base is
@@ -498,7 +512,7 @@ class TestCompactionCrashSafety:
         from repro.engine import shard_index
 
         flat = _small_flat()
-        col, _ = _columnar(tmp_path, flat, n_shards=4)
+        col, _ = columnar(flat, n_shards=4)
         key = _fp(91000.0, 2)
         col.add(key, "new_N")                  # overlay-only key
         col.shards[shard_index(key, 4)].add(key, "direct_D")

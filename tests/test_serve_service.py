@@ -550,11 +550,37 @@ class TestBatchDrain:
         assert engine.stats.max_batch == 128
         assert service.results == reference
 
-    def test_lone_session_leaves_after_the_delay(self, recognizer, dataset):
+    def test_burst_after_silence_fills_whole_batches(
+        self, recognizer, dataset
+    ):
+        # The burst's first session turned ready after silence, so the
+        # first batch leaves at once; the rest coalesce as before.
+        base = list(dataset)
+        records = [base[i % len(base)] for i in range(300)]
+        job_ids = [f"job-{i:03d}" for i in range(len(records))]
+        samples = list(interleave_records(records, METRIC, job_ids))
+        engine = _engine(recognizer)
+
+        async def run():
+            config = ServeConfig(
+                max_pending_samples=len(samples), batch_max_sessions=128,
+                batch_max_delay=0.2,
+            )
+            async with IngestService(engine, config) as service:
+                await service.submit_many(SampleBlock.of(samples))
+                await service.drain()
+
+        asyncio.run(run())
+        assert engine.stats.n_batches == 3   # 128 + 128 + 44
+        assert engine.stats.max_batch == 128
+
+    def test_lone_session_after_silence_leaves_at_once(
+        self, recognizer, dataset
+    ):
         record = list(dataset)[0]
         samples = list(interleave_records([record], METRIC, ["solo"]))
         engine = _engine(recognizer)
-        delay = 0.2
+        delay = 1.0
 
         async def run():
             config = ServeConfig(batch_max_sessions=64,
@@ -569,7 +595,55 @@ class TestBatchDrain:
         service, verdict = asyncio.run(run())
         assert verdict == service.results["solo"]
         assert engine.stats.n_batches == 1
-        assert engine.stats.max_latency >= delay
+        assert engine.stats.max_latency < delay / 2
+
+    @staticmethod
+    def _batches_of_staggered_jobs(recognizer, dataset, delay):
+        """Ready "pilot", then "a" and "b", one routed block each, a
+        few ms apart; returns the job ids of every batch, in order."""
+        records = list(dataset)[:3]
+        job_ids = ["pilot", "a", "b"]
+        reference = _reference_verdicts(recognizer, records, job_ids)
+        engine = _engine(recognizer)
+        batches = []
+
+        async def run():
+            config = ServeConfig(batch_max_sessions=64,
+                                 batch_max_delay=delay)
+            async with IngestService(engine, config) as service:
+                recognize = service._recognize
+
+                def spy(sessions):
+                    batches.append([s.session_id for s in sessions])
+                    return recognize(sessions)
+
+                service._recognize = spy
+                for record, job in zip(records, job_ids):
+                    await service.submit_many(SampleBlock.of(
+                        interleave_records([record], METRIC, [job])
+                    ))
+                    await service._ingest_q.join()
+                    await asyncio.sleep(0.01)
+                await service.drain()
+                return service
+
+        service = asyncio.run(run())
+        assert service.results == reference
+        return batches
+
+    def test_sessions_ready_within_the_delay_share_a_batch(
+        self, recognizer, dataset
+    ):
+        # "a" turned ready within the delay of "pilot", so its batch
+        # waits for mates and "b", routed from a later block, joins it.
+        batches = self._batches_of_staggered_jobs(recognizer, dataset, 0.5)
+        assert batches == [["pilot"], ["a", "b"]]
+
+    def test_zero_delay_dispatches_every_ready_session_at_once(
+        self, recognizer, dataset
+    ):
+        batches = self._batches_of_staggered_jobs(recognizer, dataset, 0)
+        assert batches == [["pilot"], ["a"], ["b"]]
 
 
 # ---------------------------------------------------------------------------
