@@ -17,7 +17,8 @@ minutes into the job, while it is still running.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import operator
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,6 +74,12 @@ class StreamSession:
         unknown_label: str = "unknown",
         session_id: Optional[str] = None,
     ):
+        try:
+            n_nodes = operator.index(n_nodes)
+        except TypeError:
+            raise ValueError(
+                f"n_nodes must be an integer, got {n_nodes!r}"
+            ) from None
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
         if depth < 1:
@@ -84,7 +91,7 @@ class StreamSession:
         self.metric = metric
         self.depth = int(depth)
         self.interval = (float(start), float(end))
-        self.n_nodes = int(n_nodes)
+        self.n_nodes = n_nodes
         self.unknown_label = unknown_label
         self.session_id = session_id
         self.n_samples = 0
@@ -159,6 +166,24 @@ class StreamSession:
             running = np.concatenate(([self._sums[node]], folded))
             self._sums[node] = float(np.add.accumulate(running)[-1])
             self._counts[node] += int(folded.size)
+
+    def restore(self, sums: Sequence[float], counts: Sequence[int],
+                crossed: Sequence[bool], n_samples: int) -> None:
+        """Overwrite the running state with one folded elsewhere.
+
+        Per node: the interval sum, the in-interval sample count and
+        whether the node's clock has passed the interval end — the only
+        thing :meth:`ingest` reads the clock for, so later samples fold
+        exactly as they would have.  A service that folds many sessions
+        at once (:class:`repro.serve.slab.SessionSlab`) hands each
+        session its state this way.
+        """
+        end = self.interval[1]
+        self._sums = list(sums)
+        self._counts = list(counts)
+        self._latest = [end if c else float("-inf") for c in crossed]
+        self._n_past_end = sum(crossed)
+        self.n_samples = n_samples
 
     # -- state ----------------------------------------------------------------
     @property

@@ -3,23 +3,24 @@
 :class:`IngestService` is the event-loop front-end the ROADMAP asks for
 on top of :meth:`~repro.engine.batch.BatchRecognizer.recognize_sessions`:
 telemetry samples for thousands of concurrent jobs flow in as blocks,
-each job accumulates into its own
-:class:`~repro.core.streaming.StreamSession`, and the moment a session
-crosses the fingerprint interval mark it is coalesced with other ready
-sessions into a recognition micro-batch that resolves on a worker
-executor — while ingestion keeps running.
+every active job is one row of a slab session table
+(:class:`~repro.serve.slab.SessionSlab`), and the moment a session
+crosses the fingerprint interval mark its row is written into its
+:class:`~repro.core.streaming.StreamSession`, which is coalesced with
+other ready sessions into a recognition micro-batch that resolves on a
+worker executor — while ingestion keeps running.
 
 The unit of work is a :class:`~repro.serve.stream.SampleBlock` — a run
 of samples, typically one decoded wire chunk — and the pipeline, all on
 one event loop, moves blocks, never single samples::
 
     submit_many(block) ─> admission ─> [bounded ingest queue] ─> _ingest_loop
-      (submit(sample) =   once per      of blocks, capacity       one sync loop
-       a 1-sample block)  first-seen    counted in samples        per block folds
-                          job           │ full? block / shed      samples into
-                          │ cap? split  ▼                         per-job StreamSession
-                          ▼             backpressure              │ session.ready?
-                     backpressure                                 ▼
+      (submit(sample) =   once per      of blocks, capacity       one vectorized
+       a 1-sample block)  first-seen    counted in samples        slab fold per
+                          job           │ full? block / shed      block: a row per
+                          │ cap? split  ▼                         active job
+                          ▼             backpressure              │ row ready? ->
+                     backpressure                                 ▼ its StreamSession
                                                             [ready deque] ─> _batch_loop
                                                                               │ slice ≤ cap
                                                                               ▼
@@ -37,16 +38,17 @@ Guarantees (property-tested in ``tests/test_serve_service.py``):
   verdict is element-wise identical to calling
   ``BatchRecognizer.recognize_sessions`` synchronously on sessions fed
   the same samples, for every backpressure configuration.  Routing
-  folds each job's samples into its session in stream order, whatever
-  the queueing, so its sums are bit-for-bit those of the synchronous
-  feed (float addition is not associative: the order is what keeps
-  them equal), and micro-batch composition cannot change a verdict.
+  folds each job's samples into its slab row in stream order, whatever
+  the queueing (``np.add.at`` adds in index order), so its sums are
+  bit-for-bit those of the synchronous feed (float addition is not
+  associative: the order is what keeps them equal), and micro-batch
+  composition cannot change a verdict.
   One delivery assumption: per-node timestamps are non-decreasing (a
   monitoring bus's normal order) — a sample retransmitted *out of
   order* after its session crossed the interval mark is dropped as
   late rather than folded in.
 - **Bounded memory** — the ingest queue and the *active* session table
-  are the only buffers, both capped by
+  (the slab) are the only buffers, both capped by
   :class:`~repro.serve.config.ServeConfig`.  Completed sessions are
   retained for verdict retrieval until :meth:`IngestService.forget` —
   or, with ``retention_max_age`` / ``retention_max_done`` configured,
@@ -58,7 +60,9 @@ Guarantees (property-tested in ``tests/test_serve_service.py``):
 - **Explicit failure** — a recognition worker crash is isolated to the
   failing session and surfaces as a
   :class:`~repro._util.errors.WorkerError` carrying that session's job
-  id; healthy sessions in the same micro-batch still resolve.
+  id; healthy sessions in the same micro-batch still resolve.  A bad
+  sample (a node rank outside the job's nodes, a node count no session
+  can take) fails only its own job's verdict, and routing goes on.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 from typing import (
     Callable,
     Deque,
@@ -82,11 +86,14 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro._util.errors import WorkerError
 from repro.core.matcher import MatchResult
 from repro.core.streaming import StreamSession
 from repro.engine.batch import BatchRecognizer
 from repro.serve.config import ServeConfig
+from repro.serve.slab import SessionSlab
 from repro.serve.stream import Sample, SampleBlock
 
 #: Signature of the optional verdict callback: ``(job_id, result)``.
@@ -141,12 +148,19 @@ class _Phase(Enum):
 
 @dataclass
 class _SessionState:
-    """Service-side bookkeeping around one StreamSession."""
+    """Service-side bookkeeping around one StreamSession.
+
+    While the session is ACTIVE its accumulators live in row ``row`` of
+    the service's :class:`~repro.serve.slab.SessionSlab`; reading
+    :attr:`session` writes them through first.  A job whose session
+    could not open keeps ``None`` and a failed verdict.
+    """
 
     job: str
-    session: StreamSession
+    _session: Optional[StreamSession]
     future: "asyncio.Future[MatchResult]"
-    last_activity: float
+    slab: SessionSlab
+    row: int = -1
     phase: _Phase = _Phase.ACTIVE
     ready_at: float = 0.0
     done_at: float = 0.0
@@ -154,6 +168,12 @@ class _SessionState:
     # Turned ready more than batch_max_delay after the previous ready
     # session: its batch leaves without waiting for batch-mates.
     sparse: bool = False
+
+    @property
+    def session(self) -> Optional[StreamSession]:
+        if self.row >= 0:
+            self.slab.store(self.row, self._session)
+        return self._session
 
 
 class _BlockQueue:
@@ -254,6 +274,7 @@ class IngestService:
         self.n_callback_errors = 0
         self.stats = engine.stats
         self._sessions: Dict[str, _SessionState] = {}
+        self._slab = SessionSlab(engine.interval)  # the ACTIVE sessions
         self._pending_opens: Set[str] = set()  # admitted, not yet routed
         self._n_active = 0            # sessions not yet DONE
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -534,7 +555,7 @@ class IngestService:
         the index of the first sample of the first job it could not
         admit (``len(jobs)`` when all fit) and adds the jobs it admitted
         to ``admitted``.  Running at the producer side (rather than in
-        the routing loop) keeps routing live for every admitted
+        routing) keeps routing live for every admitted
         session, so verdicts — which free slots — can always make
         progress.  Jobs admitted but not yet routed count against the
         cap via ``_pending_opens``, so a burst of first-sight jobs
@@ -635,6 +656,10 @@ class IngestService:
                 f"session {job!r} is still {state.phase.value}: learn only "
                 f"after its verdict resolves"
             )
+        if state.session is None:
+            raise RuntimeError(
+                f"session {job!r} never opened: no fingerprints to learn"
+            )
         fingerprints = state.session.fingerprints()
         engine = self.engine
 
@@ -693,79 +718,107 @@ class IngestService:
                 q.task_done()
 
     def _route(self, block: SampleBlock) -> None:
-        """Fold one block into its sessions, in stream order, with no
-        suspension point: each session's sums accumulate exactly as a
-        sample-by-sample feed of the same stream would."""
-        sessions = self._sessions
-        active = _Phase.ACTIVE
+        """Fold one block into the slab, with no suspension point.
+
+        First-seen jobs open first, in first-seen order; then one
+        :meth:`~repro.serve.slab.SessionSlab.fold` folds every sample of
+        an active session, exactly as a sample-by-sample feed of the
+        same stream would, and the sessions it made ready or failed
+        leave the slab in stream order.  Every other sample is late: its
+        job's verdict is queued or decided (the session may be in the
+        hands of the worker executor, so folding it would race; for an
+        in-order feed the sample lies past the interval and cannot
+        change a fingerprint), its job was retention-pruned, or its
+        job's session failed to open.
+        """
+        jobs = block.jobs
+        n = len(jobs)
         now = self._loop.time()
-        late = 0
-        tombstones = self._tombstones
-        for job, node, t, value, n_nodes in zip(
-            block.jobs, block.nodes, block.times, block.values, block.n_nodes
-        ):
-            state = sessions.get(job)
-            if state is None:
-                if job in tombstones:
-                    # A retention-pruned job's trailing samples: late,
-                    # exactly as they were before the prune.
+        slab = self._slab
+        get = slab.index.get
+        rows = np.fromiter(map(get, jobs, repeat(-1)), np.intp, n)
+        miss = (rows < 0).nonzero()[0]
+        n_failed = 0
+        if len(miss):
+            at = miss.tolist()
+            missed = list(map(jobs.__getitem__, at))
+            distinct = set(missed)
+            tombstones = self._tombstones
+            pruned = distinct.intersection(tombstones)
+            if pruned:
+                # A retention-pruned job's trailing samples: late,
+                # exactly as they were before the prune.
+                last = dict(zip(missed, at))
+                for job in sorted(pruned, key=last.__getitem__):
                     tombstones[job] = now
                     tombstones.move_to_end(job)
-                    late += 1
-                    continue
-                state = self._open(job, n_nodes)
-            elif state.phase is not active:
-                # Verdict already queued/decided; the session may be in
-                # the hands of the worker executor, so mutating it now
-                # would race.  Dropping is sound for in-order feeds:
-                # once every node's clock passed the interval end, an
-                # in-order sample lies outside the interval and cannot
-                # change a fingerprint.  (An out-of-order
-                # retransmission landing here is dropped too — see the
-                # module docstring caveat.)
-                late += 1
-                continue
-            session = state.session
-            try:
-                session.ingest(node, t, value)
-            except Exception as exc:  # bad node rank, concluded session, ...
-                self._resolve_error(state, exc)
-                continue
-            state.last_activity = now
-            if session.ready:
+            fresh = distinct.difference(self._sessions, tombstones)
+            if fresh:
+                first = dict(zip(reversed(missed), reversed(at)))
+                for job in sorted(fresh, key=first.__getitem__):
+                    state = self._open(job, block.n_nodes[first[job]])
+                    n_failed += state.row < 0
+                rows[miss] = np.fromiter(map(get, missed, repeat(-1)), np.intp,
+                                         len(at))
+        exits, late = slab.fold(rows, block.nodes, block.times, block.values,
+                                now)
+        sessions = self._sessions
+        for row, exc in exits:
+            state = sessions[slab.jobs[row]]
+            if exc is None:
                 self._queue_ready(state)
+            else:
+                self._resolve_error(state, exc)
+        late -= n_failed  # each failed open's first sample errored it
         if late:
             self.stats.add(n_late=late)
 
     def _open(self, job: str, n_nodes: Optional[int]) -> _SessionState:
-        """Create the session for a first-seen job id.
+        """Create the session, and its slab row, for a first-seen job id.
 
         Capacity was already checked at admission (:meth:`_admit`);
-        never blocks, so routing stays live for existing sessions.
+        never blocks, so routing stays live for existing sessions.  A
+        node count the session refuses fails only this job's verdict.
         """
         self._pending_opens.discard(job)
         engine = self.engine
-        session = StreamSession(
-            dictionary=engine.dictionary,
-            metric=engine.metric,
-            depth=engine.depth,
-            interval=engine.interval,
-            n_nodes=n_nodes or self.config.default_nodes,
-            unknown_label=engine.unknown_label,
-            session_id=job,
-        )
+        try:
+            session = StreamSession(
+                dictionary=engine.dictionary,
+                metric=engine.metric,
+                depth=engine.depth,
+                interval=engine.interval,
+                n_nodes=n_nodes or self.config.default_nodes,
+                unknown_label=engine.unknown_label,
+                session_id=job,
+            )
+        except ValueError as exc:  # a bad node count
+            session, error = None, exc
         state = _SessionState(
             job=job,
-            session=session,
+            _session=session,
             future=self._loop.create_future(),
-            last_activity=self._loop.time(),
+            slab=self._slab,
         )
         self._sessions[job] = state
         self._n_active += 1
         self.stats.add(sessions_active=1)
+        if session is None:
+            self._resolve_error(state, error)
+        else:
+            state.row = self._slab.add(job, session.n_nodes, self._loop.time())
         return state
 
+    def _release(self, state: _SessionState) -> None:
+        """Write an ACTIVE session's slab row into its StreamSession, in
+        place, and free the row: the session leaves the slab."""
+        if state.row >= 0:
+            self._slab.store(state.row, state._session)
+            self._slab.remove(state.row)
+            state.row = -1
+
     def _queue_ready(self, state: _SessionState, forced: bool = False) -> None:
+        self._release(state)
         state.phase = _Phase.QUEUED
         state.forced = forced
         now = self._loop.time()
@@ -879,6 +932,7 @@ class IngestService:
         self._finish(state)
 
     def _finish(self, state: _SessionState) -> None:
+        self._release(state)
         if state.phase is _Phase.QUEUED:
             self._n_unresolved -= 1
             if self._n_unresolved == 0:
@@ -907,11 +961,8 @@ class IngestService:
             await asyncio.sleep(tick)
             now = self._loop.time()
             self._expire_tombstones(now - timeout)
-            for state in list(self._sessions.values()):
-                if state.phase is not _Phase.ACTIVE:
-                    continue
-                if now - state.last_activity < timeout:
-                    continue
+            for job in self._slab.idle(now, timeout):
+                state = self._sessions[job]
                 self.stats.add(n_evicted=1)
                 if self.config.evict == "force":
                     self._queue_ready(state, forced=True)

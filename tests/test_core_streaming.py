@@ -190,6 +190,9 @@ class TestStreamingRecognizer:
     def test_session_validation(self, streaming):
         with pytest.raises(ValueError):
             streaming.open_session(n_nodes=0)
+        for n_nodes in (2.5, "4"):  # never truncated, never parsed
+            with pytest.raises(ValueError, match="integer"):
+                streaming.open_session(n_nodes=n_nodes)
 
 
 # ---------------------------------------------------------------------------

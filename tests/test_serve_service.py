@@ -17,12 +17,15 @@ import asyncio
 import dataclasses
 import pathlib
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro
 
 from repro.core.recognizer import EFDRecognizer
-from repro.core.streaming import StreamingRecognizer
+from repro.core.streaming import StreamingRecognizer, StreamSession
 from repro.data.taxonomist import DatasetConfig, TaxonomistDatasetGenerator
 from repro.engine import BatchRecognizer, ShardedDictionary
 from repro.parallel.pool import WorkerError
@@ -34,6 +37,7 @@ from repro.serve import (
     SessionEvicted,
     interleave_records,
 )
+from repro.serve.slab import SessionSlab
 
 METRIC = "nr_mapped_vmstat"
 DEPTH = 2
@@ -329,8 +333,10 @@ class TestBackpressure:
 # ---------------------------------------------------------------------------
 
 def _folded(service) -> int:
-    """Samples folded into sessions (every session's ``n_samples``)."""
-    return sum(state.session.n_samples for state in service._sessions.values())
+    """Samples folded into sessions (every session's ``n_samples``; a
+    job whose session failed to open has none)."""
+    return sum(state.session.n_samples for state in service._sessions.values()
+               if state.session is not None)
 
 
 def _job_major(records, job_ids):
@@ -497,6 +503,36 @@ class TestBlockAccounting:
         assert service._sessions["j"].session.n_samples == ready_at + 1
         assert accepted == _folded(service) + service.stats.n_late
 
+    @pytest.mark.parametrize("n_nodes", [-1, 2.5, "4"])
+    def test_bad_node_count_fails_only_that_job(
+        self, recognizer, dataset, n_nodes
+    ):
+        """A job whose first sample carries a node count no session can
+        take fails by name; its later samples are late and routing goes
+        on for every other job."""
+        record = list(dataset)[0]
+        reference = _reference_verdicts(recognizer, [record], ["good"])
+        good = list(interleave_records([record], METRIC, ["good"]))
+        bad = [Sample("bad", 0, 61.0 + t, 1.0, n_nodes=n_nodes)
+               for t in range(5)]
+
+        async def run():
+            config = ServeConfig(batch_max_delay=0.002)
+            async with IngestService(_engine(recognizer), config) as service:
+                accepted = await service.submit(bad[0])
+                accepted += await service.submit_many(bad[1:] + good)
+                await service.drain()
+                with pytest.raises(ValueError, match="n_nodes"):
+                    await service.verdict("bad")
+                with pytest.raises(RuntimeError, match="never opened"):
+                    await service.learn("bad", "ft")
+                return service, accepted
+
+        service, accepted = asyncio.run(run())
+        assert accepted == len(bad) + len(good)
+        assert service.results == reference
+        assert accepted == _folded(service) + service.stats.n_late + 1
+
     def test_iterable_is_consumed_lazily_in_blocks(self, recognizer):
         """An iterable of samples is pulled ``net_batch_samples`` at a
         time, each block routed before the next is pulled: a long feed
@@ -519,6 +555,211 @@ class TestBlockAccounting:
 
         assert asyncio.run(run()) == 40
         assert folded_at_pull == [8, 16, 24, 32]
+
+
+# ---------------------------------------------------------------------------
+# Slab routing == the per-sample feed
+# ---------------------------------------------------------------------------
+
+_NAN = float("nan")
+# Mostly inside the [60, 120) window, so sums carry across blocks; then
+# past its end (a node's clock crossing it), before it, its edges and
+# lost timestamps.
+_SLAB_WINDOW = st.floats(min_value=60.0, max_value=119.99)
+_SLAB_TIMES = st.one_of(
+    *[_SLAB_WINDOW] * 8,
+    st.floats(min_value=120.0, max_value=160.0),
+    st.sampled_from([_NAN, 10.0, 59.999, 60.0, 119.999, 120.0]),
+)
+# k/7 * 10^e: inexact, of mixed magnitude, so sums round by order.
+_SLAB_VALUES = st.one_of(
+    st.tuples(st.integers(1, 10**6), st.integers(-6, 6)).map(
+        lambda p: p[0] / 7.0 * 10.0 ** p[1]
+    ),
+    st.just(_NAN),  # sampler dropout
+)
+_SLAB_RANKS = [0] * 6 + [1] * 6 + [2] * 4 + [3] * 2
+_SLAB_WIDTHS = [1, 2, 2, 3, 3, None]  # None takes default_nodes
+
+
+@st.composite
+def _slab_streams(draw):
+    """A multi-job stream, the jobs whose ids were retention-pruned
+    before it starts, and the block sizes it is cut into.  Half the
+    streams also carry bad samples: negative, too large and non-integer
+    node ranks, and node counts (-1, 2.5) that fail the open."""
+    faults = draw(st.booleans())
+    ranks = _SLAB_RANKS + ([-1, 7, 1.5, 2.0] if faults else [])
+    widths = _SLAB_WIDTHS + ([-1, 2.5] if faults else [])
+    n_jobs = draw(st.integers(1, 5))
+    widths = draw(st.lists(st.sampled_from(widths), min_size=n_jobs,
+                           max_size=n_jobs))
+    n = draw(st.integers(0, 160))  # a plain list strategy stays short
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, n_jobs - 1), st.sampled_from(ranks),
+                  _SLAB_TIMES, _SLAB_VALUES),
+        min_size=n, max_size=n,
+    ))
+    stream = [Sample(f"j{j}", node, t, v, n_nodes=widths[j])
+              for j, node, t, v in rows]
+    pruned = sorted({f"j{j}" for j in draw(
+        st.sets(st.integers(0, n_jobs - 1), max_size=2)
+    )})
+    sizes = draw(st.lists(st.integers(1, 30), min_size=1, max_size=8))
+    return stream, pruned, sizes
+
+
+def _per_sample_oracle(stream, pruned, default_nodes):
+    """The per-sample routing, with ``StreamSession.ingest`` as its
+    fold: each job's session (None where the open failed), the jobs in
+    the order they turned ready, the error type of each failed job and
+    the late count."""
+    sessions, ready, errors, late = {}, [], {}, 0
+    for s in stream:
+        if s.job in pruned or s.job in errors or s.job in ready:
+            late += 1
+            continue
+        session = sessions.get(s.job)
+        if session is None:
+            try:
+                session = StreamSession(
+                    dictionary=None, metric=METRIC, depth=DEPTH,
+                    interval=(60.0, 120.0),
+                    n_nodes=s.n_nodes or default_nodes,
+                )
+            except ValueError as exc:
+                sessions[s.job] = None
+                errors[s.job] = type(exc)
+                continue
+            sessions[s.job] = session
+        try:
+            session.ingest(s.node, s.time, s.value)
+        except (ValueError, TypeError) as exc:
+            errors[s.job] = type(exc)
+            continue
+        if session.ready:
+            ready.append(s.job)
+    return sessions, ready, errors, late
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestSlabRouting:
+    """The slab folds a block as the per-sample feed would, for any
+    stream and any cut into blocks, and it is the only routing path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_slab_streams())
+    # A sum carried across blocks: 0.1 + (0.2 + 0.3) rounds differently.
+    @example(case=([Sample("j0", 0, 61.0 + t, v, 1)
+                    for t, v in enumerate([0.1, 0.2, 0.3])], [], [1, 2]))
+    # Two sessions ready in one block, the later-opened one first.
+    @example(case=([Sample("j0", 0, 61.0, 1.0, 1), Sample("j1", 0, 61.0, 1.0, 1),
+                    Sample("j1", 0, 130.0, 1.0, 1), Sample("j0", 0, 130.0, 1.0, 1)],
+                   [], [2]))
+    def test_slab_equals_per_sample_oracle(self, recognizer, case):
+        stream, pruned, sizes = case
+        config = ServeConfig(batch_max_delay=0.002)
+        sessions, ready, errors, late = _per_sample_oracle(
+            stream, set(pruned), config.default_nodes
+        )
+        queued = []
+
+        async def run():
+            service = IngestService(_engine(recognizer), config)
+            # One row to start with: the slab grows and compacts its
+            # slot pool as it goes.
+            service._slab = SessionSlab((60.0, 120.0), rows=1)
+            async with service:
+                for job in pruned:  # one sample makes a 1-node job ready
+                    await service.submit(Sample(job, 0, 130.0, 1.0, 1))
+                    await service.drain()
+                    service.forget(job, _pruned=True)
+                queue_ready = service._queue_ready
+
+                def spy(state, forced=False):
+                    if not forced:
+                        queued.append(state.job)
+                    queue_ready(state, forced)
+
+                service._queue_ready = spy
+                accepted, pos, k = 0, 0, 0
+                while pos < len(stream):
+                    block = stream[pos:pos + sizes[k % len(sizes)]]
+                    accepted += await service.submit_many(SampleBlock.of(block))
+                    pos += len(block)
+                    k += 1
+                await service.drain()
+            return service, accepted
+
+        service, accepted = asyncio.run(run())
+        assert accepted == len(stream)
+        assert queued == ready
+        assert service.stats.n_late == late
+        folded = 0
+        for job, expected in sessions.items():
+            state = service._sessions[job]
+            if job in errors:
+                assert type(state.future.exception()) is errors[job]
+            if expected is None:
+                assert state.session is None
+                continue
+            got = state.session
+            assert _bits(got._sums) == _bits(expected._sums)
+            assert got._counts == expected._counts
+            assert got.n_samples == expected.n_samples
+            assert got.ready == expected.ready
+            folded += got.n_samples
+        assert accepted == folded + late + len(errors)
+
+    def test_compaction_moves_rows_intact(self):
+        """Freed rows leave holes in the slot pool; an open that finds
+        no room compacts the live rows to its front, state and all, and
+        takes a freed row."""
+        slab = SessionSlab((60.0, 120.0), rows=1)
+        widths = {"a": 3, "b": 2, "c": 1}
+        rows = {job: slab.add(job, n, 0.0) for job, n in widths.items()}
+        block = [(job, node, 61.0 + node, 0.1 * (node + 1))
+                 for job, n in widths.items() for node in range(n)]
+        jobs, nodes, times, values = map(list, zip(*block))
+        slab.fold(np.array([rows[job] for job in jobs]), nodes, times,
+                  values, now=1.0)
+
+        def state(job):
+            session = StreamSession(None, METRIC, DEPTH, (60.0, 120.0),
+                                    widths[job])
+            slab.store(rows[job], session)
+            return session._sums, session._counts, session.n_samples
+
+        before = {job: state(job) for job in "bc"}
+        slab.remove(rows["a"])        # a hole at the front of the pool
+        # No room past the top: compacts, and reuses the freed row.
+        assert slab.add("d", 12, 2.0) == rows["a"]
+        assert slab.base[rows["b"]] == 0
+        assert {job: state(job) for job in "bc"} == before
+
+    def test_ingest_is_never_called(self, recognizer, dataset, monkeypatch):
+        """With ``StreamSession.ingest`` broken, a flood-shaped block and
+        1-sample blocks still give the reference verdicts: routing has
+        no per-sample fallback."""
+        records = list(dataset)[:6]
+        job_ids = [f"job-{i}" for i in range(len(records))]
+        reference = _reference_verdicts(recognizer, records, job_ids)
+        samples = list(interleave_records(records, METRIC, job_ids))
+
+        def broken(self, node, timestamp, value):
+            raise AssertionError("per-sample ingest called")
+
+        monkeypatch.setattr(StreamSession, "ingest", broken)
+        config = ServeConfig(max_pending_samples=len(samples),
+                             batch_max_delay=0.002)
+        flood = asyncio.run(_serve(_engine(recognizer), config,
+                                   SampleBlock.of(samples), chunked=True))
+        single = asyncio.run(_serve(_engine(recognizer), config, samples))
+        assert flood.results == reference
+        assert single.results == reference
 
 
 class TestBatchDrain:
@@ -779,6 +1020,28 @@ class TestWorkerFailure:
                     await asyncio.wait_for(service.verdict("bad"), timeout=5)
 
         asyncio.run(run())
+
+    @pytest.mark.parametrize("time, value", [(61.0, "x"), ("later", 1.0)])
+    def test_non_numeric_sample_fails_only_that_session(
+        self, recognizer, dataset, time, value
+    ):
+        record = list(dataset)[0]
+        reference = _reference_verdicts(recognizer, [record], ["good"])
+
+        async def run():
+            config = ServeConfig(batch_max_delay=0.002)
+            async with IngestService(_engine(recognizer), config) as service:
+                await service.submit(Sample("bad", 0, 61.0, 1.0, n_nodes=1))
+                await service.submit_many(
+                    [Sample("bad", 0, time, value)]
+                    + list(interleave_records([record], METRIC, ["good"]))
+                )
+                await service.drain()
+                with pytest.raises(TypeError, match="must be numbers"):
+                    await service.verdict("bad")
+                return service
+
+        assert asyncio.run(run()).results == reference
 
 
 # ---------------------------------------------------------------------------
