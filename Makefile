@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-smoke bench-e2e docs-check docs-check-run selftest serve-demo serve-smoke reshard-smoke mutation-smoke faultinject-smoke replicate-smoke remote-smoke family-smoke records-smoke
+.PHONY: test bench bench-smoke bench-e2e docs-check docs-check-run selftest serve-demo serve-smoke reshard-smoke mutation-smoke faultinject-smoke replicate-smoke remote-smoke family-smoke records-smoke equivalence
 
 test:            ## tier-1 correctness suite (the merge gate)
 	$(PYTHON) -m pytest -x -q
@@ -24,6 +24,12 @@ serve-smoke:     ## UDS listener smoke + block decoder, block accounting, slab r
 	$(PYTHON) -m pytest tests/test_serve_service.py -q -k "BlockAccounting or SlabRouting or BatchDrain"
 	$(PYTHON) e2ebench/run.py --workload serve_flood --seed 1 --seconds 3 --trace 0
 	$(PYTHON) e2ebench/run.py --workload serve_paced --seed 1 --seconds 3 --trace 0
+
+equivalence:     ## the backend equivalence matrix: every store answers like the flat reference
+	$(PYTHON) -m pytest -q tests/test_engine_properties.py \
+	    tests/test_hash_kernel.py tests/test_records_path.py \
+	    tests/test_remote_v2.py tests/test_backend_protocol.py \
+	    tests/test_columnar_codec.py
 
 reshard-smoke:   ## reshard N->M->N byte-identity + verdict equivalence gate
 	$(PYTHON) -m pytest tests/test_reshard.py -q

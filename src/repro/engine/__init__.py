@@ -52,19 +52,19 @@ would run.  ``repro.engine`` is the scale-out layer:
   JSON manifest with interned string tables and checksums) stored as
   raw memory-mapped ``shard-NN.mmap`` files
   (:mod:`repro.engine.mmapstore`) that N serving processes share
-  through one page-cache copy — lazy shard
-  hydration (:class:`~repro.engine.columnar.ColumnarDictionary` reads a
-  shard file only when it is actually probed), per-shard Bloom filters
-  (:mod:`repro.engine.keyfilter`) that answer unknown-heavy batches
+  through one page-cache copy
+  (:class:`~repro.engine.columnar.ColumnarDictionary` maps a shard file
+  only when a read needs it), per-shard Bloom filters
+  (:mod:`repro.engine.keyfilter`) that answer unknown-heavy lookups
   without touching any column file, and one sorted key-hash table
-  (merged from the per-shard ``.hashidx`` sidecars) that both batch
-  paths search, replacing the batch engine's per-key Python dict
-  construction with a handful of NumPy calls.  ``efd engine
+  (merged from the per-shard ``.hashidx`` sidecars) that every read —
+  point or batch — searches, so no shard is ever rebuilt as a Python
+  dict; whole-store walks read the columns directly.  ``efd engine
   compact|expand`` convert between the JSON and columnar layouts
   losslessly; :func:`load_sharded` auto-detects either.
 
-- :mod:`repro.engine.deltalog` makes columnar writes first-class: every
-  mutation appends to a write-ahead ``delta-log.jsonl`` and lands in a
+- :mod:`repro.engine.deltalog` is the columnar store's only write path:
+  every mutation appends to a write-ahead ``delta-log.jsonl`` and lands in a
   small in-memory overlay, reads answer ``base ∪ overlay`` (the
   base key-hash table stays hot under a trickle of new learnings), and
   compaction folds the log back into the columnar base — triggered by

@@ -3,7 +3,7 @@
 Three stores answer recognition traffic — the paper-faithful flat
 :class:`~repro.core.dictionary.ExecutionFingerprintDictionary`, the
 hash-partitioned :class:`~repro.engine.sharded.ShardedDictionary`, and
-the lazily-hydrating :class:`~repro.engine.columnar.ColumnarDictionary`.
+the memory-mapped :class:`~repro.engine.columnar.ColumnarDictionary`.
 Historically each re-implemented the same read/write surface by
 convention; :class:`DictionaryBackend` makes that surface a formal,
 runtime-checkable :class:`typing.Protocol`, so
@@ -35,15 +35,15 @@ caching    ``version`` — a monotonic mutation counter; caches (the
 ========== =============================================================
 
 ``lookup_many`` is the batch-session entry point: it returns one label
-list per fingerprint, or ``None`` when this backend has no batch path
-that currently reflects its live state (callers fall back to per-key
-``lookup``).  The flat and sharded stores always answer; the columnar
-store answers from its vectorized index unless its base columns were
-mutated behind the delta-log's back (see :mod:`repro.engine.deltalog`).
-A backend may resolve misses early — the columnar store consults
-per-shard negative-lookup filters (:mod:`repro.engine.keyfilter`)
-before hydrating any column file — as long as the answers stay
-element-wise identical to per-key ``lookup``.
+list per fingerprint, element-wise identical to per-key ``lookup``.
+Each store answers it through its own batch path — the columnar store
+through the key-hash search that also serves its point reads, which
+may settle misses from per-shard negative-lookup filters
+(:mod:`repro.engine.keyfilter`) without reading a column file.
+
+:class:`KeyOrderedStore` holds the part of the contract that derives
+from ``add`` / ``register_label`` / ``entries`` and the global key
+order; the sharded and columnar stores both inherit it.
 
 A fourth implementation lives out of process:
 :class:`~repro.engine.remote.RemoteShardBackend` satisfies this same
@@ -67,7 +67,7 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.core.dictionary import DictionaryStats
+from repro.core.dictionary import DictionaryStats, app_of_label
 from repro.core.fingerprint import Fingerprint
 
 
@@ -133,12 +133,8 @@ class DictionaryBackend(Protocol):
 
     def lookup_many(
         self, fingerprints: Sequence[Fingerprint]
-    ) -> Optional[List[List[str]]]:
-        """One label list per fingerprint, resolved as a batch.
-
-        ``None`` means this backend has no batch path reflecting its
-        live state; callers fall back to per-key :meth:`lookup`.
-        """
+    ) -> List[List[str]]:
+        """One label list per fingerprint, resolved as a batch."""
         ...
 
     def entries(self) -> Iterator[Tuple[Fingerprint, List[str]]]:
@@ -180,3 +176,78 @@ def merge_into(target: DictionaryBackend, source: DictionaryBackend) -> int:
             target.add_repeated(fp, label, count)
             n += 1
     return n
+
+
+class KeyOrderedStore:
+    """The generic half of the contract, derived from the rest of it.
+
+    A subclass supplies ``add`` / ``register_label`` / ``entries`` and
+    three insertion-ordered mappings: ``_label_order`` and
+    ``_app_order`` (the global first-seen string tables) and
+    ``_key_order`` (every key, in global insertion order).  The
+    sharded and the columnar store both inherit it.
+    """
+
+    def add_many(
+        self, fingerprints: Sequence[Optional[Fingerprint]], label: str
+    ) -> int:
+        """Insert all non-``None`` fingerprints; returns how many."""
+        n = 0
+        for fp in fingerprints:
+            if fp is not None:
+                self.add(fp, label)
+                n += 1
+        return n
+
+    def bulk_add(
+        self, pairs: Sequence[Tuple[Optional[Fingerprint], str]]
+    ) -> int:
+        """Insert many (fingerprint, label) pairs in order; returns how
+        many were inserted.  ``None`` fingerprints are skipped, but
+        their label still registers, so the first-seen orders match
+        every other backend's ``bulk_add``.
+        """
+        n = 0
+        for fp, label in pairs:
+            if fp is None:
+                self.register_label(label)
+                continue
+            self.add(fp, label)
+            n += 1
+        return n
+
+    def merge(self, other: DictionaryBackend) -> None:
+        """Fold any backend's observations into this one, through
+        :func:`merge_into` (shard counts need not match: keys are
+        re-routed by hash)."""
+        merge_into(self, other)
+
+    def labels(self) -> List[str]:
+        return list(self._label_order)
+
+    def app_names(self) -> List[str]:
+        return list(self._app_order)
+
+    def metrics(self) -> List[str]:
+        return list(dict.fromkeys(fp.metric for fp in self._key_order))
+
+    def intervals(self) -> List[Tuple[float, float]]:
+        return list(dict.fromkeys(fp.interval for fp in self._key_order))
+
+    def collisions(self) -> List[Tuple[Fingerprint, List[str]]]:
+        out = []
+        for fp, labels in self.entries():
+            apps = {app_of_label(l) for l in labels}
+            if len(apps) > 1:
+                out.append((fp, labels))
+        return out
+
+    def fingerprints_for(self, label_prefix: str) -> List[Fingerprint]:
+        out = []
+        for fp, labels in self.entries():
+            for label in labels:
+                if label == label_prefix or label.startswith(label_prefix + "_") \
+                        or app_of_label(label) == label_prefix:
+                    out.append(fp)
+                    break
+        return out

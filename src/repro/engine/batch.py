@@ -49,7 +49,9 @@ from repro.engine.remote import RemoteShardBackend
 from repro.engine.sharded import ShardedDictionary
 from repro.engine.stats import EngineStats
 
-AnyDictionary = Union[ExecutionFingerprintDictionary, ShardedDictionary]
+AnyDictionary = Union[
+    ExecutionFingerprintDictionary, ShardedDictionary, ColumnarDictionary
+]
 
 #: The batch lookup table: (node, value) -> (label list, distinct apps).
 TupleIndex = Dict[Tuple[int, float], Tuple[List[str], Tuple[str, ...]]]
@@ -75,48 +77,25 @@ def _shard_tuple_index(
     return index
 
 
-def _batch_lookup(
-    dictionary: AnyDictionary,
-    unique: List[Fingerprint],
-    stats: Optional[EngineStats] = None,
-) -> Dict[Fingerprint, List[str]]:
-    """Resolve each unique fingerprint to its label list.
-
-    One ``lookup_many`` call: every store answers a batch through its
-    own path (vectorized columns, routed shards, a remote
-    scatter/gather).  ``None`` means the store has no batch path that
-    reflects its live state (a columnar base mutated behind the
-    delta-log), so the keys fall back to per-key ``lookup`` and the
-    demotion is counted for ``efd engine info --stats``.
-    """
-    label_lists = dictionary.lookup_many(unique)
-    if label_lists is None:
-        if stats is not None:
-            stats.add(index_demotions=1)
-        label_lists = [dictionary.lookup(fp) for fp in unique]
-    return dict(zip(unique, label_lists))
-
-
 def match_fingerprints_batch(
     dictionary: AnyDictionary,
     fingerprint_lists: Sequence[Sequence[Optional[Fingerprint]]],
-    stats: Optional[EngineStats] = None,
 ) -> Tuple[List[MatchResult], int]:
     """Match many executions' fingerprints in one pass.
 
     Returns ``(results, n_hits)`` where ``results[i]`` equals
     ``match_fingerprints(dictionary, fingerprint_lists[i])`` and
     ``n_hits`` counts lookups (fingerprint occurrences) that matched at
-    least one label.  ``stats``, when given, receives the
-    index-demotion counter (the only stat this function can observe
-    that its caller cannot).
+    least one label.  The distinct keys resolve in one ``lookup_many``
+    call, through the store's own batch path (vectorized columns,
+    routed shards, a remote scatter/gather).
     """
     unique: Dict[Fingerprint, None] = {}
     for fps in fingerprint_lists:
         for fp in fps:
             if fp is not None:
                 unique.setdefault(fp, None)
-    table = _batch_lookup(dictionary, list(unique), stats)
+    table = dict(zip(unique, dictionary.lookup_many(list(unique))))
     position = {app: i for i, app in enumerate(dictionary.app_names())}
     results: List[MatchResult] = []
     n_hits = 0
@@ -513,37 +492,27 @@ class BatchRecognizer:
     def _tuple_index(self) -> Union[TupleIndex, "ColumnarBatchIndex"]:
         """Build (or reuse) the batch lookup table.
 
-        Against a pristine :class:`ColumnarDictionary` this is its
-        vectorized index over the key-hash table (no shard hydration,
-        no per-key Python work); otherwise the classic per-key dict is
-        built shard by shard.
+        A :class:`ColumnarDictionary` answers through its vectorized
+        index over the key-hash tables (no per-key Python work); any
+        other store gets the classic per-key dict, built shard by shard
+        for a :class:`ShardedDictionary` so no key is routed again.
         """
         version = self.dictionary.version
         if self._index is not None and self._index_version == version:
             return self._index
-        columnar = isinstance(self.dictionary, ColumnarDictionary)
-        if columnar:
+        if isinstance(self.dictionary, ColumnarDictionary):
             index = self.dictionary.batch_index(self.metric, self.interval)
-            if index is not None:
-                self._index = index
-                self._index_version = version
-                return index
-            self.stats.add(index_demotions=1)
-        stores = (
-            self.dictionary.shards
-            if isinstance(self.dictionary, ShardedDictionary)
-            else [self.dictionary]
-        )
-        index: TupleIndex = {}
-        for store in stores:
-            index.update(_shard_tuple_index(store, self.metric, self.interval))
-        if columnar:
-            # The shard scan cannot see pending delta-overlay keys.
-            index.update(
-                self.dictionary.overlay_tuple_entries(
-                    self.metric, self.interval
-                )
+        else:
+            stores = (
+                self.dictionary.shards
+                if isinstance(self.dictionary, ShardedDictionary)
+                else [self.dictionary]
             )
+            index = {}
+            for store in stores:
+                index.update(
+                    _shard_tuple_index(store, self.metric, self.interval)
+                )
         self._index = index
         self._index_version = version
         return index
@@ -586,7 +555,7 @@ class BatchRecognizer:
         self, fingerprint_lists: Sequence[Sequence[Optional[Fingerprint]]]
     ) -> List[MatchResult]:
         results, n_hits = match_fingerprints_batch(
-            self.dictionary, fingerprint_lists, stats=self.stats
+            self.dictionary, fingerprint_lists
         )
         self._record_stats(results, n_hits)
         return results
@@ -594,9 +563,9 @@ class BatchRecognizer:
     def _record_stats(self, results: Sequence[MatchResult], n_hits: int) -> None:
         occupancy = (
             self.dictionary.shard_sizes()
-            if isinstance(
-                self.dictionary, (ShardedDictionary, RemoteShardBackend)
-            )
+            if isinstance(self.dictionary, (
+                ShardedDictionary, ColumnarDictionary, RemoteShardBackend
+            ))
             else [len(self.dictionary)]
         )
         self.stats.record_batch(results, n_hits, shard_occupancy=occupancy)

@@ -43,19 +43,20 @@ paper-faithful reference:
   unknown-detection evaluation — resolves without reading a column
   file.  Compaction/reshard rebuild both sidecars generation-tagged
   under the same atomic manifest replace.
-- **Lazy shards** — :func:`load_columnar` (also reached through
+- **One read path** — :func:`load_columnar` (also reached through
   :func:`repro.engine.sharded.load_sharded`, which dispatches on the
-  manifest) opens a directory by reading only the manifest.  Each
-  shard's ``.mmap`` is mapped and checksummed the first time that
-  shard is actually probed; until then a shard costs one small proxy
-  object.  Point lookups hydrate exactly the owning shard.
-- **First-class writes** — mutations route through the write-ahead
-  delta-log (:mod:`repro.engine.deltalog`): every ``add`` appends one
-  JSONL record to ``delta-log.jsonl`` and lands in a small in-memory
-  overlay with a key-hash table of its own, whose handles carry the
-  merged ``base ∪ overlay`` entries — the base table stays hot under a
-  trickle of new learnings instead of demoting to the generic dict
-  index.
+  manifest) opens a directory by reading only the manifest; a shard's
+  ``.mmap`` is mapped when a read first needs it.  Point reads
+  (``lookup``, ``lookup_counts``, ``in``) resolve through the same
+  key-hash search as batches, and whole-store walks (``entries``,
+  ``stats``, saves, the shard server's snapshot) read the columns and
+  the key order directly — no shard is ever rebuilt as a Python dict.
+- **Writes only through the delta-log** — every ``add`` appends one
+  JSONL record to ``delta-log.jsonl`` (:mod:`repro.engine.deltalog`)
+  and lands in a small in-memory overlay with a key-hash table of its
+  own, whose handles carry the merged ``base ∪ overlay`` entries; the
+  base columns never change between compactions, so the base table
+  stays hot under a trickle of new learnings.
   :meth:`ColumnarDictionary.compact_delta` folds the log back into the
   ``shard-NN.mmap`` base (auto-triggered past a pending threshold, or
   via ``efd engine compact`` / serve shutdown).
@@ -88,20 +89,14 @@ import io
 import itertools
 import json
 import os
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.dictionary import (
-    DictionaryStats,
-    ExecutionFingerprintDictionary,
-    app_of_label,
-)
+from repro.core.dictionary import DictionaryStats, app_of_label
 from repro.core.fingerprint import Fingerprint
-from repro.core.serialization import (
-    dictionary_from_columns,
-    dictionary_to_columns,
-)
+from repro.core.serialization import dictionary_to_columns
+from repro.engine.backend import KeyOrderedStore
 from repro.engine.deltalog import (
     DEFAULT_MAX_PENDING,
     DeltaLog,
@@ -125,7 +120,8 @@ from repro.engine.mmapstore import (
 )
 from repro.engine.sharded import (
     ShardedDictionary,
-    merged_if_pending,
+    as_sharded,
+    key_positions,
     shard_index,
 )
 
@@ -189,15 +185,16 @@ def _narrowed(columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
 # Saving
 # ---------------------------------------------------------------------------
 
-def save_columnar(sharded, directory: str, generation: int = 0,
+def save_columnar(store, directory: str, generation: int = 0,
                   storage: str = _STORAGE,
                   filters: bool = True,
                   filter_bits_per_key: int = DEFAULT_BITS_PER_KEY) -> None:
-    """Write a sharded dictionary as a columnar directory.
+    """Write a dictionary as a columnar directory.
 
-    Accepts any :class:`~repro.engine.sharded.ShardedDictionary`
-    (including a :class:`ColumnarDictionary`, whose shards hydrate on
-    demand).  String tables are interned globally: the label table is
+    Accepts any backend; anything but a
+    :class:`~repro.engine.sharded.ShardedDictionary` is first merged
+    into one of its shard count (:func:`~repro.engine.sharded.as_sharded`).
+    String tables are interned globally: the label table is
     seeded with the store's global first-seen label order before any
     shard is encoded, so label ids are consistent across shards and the
     manifest preserves the order that drives tie-breaking.
@@ -213,9 +210,9 @@ def save_columnar(sharded, directory: str, generation: int = 0,
     :meth:`ColumnarDictionary.lookup_many` and
     :meth:`ColumnarDictionary.batch_index`.
 
-    A :class:`ColumnarDictionary` carrying pending delta-log records is
-    saved as its *merged* live state (base ∪ overlay) — a save can never
-    silently drop appends.  Saving such a store onto its *own* directory
+    A :class:`ColumnarDictionary` is saved as its live state (base ∪
+    pending delta-log records) — a save can never silently drop
+    appends.  Saving such a store onto its *own* directory
     is a compaction and is routed through
     :meth:`ColumnarDictionary.compact_delta` (generation advanced,
     segment removed, live object reloaded) — otherwise the leftover log
@@ -229,13 +226,12 @@ def save_columnar(sharded, directory: str, generation: int = 0,
             f"unsupported columnar storage {storage!r}: shards are "
             f"written as {_STORAGE!r} only"
         )
-    delta = getattr(sharded, "_delta", None)
-    if delta is not None and delta.pending:
-        own = getattr(sharded, "_directory", None)
-        if own is not None and os.path.abspath(own) == os.path.abspath(directory):
-            sharded.compact_delta()
-            return
-    sharded = merged_if_pending(sharded)
+    if isinstance(store, ColumnarDictionary) and store.delta_pending and (
+        os.path.abspath(store._directory) == os.path.abspath(directory)
+    ):
+        store.compact_delta()
+        return
+    sharded = as_sharded(store)
     os.makedirs(directory, exist_ok=True)
     label_index: Dict[str, int] = {}
     metric_index: Dict[str, int] = {}
@@ -244,7 +240,6 @@ def save_columnar(sharded, directory: str, generation: int = 0,
         label_index.setdefault(label, len(label_index))
     shard_meta = []
     filter_meta = []
-    shard_positions: List[Dict[Fingerprint, int]] = []
     for i, shard in enumerate(sharded.shards):
         columns = dictionary_to_columns(
             shard, label_index, metric_index, interval_index
@@ -283,22 +278,13 @@ def save_columnar(sharded, directory: str, generation: int = 0,
                     "hash_checksum": _checksum_bytes(hash_data),
                 }
             )
-        shard_positions.append(
-            {fp: pos for pos, (fp, _) in enumerate(shard.entries())}
-        )
     # Global key insertion order, as columns of its own: at millions of
     # keys a JSON list here would dominate the manifest and its parse
     # would dominate load time.
-    n_keys_total = len(sharded)
-    key_shard = np.empty(n_keys_total, dtype=np.int64)
-    key_pos = np.empty(n_keys_total, dtype=np.int64)
-    for row, fp in enumerate(sharded._key_order):
-        i = shard_index(fp, sharded.n_shards)
-        key_shard[row] = i
-        key_pos[row] = shard_positions[i][fp]
+    pairs = np.asarray(key_positions(sharded), dtype=np.int64).reshape(-1, 2)
     buffer = io.BytesIO()
     np.savez_compressed(
-        buffer, **_narrowed({"shard": key_shard, "pos": key_pos})
+        buffer, **_narrowed({"shard": pairs[:, 0], "pos": pairs[:, 1]})
     )
     key_order_data = buffer.getvalue()
     key_order_name = _key_order_filename(generation)
@@ -333,60 +319,6 @@ def save_columnar(sharded, directory: str, generation: int = 0,
     with open(tmp_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
     os.replace(tmp_path, manifest_path)
-
-
-# ---------------------------------------------------------------------------
-# Lazy shard loading
-# ---------------------------------------------------------------------------
-
-class _LazyShard:
-    """Duck-types a flat EFD, hydrating from its columns on first probe.
-
-    ``len()`` answers from the manifest without touching the file (shard
-    occupancy is read every batch); ``version`` counts only *post-load*
-    mutations, so hydrating a pristine shard does not invalidate the
-    batch engine's cached index.  Everything else forwards to the
-    hydrated :class:`ExecutionFingerprintDictionary`.
-    """
-
-    __slots__ = ("_owner", "_index", "_efd", "_baseline")
-
-    def __init__(self, owner: "ColumnarDictionary", index: int):
-        self._owner = owner
-        self._index = index
-        self._efd: Optional[ExecutionFingerprintDictionary] = None
-        self._baseline = 0
-
-    def _hydrate(self) -> ExecutionFingerprintDictionary:
-        if self._efd is None:
-            self._efd = self._owner._hydrate_shard(self._index)
-            self._baseline = self._efd.version
-        return self._efd
-
-    @property
-    def hydrated(self) -> bool:
-        return self._efd is not None
-
-    @property
-    def version(self) -> int:
-        if self._efd is None:
-            return 0
-        return self._efd.version - self._baseline
-
-    def __len__(self) -> int:
-        if self._efd is None:
-            return self._owner._files[self._index].n_keys
-        return len(self._efd)
-
-    def __contains__(self, fingerprint: Fingerprint) -> bool:
-        return fingerprint in self._hydrate()
-
-    def __getattr__(self, name: str):
-        return getattr(self._hydrate(), name)
-
-    def __repr__(self) -> str:
-        state = "hydrated" if self.hydrated else "lazy"
-        return f"_LazyShard(index={self._index}, n_keys={len(self)}, {state})"
 
 
 # ---------------------------------------------------------------------------
@@ -542,50 +474,36 @@ class ColumnarBatchIndex:
         return ResolvedProbes(handles, entries, nodes, values)
 
 
-def _merge_labels(base: List[str], extra: Sequence[str]) -> List[str]:
-    """``base`` plus the labels of ``extra`` it lacks, first-seen order."""
-    if not base:
-        return list(extra)
-    merged = list(base)
-    for label in extra:
-        if label not in merged:
-            merged.append(label)
-    return merged
-
-
 # ---------------------------------------------------------------------------
 # The columnar store
 # ---------------------------------------------------------------------------
 
-class ColumnarDictionary(ShardedDictionary):
-    """Sharded EFD backed by a columnar directory, hydrated lazily.
+class ColumnarDictionary(KeyOrderedStore):
+    """EFD backed by a columnar directory: immutable base columns plus a
+    delta-log overlay.
 
-    Mirrors the full :class:`~repro.engine.sharded.ShardedDictionary`
-    contract (and thereby
-    :class:`repro.engine.backend.DictionaryBackend`) — every read and
-    write works — but holds no per-key Python objects at load time.
-    Point operations hydrate exactly the shard they touch; the batch
-    engine bypasses hydration entirely through :meth:`batch_index` /
-    :meth:`lookup_many`.
+    Satisfies :class:`repro.engine.backend.DictionaryBackend` without
+    holding per-key Python objects at load time.  Every read resolves
+    keys to *handles* — a base row, or an overlay key's row past the
+    base rows — through one kernel, :func:`_search` over the key-hash
+    tables (:meth:`_handles`): batches (:meth:`lookup_many`,
+    :meth:`batch_index`) and point reads (:meth:`lookup`,
+    :meth:`lookup_counts`, ``in``) alike.  Whole-store walks
+    (:meth:`entries`, :meth:`stats`, ``len``, :meth:`shard_items`) read
+    the columns, the key order and the overlay directly.  The first walk
+    maps every key to its handle once; point reads then take a key's
+    handle from that map.
 
-    Mutations route through the write-ahead delta-log
+    Writes go only through the write-ahead delta-log
     (:mod:`repro.engine.deltalog`): an ``add`` appends one JSONL record
     to the directory's ``delta-log.jsonl`` and folds into a small
-    in-memory overlay; the base ``shard-NN.mmap`` columns — and the
-    key-hash table over them — are never touched.  Every read answers
-    from ``base ∪ overlay``, so a store under a sustained write trickle
-    keeps the ``searchsorted`` fast path, and a restart replays the
-    pending log.  :meth:`compact_delta` folds the
-    log back into the base files (automatic past
-    ``DeltaLog.max_pending`` records; also ``efd engine compact`` and
-    serve shutdown).
-
-    The one remaining fallback: mutating a shard object *directly*
-    (``store.shards[i].add(...)``) bypasses the log, so the base column
-    caches no longer reflect live state — ``batch_index`` /
-    ``lookup_many`` then return ``None``, the engine counts an
-    ``index_demotion`` and answers through the generic dict-index path,
-    which merges the overlay explicitly.
+    in-memory overlay with a key-hash table of its own.  The base
+    ``shard-NN.mmap`` columns — and the key-hash table over them — never
+    change, so a store under a sustained write trickle keeps the
+    ``searchsorted`` path, and a restart replays the pending log.
+    :meth:`compact_delta` folds the log back into the base files
+    (automatic past ``DeltaLog.max_pending`` records; also ``efd engine
+    compact`` and serve shutdown).
     """
 
     def __init__(self, directory: str, manifest: dict,
@@ -611,7 +529,6 @@ class ColumnarDictionary(ShardedDictionary):
             )
             for meta in manifest["shards"]
         ]
-        self.shards = [_LazyShard(self, i) for i in range(self.n_shards)]
         # Per-shard Bloom filters (absent on pre-filter directories):
         # tiny, so they load — and checksum — eagerly; a store is only
         # "query-ready" once its negative-lookup path is armed, and a
@@ -673,7 +590,10 @@ class ColumnarDictionary(ShardedDictionary):
             self._app_order.setdefault(app_of_label(label), None)
         self._key_shard = key_shard
         self._key_pos = key_pos
-        self._key_order_cache: Optional[Dict[Fingerprint, None]] = None
+        # Decoded once, by the first walk: each shard's keys, and every
+        # key in global order mapped to its live handle.
+        self._decoded: Dict[int, List[Fingerprint]] = {}
+        self._key_order_cache: Optional[Dict[Fingerprint, int]] = None
         # Probe ids: the manifest's, then one past them for each metric
         # or interval that only delta-log keys carry.
         self._metric_ids = {m: i for i, m in enumerate(self._metric_table)}
@@ -694,16 +614,17 @@ class ColumnarDictionary(ShardedDictionary):
             max_pending=delta_max_pending,
         )
         # Overlay keys absent from the base columns, insertion-ordered
-        # (the tail of the global key order), plus their per-shard tally
-        # (shard_sizes / occupancy gauges must include them).
-        self._delta_new_keys: Dict[Fingerprint, None] = {}
+        # (the tail of the global key order), each with its shard, plus
+        # the per-shard tally (shard_sizes / occupancy gauges).
+        self._delta_new_keys: Dict[Fingerprint, int] = {}
         self._new_per_shard: List[int] = [0] * self.n_shards
         # Per overlay key, in first-sight order: its overlay row, its
         # base row (-1 when new) and its merged ``base ∪ overlay``
-        # entry, kept current by every write; the overlay's key-hash
-        # table is rebuilt only when a key is added.
+        # counts and entry, kept current by every write; the overlay's
+        # key-hash table is rebuilt only when a key is added.
         self._overlay_rows: Dict[Fingerprint, int] = {}
         self._overlay_base: List[int] = []
+        self._overlay_counts: List[Dict[str, int]] = []
         self._overlay_entries: List[Entry] = []
         self._overlay_cache: Optional[Tuple[HashTable, Columns]] = None
         replayed = self._delta.replay()
@@ -721,114 +642,156 @@ class ColumnarDictionary(ShardedDictionary):
             self._label_order.setdefault(label, None)
             self._app_order.setdefault(app_of_label(label), None)
 
-    # -- lazy key order ------------------------------------------------------
+    # -- the key order and the base columns ----------------------------------
     @property
-    def _key_order(self) -> Dict[Fingerprint, None]:
+    def _key_order(self) -> Dict[Fingerprint, int]:
+        """Every key in global insertion order, mapped to its live handle.
+
+        Decoded from the columns at the first walk; writes keep it
+        current from then on.
+        """
         if self._key_order_cache is None:
-            per_shard = [
-                self._shard_fingerprints(i) for i in range(self.n_shards)
+            base = [
+                fp for i in range(self.n_shards)
+                for fp in self._shard_fingerprints(i)
             ]
-            order: Dict[Fingerprint, None] = {}
-            for i, pos in zip(
-                self._key_shard.tolist(), self._key_pos.tolist()
-            ):
-                order.setdefault(per_shard[i][pos], None)
-            for fp in self._delta_new_keys:
-                order.setdefault(fp, None)
+            starts = np.asarray(self._shard_start_rows(), dtype=np.int64)
+            rows = (starts[self._key_shard] + self._key_pos).tolist()
+            order = {base[row]: row for row in rows}
+            for fp, row in self._overlay_rows.items():
+                order[fp] = self._n_base + row
             self._key_order_cache = order
         return self._key_order_cache
 
     def _shard_fingerprints(self, index: int) -> List[Fingerprint]:
-        """The shard's keys in stored order, decoded from its columns."""
+        """The shard's keys in stored order, decoded from its columns once.
+
+        With ``validate``, every key must hash to this shard, which
+        catches renamed or swapped ``.mmap`` files.
+        """
+        found = self._decoded.get(index)
+        if found is not None:
+            return found
+        name = self._files[index].name
         columns = self._files[index].columns()
         metrics = self._metric_table
         intervals = self._interval_table
-        return [
-            Fingerprint(
-                metric=metrics[m], node=n, interval=intervals[iv], value=v
-            )
-            for m, n, iv, v in zip(
-                columns["metric_id"].tolist(),
-                columns["node"].tolist(),
-                columns["interval_id"].tolist(),
-                columns["value"].tolist(),
-            )
-        ]
-
-    # -- hydration -----------------------------------------------------------
-    def _hydrate_shard(self, index: int) -> ExecutionFingerprintDictionary:
-        name = self._files[index].name
-        columns = self._files[index].columns()
         try:
-            efd = dictionary_from_columns(
-                columns,
-                self._label_table,
-                self._metric_table,
-                self._interval_table,
-            )
-        except ValueError as exc:
+            found = [
+                Fingerprint(
+                    metric=metrics[m], node=n, interval=intervals[iv], value=v
+                )
+                for m, n, iv, v in zip(
+                    columns["metric_id"].tolist(),
+                    columns["node"].tolist(),
+                    columns["interval_id"].tolist(),
+                    columns["value"].tolist(),
+                )
+            ]
+        except IndexError:
             raise ValueError(
-                f"shard file {name!r} is corrupt: {exc}"
-            ) from exc
+                f"shard file {name!r} is corrupt: a metric or interval id "
+                f"is outside its manifest table"
+            ) from None
         if self._validate:
-            for fp in efd._store:
+            for fp in found:
                 owner = shard_index(fp, self.n_shards)
                 if owner != index:
                     raise ValueError(
                         f"shard file {name!r} holds key {fp} that belongs "
                         f"to shard {owner} — files renamed or swapped?"
                     )
-        return efd
+        self._decoded[index] = found
+        return found
+
+    def _shard_start_rows(self) -> List[int]:
+        """Global row of each shard's first key (shard-major concat)."""
+        if self._shard_starts is None:
+            self._shard_starts = list(itertools.accumulate(
+                (f.n_keys for f in self._files[:-1]), initial=0
+            ))
+        return self._shard_starts
+
+    def _label_span(self, row: int) -> Tuple[Columns, int, int]:
+        """A base row's shard columns and its ``[lo, hi)`` slice of the
+        CSR label columns (only the touched pages fault in)."""
+        starts = self._shard_start_rows()
+        shard = bisect.bisect_right(starts, row) - 1
+        columns = self._files[shard].peek_columns()
+        local = row - starts[shard]
+        lo, hi = columns["label_offsets"][local:local + 2].tolist()
+        return columns, lo, hi
+
+    def _entry(self, handle: int) -> Entry:
+        """``(labels, apps)`` of a base row or an overlay handle; a base
+        row's entry is cached."""
+        if handle >= self._n_base:
+            return self._overlay_entries[handle - self._n_base]
+        found = self._row_entries.get(handle)
+        if found is None:
+            columns, lo, hi = self._label_span(handle)
+            table = self._label_table
+            labels = [table[j] for j in columns["label_ids"][lo:hi].tolist()]
+            found = (labels, tuple(dict.fromkeys(map(app_of_label, labels))))
+            self._row_entries[handle] = found
+        return found
+
+    def _counts(self, handle: int) -> Dict[str, int]:
+        """Label counts of a base row or an overlay handle (a fresh dict)."""
+        if handle >= self._n_base:
+            return dict(self._overlay_counts[handle - self._n_base])
+        columns, lo, hi = self._label_span(handle)
+        table = self._label_table
+        return {
+            table[j]: count for j, count in zip(
+                columns["label_ids"][lo:hi].tolist(),
+                columns["label_counts"][lo:hi].tolist(),
+            )
+        }
 
     # -- the delta-log write path --------------------------------------------
     @property
     def version(self) -> int:
-        """Monotonic mutation counter: base epoch + overlay + shards."""
-        return (
-            self._version_base
-            + self._delta.overlay.version
-            + sum(s.version for s in self.shards)
-        )
+        """Monotonic mutation counter: base epoch + overlay writes."""
+        return self._version_base + self._delta.overlay.version
 
     @property
     def delta_pending(self) -> int:
         """Unfolded delta-log records (0 on a clean store)."""
         return self._delta.n_records
 
-    def _base_mutated(self) -> bool:
-        """True when a shard was mutated *behind* the delta-log.
-
-        Routed writes never touch the shards, so any post-load shard
-        version means the base column caches no longer reflect live
-        state — the vectorized paths must stand down.
-        """
-        return any(s.version for s in self.shards)
-
     def _track_overlay_key(self, fingerprint: Fingerprint,
                            base_row: int) -> None:
         """Track an overlay key's first sighting: its overlay row, and
         the new-key bookkeeping when the base lacks it."""
-        self._overlay_rows[fingerprint] = len(self._overlay_base)
+        row = len(self._overlay_base)
+        self._overlay_rows[fingerprint] = row
         self._overlay_base.append(base_row)
+        self._overlay_counts.append({})
         self._overlay_entries.append(([], ()))
         self._overlay_cache = None
-        if base_row >= 0 or fingerprint in self._delta_new_keys:
-            return
-        self._delta_new_keys[fingerprint] = None
-        self._new_per_shard[shard_index(fingerprint, self.n_shards)] += 1
         if self._key_order_cache is not None:
-            self._key_order_cache.setdefault(fingerprint, None)
+            self._key_order_cache[fingerprint] = self._n_base + row
+        if base_row < 0:
+            shard = shard_index(fingerprint, self.n_shards)
+            self._delta_new_keys[fingerprint] = shard
+            self._new_per_shard[shard] += 1
 
     def _refresh_entry(self, fingerprint: Fingerprint) -> None:
-        """Recompute an overlay key's merged ``base ∪ overlay`` entry."""
+        """Recompute an overlay key's merged ``base ∪ overlay`` counts
+        and entry: base labels first, then the overlay's new ones."""
         row = self._overlay_rows[fingerprint]
         base = self._overlay_base[row]
-        labels = _merge_labels(
-            self._entry(base)[0] if base >= 0 else [],
-            self._delta.overlay.lookup(fingerprint),
+        counts = self._counts(base) if base >= 0 else {}
+        for label, count in self._delta.overlay.lookup_counts(
+            fingerprint
+        ).items():
+            counts[label] = counts.get(label, 0) + count
+        labels = list(counts)
+        self._overlay_counts[row] = counts
+        self._overlay_entries[row] = (
+            labels, tuple(dict.fromkeys(map(app_of_label, labels)))
         )
-        apps = tuple(dict.fromkeys(map(app_of_label, labels)))
-        self._overlay_entries[row] = (labels, apps)
 
     def _intern_ids(self, fingerprints: Sequence[Fingerprint]) -> None:
         """Give metrics and intervals new to the store probe ids past
@@ -841,11 +804,11 @@ class ColumnarDictionary(ShardedDictionary):
 
     def _delta_apply(self, fingerprint: Fingerprint, label: str,
                      count: int) -> None:
-        first_sight = fingerprint not in self._delta.overlay
+        first_sight = fingerprint not in self._overlay_rows
         self._delta.append_add(fingerprint, label, count)
         if first_sight:
             self._intern_ids([fingerprint])
-            self._track_overlay_key(fingerprint, self._base_row(fingerprint))
+            self._track_overlay_key(fingerprint, self._handle_of(fingerprint))
         self._refresh_entry(fingerprint)
         self._label_order.setdefault(label, None)
         self._app_order.setdefault(app_of_label(label), None)
@@ -873,11 +836,11 @@ class ColumnarDictionary(ShardedDictionary):
     def compact_delta(self) -> int:
         """Fold pending delta-log records into the base columns, in place.
 
-        Rewrites the directory from the merged live state with the
-        delta generation advanced, removes the log segment and the
-        superseded base files, and re-opens the store on the fresh base
-        (version stays monotonic, so engine caches rebuild rather than
-        alias).  Crash-safe at every step: the new base is written
+        Rewrites the directory from the live state (:meth:`to_sharded`)
+        with the delta generation advanced, removes the log segment and
+        the superseded base files, and re-opens the store on the fresh
+        base (version stays monotonic, so engine caches rebuild rather
+        than alias).  Crash-safe at every step: the new base is written
         under generation-suffixed names and committed by one atomic
         manifest replace, so before the commit the old base + replaying
         log are intact, and after it an orphaned segment's stale
@@ -887,8 +850,7 @@ class ColumnarDictionary(ShardedDictionary):
         if not self._delta.pending:
             return 0
         folded = self._delta.n_records
-        merged = ShardedDictionary(self.n_shards)
-        merged.merge(self)
+        merged = self.to_sharded()
         generation = self._delta.generation + 1
         version_base = self.version + 1  # strictly advance: caches rebuild
         old_manifest = _read_manifest(self._directory)
@@ -913,8 +875,6 @@ class ColumnarDictionary(ShardedDictionary):
         )
         self.__dict__.clear()
         self.__dict__.update(fresh.__dict__)
-        for shard in self.shards:
-            shard._owner = self
         self._version_base = version_base
 
     def close(self) -> None:
@@ -927,128 +887,153 @@ class ColumnarDictionary(ShardedDictionary):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- overlay-merged point reads ------------------------------------------
-    def __len__(self) -> int:
-        return super().__len__() + len(self._delta_new_keys)
+    # -- point reads -----------------------------------------------------------
+    def _handle_of(self, fingerprint: Fingerprint) -> int:
+        """Live handle of one key, ``-1`` when absent.
+
+        From the decoded key order once a walk built it; otherwise an
+        overlay key's row, or the batch kernel on a one-key probe.
+        """
+        order = self._key_order_cache
+        if order is not None:
+            return order.get(fingerprint, -1)
+        row = self._overlay_rows.get(fingerprint)
+        if row is not None:
+            return self._n_base + row
+        keys = self._probe([fingerprint])
+        return int(self._handles(*keys, with_overlay=False)[0])
 
     def __contains__(self, fingerprint: Fingerprint) -> bool:
-        if fingerprint in self._delta.overlay:
-            return True
-        if self._filter_definitely_absent(fingerprint):
-            return False
-        return super().__contains__(fingerprint)
-
-    def shard_sizes(self) -> List[int]:
-        """Key count per shard, overlay keys included."""
-        return [
-            len(s) + extra
-            for s, extra in zip(self.shards, self._new_per_shard)
-        ]
+        return self._handle_of(fingerprint) >= 0
 
     def lookup(self, fingerprint: Optional[Fingerprint]) -> List[str]:
         """Labels for one key, ``base ∪ overlay``, first-seen order."""
         if fingerprint is None:
             return []
-        overlay = self._delta.overlay
-        if fingerprint in self._delta_new_keys and not self._base_mutated():
-            # Known absent from the pristine base: skip the shard probe
-            # (a direct shard mutation voids that knowledge — the key
-            # may have been added behind the log, so fall through).
-            return overlay.lookup(fingerprint)
-        if self._filter_definitely_absent(fingerprint):
-            # Overlay first — a key learned since the last compaction
-            # must answer even though the base filters reject it.
-            if fingerprint in overlay:
-                return overlay.lookup(fingerprint)
-            return []
-        base = super().lookup(fingerprint)
-        if len(overlay) == 0 or fingerprint not in overlay:
-            return base
-        return _merge_labels(base, overlay.lookup(fingerprint))
+        handle = self._handle_of(fingerprint)
+        return list(self._entry(handle)[0]) if handle >= 0 else []
 
     def lookup_counts(self, fingerprint: Optional[Fingerprint]) -> Dict[str, int]:
         """Repetition counts for one key, ``base ∪ overlay`` (summed)."""
         if fingerprint is None:
             return {}
-        overlay = self._delta.overlay
-        if fingerprint in self._delta_new_keys and not self._base_mutated():
-            return overlay.lookup_counts(fingerprint)
-        if self._filter_definitely_absent(fingerprint):
-            if fingerprint in overlay:
-                return overlay.lookup_counts(fingerprint)
-            return {}
-        base = super().lookup_counts(fingerprint)
-        if len(overlay) == 0 or fingerprint not in overlay:
-            return base
-        merged = dict(base)
-        for label, count in overlay.lookup_counts(fingerprint).items():
-            merged[label] = merged.get(label, 0) + count
-        return merged
+        handle = self._handle_of(fingerprint)
+        return self._counts(handle) if handle >= 0 else {}
+
+    # -- whole-store walks -----------------------------------------------------
+    def __len__(self) -> int:
+        return self._n_base + len(self._delta_new_keys)
+
+    def shard_sizes(self) -> List[int]:
+        """Key count per shard, overlay keys included."""
+        return [
+            f.n_keys + extra
+            for f, extra in zip(self._files, self._new_per_shard)
+        ]
+
+    def entries(self) -> Iterator[Tuple[Fingerprint, List[str]]]:
+        """All (key, labels) pairs in global insertion order."""
+        for fp, handle in self._key_order.items():
+            yield fp, list(self._counts(handle))
 
     def overlay_keys(self) -> List[Fingerprint]:
-        """Keys with pending overlay observations (append order)."""
-        return [fp for fp, _ in self._delta.overlay.entries()]
+        """Keys with pending overlay observations (first-sight order)."""
+        return list(self._overlay_rows)
 
-    def overlay_tuple_entries(
-        self, metric: str, interval: Tuple[float, float]
-    ) -> Dict[Tuple[int, float], Entry]:
-        """Merged ``(node, value)`` entries for the overlay's keys of one
-        (metric, interval), computed from *live* state via :meth:`lookup`
-        — the patch the generic fallback dict index needs, valid even
-        when a shard was mutated behind the delta-log.
+    def shard_items(self, shard: int) -> List[Tuple[Fingerprint, Dict[str, int]]]:
+        """One shard's keys with their live label counts: its stored
+        keys in order, then its new overlay keys.  Read from the shard's
+        columns and the overlay, so no key is routed or searched."""
+        columns = self._files[shard].columns()
+        offsets = columns["label_offsets"].tolist()
+        ids = columns["label_ids"].tolist()
+        counts = columns["label_counts"].tolist()
+        table = self._label_table
+        rows = self._overlay_rows
+        items = []
+        for pos, fp in enumerate(self._shard_fingerprints(shard)):
+            row = rows.get(fp)
+            if row is None:
+                lo, hi = offsets[pos], offsets[pos + 1]
+                items.append((fp, {
+                    table[j]: c for j, c in zip(ids[lo:hi], counts[lo:hi])
+                }))
+            else:
+                items.append((fp, dict(self._overlay_counts[row])))
+        items += [
+            (fp, dict(self._overlay_counts[rows[fp]]))
+            for fp, owner in self._delta_new_keys.items() if owner == shard
+        ]
+        return items
+
+    def to_sharded(self, shard_label_orders: bool = False) -> ShardedDictionary:
+        """The live state as a fresh :class:`ShardedDictionary` of the
+        same shard count: what merging this store into one builds, but
+        every key goes straight to the shard that holds it — nothing is
+        routed or searched.
+
+        ``shard_label_orders`` first registers each base shard's stored
+        label order, so that ``expand`` reproduces the JSON shard files
+        that ``compact`` read; otherwise a shard's labels are ordered
+        as a merge replays them.
         """
-        overlay = self._delta.overlay
-        out: Dict[Tuple[int, float], Entry] = {}
-        if len(overlay) == 0:
-            return out
-        key_interval = _interval_key(interval)
-        for fp, _ in overlay.entries():
-            if str(fp.metric) != str(metric):
-                continue
-            if _interval_key(fp.interval) != key_interval:
-                continue
-            labels = self.lookup(fp)
-            apps = tuple(dict.fromkeys(app_of_label(l) for l in labels))
-            out[(fp.node, fp.value)] = (labels, apps)
+        out = ShardedDictionary(self.n_shards)
+        for label in self._label_order:
+            out.register_label(label)
+        for i, shard in enumerate(out.shards):
+            if shard_label_orders:
+                for j in self._files[i].columns()["label_order"].tolist():
+                    shard.register_label(self._label_table[j])
+            for fp, counts in self.shard_items(i):
+                for label, count in counts.items():
+                    shard.add_repeated(fp, label, count)
+        out._key_order.update(dict.fromkeys(self._key_order))
         return out
 
     def stats(self) -> DictionaryStats:
-        if not self._delta.pending:
-            return super().stats()
-        # Merged scan: base per-shard stats cannot be adjusted without
-        # per-key overlay merging anyway, so walk the merged view once.
-        n_keys = 0
-        n_insertions = 0
-        colliding = 0
-        max_labels = 0
-        all_labels: Dict[str, None] = {}
-        for fp, labels in self.entries():
-            n_keys += 1
-            n_insertions += sum(self.lookup_counts(fp).values())
-            apps = {app_of_label(l) for l in labels}
-            if len(apps) > 1:
-                colliding += 1
+        """Whole-store statistics, vectorized over the label columns;
+        an overlay key counts with its merged entry, not its base row."""
+        apps: Dict[str, int] = {}
+        label_app = np.asarray(
+            [apps.setdefault(app_of_label(l), len(apps))
+             for l in self._label_table],
+            dtype=np.int64,
+        )
+        widths, collide, used = [], [], set()
+        n_insertions = self._delta.overlay.stats().n_insertions
+        for f in self._files:
+            columns = f.columns()
+            offsets, ids = columns["label_offsets"], columns["label_ids"]
+            n_insertions += sum(columns["label_counts"].tolist())
+            used.update(np.unique(ids).tolist())
+            if len(offsets) > 1:
+                key_apps = label_app[ids]
+                starts = offsets[:-1]
+                widths.append(np.diff(offsets))
+                collide.append(
+                    np.minimum.reduceat(key_apps, starts)
+                    != np.maximum.reduceat(key_apps, starts)
+                )
+        keep = np.ones(self._n_base, dtype=bool)
+        keep[[row for row in self._overlay_base if row >= 0]] = False
+        width = np.concatenate(widths)[keep] if widths else keep[:0]
+        n_colliding = int(np.count_nonzero(
+            np.concatenate(collide)[keep])) if collide else 0
+        max_labels = int(width.max()) if len(width) else 0
+        names = {self._label_table[j] for j in used}
+        for labels, key_apps in self._overlay_entries:
+            names.update(labels)
             max_labels = max(max_labels, len(labels))
-            for label in labels:
-                all_labels.setdefault(label, None)
+            n_colliding += len(key_apps) > 1
         return DictionaryStats(
-            n_keys=n_keys,
+            n_keys=len(self),
             n_insertions=n_insertions,
-            n_labels=len(all_labels),
-            n_colliding_keys=colliding,
+            n_labels=len(names),
+            n_colliding_keys=n_colliding,
             max_labels_per_key=max_labels,
         )
 
     # -- vectorized lookup ---------------------------------------------------
-    @property
-    def pristine(self) -> bool:
-        """True while the base columns reflect every shard's live state.
-
-        Delta-routed writes keep the store pristine (they never touch
-        the shards); only a direct shard mutation clears it.
-        """
-        return not self._base_mutated()
-
     def _concat(self) -> Dict[str, np.ndarray]:
         """All shards' key columns concatenated (global row = shard-major).
 
@@ -1066,39 +1051,14 @@ class ColumnarDictionary(ShardedDictionary):
                 }
         return self._concat_cache
 
-    def _entry(self, handle: int) -> Entry:
-        """``(labels, apps)`` of a base row or an overlay handle.
-
-        A base row's labels are read from its own shard's mapped
-        columns — only the touched pages fault in — and cached.
-        """
-        if handle >= self._n_base:
-            return self._overlay_entries[handle - self._n_base]
-        found = self._row_entries.get(handle)
-        if found is None:
-            starts = self._shard_start_rows()
-            shard = bisect.bisect_right(starts, handle) - 1
-            local = handle - starts[shard]
-            columns = self._files[shard].peek_columns()
-            lo, hi = columns["label_offsets"][local:local + 2].tolist()
-            table = self._label_table
-            labels = [table[j] for j in columns["label_ids"][lo:hi].tolist()]
-            found = (labels, tuple(dict.fromkeys(map(app_of_label, labels))))
-            self._row_entries[handle] = found
-        return found
-
     def batch_index(
         self, metric: str, interval: Tuple[float, float]
-    ) -> Optional[ColumnarBatchIndex]:
+    ) -> ColumnarBatchIndex:
         """Vectorized ``(node, value)`` index for one (metric, interval).
 
         Answers ``base ∪ overlay`` through the store's key-hash tables;
-        building it costs nothing.  ``None`` when a shard was mutated
-        behind the delta-log (the base columns are stale) — callers fall
-        back to the generic dict index and count a demotion.
+        building it costs nothing.
         """
-        if self._base_mutated():
-            return None
         return ColumnarBatchIndex(self, metric, interval)
 
     def _probe(
@@ -1204,75 +1164,6 @@ class ColumnarDictionary(ShardedDictionary):
             )
         return self._overlay_cache
 
-    def _base_row(self, fingerprint: Fingerprint) -> int:
-        """Base row of one key (``-1`` when absent), hydrating nothing.
-
-        The write path calls this once per first-seen overlay key; a
-        "definitely absent" filter answer settles it without touching a
-        file, otherwise the key-hash tables answer.
-        """
-        if self._filter_definitely_absent(fingerprint):
-            return -1
-        keys = self._probe([fingerprint])
-        return int(self._handles(*keys, with_overlay=False)[0])
-
-    # -- negative-lookup filters ---------------------------------------------
-    def _filter_might(self, hashes: np.ndarray) -> np.ndarray:
-        """Boolean per probe hash: could *any* shard's base hold it?
-
-        The union over the per-shard filters — sound because a key
-        absent from every shard filter is absent from the base (Bloom
-        filters have no false negatives).  Probing all shards instead
-        of stable-hash-routing each probe keeps the check one NumPy
-        gather per (shard, hash function) with no Python per-key work.
-        """
-        out = np.zeros(len(hashes), dtype=bool)
-        for built in self._filters:
-            out |= built.might_contain(hashes)
-        return out
-
-    def _filter_definitely_absent(self, fingerprint: Fingerprint) -> bool:
-        """True when the filters prove the base lacks this key (exact).
-
-        False when filters are absent, a shard was mutated behind the
-        delta-log (the filters describe stale columns), the key is in
-        the store's own key order (so present: this is what keeps
-        :meth:`entries` and every ``entries`` + ``lookup_counts`` walk,
-        the delta-log fold's merge among them, free of per-key filter
-        probes), or the key *might* be present — callers then take the
-        exact path.
-        """
-        if self._filters is None:
-            return False
-        order = self._key_order_cache
-        if order is not None and fingerprint in order:
-            return False
-        if self._base_mutated():
-            return False
-        metric_id = self._metric_ids.get(str(fingerprint.metric))
-        if metric_id is None:
-            return True
-        interval_id = self._interval_ids.get(
-            _interval_key(fingerprint.interval)
-        )
-        if interval_id is None:
-            return True
-        hashes = key_hashes(
-            np.asarray([metric_id], dtype=np.int64),
-            np.asarray([interval_id], dtype=np.int64),
-            np.asarray([int(fingerprint.node)], dtype=np.int64),
-            _value_bits(np.asarray([float(fingerprint.value)])),
-        )
-        return not bool(self._filter_might(hashes)[0])
-
-    def _shard_start_rows(self) -> List[int]:
-        """Global row of each shard's first key (shard-major concat)."""
-        if self._shard_starts is None:
-            self._shard_starts = list(itertools.accumulate(
-                (f.n_keys for f in self._files[:-1]), initial=0
-            ))
-        return self._shard_starts
-
     def _shard_hash_index(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
         """Shard ``i``'s ``(sorted hashes, row order)`` table (cached).
 
@@ -1349,17 +1240,14 @@ class ColumnarDictionary(ShardedDictionary):
 
     def lookup_many(
         self, fingerprints: Sequence[Fingerprint]
-    ) -> Optional[List[List[str]]]:
+    ) -> List[List[str]]:
         """Label lists for many full keys, ``base ∪ overlay``, vectorized.
 
-        Equivalent to ``[self.lookup(fp) for fp in fingerprints]`` but
-        without hydrating any shard: the batch resolves through the
-        key-hash tables (see :meth:`_handles`), and overlay keys answer
-        with their merged labels.  ``None`` when a shard was mutated
-        behind the delta-log — callers fall back to per-key lookups.
+        Equivalent to ``[self.lookup(fp) for fp in fingerprints]``: the
+        batch resolves through the key-hash tables (see
+        :meth:`_handles`), and overlay keys answer with their merged
+        labels.
         """
-        if self._base_mutated():
-            return None
         handles = self._handles(*self._probe(fingerprints))
         entry = self._entry
         # Fresh list per result, like lookup() — callers may mutate
@@ -1370,10 +1258,9 @@ class ColumnarDictionary(ShardedDictionary):
         ]
 
     def __repr__(self) -> str:
-        hydrated = sum(1 for s in self.shards if s.hydrated)
         return (
             f"ColumnarDictionary(n_shards={self.n_shards}, keys={len(self)}, "
-            f"hydrated={hydrated}/{self.n_shards}, at={self._directory!r})"
+            f"at={self._directory!r})"
         )
 
 
@@ -1410,12 +1297,12 @@ def load_columnar(
 
     Only the manifest is read here — O(shards) work, no per-key Python
     objects — unless a pending ``delta-log.jsonl`` exists, in which case
-    its records replay into the in-memory overlay (column files are
-    consulted for membership, still no per-key hydration).  Shard files
-    are mapped and checksummed on first probe; with ``validate``
-    (default) hydration additionally checks that every decoded key
-    hashes to its host shard, catching renamed or swapped ``.mmap`` files
-    exactly like the JSON loader does.  Structural manifest damage
+    its records replay into the in-memory overlay (one batch search of
+    the key-hash tables, no per-key Python state for base keys).  Shard
+    files are mapped on first read and checksummed on first bulk read;
+    with ``validate`` (default) decoding a shard's keys additionally
+    checks that every key hashes to its host shard, catching renamed or
+    swapped ``.mmap`` files exactly like the JSON loader does.  Structural manifest damage
     (wrong counts, out-of-range or duplicate key-order entries,
     inconsistent app order) is rejected eagerly.  ``delta_max_pending``
     is the pending-record count at which a write auto-compacts.
@@ -1609,7 +1496,8 @@ def compact_shards(directory: str, out: Optional[str] = None) -> dict:
             target = out
             folded = store.delta_pending
             # Keep the base's filter kind, as the in-place fold does.
-            save_columnar(store, out, filters=store._filters is not None)
+            save_columnar(store.to_sharded(), out,
+                          filters=store._filters is not None)
         new_manifest = _read_manifest(target)
         return {
             "n_keys": len(store),
@@ -1668,7 +1556,7 @@ def expand_shards(directory: str, out: Optional[str] = None) -> dict:
     columnar_files = _manifest_files(manifest)
     columnar_bytes = _dir_bytes(directory, columnar_files + [_MANIFEST_NAME])
     target = directory if _in_place(directory, out) else out
-    save_sharded(columnar, target)
+    save_sharded(columnar.to_sharded(shard_label_orders=True), target)
     new_manifest = _read_manifest(target)
     json_files = [meta["file"] for meta in new_manifest["shards"]]
     json_bytes = _dir_bytes(target, json_files + [_MANIFEST_NAME])

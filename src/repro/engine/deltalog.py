@@ -1,10 +1,8 @@
 """Write-ahead mutation delta-log for columnar EFD directories.
 
-The columnar backend's whole value is its vectorized lookup index built
-from immutable column arrays — which historically made it read-mostly:
-the first ``add`` demoted the store to the generic Python dict index
-until someone re-saved the directory.  The delta-log makes writes
-first-class instead:
+The columnar backend's vectorized lookup index is built from immutable
+column arrays; the delta-log is its only write path, and keeps writes
+first-class:
 
 - every mutation (``add`` / ``add_repeated`` / ``register_label``)
   **appends** one JSONL record to ``delta-log.jsonl`` inside the
@@ -14,9 +12,9 @@ first-class instead:
   key-hash table stay hot forever, and the overlay's few keys get a
   small key-hash table of their own (re-sorted when a key is added;
   each key's merged entry is updated by its own write) — a trickle of
-  new learnings never costs the vectorized path.  Overlay keys are checked
-  *before* the per-shard negative-lookup filters, so a key learned
-  after the last compaction can never be filtered out as absent;
+  new learnings never costs the vectorized path.  The overlay's table
+  is searched whatever the per-shard negative-lookup filters say, so a
+  key learned after the last compaction can never be filtered out;
 - **compaction** folds the log back into the base ``shard-NN.mmap``
   files, with the filter sidecars rebuilt alongside, and truncates
   it.  It triggers on a pending-record threshold

@@ -1,4 +1,4 @@
-"""Per-shard Bloom filters: resolve negative lookups without hydration.
+"""Per-shard Bloom filters: resolve negative lookups without column reads.
 
 The paper's unknown-detection evaluation makes *misses* the dominant
 case on open traffic — most probed fingerprints belong to applications

@@ -28,7 +28,7 @@ The total size is a pure function of the three header scalars, so
 truncation is detected by a size check before anything is mapped; the
 manifest carries a blake2b checksum of the whole file, verified once on
 the first *bulk* access (:meth:`MmapShardFile.columns` — warm-start,
-hydration, iteration; bit flips raise by name, and the verification
+whole-store walks; bit flips raise by name, and the verification
 pass doubles as a page-cache prefault).  The cold sidecar search and
 label reads touch a handful of rows through
 :meth:`MmapShardFile.peek_columns`
@@ -153,8 +153,8 @@ class MmapShardFile:
 
         The bulk accessor: the manifest checksum is verified on the
         first call (the pass doubles as a page-cache prefault), so
-        every full hydration — warm-start, iteration, ``_concat`` —
-        sees integrity-checked bytes.
+        every bulk read — warm-start, walks, ``_concat`` — sees
+        integrity-checked bytes.
         """
         columns = self._map()
         if not self._verified:
@@ -177,7 +177,7 @@ class MmapShardFile:
         still rejected before mapping, but only the touched pages fault
         in — a cold 1k-batch with a handful of hits reads kilobytes,
         not the whole shard.  The checksum still runs on the first
-        *bulk* access (:meth:`columns`), so a full hydration or
+        *bulk* access (:meth:`columns`), so a whole-store walk or
         ``warm_index`` detects media damage exactly as before.
         """
         return self._map()

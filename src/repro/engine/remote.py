@@ -113,6 +113,7 @@ from repro.engine.keyfilter import (
     key_hashes,
     probe_columns,
 )
+from repro.engine.columnar import ColumnarDictionary
 from repro.engine.sharded import ShardedDictionary, shard_index
 from repro.engine.stats import EngineStats
 
@@ -487,8 +488,8 @@ class ShardServer:
     learning into) a shard outside ``shards`` is refused with an error
     reply, which catches routing bugs at the boundary instead of
     returning silently-empty verdicts.  Store access runs in the
-    default executor under ``lock`` so a slow disk hydration never
-    blocks the event loop or a concurrent replication task.
+    default executor under ``lock`` so a slow disk read never blocks
+    the event loop or a concurrent replication task.
     """
 
     def __init__(
@@ -803,20 +804,26 @@ class ShardServer:
         snap = self._bulk_cache.get(shard)
         if snap is not None and snap.version == version:
             return snap
-        store = self.store
-        items: List[Tuple[Fingerprint, Dict[str, int]]] = []
-        if (
-            type(store) is ShardedDictionary
-            and store.n_shards == self.n_shards
-        ):
-            items = list(store.shards[shard]._store.items())
-        else:
-            for fp, _ in store.entries():
-                if shard_index(fp, self.n_shards) == shard:
-                    items.append((fp, store.lookup_counts(fp)))
-        snap = _ShardSnapshot(version, items)
+        snap = _ShardSnapshot(version, self._shard_items(shard))
         self._bulk_cache[shard] = snap
         return snap
+
+    def _shard_items(
+        self, shard: int
+    ) -> List[Tuple[Fingerprint, Dict[str, int]]]:
+        """One shard's keys with their label counts (caller holds the
+        lock): read from the shard itself when the store is sharded the
+        same way, else picked out of a routed ``entries`` walk."""
+        store = self.store
+        if getattr(store, "n_shards", None) == self.n_shards:
+            if type(store) is ShardedDictionary:
+                return list(store.shards[shard]._store.items())
+            if isinstance(store, ColumnarDictionary):
+                return store.shard_items(shard)
+        return [
+            (fp, store.lookup_counts(fp)) for fp, _ in store.entries()
+            if shard_index(fp, self.n_shards) == shard
+        ]
 
     def _conn_label_map(
         self, state: _ConnState, shard: int, snap: _ShardSnapshot
@@ -862,8 +869,8 @@ class ShardServer:
         A clean columnar store ships its on-disk sidecars as-is (the
         mirror hashes against the manifest tables); anything else — a
         plain sharded store, a columnar store with overlay writes —
-        gets filters built from a routed key walk against the store's
-        own table order."""
+        gets filters built from each served shard's keys against the
+        store's own table order."""
         version = self.store.version
         if self._filter_cache is not None and self._filter_cache[0] == version:
             _, blobs, tables = self._filter_cache
@@ -875,7 +882,6 @@ class ShardServer:
         if (
             sidecars is not None
             and getattr(store, "n_shards", 0) == self.n_shards
-            and not store._base_mutated()
             and not store.overlay_keys()
         ):
             tables = {
@@ -894,21 +900,8 @@ class ShardServer:
             ]
             m_map = {m: i for i, m in enumerate(metrics)}
             i_map = {iv: i for i, iv in enumerate(intervals)}
-            per_shard: Dict[int, List[Fingerprint]] = {
-                s: [] for s in self.shards
-            }
-            if (
-                type(store) is ShardedDictionary
-                and store.n_shards == self.n_shards
-            ):
-                for s in self.shards:
-                    per_shard[s] = list(store.shards[s]._store)
-            else:
-                for fp, _ in store.entries():
-                    s = shard_index(fp, self.n_shards)
-                    if s in per_shard:
-                        per_shard[s].append(fp)
-            for s, fps in per_shard.items():
+            for s in self.shards:
+                fps = [fp for fp, _ in self._shard_items(s)]
                 n = len(fps)
                 mids = np.fromiter(
                     (m_map[fp.metric] for fp in fps), np.int64, n
@@ -967,11 +960,7 @@ class ShardServer:
         version = self.store.version
         if self._count_cache is not None and self._count_cache[0] == version:
             return self._count_cache[1]
-        counts = {s: 0 for s in self.shards}
-        for fp, _ in self.store.entries():
-            shard = shard_index(fp, self.n_shards)
-            if shard in counts:
-                counts[shard] += 1
+        counts = {s: len(self._shard_items(s)) for s in self.shards}
         self._count_cache = (version, counts)
         return counts
 
@@ -1010,11 +999,9 @@ class ShardServer:
             raise RemoteOpError(f"shard {shard!r} not served here")
         with self._lock:
             out = []
-            for fp, _ in self.store.entries():
-                if shard_index(fp, self.n_shards) != shard:
-                    continue
+            for fp, counts in self._shard_items(shard):
                 record = fingerprint_to_record(fp)
-                record["labels"] = self.store.lookup_counts(fp)
+                record["labels"] = dict(counts)
                 out.append(record)
         return {"ok": True, "shard": shard, "entries": out}
 

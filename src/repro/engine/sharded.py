@@ -29,6 +29,7 @@ from repro.core.dictionary import (
 )
 from repro.core.fingerprint import Fingerprint
 from repro.core.serialization import dictionary_from_json, dictionary_to_json
+from repro.engine.backend import KeyOrderedStore
 
 _MANIFEST_NAME = "manifest.json"
 _SHARD_FORMAT_VERSION = 1
@@ -62,7 +63,7 @@ def _json_shard_filename(index: int) -> str:
     return f"shard-{index:02d}.json"
 
 
-class ShardedDictionary:
+class ShardedDictionary(KeyOrderedStore):
     """EFD partitioned across N shards by stable key hash.
 
     Mirrors the full read/write contract of
@@ -137,49 +138,6 @@ class ShardedDictionary:
         self._label_order.setdefault(label, None)
         self._app_order.setdefault(app_of_label(label), None)
 
-    def add_many(
-        self, fingerprints: Sequence[Optional[Fingerprint]], label: str
-    ) -> int:
-        """Insert all non-``None`` fingerprints; returns how many."""
-        n = 0
-        for fp in fingerprints:
-            if fp is not None:
-                self.add(fp, label)
-                n += 1
-        return n
-
-    def bulk_add(
-        self, pairs: Sequence[Tuple[Optional[Fingerprint], str]]
-    ) -> int:
-        """Insert many (fingerprint, label) pairs in order; returns how
-        many were inserted.  ``None`` fingerprints are skipped, but
-        their label still registers, so the first-seen orders match
-        every other backend's ``bulk_add``.  Subclasses inherit the
-        routing through their own :meth:`add` (the columnar store's
-        goes through its delta-log).
-        """
-        n = 0
-        for fp, label in pairs:
-            if fp is None:
-                self.register_label(label)
-                continue
-            self.add(fp, label)
-            n += 1
-        return n
-
-    def merge(self, other) -> None:
-        """Fold another backend's observations into this one.
-
-        Accepts any :class:`~repro.engine.backend.DictionaryBackend` —
-        flat, sharded, or columnar; shard counts need not match (keys
-        are re-routed by hash).  Delegates to
-        :func:`repro.engine.backend.merge_into`, the one canonical
-        cross-backend merge routine.
-        """
-        from repro.engine.backend import merge_into
-
-        merge_into(self, other)
-
     # -- reading ------------------------------------------------------------
     @property
     def version(self) -> int:
@@ -206,38 +164,14 @@ class ShardedDictionary:
 
     def lookup_many(
         self, fingerprints: Sequence[Fingerprint]
-    ) -> Optional[List[List[str]]]:
-        """One label list per fingerprint, routed per owning shard.
-
-        Always reflects live state (never ``None``); the columnar
-        subclass overrides this with the vectorized column path.
-        """
+    ) -> List[List[str]]:
+        """One label list per fingerprint, routed per owning shard."""
         return [self.lookup(fp) for fp in fingerprints]
 
     def entries(self) -> Iterator[Tuple[Fingerprint, List[str]]]:
         """All (key, labels) pairs in global insertion order."""
-        # Through self.lookup (not the shard directly) so subclasses
-        # that overlay pending mutations stay correct.
         for fp in self._key_order:
             yield fp, self.lookup(fp)
-
-    def labels(self) -> List[str]:
-        return list(self._label_order)
-
-    def app_names(self) -> List[str]:
-        return list(self._app_order)
-
-    def metrics(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for fp in self._key_order:
-            seen.setdefault(fp.metric, None)
-        return list(seen)
-
-    def intervals(self) -> List[Tuple[float, float]]:
-        seen: Dict[Tuple[float, float], None] = {}
-        for fp in self._key_order:
-            seen.setdefault(fp.interval, None)
-        return list(seen)
 
     # -- analysis ------------------------------------------------------------
     def stats(self) -> DictionaryStats:
@@ -261,24 +195,6 @@ class ShardedDictionary:
         """Key count per shard (occupancy / balance diagnostics)."""
         return [len(s) for s in self.shards]
 
-    def collisions(self) -> List[Tuple[Fingerprint, List[str]]]:
-        out = []
-        for fp, labels in self.entries():
-            apps = {app_of_label(l) for l in labels}
-            if len(apps) > 1:
-                out.append((fp, labels))
-        return out
-
-    def fingerprints_for(self, label_prefix: str) -> List[Fingerprint]:
-        out = []
-        for fp, labels in self.entries():
-            for label in labels:
-                if label == label_prefix or label.startswith(label_prefix + "_") \
-                        or app_of_label(label) == label_prefix:
-                    out.append(fp)
-                    break
-        return out
-
     def __repr__(self) -> str:
         return (
             f"ShardedDictionary(n_shards={self.n_shards}, keys={len(self)}, "
@@ -294,33 +210,45 @@ def _checksum(text: str) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def merged_if_pending(sharded: ShardedDictionary) -> ShardedDictionary:
-    """``sharded``, or its merged live view when a delta-log pends.
+def as_sharded(store) -> ShardedDictionary:
+    """``store`` itself when it is a :class:`ShardedDictionary`; any
+    other backend merged into a fresh one of its shard count (one for
+    a store without shards).
 
-    The shared guard of both save paths: a columnar store carrying
-    pending delta-log records must be persisted as ``base ∪ overlay``
-    (a fresh plain store built through the backend protocol), or a save
-    would silently drop every append since the last compaction.  Any
-    other store is returned unchanged.
+    The shared entry of both save paths: a store is always saved from
+    its live state, so a columnar store's pending delta-log records are
+    never dropped.
     """
-    delta = getattr(sharded, "_delta", None)
-    if delta is not None and delta.pending:
-        merged = ShardedDictionary(sharded.n_shards)
-        merged.merge(sharded)
-        return merged
+    if isinstance(store, ShardedDictionary):
+        return store
+    sharded = ShardedDictionary(getattr(store, "n_shards", 1))
+    sharded.merge(store)
     return sharded
 
 
-def save_sharded(sharded: ShardedDictionary, directory: str) -> None:
-    """Write ``sharded`` as ``directory/manifest.json`` + shard files.
-
-    A columnar store carrying pending delta-log records is saved as its
-    merged live state (base ∪ overlay) — a save never drops appends.
+def key_positions(sharded: ShardedDictionary) -> List[Tuple[int, int]]:
+    """``(shard, position in shard)`` of every key, in global insertion
+    order — how both layouts persist the global key order, which shard
+    files alone do not know (Table-4-style listings and ``to_flat()``
+    depend on it).  Read from the shards, so no key is routed again.
     """
-    sharded = merged_if_pending(sharded)
+    where = {
+        fp: (i, pos)
+        for i, shard in enumerate(sharded.shards)
+        for pos, fp in enumerate(shard._store)
+    }
+    return [where[fp] for fp in sharded._key_order]
+
+
+def save_sharded(store, directory: str) -> None:
+    """Write ``store`` as ``directory/manifest.json`` + shard files.
+
+    Any backend is accepted (see :func:`as_sharded`); a columnar store
+    is saved as its live state, base ∪ pending delta-log records.
+    """
+    sharded = as_sharded(store)
     os.makedirs(directory, exist_ok=True)
     shard_meta = []
-    shard_positions: List[Dict[Fingerprint, int]] = []
     for i, shard in enumerate(sharded.shards):
         text = dictionary_to_json(shard)
         name = _json_shard_filename(i)
@@ -329,16 +257,7 @@ def save_sharded(sharded: ShardedDictionary, directory: str) -> None:
         shard_meta.append(
             {"file": name, "n_keys": len(shard), "checksum": _checksum(text)}
         )
-        shard_positions.append(
-            {fp: pos for pos, (fp, _) in enumerate(shard.entries())}
-        )
-    # Global key insertion order as compact (shard, position-in-shard)
-    # pairs — shard files alone only know their own slice's order, but
-    # Table-4-style listings and to_flat() depend on the global one.
-    key_order = []
-    for fp in sharded._key_order:
-        i = shard_index(fp, sharded.n_shards)
-        key_order.append([i, shard_positions[i][fp]])
+    key_order = [list(pair) for pair in key_positions(sharded)]
     manifest = {
         "format_version": _SHARD_FORMAT_VERSION,
         "n_shards": sharded.n_shards,
@@ -355,9 +274,9 @@ def load_sharded(directory: str, validate: bool = True) -> ShardedDictionary:
     :func:`~repro.engine.columnar.save_columnar`.
 
     Dispatches on the manifest's layout: a columnar directory returns a
-    lazily-hydrating
-    :class:`~repro.engine.columnar.ColumnarDictionary` (shard files are
-    only read when probed); the JSON layout loads eagerly as before.
+    :class:`~repro.engine.columnar.ColumnarDictionary`, which reads only
+    the manifest at open and maps shard files when a read needs them;
+    the JSON layout loads eagerly.
     Shards are loaded independently; a missing shard file raises
     :class:`FileNotFoundError` and a corrupt one :class:`ValueError`,
     each naming the offending file.  With ``validate`` (default) every

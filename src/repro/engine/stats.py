@@ -68,8 +68,8 @@ METRICS = (
     Metric("n_missing", "missing", "counter", "lookups", "missing_nodes",
            "nodes that produced no usable fingerprint"),
     Metric("index_demotions", "index_demotions", "counter", "demotions",
-           "batches", "batches answered by the generic dict index because "
-           "a store's vectorized index went stale (re-save or compact)"),
+           "batches", "always 0: no store falls back from its batch path "
+           "any more; kept so older stats files still load"),
     Metric("shard_occupancy", "shard_occupancy", "shards", "shard keys",
            "per_shard", "keys held by each shard at the last batch"),
     # -- serving (fed by repro.serve.IngestService) --------------------------

@@ -413,9 +413,6 @@ class FamilyCascade:
     ) -> Tuple[List[FamilyVerdict], int]:
         """:meth:`cascade_match` plus the fine-tier hit count (the
         ``n_hits`` that :meth:`EngineStats.record_batch` expects)."""
-        # Deferred: repro.engine.batch imports the whole engine stack.
-        from repro.engine.batch import _batch_lookup
-
         self._sync()
         unique: Dict[Fingerprint, None] = {}
         for fps in fingerprint_lists:
@@ -429,7 +426,8 @@ class FamilyCascade:
         }
         need_fine = [fp for fp in unique if coarse_table[fp]]
         fine_table = (
-            _batch_lookup(self.fine, need_fine, self.stats) if need_fine else {}
+            dict(zip(need_fine, self.fine.lookup_many(need_fine)))
+            if need_fine else {}
         )
         fam_position = {f: i for i, f in enumerate(self.coarse.labels())}
         app_position = {a: i for i, a in enumerate(self.fine.app_names())}

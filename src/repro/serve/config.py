@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.serve.stream import MAX_NODES
+
 #: Accepted ``ServeConfig.backpressure`` values.
 BACKPRESSURE_POLICIES = ("block", "shed")
 
@@ -77,7 +79,8 @@ class ServeConfig:
         :class:`~repro.serve.service.SessionEvicted`.
     default_nodes:
         Node count for sessions whose first sample does not carry an
-        explicit ``nodes`` field.
+        explicit ``nodes`` field; at most
+        :data:`~repro.serve.stream.MAX_NODES`, like a sample's own.
     retention_max_age:
         Seconds a *completed* session's verdict is retained after
         resolution before the retention loop auto-forgets it.  ``None``
@@ -167,8 +170,11 @@ class ServeConfig:
             raise ValueError(
                 f"evict must be one of {EVICT_POLICIES}, got {self.evict!r}"
             )
-        if self.default_nodes < 1:
-            raise ValueError(f"default_nodes must be >= 1, got {self.default_nodes}")
+        if not 1 <= self.default_nodes <= MAX_NODES:
+            raise ValueError(
+                f"default_nodes must be in [1, {MAX_NODES}], "
+                f"got {self.default_nodes}"
+            )
         if self.retention_max_age is not None and self.retention_max_age <= 0:
             raise ValueError(
                 f"retention_max_age must be positive or None, "

@@ -42,7 +42,7 @@ import os
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.serve.service import IngestService
-from repro.serve.stream import Sample, SampleBlock, parse_sample
+from repro.serve.stream import MAX_NODES, Sample, SampleBlock, parse_sample
 
 __all__ = [
     "LineDecoder",
@@ -135,10 +135,10 @@ def _decode_bulk(data: bytes, max_bytes: int
         n_absent = n_nodes.count(None)
         if sum(map(len, objs)) != 5 * n - n_absent:
             return None  # an extra key (or an explicit "nodes": null)
-        if int in nodes_types and min(
-                n_nodes if not n_absent else
-                [x for x in n_nodes if x is not None]) < 1:
-            return None
+        if int in nodes_types:
+            present = [x for x in n_nodes if x is not None]
+            if min(present) < 1 or max(present) > MAX_NODES:
+                return None
         if int in time_types:
             times = list(map(float, times))
         if value_types != {float}:

@@ -42,6 +42,11 @@ from typing import (
 
 from repro.data.dataset import ExecutionRecord
 
+#: Largest ``nodes`` a sample may declare: a session allocates per-node
+#: state up front, so an absurd count must fail as a bad line, not as a
+#: ``MemoryError`` inside the service.
+MAX_NODES = 65536
+
 
 class Sample(NamedTuple):
     """One telemetry observation of one node of one job.
@@ -100,8 +105,10 @@ def parse_sample(line: str, lineno: int = 0) -> Sample:
             n_nodes = int(n_nodes)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: bad field value: {exc}") from exc
-    if n_nodes is not None and n_nodes < 1:
-        raise ValueError(f"{where}: nodes must be >= 1, got {n_nodes}")
+    if n_nodes is not None and not 1 <= n_nodes <= MAX_NODES:
+        raise ValueError(
+            f"{where}: nodes must be in [1, {MAX_NODES}], got {n_nodes}"
+        )
     return Sample(job=job, node=node, time=time, value=value, n_nodes=n_nodes)
 
 

@@ -7,9 +7,52 @@ immutable by the library).
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 import pytest
 
+from repro.core import serialization
+from repro.core.dictionary import ExecutionFingerprintDictionary
 from repro.data.taxonomist import DatasetConfig, TaxonomistDatasetGenerator
+from repro.engine.deltalog import SEGMENT_NAME
+
+
+@pytest.fixture
+def no_dict_efd(monkeypatch):
+    """``with no_dict_efd(): ...`` fails the test if the block builds a
+    dict EFD: ``dictionary_from_columns`` raises, and so does
+    constructing an :class:`ExecutionFingerprintDictionary`.  Columnar
+    reads must answer from the columns and the overlay alone."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dict EFD was built")
+
+    @contextlib.contextmanager
+    def guard():
+        with monkeypatch.context() as patch:
+            patch.setattr(serialization, "dictionary_from_columns", refuse)
+            patch.setattr(ExecutionFingerprintDictionary, "__init__", refuse)
+            yield
+
+    return guard
+
+
+@pytest.fixture
+def base_files():
+    """``base_files(directory)``: the bytes of every file of a columnar
+    directory but its delta-log segment — what routed writes must leave
+    untouched until a compaction."""
+
+    def read(directory):
+        files = {}
+        for name in sorted(os.listdir(directory)):
+            if name != SEGMENT_NAME:
+                with open(os.path.join(directory, name), "rb") as fh:
+                    files[name] = fh.read()
+        return files
+
+    return read
 
 
 @pytest.fixture(scope="session")

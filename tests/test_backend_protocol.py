@@ -132,7 +132,8 @@ class TestCrossBackendMerge:
         expected = sum(len(b.lookup_counts(fp)) for fp, _ in b.entries())
         assert merge_into(a, b) == expected
 
-    def test_merge_into_columnar_lands_in_delta_log(self, tmp_path):
+    def test_merge_into_columnar_lands_in_delta_log(self, tmp_path,
+                                                    base_files):
         # Folding a flat store into a columnar one must go through the
         # write-ahead log: vectorized paths stay live and the merge
         # survives a reload.
@@ -140,15 +141,17 @@ class TestCrossBackendMerge:
         sharded = ShardedDictionary.from_flat(base, 4)
         col_dir = str(tmp_path / "col")
         save_columnar(sharded, col_dir)
+        before = base_files(col_dir)
         col = load_columnar(col_dir)
         extra = _random_flat(31, n=40)
         col.merge(extra)
         reference = ExecutionFingerprintDictionary()
         reference.merge(base)
         reference.merge(extra)
-        assert col.pristine          # base columns untouched
+        assert base_files(col_dir) == before     # base files untouched
         assert col.delta_pending > 0
         _assert_equal_stores(col, reference)
+        col.close()
         reopened = load_columnar(col_dir)  # replays the log
         _assert_equal_stores(reopened, reference)
 

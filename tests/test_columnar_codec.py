@@ -459,29 +459,43 @@ class TestColumnarDirectory:
             _sample_sharded().labels()
 
 
-class TestLazyHydration:
+def _mapped(store) -> list:
+    """Shards whose ``.mmap`` file a read has mapped so far."""
+    return [i for i, f in enumerate(store._files) if f._columns is not None]
+
+
+class TestColumnReads:
+    """Reads answer from the columns and the overlay: no dict EFD is
+    built, and only the files a read needs are mapped."""
+
     def test_load_reads_no_shard_files(self, tmp_path):
         sharded = _sample_sharded()
         directory = str(tmp_path / "col")
         save_columnar(sharded, directory)
         loaded = load_columnar(directory)
-        assert not any(shard.hydrated for shard in loaded.shards)
+        assert _mapped(loaded) == []
         # Cheap observables answer from the manifest alone.
         assert len(loaded) == len(sharded)
         assert loaded.shard_sizes() == sharded.shard_sizes()
         assert loaded.labels() == sharded.labels()
-        assert not any(shard.hydrated for shard in loaded.shards)
+        assert _mapped(loaded) == []
 
-    def test_point_lookup_hydrates_only_owning_shard(self, tmp_path):
+    def test_point_reads_map_only_the_owning_shard(
+        self, tmp_path, no_dict_efd
+    ):
         sharded = _sample_sharded()
         directory = str(tmp_path / "col")
         save_columnar(sharded, directory)
         loaded = load_columnar(directory)
         fp = next(fp for fp, _ in sharded.entries())
-        assert loaded.lookup(fp) == sharded.lookup(fp)
-        assert sum(1 for shard in loaded.shards if shard.hydrated) == 1
+        with no_dict_efd():
+            assert loaded.lookup(fp) == sharded.lookup(fp)
+            assert loaded.lookup_counts(fp) == sharded.lookup_counts(fp)
+            assert fp in loaded
+            assert _fp(123456.0, 3) not in loaded
+        assert _mapped(loaded) == [shard_index(fp, 4)]
 
-    def test_lookup_many_hydrates_nothing(self, tmp_path):
+    def test_lookup_many_builds_no_dict(self, tmp_path, no_dict_efd):
         sharded = _sample_sharded()
         directory = str(tmp_path / "col")
         save_columnar(sharded, directory)
@@ -489,44 +503,47 @@ class TestLazyHydration:
         keys = [fp for fp, _ in sharded.entries()]
         misses = [_fp(123456.0, 3), _fp(100.0, 0, metric="nope"),
                   _fp(100.0, 0, interval=(0.0, 60.0))]
-        assert loaded.lookup_many(keys + misses) == [
-            sharded.lookup(fp) for fp in keys + misses
-        ]
-        assert not any(shard.hydrated for shard in loaded.shards)
+        with no_dict_efd():
+            assert loaded.lookup_many(keys + misses) == [
+                sharded.lookup(fp) for fp in keys + misses
+            ]
 
-    def test_routed_writes_keep_column_caches_live(self, tmp_path):
+    def test_routed_writes_keep_column_caches_live(
+        self, tmp_path, no_dict_efd, base_files
+    ):
         # The delta-log contract: a public write lands in the overlay,
-        # never touches the base columns, and every vectorized path
-        # keeps answering — merged with the new observation.
+        # never touches the base files, and every read path keeps
+        # answering — merged with the new observation.
         sharded = _sample_sharded()
         directory = str(tmp_path / "col")
         save_columnar(sharded, directory)
+        before = base_files(directory)
         loaded = load_columnar(directory)
-        assert loaded.pristine
         new_key = _fp(987654.0, 2)
-        loaded.add(new_key, "zz_Q")
-        assert loaded.pristine          # base columns untouched
-        assert loaded.delta_pending == 1
-        assert loaded.batch_index("m", (60.0, 120.0)) is not None
-        assert loaded.lookup_many([new_key]) == [["zz_Q"]]
-        assert loaded.lookup(new_key) == ["zz_Q"]
-        assert "zz_Q" in loaded.labels()
-        assert not any(shard.hydrated for shard in loaded.shards)
+        old_key = next(fp for fp, _ in sharded.entries())
+        with no_dict_efd():
+            loaded.add(new_key, "zz_Q")
+            loaded.add(old_key, "zz_Q")
+            assert loaded.delta_pending == 2
+            assert loaded.batch_index("m", (60.0, 120.0)) is not None
+            assert loaded.lookup_many([new_key, old_key]) == [
+                ["zz_Q"], sharded.lookup(old_key) + ["zz_Q"]
+            ]
+            assert loaded.lookup(new_key) == ["zz_Q"]
+            assert "zz_Q" in loaded.labels()
+        loaded.close()
+        assert base_files(directory) == before
 
-    def test_direct_shard_mutation_disables_column_caches(self, tmp_path):
-        # Mutating a shard object directly bypasses the delta-log: the
-        # base caches are stale, so the vectorized paths must stand
-        # down (the engine then falls back and counts a demotion).
+    def test_store_has_no_shard_to_write_behind_the_log(self, tmp_path):
+        # The columnar store is not a sharded store: it holds no shard
+        # objects, so every write goes through its delta-log.
         sharded = _sample_sharded()
         directory = str(tmp_path / "col")
         save_columnar(sharded, directory)
         loaded = load_columnar(directory)
-        victim = next(fp for fp, _ in sharded.entries())
-        loaded.shards[shard_index(victim, 4)].add(victim, "zz_Q")
-        assert not loaded.pristine
-        assert loaded.batch_index("m", (60.0, 120.0)) is None
-        assert loaded.lookup_many([victim]) is None
-        assert "zz_Q" in loaded.lookup(victim)
+        assert not isinstance(loaded, ShardedDictionary)
+        assert not hasattr(loaded, "shards")
+        assert not hasattr(loaded, "pristine")
 
 
 class TestConversion:

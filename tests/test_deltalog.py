@@ -15,6 +15,7 @@ import contextlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.core.dictionary import ExecutionFingerprintDictionary
@@ -105,12 +106,9 @@ class TestWriteTrickleKeepsIndexHot:
                 for r in records
             ]
             assert engine.recognize_records(records) == expected
-            # The engine is still answering through the columnar index,
-            # not the generic dict fallback.
+            # The engine is still answering through the columnar index.
             assert isinstance(engine._index, ColumnarBatchIndex)
-        assert engine.stats.index_demotions == 0
-        assert col.pristine
-        assert not any(shard.hydrated for shard in col.shards)
+        assert col.delta_pending == 12
 
     def test_thousand_appends_with_batch_recognitions(self, columnar):
         # Volume version (synthetic keys): >=1k appends interleaved with
@@ -126,22 +124,21 @@ class TestWriteTrickleKeepsIndexHot:
             flat.add(fp, f"sp_{'XY'[i % 2]}")
             if i % 100 == 99:
                 got = col.lookup_many(probes + [fp])
-                assert got is not None
                 assert got == [flat.lookup(p) for p in probes + [fp]]
-                assert engine._tuple_index() is not None
-        assert engine.stats.index_demotions == 0
+                assert isinstance(engine._tuple_index(), ColumnarBatchIndex)
         assert col.delta_pending == 1000
-        assert col.pristine
         _assert_equal_stores(col, flat)
 
-    def test_session_lookup_path_stays_vectorized(self, columnar):
+    def test_session_lookup_path_stays_vectorized(self, columnar,
+                                                  no_dict_efd):
         flat = _small_flat()
         col, _ = columnar(flat, n_shards=4)
         col.add(_fp(91001.0, 1), "zz_Q")
         flat.add(_fp(91001.0, 1), "zz_Q")
         keys = [fp for fp, _ in flat.entries()] + [_fp(1.5)]
-        assert col.lookup_many(keys) == [flat.lookup(fp) for fp in keys]
-        assert not any(shard.hydrated for shard in col.shards)
+        expected = [flat.lookup(fp) for fp in keys]
+        with no_dict_efd():
+            assert col.lookup_many(keys) == expected
 
 
 class TestDurability:
@@ -269,10 +266,10 @@ class TestCompaction:
     def test_fold_is_byte_identical_and_probes_no_filter(
         self, tmp_path, columnar, monkeypatch
     ):
-        # The fold reads keys of the store's own key order straight
-        # from the base shards plus the overlay: no Bloom-filter probe
-        # per key, and the same bytes as a save of the flat reference
-        # grown the same way.
+        # The fold reads every key straight from the base shards plus
+        # the overlay: no Bloom-filter probe and no key-hash search per
+        # key, and the same bytes as a save of the flat reference grown
+        # the same way.
         flat = _small_flat(400)
         col, directory = columnar(flat, n_shards=4)
         for i in range(60):
@@ -281,12 +278,19 @@ class TestCompaction:
             flat.add_repeated(fp, "lu_X" if i % 2 else "ft_X", 1 + i % 3)
             col.add(_fp(90000.0 + i, i % 4), "zz_Q")        # new keys
             flat.add(_fp(90000.0 + i, i % 4), "zz_Q")
+        import repro.engine.columnar as columnar_mod
+        from repro.engine.keyfilter import KeyFilter
+
         probes = []
-        might = type(col)._filter_might
+        might, search = KeyFilter.might_contain, columnar_mod._search
         monkeypatch.setattr(
-            type(col), "_filter_might",
+            KeyFilter, "might_contain",
             lambda self, hashes: probes.append(len(hashes)) or might(
                 self, hashes),
+        )
+        monkeypatch.setattr(
+            columnar_mod, "_search",
+            lambda *args: probes.append(len(args[2])) or search(*args),
         )
         col.compact_delta()
         assert probes == []
@@ -382,21 +386,23 @@ class TestExpandGuard:
         _assert_equal_stores(load_sharded(directory), flat)
 
 
-class TestDemotionCounter:
-    def test_direct_shard_mutation_is_counted_and_stays_correct(
-        self, columnar
-    ):
+class TestNoFallbackPath:
+    def test_writes_go_only_through_the_log(self, columnar, base_files):
+        # The store holds no shard objects: a write cannot land behind
+        # the delta-log, and the base files stay byte-identical.
         flat = _small_flat()
-        col, _ = columnar(flat, n_shards=4)
+        col, directory = columnar(flat, n_shards=4)
+        before = base_files(directory)
+        assert not hasattr(col, "shards")
         engine = BatchRecognizer(col, metric="m", depth=2)
-        assert engine._tuple_index() is not None
-        assert engine.stats.index_demotions == 0
         victim = next(fp for fp, _ in flat.entries())
-        col.shards[0].merge(col.shards[0])  # no-op merge still bumps version
-        assert not col.pristine
+        col.add(victim, "dd_D")
+        flat.add(victim, "dd_D")
         engine.recognize_records([])        # forces an index rebuild
-        assert engine.stats.index_demotions >= 1
+        assert isinstance(engine._index, ColumnarBatchIndex)
+        assert engine.stats.index_demotions == 0
         assert col.lookup(victim) == flat.lookup(victim)
+        assert base_files(directory) == before
 
     def test_demotion_counter_round_trips_through_snapshot(self):
         from repro.engine import EngineStats
@@ -408,35 +414,39 @@ class TestDemotionCounter:
         assert snapshot.index_demotions == 2
         assert "demotions" in snapshot.render()
 
-    def test_demoted_store_with_overlay_still_answers_merged(self, columnar):
-        # Worst case: a pending overlay *and* a direct shard mutation.
-        # The vectorized paths stand down, and the generic fallback must
-        # still see both the shard mutation and the overlay.
+    def test_overlay_and_base_keys_answer_merged_on_every_path(
+        self, columnar
+    ):
+        # An overlay-only key and a base key written again through the
+        # log: the point, batch and records paths all see both.
         flat = _small_flat()
         col, _ = columnar(flat, n_shards=4)
         overlay_key = _fp(91000.0, 2)
         col.add(overlay_key, "zz_Q")
         flat.add(overlay_key, "zz_Q")
-        direct_key = next(fp for fp, _ in flat.entries())
-        from repro.engine import shard_index
-
-        col.shards[shard_index(direct_key, 4)].add(direct_key, "dd_D")
-        flat.add(direct_key, "dd_D")
+        base_key = next(fp for fp, _ in flat.entries())
+        col.add(base_key, "dd_D")
+        flat.add(base_key, "dd_D")
         engine = BatchRecognizer(col, metric="m", depth=2)
-        assert col.lookup_many([overlay_key]) is None  # demoted
+        assert col.lookup_many([overlay_key, base_key]) == [
+            flat.lookup(overlay_key), flat.lookup(base_key)
+        ]
         from repro.engine import match_fingerprints_batch
 
-        results, _ = match_fingerprints_batch(
-            col, [[overlay_key], [direct_key]], stats=engine.stats
-        )
+        results, _ = match_fingerprints_batch(col, [[overlay_key], [base_key]])
         expected, _ = match_fingerprints_batch(
-            flat, [[overlay_key], [direct_key]]
+            flat, [[overlay_key], [base_key]]
         )
         assert results == expected
-        assert engine.stats.index_demotions >= 1
         index = engine._tuple_index()
-        assert isinstance(index, dict)     # generic fallback
-        assert index[(overlay_key.node, overlay_key.value)][0] == ["zz_Q"]
+        assert isinstance(index, ColumnarBatchIndex)
+        resolved = index.resolve_probes(
+            np.array([overlay_key.node, base_key.node]),
+            np.array([overlay_key.value, base_key.value]),
+        )
+        assert [resolved.entries[h][0] for h in resolved.handles] == [
+            flat.lookup(overlay_key), flat.lookup(base_key)
+        ]
 
 
 class TestCompactionCrashSafety:
@@ -503,19 +513,3 @@ class TestCompactionCrashSafety:
         assert reopened.delta_pending == 0
         assert reopened.lookup_counts(key) == {"zz_Q": 2}  # not 3/4
         _assert_equal_stores(reopened, flat)
-
-    def test_overlay_new_key_sees_direct_shard_mutation(self, columnar):
-        # Corner of the degraded mode: a key first seen via the
-        # delta-log, then *also* written straight onto its shard.  The
-        # merged point path must report both labels once the base is
-        # known-mutated.
-        from repro.engine import shard_index
-
-        flat = _small_flat()
-        col, _ = columnar(flat, n_shards=4)
-        key = _fp(91000.0, 2)
-        col.add(key, "new_N")                  # overlay-only key
-        col.shards[shard_index(key, 4)].add(key, "direct_D")
-        assert not col.pristine
-        assert col.lookup(key) == ["direct_D", "new_N"]
-        assert col.lookup_counts(key) == {"direct_D": 1, "new_N": 1}

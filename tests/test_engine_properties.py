@@ -28,6 +28,7 @@ from repro.engine import (
     shard_index,
 )
 from repro.engine.batch import build_fingerprints_batch
+from repro.engine.columnar import ColumnarBatchIndex
 
 SHARD_COUNTS = (1, 2, 4, 8)
 
@@ -386,18 +387,26 @@ class TestColumnarBackendEqualsFlat:
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_columnar_batch_path_never_hydrates(
-        self, fitted, n_shards, tmp_path
+        self, fitted, n_shards, tmp_path, no_dict_efd
     ):
         recognizer, records, sequential = fitted
-        store = self._stores(recognizer, n_shards, tmp_path)["columnar"]
+        stores = self._stores(recognizer, n_shards, tmp_path)
+        store, reference = stores["columnar"], stores["sharded-json"]
         engine = BatchRecognizer(store, depth=2)
-        assert engine.recognize_records(records) == sequential
         fingerprint_lists = [
             build_fingerprints(r, "nr_mapped_vmstat", 2) for r in records
         ]
-        results, _ = match_fingerprints_batch(store, fingerprint_lists)
-        assert results == sequential
-        assert not any(shard.hydrated for shard in store.shards)
+        with no_dict_efd():
+            assert engine.recognize_records(records) == sequential
+            results, _ = match_fingerprints_batch(store, fingerprint_lists)
+            assert results == sequential
+            # Point reads and whole-store walks read the columns too.
+            fp = next(fp for fp in fingerprint_lists[0] if fp is not None)
+            assert store.lookup(fp) == reference.lookup(fp)
+            assert store.lookup_counts(fp) == reference.lookup_counts(fp)
+            assert (fp in store) == (fp in reference)
+            assert list(store.entries()) == list(reference.entries())
+            assert store.stats() == reference.stats()
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_match_fingerprints_batch_identical_across_backends(
@@ -416,7 +425,7 @@ class TestColumnarBackendEqualsFlat:
             assert n_hits == reference, name
 
     def test_columnar_sessions_equal_individual_verdicts(
-        self, fitted, tmp_path
+        self, fitted, tmp_path, no_dict_efd
     ):
         recognizer, records, _ = fitted
         store = self._stores(recognizer, 4, tmp_path)["columnar"]
@@ -429,10 +438,9 @@ class TestColumnarBackendEqualsFlat:
                 session.ingest_many(node, series.times, series.values)
             sessions.append(session)
         engine = BatchRecognizer(store, depth=2)
-        assert engine.recognize_sessions(sessions) == [
-            s.verdict() for s in sessions
-        ]
-        assert not any(shard.hydrated for shard in store.shards)
+        expected = [s.verdict() for s in sessions]
+        with no_dict_efd():
+            assert engine.recognize_sessions(sessions) == expected
 
     def test_columnar_index_invalidated_on_growth(self, fitted, tmp_path):
         recognizer, records, _ = fitted
@@ -446,8 +454,7 @@ class TestColumnarBackendEqualsFlat:
                 store.add(fp, "zz_Q")
         after = engine.recognize_records(records[:1])
         assert "zz" in after[0].votes
-        # The mutated store keeps answering correctly via the fallback
-        # dict index, and matches a flat dictionary grown the same way.
+        # The grown store matches a flat dictionary grown the same way.
         flat = recognizer.dictionary_
         grown = ShardedDictionary.from_flat(flat, 1).to_flat()
         for fp in fps:
@@ -461,20 +468,18 @@ class TestColumnarBackendEqualsFlat:
         ]
         assert engine.recognize_records(records[:4]) == expected
 
-    def test_mutated_columnar_falls_back_to_per_key_lookup(
-        self, fitted, tmp_path
-    ):
-        # A write *behind* the delta-log (straight into a shard) voids
-        # the vectorized paths: lookup_many returns None, and the batch
-        # engine answers through per-key lookups, counting one demotion
-        # per call.
+    def test_columnar_writes_keep_the_batch_path(self, fitted, tmp_path):
+        # Writes reach a columnar store only through its delta-log, so
+        # lookup_many always answers (never None) and the batch engine
+        # keeps its vectorized index while the answers follow the writes.
         recognizer, records, _ = fitted
         store = self._stores(recognizer, 4, tmp_path)["columnar"]
         reference = ShardedDictionary.from_flat(recognizer.dictionary_, 1).to_flat()
         store.register_label("zz_Q")
+        reference.register_label("zz_Q")
         for fp in build_fingerprints(records[0], "nr_mapped_vmstat", 2):
             if fp is not None:
-                store.shards[shard_index(fp, 4)].add(fp, "zz_Q")
+                store.add(fp, "zz_Q")
                 reference.add(fp, "zz_Q")
         fingerprint_lists = [
             build_fingerprints(r, "nr_mapped_vmstat", 2) for r in records[:6]
@@ -484,29 +489,27 @@ class TestColumnarBackendEqualsFlat:
         )
         assert "zz" in expected[0].votes
         engine = BatchRecognizer(store, depth=2)
-        for call in (1, 2):
-            before = engine.stats.index_demotions
-            batch, n_hits = match_fingerprints_batch(
-                store, fingerprint_lists, stats=engine.stats
-            )
+        for _ in (1, 2):
+            batch, n_hits = match_fingerprints_batch(store, fingerprint_lists)
             assert batch == expected
             assert n_hits == expected_hits
-            assert engine.stats.index_demotions == before + 1
         assert engine.recognize_records(records[:6]) == expected
+        assert isinstance(engine._index, ColumnarBatchIndex)
+        store.close()
 
     def test_warm_prebuilds_and_keeps_results_identical(
-        self, fitted, tmp_path
+        self, fitted, tmp_path, no_dict_efd
     ):
         recognizer, records, sequential = fitted
         store = self._stores(recognizer, 2, tmp_path)["columnar"]
-        engine = BatchRecognizer(store, depth=2).warm()
-        assert engine._index is not None
-        assert engine.recognize_records(records) == sequential
-        # Warm reads (and checksums) every shard's key columns without
-        # hydrating a shard.
-        engine.warm(for_sessions=True)
+        with no_dict_efd():
+            engine = BatchRecognizer(store, depth=2).warm()
+            assert engine._index is not None
+            assert engine.recognize_records(records) == sequential
+            # Warm reads (and checksums) every shard's key columns
+            # without building a dict EFD.
+            engine.warm(for_sessions=True)
         assert all(f._verified for f in store._files)
-        assert not any(shard.hydrated for shard in store.shards)
 
     def test_lookup_many_returns_independent_lists(self, fitted, tmp_path):
         recognizer, records, _ = fitted

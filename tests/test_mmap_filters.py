@@ -290,7 +290,8 @@ class TestStoreLevelFilters:
         assert store.filter_info() is None
         assert store.lookup(_fp(10_001)) == ["late_X"]
 
-    def test_unknown_metric_batch_reads_no_columns(self, tmp_path):
+    def test_unknown_metric_batch_reads_no_columns(self, tmp_path,
+                                                   no_dict_efd):
         # Probes whose metric/interval was never learned short-circuit
         # before hashing — guaranteed zero column reads.
         directory = str(tmp_path / "efd")
@@ -304,11 +305,11 @@ class TestStoreLevelFilters:
             Fingerprint("never_learned", i % 4, (0.0, 60.0), float(i))
             for i in range(200)
         ]
-        assert store.lookup_many(misses) == [[] for _ in misses]
-        assert not any(shard.hydrated for shard in store.shards)
+        with no_dict_efd():
+            assert store.lookup_many(misses) == [[] for _ in misses]
         assert all(f._columns is None for f in store._files)
 
-    def test_all_miss_batch_stays_lazy(self, tmp_path):
+    def test_all_miss_batch_stays_lazy(self, tmp_path, no_dict_efd):
         # Known-metric misses resolve through the filters; the rare
         # false positive falls through to its shard's sorted hash
         # sidecar, where a miss finds no equal hash — so the batch
@@ -317,8 +318,8 @@ class TestStoreLevelFilters:
         save_columnar(_sharded(), directory)
         store = load_columnar(directory)
         misses = [_fp(i) for i in range(50_000, 50_200)]
-        assert store.lookup_many(misses) == [[] for _ in misses]
-        assert not any(shard.hydrated for shard in store.shards)
+        with no_dict_efd():
+            assert store.lookup_many(misses) == [[] for _ in misses]
         assert all(f._columns is None for f in store._files)
 
     def test_small_hit_batch_stays_lazy(self, tmp_path):

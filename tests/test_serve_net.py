@@ -45,6 +45,7 @@ from repro.serve import (
     split_by_job,
 )
 from repro.serve.net import LineDecoder
+from repro.serve.stream import MAX_NODES
 
 METRIC = "nr_mapped_vmstat"
 DEPTH = 2
@@ -302,6 +303,40 @@ class TestFaultIsolation:
         assert engine.stats.n_protocol_errors == 1
         assert engine.stats.conns_dropped == 1
 
+    def test_node_count_over_the_ceiling_is_a_protocol_error(
+        self, recognizer, dataset, tmp_path
+    ):
+        """A line declaring more than ``MAX_NODES`` nodes is refused as
+        a bad line before any session is sized from it, and jobs sent
+        after it still get their verdicts."""
+        records = list(dataset)[:2]
+        job_ids = ["before", "after"]
+        reference = _reference_verdicts(recognizer, records, job_ids)
+        samples = list(interleave_records(records, METRIC, job_ids))
+        sock = str(tmp_path / "huge.sock")
+        engine = _engine(recognizer)
+        huge = (b'{"job": "huge", "node": 0, "t": 61.0, "value": 1.0, '
+                b'"nodes": 1000000000000}\n')
+
+        async def run(listener):
+            first = await push_samples(
+                [s for s in samples if s.job == "before"], uds=sock
+            )
+            bad = json.loads(await _raw_uds_exchange(sock, huge))
+            later = await push_samples(
+                [s for s in samples if s.job == "after"], uds=sock
+            )
+            return first, bad, later
+
+        service, (first, bad, later) = asyncio.run(_serve_net(
+            engine, ServeConfig(batch_max_delay=0.002), uds=sock, run=run
+        ))
+        assert first.get("ok") and later.get("ok")
+        assert f"nodes must be in [1, {MAX_NODES}]" in bad["error"]
+        assert bad["accepted"] == 0
+        assert engine.stats.n_protocol_errors == 1
+        assert service.results == reference
+
     def test_valid_lines_sharing_a_chunk_with_oversized_tail_survive(
         self, recognizer, tmp_path
     ):
@@ -455,6 +490,8 @@ _odd_line = st.sampled_from([
     b"[1, 2]", b"42", b'{"job": "a"}', b'{"job": "", "node": 0, "t": 1, "value": 1}',
     b'{"job": "a", "node": -1, "t": 1, "value": 1}',
     b'{"job": "a", "node": 0, "t": 1, "value": 1, "nodes": 0}',
+    b'{"job": "a", "node": 0, "t": 1, "value": 1, "nodes": 65537}',
+    b'{"job": "a", "node": 0, "t": 1, "value": 1, "nodes": 65536}',
     b'{"job": "a", "node": 0, "t": 1, "value": "abc"}',
     b'{"job": "a", "node": 0, "t": 1, "value": [1]}',
     b'{"job": "a", "node": 0, "t": 1e999999, "value": 1}',

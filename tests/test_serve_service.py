@@ -1439,7 +1439,7 @@ class TestLearnWhileServing:
         return BatchRecognizer(store, metric=METRIC, depth=DEPTH), directory
 
     def test_learn_lands_in_delta_log_and_folds_on_close(
-        self, recognizer, dataset, tmp_path
+        self, recognizer, dataset, tmp_path, base_files
     ):
         from repro.engine import load_columnar, pending_records
 
@@ -1447,6 +1447,7 @@ class TestLearnWhileServing:
         records = list(dataset)[:3]
         job_ids = [f"job-{i}" for i in range(len(records))]
         samples = interleave_records(records, METRIC, job_ids)
+        before = base_files(directory)
 
         async def run():
             async with IngestService(engine, ServeConfig()) as service:
@@ -1457,7 +1458,7 @@ class TestLearnWhileServing:
                 # The learnings are pending in the log, base untouched,
                 # and the very next lookup sees them.
                 assert engine.dictionary.delta_pending > 0
-                assert engine.dictionary.pristine
+                assert base_files(directory) == before
                 assert "learned_L" in engine.dictionary.labels()
             # __aexit__ ran close(): compact_on_close folded the log.
             return learned

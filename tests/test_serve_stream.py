@@ -10,11 +10,13 @@ from repro.data.taxonomist import DatasetConfig, TaxonomistDatasetGenerator
 from repro.serve import (
     Sample,
     SampleBlock,
+    ServeConfig,
     interleave_records,
     parse_sample,
     read_samples,
     record_samples,
 )
+from repro.serve.stream import MAX_NODES
 
 METRIC = "nr_mapped_vmstat"
 
@@ -80,6 +82,15 @@ class TestSampleCodec:
             parse_sample(
                 '{"job": "j", "node": 0, "t": 1.0, "value": 2.0, "nodes": 0}'
             )
+
+    def test_node_count_ceiling(self):
+        line = '{"job": "j", "node": 0, "t": 1.0, "value": 2.0, "nodes": %d}'
+        assert parse_sample(line % MAX_NODES).n_nodes == MAX_NODES
+        for count in (MAX_NODES + 1, 10**12):
+            with pytest.raises(ValueError, match=r"nodes must be in \[1, "):
+                parse_sample(line % count)
+        with pytest.raises(ValueError, match="default_nodes"):
+            ServeConfig(default_nodes=MAX_NODES + 1)
 
 
     @pytest.mark.parametrize("line, field", [
