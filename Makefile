@@ -28,8 +28,8 @@ serve-smoke:     ## UDS listener smoke + block decoder, block accounting, slab r
 equivalence:     ## the backend equivalence matrix: every store answers like the flat reference
 	$(PYTHON) -m pytest -q tests/test_engine_properties.py \
 	    tests/test_hash_kernel.py tests/test_records_path.py \
-	    tests/test_remote_v2.py tests/test_backend_protocol.py \
-	    tests/test_columnar_codec.py
+	    tests/test_remote_v2.py tests/test_remote.py \
+	    tests/test_backend_protocol.py tests/test_columnar_codec.py
 
 reshard-smoke:   ## reshard N->M->N byte-identity + verdict equivalence gate
 	$(PYTHON) -m pytest tests/test_reshard.py -q

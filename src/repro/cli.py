@@ -328,9 +328,6 @@ def _add_shardserve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--shards", default=None, metavar="A,B,C",
                    help="comma list of shard indexes this host owns "
                         "(default: every shard — a full replica)")
-    p.add_argument("--n-shards", type=int, default=None, metavar="N",
-                   help="total shard count of the logical dictionary "
-                        "(default: the store's own shard count)")
     ep = p.add_mutually_exclusive_group(required=True)
     ep.add_argument("--listen", default=None, metavar="HOST:PORT",
                     help="accept probe clients over TCP (port 0 binds an "
@@ -1306,11 +1303,6 @@ def _cmd_shardserve(args: argparse.Namespace) -> int:
     from repro.engine.remote import ShardServer
 
     store = load_sharded(args.directory)
-    n_shards = (args.n_shards if args.n_shards is not None
-                else getattr(store, "n_shards", None))
-    if n_shards is None:
-        raise SystemExit("efd shardserve: store has no shard count; "
-                         "pass --n-shards")
     shards = None
     if args.shards is not None:
         try:
@@ -1329,8 +1321,8 @@ def _cmd_shardserve(args: argparse.Namespace) -> int:
             host, port = _parse_hostport(args.listen)
             kwargs = {"host": host, "port": port}
         try:
-            server = ShardServer(store, n_shards=n_shards, shards=shards,
-                                 **kwargs)
+            server = ShardServer(store, n_shards=store.n_shards,
+                                 shards=shards, **kwargs)
         except ValueError as exc:
             raise SystemExit(f"efd shardserve: {exc}")
         try:
@@ -1338,7 +1330,7 @@ def _cmd_shardserve(args: argparse.Namespace) -> int:
                 for endpoint in server.endpoints:
                     print(f"listening on {endpoint}", flush=True)
                 owned = ",".join(str(s) for s in server.shards)
-                print(f"serving shard(s) {owned} of {n_shards} "
+                print(f"serving shard(s) {owned} of {store.n_shards} "
                       f"({len(store)} key(s))", flush=True)
                 await stop.wait()
         finally:

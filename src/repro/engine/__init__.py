@@ -91,7 +91,7 @@ would run.  ``repro.engine`` is the scale-out layer:
 - :mod:`repro.engine.remote` scatters the shard space itself across
   hosts: per-host :class:`~repro.engine.remote.ShardServer` processes
   (``efd shardserve``) answer framed probe/learn requests for the
-  shards they own, and
+  shards they own through the columnar store's key-hash search, and
   :class:`~repro.engine.remote.RemoteShardBackend` is a
   :class:`~repro.engine.backend.DictionaryBackend` whose batch lookups
   are a parallel scatter/gather over those hosts — wrapped in a

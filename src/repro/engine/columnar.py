@@ -48,9 +48,10 @@ paper-faithful reference:
   manifest) opens a directory by reading only the manifest; a shard's
   ``.mmap`` is mapped when a read first needs it.  Point reads
   (``lookup``, ``lookup_counts``, ``in``) resolve through the same
-  key-hash search as batches, and whole-store walks (``entries``,
-  ``stats``, saves, the shard server's snapshot) read the columns and
-  the key order directly — no shard is ever rebuilt as a Python dict.
+  key-hash search as batches — as do the shard server's probe
+  buckets — and whole-store walks (``entries``, ``stats``, saves) read
+  the columns and the key order directly — no shard is ever rebuilt as
+  a Python dict.
 - **Writes only through the delta-log** — every ``add`` appends one
   JSONL record to ``delta-log.jsonl`` (:mod:`repro.engine.deltalog`)
   and lands in a small in-memory overlay with a key-hash table of its
@@ -936,9 +937,24 @@ class ColumnarDictionary(KeyOrderedStore):
         for fp, handle in self._key_order.items():
             yield fp, list(self._counts(handle))
 
-    def overlay_keys(self) -> List[Fingerprint]:
-        """Keys with pending overlay observations (first-sight order)."""
-        return list(self._overlay_rows)
+    def metrics(self) -> List[str]:
+        return self._first_seen(0, list(self._metric_ids))
+
+    def intervals(self) -> List[Tuple[float, float]]:
+        return self._first_seen(1, list(self._interval_ids))
+
+    def _first_seen(self, k: int, table: list) -> list:
+        """``table``'s entries in global first-seen key order, from key
+        id column ``k`` (0 metric, 1 interval) of the base rows in key
+        order, then of the new overlay keys: no key is decoded."""
+        rows = (np.asarray(self._shard_start_rows(), dtype=np.int64)
+                [self._key_shard] + self._key_pos)
+        ids = np.concatenate([
+            self._concat()[("metric_id", "interval_id")[k]][rows],
+            self._probe(list(self._delta_new_keys))[k],
+        ])
+        _, first = np.unique(ids, return_index=True)
+        return [table[i] for i in ids[np.sort(first)].tolist()]
 
     def shard_items(self, shard: int) -> List[Tuple[Fingerprint, Dict[str, int]]]:
         """One shard's keys with their live label counts: its stored

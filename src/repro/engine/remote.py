@@ -54,10 +54,11 @@ probe path is built to keep the wire tax low:
   value columns against per-connection interned string tables
   (negotiated at hello, extended incrementally in-band), and replies
   come back as match-count offsets plus CSR label-id arrays;
-- **server-side bulk lookup** — a decoded bucket goes through a sorted
-  per-shard snapshot (one ``searchsorted`` per bucket) instead of 20k
-  per-key probes.  Per-key shard ownership is spot-checked on a sample
-  (the client routes with the same ``stable_hash``);
+- **server-side bulk lookup** — a decoded bucket resolves through the
+  one exact-match kernel, :func:`repro.engine.columnar._search`, so a
+  learn on a columnar host costs O(overlay).  Per-key shard ownership
+  is spot-checked on a sample (the client routes with the same
+  ``stable_hash``);
 - **filter mirrors** — a binary ``filters`` op ships each shard's
   Bloom sidecar to the client, which then resolves definitely-absent
   keys locally without any wire round trip (re-fetched when a reply's
@@ -100,9 +101,14 @@ import numpy as np
 
 from repro._util import framing
 from repro._util.backoff import BackoffPolicy
-from repro.core.dictionary import DictionaryStats, app_of_label
+from repro.core.dictionary import (
+    DictionaryStats,
+    ExecutionFingerprintDictionary,
+    app_of_label,
+)
 from repro.core.fingerprint import Fingerprint
 from repro.core.serialization import (
+    dictionary_to_columns,
     fingerprint_from_record,
     fingerprint_to_record,
 )
@@ -113,7 +119,15 @@ from repro.engine.keyfilter import (
     key_hashes,
     probe_columns,
 )
-from repro.engine.columnar import ColumnarDictionary
+from repro.engine.columnar import (
+    ColumnarDictionary,
+    Columns,
+    HashTable,
+    _interval_key,
+    _search,
+    _sorted_table,
+    _value_bits,
+)
 from repro.engine.sharded import ShardedDictionary, shard_index
 from repro.engine.stats import EngineStats
 
@@ -389,107 +403,46 @@ class _ConnState:
     meaningful between these two peers.  Connections are handled
     strictly request-at-a-time, so no locking is needed."""
 
-    __slots__ = ("metrics", "intervals", "labels", "label_ids", "snap_maps")
+    __slots__ = ("metrics", "intervals", "labels", "label_ids", "label_map")
 
     def __init__(self) -> None:
         self.metrics: List[str] = []
         self.intervals: List[Tuple[float, float]] = []
         self.labels: List[str] = []
         self.label_ids: Dict[str, int] = {}
-        # shard -> (snapshot, snapshot-label-id -> conn-label-id array)
-        self.snap_maps: Dict[int, Tuple["_ShardSnapshot", np.ndarray]] = {}
+        # (a store label table, its label-id -> conn-label-id array)
+        self.label_map: Optional[Tuple[List[str], np.ndarray]] = None
+
+    def intern(self, label: str, new_labels: List[str]) -> int:
+        """This connection's id for ``label``; a label it has not seen
+        yet gets the next id and is announced in ``new_labels``."""
+        j = self.label_ids.get(label)
+        if j is None:
+            j = self.label_ids[label] = len(self.labels)
+            self.labels.append(label)
+            new_labels.append(label)
+        return j
 
 
-#: Packed probe-key record: the byte image *is* the equality relation,
-#: so one void-view sort gives binary-searchable exact lookups.
-_KEY_DTYPE = np.dtype(
-    [("m", "<i4"), ("i", "<i4"), ("n", "<i8"), ("v", "<i8")]
-)
-
-
-class _ShardSnapshot:
-    """One shard's keys flattened to sorted packed columns + CSR label
-    arrays: the server-side bulk lookup index.
-
-    Built once per (shard, store version) and immutable after — a 20k
-    key bucket then costs one ``searchsorted`` and a couple of fancy-
-    index gathers instead of 20k Fingerprint constructions and dict
-    probes.  Every store version bump rebuilds the whole shard, so a
-    write-heavy learn-while-serving host re-sorts once per flush (the
-    caveat in docs/serving.md, ROADMAP item 3(c))."""
-
-    __slots__ = (
-        "version", "n", "packed", "label_off", "label_n", "label_ids",
-        "label_counts", "labels", "metric_ids", "interval_ids",
-    )
-
-    def __init__(
-        self,
-        version: int,
-        items: List[Tuple[Fingerprint, Dict[str, int]]],
-    ) -> None:
-        self.version = version
-        self.n = len(items)
-        self.metric_ids: Dict[str, int] = {}
-        self.interval_ids: Dict[Tuple[float, float], int] = {}
-        self.labels: List[str] = []
-        label_ids: Dict[str, int] = {}
-        n = self.n
-        packed = np.empty(n, dtype=_KEY_DTYPE)
-        mids = packed["m"]
-        iids = packed["i"]
-        per_row: List[List[Tuple[int, int]]] = []
-        for row, (fp, counts) in enumerate(items):
-            mi = self.metric_ids.setdefault(fp.metric, len(self.metric_ids))
-            key = (fp.interval[0] + 0.0, fp.interval[1] + 0.0)
-            ii = self.interval_ids.setdefault(key, len(self.interval_ids))
-            mids[row] = mi
-            iids[row] = ii
-            pairs = []
-            for label, count in counts.items():
-                j = label_ids.get(label)
-                if j is None:
-                    j = len(self.labels)
-                    self.labels.append(label)
-                    label_ids[label] = j
-                pairs.append((j, int(count)))
-            per_row.append(pairs)
-        packed["n"] = np.fromiter(
-            (fp.node for fp, _ in items), np.int64, n
-        )
-        packed["v"] = (np.fromiter(
-            (fp.value for fp, _ in items), np.float64, n
-        ) + 0.0).view(np.int64)
-        flat = packed.view(f"V{_KEY_DTYPE.itemsize}").ravel()
-        order = np.argsort(flat, kind="stable")
-        self.packed = flat[order]
-        lens = np.fromiter(
-            (len(per_row[r]) for r in order.tolist()), np.int64, n
-        )
-        self.label_n = lens
-        self.label_off = np.concatenate(([0], np.cumsum(lens)))
-        total = int(self.label_off[-1])
-        self.label_ids = np.empty(total, np.int64)
-        self.label_counts = np.empty(total, np.uint64)
-        pos = 0
-        for r in order.tolist():
-            for j, count in per_row[r]:
-                self.label_ids[pos] = j
-                self.label_counts[pos] = count
-                pos += 1
+def _translate(names: Sequence, ids: Dict, picks: np.ndarray) -> np.ndarray:
+    """Connection table indexes ``picks`` as a store's ids (``-1`` for a
+    string the store has never seen, which no stored key carries)."""
+    table = np.fromiter(map(ids.get, names, repeat(-1)), np.int64, len(names))
+    return table[picks]
 
 
 class ShardServer:
     """Serve a slice of a dictionary's shard space: binary v2 probes
     and filter fetches, JSON control ops.
 
-    Holds any :class:`~repro.engine.backend.DictionaryBackend` and
-    answers probes for the shards it was told it owns — probing (or
-    learning into) a shard outside ``shards`` is refused with an error
-    reply, which catches routing bugs at the boundary instead of
-    returning silently-empty verdicts.  Store access runs in the
-    default executor under ``lock`` so a slow disk read never blocks
-    the event loop or a concurrent replication task.
+    Holds a columnar, sharded or flat (one-shard) store under the
+    store's own shard count and answers probes for the shards it was
+    told it owns — probing (or learning into) a shard outside
+    ``shards`` is refused with an error reply, which catches routing
+    bugs at the boundary instead of returning silently-empty verdicts.
+    Store access runs in the default executor under ``lock`` so a slow
+    disk read never blocks the event loop or a concurrent replication
+    task.
     """
 
     def __init__(
@@ -505,10 +458,21 @@ class ShardServer:
     ):
         if (port is None) == (uds is None):
             raise ValueError("ShardServer needs exactly one of port / uds")
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+        if not isinstance(store, (ColumnarDictionary, ShardedDictionary,
+                                  ExecutionFingerprintDictionary)):
+            raise TypeError(
+                f"ShardServer serves a columnar, sharded or flat "
+                f"dictionary, not {type(store).__name__}"
+            )
+        own = getattr(store, "n_shards", 1)
+        if n_shards != own:
+            raise ValueError(
+                f"ShardServer n_shards={n_shards} does not match the "
+                f"store's own shard count {own}: a store is served under "
+                f"its own shard count only"
+            )
         self.store = store
-        self.n_shards = int(n_shards)
+        self.n_shards = own
         self.shards: Tuple[int, ...] = (
             tuple(range(self.n_shards)) if shards is None
             else tuple(sorted(set(int(s) for s in shards)))
@@ -523,11 +487,16 @@ class ShardServer:
         self.stats = stats if stats is not None else EngineStats()
         self._lock = lock if lock is not None else threading.Lock()
         self._server: Optional[asyncio.base_events.Server] = None
-        self._count_cache: Optional[Tuple[int, Dict[int, int]]] = None
         self._filter_cache: Optional[
             Tuple[int, Dict[int, bytes], dict]
         ] = None
-        self._bulk_cache: Dict[int, _ShardSnapshot] = {}
+        # Dict-backed stores: each served shard's key-hash table and
+        # columns per shard version, ids interned against the store's
+        # label/metric/interval tables.
+        self._views: Dict[int, Tuple[int, HashTable, Columns]] = {}
+        self._labels: List[str] = []
+        self._metric_index: Dict[str, int] = {}
+        self._interval_index: Dict[Tuple[float, float], int] = {}
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> "ShardServer":
@@ -623,9 +592,7 @@ class ShardServer:
             writer.close()
 
     # -- op dispatch (runs in executor, sync) --------------------------------
-    def _dispatch(
-        self, msg: dict, state: Optional[_ConnState] = None
-    ) -> dict:
+    def _dispatch(self, msg: dict, state: _ConnState) -> dict:
         op = msg.get("op")
         if op == "ping":
             return {"ok": True}
@@ -647,15 +614,13 @@ class ShardServer:
             return self._op_filters_v2(payload)
         raise RemoteError(f"unexpected v2 op {op}")
 
-    def _op_hello(self, msg: dict, state: Optional[_ConnState]) -> dict:
+    def _op_hello(self, msg: dict, state: _ConnState) -> dict:
         """Negotiate protocol v2 for this connection: take the client's
         metric/interval tables, hand back the label table and store
         version.  Any other ``proto`` is refused with an error reply."""
         proto = msg.get("proto")
         if proto != 2:
             raise RemoteOpError(f"unsupported hello proto {proto!r}")
-        if state is None:
-            state = _ConnState()
         metrics = msg.get("metrics") or []
         intervals = msg.get("intervals") or []
         if not isinstance(metrics, list) or not isinstance(intervals, list):
@@ -681,12 +646,8 @@ class ShardServer:
         }
 
     def _op_probe_v2(self, payload: bytes, state: _ConnState) -> bytes:
-        """Decode a binary probe bucket straight into the store's bulk
-        lookup path and answer with CSR label-id columns.
-
-        Per-key shard ownership is spot-checked on a ~1/8 sample: the
-        client routes with the same ``stable_hash``, and a full per-key
-        check would cost more than the lookup itself."""
+        """Decode a binary probe bucket, resolve it through the store's
+        key-hash search and answer with CSR label-id columns."""
         req = framing.decode_probe_request(payload, error=RemoteError)
         ext = req["ext"]
         try:
@@ -722,7 +683,7 @@ class ShardServer:
                     f"(metric {int(mids[b])}/{n_m}, "
                     f"interval {int(iids[b])}/{n_i})"
                 )
-            # Per-key shard ownership is spot-checked on a small sample:
+            # Per-key shard ownership is spot-checked on a ~1/8 sample:
             # the client routes with the same stable_hash, and a full
             # per-key check would cost more than the lookup itself.
             step = max(1, n // 8)
@@ -741,111 +702,145 @@ class ShardServer:
                         f"key routed to shard {shard} belongs to "
                         f"shard {actual}"
                     )
-        counts_flag = req["counts"]
+        keys = (mids, iids, nodes.astype(np.int64, copy=False),
+                _value_bits(values))
         with self._lock:
-            snap = self._bulk_snapshot(shard)
-        # Translate connection ids into snapshot ids (tables are tiny;
-        # unseen strings can't match any stored key).
-        trans_m = np.fromiter(
-            (snap.metric_ids.get(m, -1) for m in metrics), np.int64, n_m
-        )
-        trans_i = np.fromiter(
-            (snap.interval_ids.get(iv, -1) for iv in intervals),
-            np.int64, n_i,
-        )
-        query = np.empty(n, dtype=_KEY_DTYPE)
-        smids = trans_m[mids] if n_m else np.full(n, -1, np.int64)
-        siids = trans_i[iids] if n_i else np.full(n, -1, np.int64)
-        query["m"] = smids
-        query["i"] = siids
-        query["n"] = nodes
-        query["v"] = (values + 0.0).view(np.int64)
-        flat = query.view(f"V{_KEY_DTYPE.itemsize}").ravel()
-        valid = (smids >= 0) & (siids >= 0)
-        match_counts = np.zeros(n, dtype="<u4")
-        if snap.n and n:
-            pos = np.searchsorted(snap.packed, flat)
-            safe = np.minimum(pos, snap.n - 1)
-            found = valid & (pos < snap.n) & (snap.packed[safe] == flat)
-            rows = safe[found]
-        else:
-            found = np.zeros(n, dtype=bool)
-            rows = np.empty(0, dtype=np.int64)
-        label_map, new_labels = self._conn_label_map(state, shard, snap)
-        lens = snap.label_n[rows]
-        match_counts[found] = lens
-        total = int(lens.sum())
-        if total:
-            starts = snap.label_off[rows]
-            # CSR gather: absolute index = row start + offset-in-row.
-            span = np.arange(total, dtype=np.int64)
-            gidx = np.repeat(starts, lens) + (
-                span - np.repeat(np.cumsum(lens) - lens, lens)
+            version = self.store.version
+            rows = (self._columnar_rows
+                    if isinstance(self.store, ColumnarDictionary)
+                    else self._dict_rows)
+            match_counts, ids, counts, new_labels = self._answer(
+                state, *rows(shard, state, keys)
             )
-            out_ids = label_map[snap.label_ids[gidx]].astype("<i4")
-            out_counts = (
-                snap.label_counts[gidx].astype("<u8")
-                if counts_flag else None
-            )
-        else:
-            out_ids = np.empty(0, dtype="<i4")
-            out_counts = np.empty(0, dtype="<u8") if counts_flag else None
         return framing.encode_probe_reply(
-            req["request_id"], snap.version,
-            match_counts, out_ids,
+            req["request_id"], version, match_counts, ids,
             new_labels=new_labels,
-            label_counts=out_counts,
+            label_counts=counts if req["counts"] else None,
         )
 
-    def _bulk_snapshot(self, shard: int) -> _ShardSnapshot:
-        """The shard's bulk index at the current store version (caller
-        holds the lock); rebuilt lazily after writes."""
-        version = self.store.version
-        snap = self._bulk_cache.get(shard)
-        if snap is not None and snap.version == version:
-            return snap
-        snap = _ShardSnapshot(version, self._shard_items(shard))
-        self._bulk_cache[shard] = snap
-        return snap
-
-    def _shard_items(
-        self, shard: int
-    ) -> List[Tuple[Fingerprint, Dict[str, int]]]:
-        """One shard's keys with their label counts (caller holds the
-        lock): read from the shard itself when the store is sharded the
-        same way, else picked out of a routed ``entries`` walk."""
+    def _columnar_rows(
+        self, shard: int, state: _ConnState, keys: Tuple[np.ndarray, ...]
+    ) -> Tuple[List[str], Columns, np.ndarray, List[Tuple[int, dict]]]:
+        """A columnar store's bucket answer, from the store itself: the
+        label table, the shard's columns, each probe's row in them
+        (``-1`` unless the key is a base row of this shard) and the
+        overlay hits as ``(probe, counts)`` (caller holds the lock)."""
         store = self.store
-        if getattr(store, "n_shards", None) == self.n_shards:
-            if type(store) is ShardedDictionary:
-                return list(store.shards[shard]._store.items())
-            if isinstance(store, ColumnarDictionary):
-                return store.shard_items(shard)
-        return [
-            (fp, store.lookup_counts(fp)) for fp, _ in store.entries()
-            if shard_index(fp, self.n_shards) == shard
+        mids, iids, nodes, bits = keys
+        handles = store._handles(
+            _translate(state.metrics, store._metric_ids, mids),
+            _translate(state.intervals, store._interval_ids, iids),
+            nodes, bits,
+        )
+        rows = handles - store._shard_start_rows()[shard]
+        rows[(rows < 0) | (rows >= store._files[shard].n_keys)] = -1
+        over = np.flatnonzero(handles >= store._n_base)
+        overlay = [
+            (i, store._overlay_counts[h]) for i, h in
+            zip(over.tolist(), (handles[over] - store._n_base).tolist())
         ]
+        return store._label_table, store._files[shard].columns(), rows, overlay
+
+    def _dict_view(self, shard: int) -> Tuple[int, HashTable, Columns]:
+        """A dict-backed shard's ``(version, key-hash table, columns)``,
+        rebuilt when the shard's version moves (caller holds the lock)."""
+        efd = self._shard_efd(shard)
+        view = self._views.get(shard)
+        if view is None or view[0] != efd.version:
+            # Ids index the store's first-seen tables.  Writes only
+            # append to those, so the ids a view already holds stay valid.
+            store = self.store
+            self._labels = store.labels()
+            self._metric_index = {
+                str(m): i for i, m in enumerate(store.metrics())
+            }
+            self._interval_index = {
+                _interval_key(iv): i for i, iv in enumerate(store.intervals())
+            }
+            columns = dictionary_to_columns(
+                efd, {label: i for i, label in enumerate(self._labels)},
+                self._metric_index, self._interval_index,
+            )
+            hashes = key_hashes(
+                columns["metric_id"], columns["interval_id"],
+                columns["node"], _value_bits(columns["value"]),
+            )
+            view = (efd.version,
+                    _sorted_table(hashes, np.arange(len(hashes))), columns)
+            self._views[shard] = view
+        return view
+
+    def _dict_rows(
+        self, shard: int, state: _ConnState, keys: Tuple[np.ndarray, ...]
+    ) -> Tuple[List[str], Columns, np.ndarray, list]:
+        """A dict-backed store's bucket answer: the label table, the
+        shard's view columns and each probe's row in them (``-1`` on a
+        miss; a ``-1`` id never verifies against a stored key)."""
+        _, table, columns = self._dict_view(shard)
+        probe = [
+            _translate(state.metrics, self._metric_index, keys[0]),
+            _translate(state.intervals, self._interval_index, keys[1]),
+            keys[2], keys[3],
+        ]
+        rows = _search(table, lambda: columns, key_hashes(*probe), probe)
+        return self._labels, columns, rows, []
+
+    def _answer(
+        self, state: _ConnState, labels: List[str], columns: Columns,
+        rows: np.ndarray, overlay: List[Tuple[int, dict]],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[str]]:
+        """A bucket's reply columns: the match count of every probe, and
+        the connection label ids and counts of its matches, in probe
+        order; plus the labels the reply announces.  Rows gather from
+        the CSR label columns, whose ids index ``labels``; overlay hits
+        splice in at their probes."""
+        hit = np.flatnonzero(rows >= 0)
+        lo = columns["label_offsets"][rows[hit]]
+        lens = columns["label_offsets"][rows[hit] + 1] - lo
+        # CSR gather: absolute index = row start + offset inside the row.
+        gather = np.repeat(lo - (np.cumsum(lens) - lens), lens) + np.arange(
+            int(lens.sum())
+        )
+        label_map, new_labels = self._conn_label_map(state, labels)
+        ids = label_map[columns["label_ids"][gather]]
+        counts = columns["label_counts"][gather]
+        match_counts = np.zeros(len(rows), dtype="<u4")
+        match_counts[hit] = lens
+        if overlay:
+            probes = [i for i, _ in overlay]
+            o_lens = [len(c) for _, c in overlay]
+            match_counts[probes] = o_lens
+            # A probe is a base row or an overlay hit, never both, and
+            # both lists run in probe order: a stable sort on the probe
+            # index interleaves them.
+            order = np.argsort(np.concatenate(
+                [np.repeat(hit, lens), np.repeat(probes, o_lens)]
+            ), kind="stable")
+            ids = np.concatenate([ids, [
+                state.intern(label, new_labels)
+                for _, c in overlay for label in c
+            ]])[order]
+            counts = np.concatenate(
+                [counts, [n for _, c in overlay for n in c.values()]]
+            )[order]
+        return (match_counts, ids.astype("<i4"), counts.astype("<u8"),
+                new_labels)
 
     def _conn_label_map(
-        self, state: _ConnState, shard: int, snap: _ShardSnapshot
+        self, state: _ConnState, labels: List[str]
     ) -> Tuple[np.ndarray, List[str]]:
-        """Snapshot-label-id → connection-label-id array, interning
-        labels this connection has not seen (announced once, in the
-        reply that first uses this snapshot)."""
-        cached = state.snap_maps.get(shard)
-        if cached is not None and cached[0] is snap:
-            return cached[1], []
+        """Store-label-id → connection-label-id array for the label
+        table ``labels``, interning labels this connection has not seen
+        (announced in the reply that first uses them); kept per
+        connection until the store's table changes."""
+        if state.label_map is not None and state.label_map[0] is labels:
+            return state.label_map[1], []
         new_labels: List[str] = []
-        label_map = np.empty(len(snap.labels), np.int64)
-        table_ids = state.label_ids
-        for k, label in enumerate(snap.labels):
-            j = table_ids.get(label)
-            if j is None:
-                j = len(state.labels)
-                state.labels.append(label)
-                table_ids[label] = j
-                new_labels.append(label)
-            label_map[k] = j
-        state.snap_maps[shard] = (snap, label_map)
+        label_map = np.fromiter(
+            (state.intern(label, new_labels) for label in labels),
+            np.int64, len(labels),
+        )
+        state.label_map = (labels, label_map)
         return label_map, new_labels
 
     def _op_filters_v2(self, payload: bytes) -> bytes:
@@ -862,68 +857,49 @@ class ShardServer:
         )
 
     def _filter_payload(self) -> Tuple[int, Dict[int, bytes], dict]:
-        """Per-shard Bloom sidecar blobs plus the interned tables their
+        """Per-shard Bloom filter blobs plus the interned tables their
         hashes are keyed against, cached per store version (caller holds
         the lock).
 
-        A clean columnar store ships its on-disk sidecars as-is (the
-        mirror hashes against the manifest tables); anything else — a
-        plain sharded store, a columnar store with overlay writes —
-        gets filters built from each served shard's keys against the
-        store's own table order."""
-        version = self.store.version
-        if self._filter_cache is not None and self._filter_cache[0] == version:
-            _, blobs, tables = self._filter_cache
-            return version, blobs, tables
+        The filters hold the key hashes the probe search uses.  A
+        columnar store ships each shard's sidecar (built from the
+        shard's base hashes when the store has none) with the shard's
+        new overlay keys inserted; a dict-backed store builds each from
+        its shard view."""
         store = self.store
+        version = store.version
+        if self._filter_cache is not None and self._filter_cache[0] == version:
+            return self._filter_cache
         blobs: Dict[int, bytes] = {}
-        tables: Optional[dict] = None
-        sidecars = getattr(store, "_filters", None)
-        if (
-            sidecars is not None
-            and getattr(store, "n_shards", 0) == self.n_shards
-            and not store.overlay_keys()
-        ):
-            tables = {
-                "metrics": [str(m) for m in store._metric_table],
-                "intervals": [
-                    [float(a), float(b)] for a, b in store._interval_table
-                ],
-            }
+        if isinstance(store, ColumnarDictionary):
             for s in self.shards:
-                blobs[s] = sidecars[s].to_bytes()
-        if tables is None:
-            metrics = [str(m) for m in store.metrics()]
-            intervals = [
-                (float(a) + 0.0, float(b) + 0.0)
-                for a, b in store.intervals()
-            ]
-            m_map = {m: i for i, m in enumerate(metrics)}
-            i_map = {iv: i for i, iv in enumerate(intervals)}
+                fps = [fp for fp, owner in store._delta_new_keys.items()
+                       if owner == s]
+                if store._filters is not None:
+                    filt = store._filters[s]
+                else:
+                    hashes, rows = store._hash_table()
+                    start = store._shard_start_rows()[s]
+                    filt = KeyFilter.build(
+                        hashes[(rows >= start)
+                               & (rows < start + store._files[s].n_keys)],
+                        bits_per_key=store._filter_bits_per_key,
+                    )
+                if fps:
+                    # A copy: the store's own sidecar stays as loaded.
+                    filt = KeyFilter.from_bytes(filt.to_bytes())
+                    filt.insert(key_hashes(*store._probe(fps)))
+                blobs[s] = filt.to_bytes()
+            metrics, intervals = store._metric_ids, store._interval_ids
+        else:
             for s in self.shards:
-                fps = [fp for fp, _ in self._shard_items(s)]
-                n = len(fps)
-                mids = np.fromiter(
-                    (m_map[fp.metric] for fp in fps), np.int64, n
-                )
-                iids = np.fromiter(
-                    (i_map[(fp.interval[0] + 0.0, fp.interval[1] + 0.0)]
-                     for fp in fps),
-                    np.int64, n,
-                )
-                nodes = np.fromiter((fp.node for fp in fps), np.int64, n)
-                vbits = (
-                    np.fromiter((fp.value for fp in fps), np.float64, n) + 0.0
-                ).view(np.int64)
-                blobs[s] = KeyFilter.build(
-                    key_hashes(mids, iids, nodes, vbits)
-                ).to_bytes()
-            tables = {
-                "metrics": metrics,
-                "intervals": [[a, b] for a, b in intervals],
-            }
-        self._filter_cache = (version, blobs, tables)
-        return version, blobs, tables
+                blobs[s] = KeyFilter.build(self._dict_view(s)[1][0]).to_bytes()
+            metrics, intervals = self._metric_index, self._interval_index
+        self._filter_cache = (version, blobs, {
+            "metrics": list(metrics),
+            "intervals": [[a, b] for a, b in intervals],
+        })
+        return self._filter_cache
 
     def _owned(self, fp: Fingerprint) -> int:
         shard = shard_index(fp, self.n_shards)
@@ -942,27 +918,23 @@ class ShardServer:
 
     def _op_status(self) -> dict:
         with self._lock:
+            store = self.store
+            sizes = (
+                [len(store)]
+                if isinstance(store, ExecutionFingerprintDictionary)
+                else store.shard_sizes()
+            )
             return {
                 "ok": True,
                 "n_shards": self.n_shards,
                 "shards": list(self.shards),
-                "version": self.store.version,
-                "keys": len(self.store),
-                "keys_by_shard": {
-                    str(s): n for s, n in self._shard_counts().items()
-                },
-                "labels": self.store.labels(),
-                "metrics": self.store.metrics(),
-                "intervals": [list(iv) for iv in self.store.intervals()],
+                "version": store.version,
+                "keys": len(store),
+                "keys_by_shard": {str(s): sizes[s] for s in self.shards},
+                "labels": store.labels(),
+                "metrics": store.metrics(),
+                "intervals": [list(iv) for iv in store.intervals()],
             }
-
-    def _shard_counts(self) -> Dict[int, int]:
-        version = self.store.version
-        if self._count_cache is not None and self._count_cache[0] == version:
-            return self._count_cache[1]
-        counts = {s: len(self._shard_items(s)) for s in self.shards}
-        self._count_cache = (version, counts)
-        return counts
 
     def _op_learn(self, msg: dict) -> dict:
         records = msg.get("records")
@@ -993,13 +965,25 @@ class ShardServer:
                 "ok": True, "applied": applied, "version": self.store.version
             }
 
+    def _shard_efd(self, shard: int) -> ExecutionFingerprintDictionary:
+        """The flat dictionary holding a dict-backed store's shard."""
+        store = self.store
+        if isinstance(store, ShardedDictionary):
+            return store.shards[shard]
+        return store
+
     def _op_entries(self, msg: dict) -> dict:
         shard = msg.get("shard")
         if not isinstance(shard, int) or shard not in self.shards:
             raise RemoteOpError(f"shard {shard!r} not served here")
         with self._lock:
+            items = (
+                self.store.shard_items(shard)
+                if isinstance(self.store, ColumnarDictionary)
+                else self._shard_efd(shard)._store.items()
+            )
             out = []
-            for fp, counts in self._shard_items(shard):
+            for fp, counts in items:
                 record = fingerprint_to_record(fp)
                 record["labels"] = dict(counts)
                 out.append(record)
@@ -1052,10 +1036,10 @@ class ShardServerThread:
 
     def _main(self) -> None:
         async def run() -> None:
-            server = ShardServer(**self._kwargs)
             self._loop = asyncio.get_running_loop()
             self._stop = asyncio.Event()
             try:
+                server = ShardServer(**self._kwargs)
                 await server.start()
             except BaseException as exc:
                 self._error = exc

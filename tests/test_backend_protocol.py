@@ -103,6 +103,8 @@ class TestCrossBackendMerge:
         target, source = targets[target_kind], sources[source_kind]
         target.merge(source)
         _assert_equal_stores(target, reference)
+        targets["columnar"].close()
+        sources["columnar"].close()
 
     def test_merge_preserves_string_table_order(self, tmp_path):
         # Regression: the source's label *registration* order — including

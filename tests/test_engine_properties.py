@@ -467,6 +467,7 @@ class TestColumnarBackendEqualsFlat:
             for r in records[:4]
         ]
         assert engine.recognize_records(records[:4]) == expected
+        store.close()
 
     def test_columnar_writes_keep_the_batch_path(self, fitted, tmp_path):
         # Writes reach a columnar store only through its delta-log, so
@@ -602,6 +603,7 @@ class TestStorageEquivalenceUnderInterleavings:
                         store.add(fp, label)
             elif op == "compact":
                 for name in self._COLUMNAR:
+                    stores[name].close()
                     try:
                         compact_shards(dirs[name])
                     except ValueError:
@@ -616,9 +618,12 @@ class TestStorageEquivalenceUnderInterleavings:
                     stores["sharded-json"], n_new
                 )
                 for name in self._COLUMNAR:
+                    stores[name].close()
                     reshard(dirs[name], n_new)
                     stores[name] = load_columnar(dirs[name])
             self._assert_equal(flat, stores, probes())
+        for name in self._COLUMNAR:
+            stores[name].close()
 
 
 class TestReplicaEqualsLeaderUnderInterleavings:
@@ -718,6 +723,8 @@ class TestReplicaEqualsLeaderUnderInterleavings:
                     assert_verdicts_equal(follower.store, leader)
                 finally:
                     await follower.close()
+                    follower.store.close()
+                    leader.close()
 
         asyncio.run(run())
 
@@ -754,6 +761,12 @@ class TestRemoteEqualsFlatUnderInterleavings:
                 f"{','.join(str(s) for s in owned)}@{thread.endpoint}"
             )
         return threads, specs
+
+    @staticmethod
+    def _stop(threads):
+        for thread in threads:
+            thread.stop()
+            thread.server.store.close()
 
     @pytest.mark.parametrize("filters", (True, False),
                              ids=("filtered", "unfiltered"))
@@ -824,8 +837,118 @@ class TestRemoteEqualsFlatUnderInterleavings:
             )
             remote.close()
         finally:
-            for thread in threads:
-                thread.stop()
+            self._stop(threads)
+
+    @pytest.mark.parametrize("filters", (True, False),
+                             ids=("filtered", "unfiltered"))
+    @pytest.mark.parametrize("n_hosts", (1, 3))
+    def test_learns_then_probes_rebuild_no_shard(
+        self, n_hosts, filters, tmp_path, monkeypatch
+    ):
+        """Learns and probes through columnar hosts answer like the flat
+        reference at O(overlay) cost: nothing walks or encodes a shard,
+        and nothing sorts the base rows.  The learns include a key whose
+        metric and interval the manifest lacks, a label first seen in
+        the overlay and a new label on a stored key; the probes include
+        ``-0.0`` spellings of stored ``0.0`` keys."""
+        import repro.core.serialization as serialization
+        from repro.engine import columnar
+        from repro.engine import remote as remote_module
+        from repro.engine.columnar import ColumnarDictionary
+        from repro.engine.remote import RemoteShardBackend
+
+        rng = random.Random(2000 + 10 * n_hosts + filters)
+        zero = Fingerprint(metric=_METRICS[0], node=1,
+                           interval=_INTERVALS[1], value=0.0)
+        novel = Fingerprint(metric="novel_meminfo", node=2,
+                            interval=(7.0, 13.0), value=0.0)
+        flat = ExecutionFingerprintDictionary()
+        sharded = ShardedDictionary(self.N_SHARDS)
+        for fp, label in _random_pairs(rng, 150) + [(zero, "ft_X")]:
+            flat.add(fp, label)
+            sharded.add(fp, label)
+        n_base = len(flat)
+        threads, specs = self._spawn(tmp_path, n_hosts, sharded, filters)
+        try:
+            remote = RemoteShardBackend(
+                specs, n_shards=self.N_SHARDS, rng=random.Random(0)
+            )
+            known = [fp for fp, _ in flat.entries()]
+            assert remote.lookup_many(known) == [
+                flat.lookup(fp) for fp in known
+            ]
+
+            calls = []
+
+            def spy(name, real):
+                def call(*args, **kwargs):
+                    calls.append(name)
+                    return real(*args, **kwargs)
+                return call
+
+            def sort(hashes, rows):
+                if len(hashes) >= n_base:
+                    calls.append(f"sort of {len(hashes)} rows")
+                return real_sort(hashes, rows)
+
+            real_sort = columnar._sorted_table
+            for name in ("shard_items", "to_sharded"):
+                monkeypatch.setattr(ColumnarDictionary, name, spy(
+                    name, getattr(ColumnarDictionary, name)
+                ))
+            for module in (serialization, columnar, remote_module):
+                monkeypatch.setattr(module, "dictionary_to_columns", spy(
+                    "dictionary_to_columns",
+                    serialization.dictionary_to_columns,
+                ), raising=False)
+            for module in (columnar, remote_module):
+                monkeypatch.setattr(module, "_sorted_table", sort,
+                                    raising=False)
+
+            def negative(fp):
+                return Fingerprint(fp.metric, fp.node, fp.interval, -0.0)
+
+            learns = [
+                (novel, "newapp_Q"),
+                (zero, "newapp_Q"),
+                (zero, "ft_X"),
+                (Fingerprint("novel_meminfo", 3, (7.0, 13.0), 5.0), "mg_Y"),
+            ] + _random_pairs(rng, 5)
+            for i, (fp, label) in enumerate(learns):
+                flat.add(fp, label)
+                remote.add(fp, label)
+                if i % 3 == 1 or i == len(learns) - 1:
+                    mix = [rng.choice(known) for _ in range(15)] + [
+                        _random_fingerprint(rng) for _ in range(10)
+                    ] + [negative(zero), zero, negative(novel), novel]
+                    assert remote.lookup_many(mix) == [
+                        flat.lookup(fp) for fp in mix
+                    ]
+                    assert remote.last_degraded == {}
+                    verdicts = remote.probe_many(mix, counts=True)
+                    for fp, verdict in zip(mix, verdicts):
+                        assert not verdict.degraded
+                        assert (verdict.counts or {}) == flat.lookup_counts(fp)
+            assert remote.labels() == flat.labels()
+            remote.close()
+        finally:
+            self._stop(threads)
+        assert calls == []
+
+    def test_mismatched_shard_count_is_refused_by_name(self, tmp_path):
+        from repro.engine.remote import ShardServer, ShardServerThread
+
+        flat, sharded, _ = _build_both(seed=5, n_shards=self.N_SHARDS)
+        directory = str(tmp_path / "col")
+        save_columnar(sharded, directory)
+        own = r"does not match the store's own shard count"
+        with pytest.raises(ValueError, match=rf"n_shards=2 {own} 3"):
+            ShardServer(sharded, n_shards=2, port=0)
+        with pytest.raises(ValueError, match=rf"n_shards=3 {own} 1"):
+            ShardServer(flat, n_shards=3, port=0)
+        with load_columnar(directory) as store:
+            with pytest.raises(ValueError, match=rf"n_shards=4 {own} 3"):
+                ShardServerThread(store, n_shards=4).start()
 
 
 class TestFilterSoundness:
@@ -857,6 +980,7 @@ class TestFilterSoundness:
             assert fp in store
             assert store.lookup(fp) == flat.lookup(fp)
         assert store.lookup_many(fresh) == [flat.lookup(fp) for fp in fresh]
+        store.close()
 
     def test_false_positive_rate_under_bound(self):
         import numpy as np
@@ -1070,7 +1194,10 @@ class TestFamilyCascadeEquivalence:
             "columnar": load_columnar(col_dir),
             "remote": remote,
         }
-        closers = [remote.close] + [t.stop for t in threads]
+        closers = [remote.close] + [t.stop for t in threads] + [
+            store.close for store in
+            [stores["columnar"]] + [t.server.store for t in threads]
+        ]
         return stores, closers
 
     # -- replay -------------------------------------------------------------

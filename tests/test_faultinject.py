@@ -640,7 +640,7 @@ class TestRemoteFaultSweep:
         )
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "shardserve",
-             "--dir", directory, "--shards", "1", "--n-shards", "3",
+             "--dir", directory, "--shards", "1",
              "--listen", "127.0.0.1:0"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, env=env,

@@ -295,6 +295,40 @@ class TestShardServerProtocol:
             dump = self._request(thread.endpoint, {"op": "entries", "shard": 1})
             assert len(dump["entries"]) == status["keys_by_shard"]["1"]
 
+    def test_status_on_a_columnar_host_decodes_no_key(
+        self, tmp_path, monkeypatch
+    ):
+        """``status`` reads shard sizes and string tables from the
+        columns and the overlay, never by decoding every key (on a
+        large host that would overrun the client's ``sync_tables``
+        timeout)."""
+        from repro.engine import load_columnar, save_columnar
+        from repro.engine.columnar import ColumnarDictionary
+
+        flat, stores = _seed_stores(1)
+        directory = str(tmp_path / "store")
+        save_columnar(stores[0], directory)
+        late = Fingerprint(metric="late_metric", node=1,
+                           interval=(1.0, 2.0), value=5.0)
+        flat.add(late, "late_Q")
+
+        def decode(self, index):
+            raise AssertionError(f"shard {index} keys decoded")
+
+        monkeypatch.setattr(ColumnarDictionary, "_shard_fingerprints", decode)
+        with load_columnar(directory) as store:
+            store.add(late, "late_Q")
+            with ShardServerThread(store, n_shards=3) as thread:
+                status = self._request(thread.endpoint, {"op": "status"})
+            sizes = store.shard_sizes()
+        assert status["keys_by_shard"] == {
+            str(s): n for s, n in enumerate(sizes)
+        }
+        assert status["keys"] == len(flat) == sum(sizes)
+        assert status["labels"] == flat.labels()
+        assert status["metrics"] == flat.metrics()
+        assert [tuple(iv) for iv in status["intervals"]] == flat.intervals()
+
     @staticmethod
     def _v2_probe(sock, shard: int, fps) -> dict:
         """One v2 probe bucket whose tables ride in-band; returns the
