@@ -26,8 +26,8 @@ from repro import (
     ShardedDictionary,
     StreamingRecognizer,
     generate_dataset,
-    load_sharded,
-    save_sharded,
+    load_columnar,
+    save_columnar,
 )
 from repro.core.fingerprint import build_fingerprints
 from repro.core.matcher import match_fingerprints
@@ -82,10 +82,13 @@ def main() -> None:
 
     print("=== 4. Persist and reload the shard directory ===")
     with tempfile.TemporaryDirectory() as tmp:
-        save_sharded(sharded, tmp)
-        restored = load_sharded(tmp)
-        print(f"round trip: {len(restored)} keys across "
-              f"{restored.n_shards} shard files (checksummed manifest)\n")
+        save_columnar(sharded, tmp)
+        with load_columnar(tmp) as restored:
+            assert restored.lookup_many([fp for fp, _ in flat.entries()]) \
+                == [labels for _, labels in flat.entries()]
+            print(f"round trip: {len(restored)} keys across "
+                  f"{restored.n_shards} mmap shard files (checksummed "
+                  f"manifest), every lookup identical\n")
 
     print("=== 5. Engine counters ===")
     print(engine.stats.render())

@@ -47,8 +47,8 @@ from repro.engine import (
     BatchRecognizer,
     EngineStats,
     ShardedDictionary,
-    load_sharded,
-    save_sharded,
+    load_columnar,
+    save_columnar,
 )
 from repro.serve import IngestService, NetListener, Sample, ServeConfig
 from repro.telemetry.metrics import default_registry
@@ -82,8 +82,8 @@ __all__ = [
     "BatchRecognizer",
     "EngineStats",
     "ShardedDictionary",
-    "save_sharded",
-    "load_sharded",
+    "save_columnar",
+    "load_columnar",
     # serve (async live-session ingestion + network listener)
     "IngestService",
     "NetListener",

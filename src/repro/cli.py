@@ -13,13 +13,11 @@ Subcommands
 - ``efd info`` — registry and configuration overview.
 - ``efd engine ...`` — the sharded/batch recognition engine: ``selftest``
   (smoke-check shard/batch/columnar equivalence), ``shard`` (partition a
-  flat dictionary JSON into a shard directory, ``--format json|columnar``),
-  ``compact``/``expand`` (convert a shard directory between the JSON and
-  columnar layouts, in place or to ``--out``; ``compact`` also folds
-  a columnar directory's pending delta-log, and ``expand`` refuses one),
-  ``reshard`` (rewrite a directory at a new shard count without a
-  relearn), ``recognize`` (batch recognition against a shard directory,
-  either layout), ``info`` (shard occupancy, layout, and pending
+  flat dictionary JSON into a columnar shard directory), ``compact``
+  (fold a shard directory's pending delta-log into its base, in place
+  or to ``--out``), ``reshard`` (rewrite a directory at a new shard
+  count without a relearn), ``recognize`` (batch recognition against a
+  shard directory), ``info`` (shard occupancy, filters, and pending
   delta-log records, plus ``--stats`` to render a service counter
   snapshot).
 - ``efd serve`` — async live-session recognition: NDJSON telemetry
@@ -116,47 +114,31 @@ def _add_engine(sub: argparse._SubParsersAction) -> None:
     selftest.add_argument("--seed", type=int, default=7)
 
     shard = esub.add_parser(
-        "shard", help="partition a flat dictionary JSON into a shard directory"
+        "shard",
+        help="partition a flat dictionary JSON into a columnar shard "
+             "directory (raw memory-mapped shards, query-ready at open)",
     )
     shard.add_argument("--efd", required=True, help="flat dictionary JSON path")
     shard.add_argument("--out", required=True, help="output shard directory")
     shard.add_argument("--shards", type=int, default=8)
-    shard.add_argument("--format", default="json",
-                       choices=["json", "columnar"],
-                       help="on-disk layout: diffable JSON shards, or "
-                            "columnar raw memory-mapped shards (smaller, "
-                            "query-ready instantly, page-cache shared)")
 
     compact = esub.add_parser(
         "compact",
-        help="convert a JSON shard directory to the columnar layout, "
-             "or fold a columnar directory's pending delta-log into its "
-             "base",
+        help="fold a shard directory's pending delta-log into its base",
     )
     compact.add_argument("--dir", required=True, dest="directory",
-                         help="JSON shard directory to convert, or a "
-                              "columnar directory with a pending delta-log")
+                         help="shard directory with a pending delta-log")
     compact.add_argument("--out", default=None,
-                         help="write here instead of converting in place")
-
-    expand = esub.add_parser(
-        "expand",
-        help="convert a columnar directory back to the JSON shard layout "
-             "(refused while a delta-log segment is unfolded)",
-    )
-    expand.add_argument("--dir", required=True, dest="directory",
-                        help="columnar shard directory to convert")
-    expand.add_argument("--out", default=None,
-                        help="write here instead of converting in place")
+                         help="write here instead of folding in place")
 
     reshard = esub.add_parser(
         "reshard",
         help="rewrite a shard directory at a new shard count without a "
-             "relearn (layout preserved; only keys whose stable hash "
-             "changes assignment move)",
+             "relearn (only keys whose stable hash changes assignment "
+             "move)",
     )
     reshard.add_argument("--dir", required=True, dest="directory",
-                         help="shard directory (JSON or columnar layout)")
+                         help="shard directory")
     reshard.add_argument("--shards", type=int, required=True,
                          help="new shard count")
     reshard.add_argument("--out", default=None,
@@ -164,8 +146,7 @@ def _add_engine(sub: argparse._SubParsersAction) -> None:
 
     recognize = esub.add_parser(
         "recognize",
-        help="batch-recognize a dataset against a shard directory "
-             "(JSON or columnar layout, auto-detected)",
+        help="batch-recognize a dataset against a shard directory",
     )
     recognize.add_argument("--efd-dir", required=True, help="shard directory")
     recognize.add_argument("--data", required=True, help="dataset .npz path")
@@ -177,11 +158,10 @@ def _add_engine(sub: argparse._SubParsersAction) -> None:
 
     info = esub.add_parser(
         "info",
-        help="shard directory layout/occupancy, and/or render an "
+        help="shard directory occupancy, and/or render an "
              "EngineStats snapshot (--stats)",
     )
-    info.add_argument("--efd-dir", default=None,
-                      help="shard directory (layout auto-detected)")
+    info.add_argument("--efd-dir", default=None, help="shard directory")
     info.add_argument("--stats", default=None, metavar="JSON",
                       help="render an EngineStats snapshot written by "
                            "`efd serve --stats-out`")
@@ -324,7 +304,7 @@ def _add_shardserve(sub: argparse._SubParsersAction) -> None:
              "probe clients (`efd serve --remote`)",
     )
     p.add_argument("--dir", required=True, dest="directory",
-                   help="sharded/columnar dictionary directory to serve")
+                   help="shard directory to serve")
     p.add_argument("--shards", default=None, metavar="A,B,C",
                    help="comma list of shard indexes this host owns "
                         "(default: every shard — a full replica)")
@@ -597,8 +577,8 @@ def _cmd_engine_selftest(args: argparse.Namespace) -> int:
     from repro.engine import (
         BatchRecognizer,
         ShardedDictionary,
-        load_sharded,
-        save_sharded,
+        load_columnar,
+        save_columnar,
     )
 
     config = DatasetConfig(
@@ -644,17 +624,6 @@ def _cmd_engine_selftest(args: argparse.Namespace) -> int:
         failures.append("session batch mismatch")
 
     with tempfile.TemporaryDirectory() as tmp:
-        save_sharded(sharded, tmp)
-        restored = load_sharded(tmp)
-        for record in records:
-            fps = build_fingerprints(record, "nr_mapped_vmstat", 2)
-            if restored.lookup(fps[0]) != flat.lookup(fps[0]):
-                failures.append("round-trip lookup mismatch")
-                break
-
-    from repro.engine import load_columnar, save_columnar
-
-    with tempfile.TemporaryDirectory() as tmp:
         save_columnar(sharded, tmp)
         columnar = load_columnar(tmp)
         engine = BatchRecognizer(columnar, depth=2)
@@ -679,17 +648,14 @@ def _cmd_engine_selftest(args: argparse.Namespace) -> int:
 
 def _cmd_engine_shard(args: argparse.Namespace) -> int:
     from repro.core.serialization import load_dictionary
-    from repro.engine import ShardedDictionary, save_columnar, save_sharded
+    from repro.engine import ShardedDictionary, save_columnar
 
     flat = load_dictionary(args.efd)
     sharded = ShardedDictionary.from_flat(flat, args.shards)
-    if args.format == "columnar":
-        save_columnar(sharded, args.out)
-    else:
-        save_sharded(sharded, args.out)
+    save_columnar(sharded, args.out)
     print(
         f"sharded {len(flat)} keys into {args.shards} shard(s) "
-        f"[{args.format}] {sharded.shard_sizes()} -> {args.out}"
+        f"{sharded.shard_sizes()} -> {args.out}"
     )
     return 0
 
@@ -715,39 +681,11 @@ def _cmd_engine_compact(args: argparse.Namespace) -> int:
     except _INPUT_ERRORS as exc:
         print(f"engine compact: {_error_text(exc)}", file=sys.stderr)
         return 2
-    if "folded_records" in summary:
-        print(
-            f"folded {summary['folded_records']} delta-log record(s) into "
-            f"{summary['n_keys']} keys across {summary['n_shards']} "
-            f"shard(s): {summary['columnar_bytes']} B columnar "
-            f"at {summary['directory']}"
-        )
-        return 0
-    ratio = (summary["json_bytes"] / summary["columnar_bytes"]
-             if summary["columnar_bytes"] else float("inf"))
     print(
-        f"compacted {summary['n_keys']} keys across "
-        f"{summary['n_shards']} shard(s): "
-        f"{summary['json_bytes']} B JSON -> "
-        f"{summary['columnar_bytes']} B columnar "
-        f"({ratio:.1f}x smaller) at {summary['directory']}"
-    )
-    return 0
-
-
-def _cmd_engine_expand(args: argparse.Namespace) -> int:
-    from repro.engine import expand_shards
-
-    try:
-        summary = expand_shards(args.directory, out=args.out)
-    except _INPUT_ERRORS as exc:
-        print(f"engine expand: {_error_text(exc)}", file=sys.stderr)
-        return 2
-    print(
-        f"expanded {summary['n_keys']} keys across "
-        f"{summary['n_shards']} shard(s): "
-        f"{summary['columnar_bytes']} B columnar -> "
-        f"{summary['json_bytes']} B JSON at {summary['directory']}"
+        f"folded {summary['folded_records']} delta-log record(s) into "
+        f"{summary['n_keys']} keys across {summary['n_shards']} "
+        f"shard(s): {summary['columnar_bytes']} B columnar "
+        f"at {summary['directory']}"
     )
     return 0
 
@@ -761,7 +699,7 @@ def _cmd_engine_reshard(args: argparse.Namespace) -> int:
         print(f"engine reshard: {_error_text(exc)}", file=sys.stderr)
         return 2
     print(
-        f"resharded {summary['n_keys']} keys [{summary['layout']}]: "
+        f"resharded {summary['n_keys']} keys: "
         f"{summary['old_shards']} -> {summary['new_shards']} shard(s), "
         f"{summary['moved_keys']} key(s) moved, occupancy "
         f"{summary['shard_sizes']} at {summary['directory']}"
@@ -771,13 +709,13 @@ def _cmd_engine_reshard(args: argparse.Namespace) -> int:
 
 def _cmd_engine_recognize(args: argparse.Namespace) -> int:
     from repro.data.io import load_dataset
-    from repro.engine import BatchRecognizer, load_sharded
+    from repro.engine import BatchRecognizer, load_columnar
 
     try:
-        sharded = load_sharded(args.efd_dir)
+        store = load_columnar(args.efd_dir)
         records = list(load_dataset(args.data))
         engine = BatchRecognizer(
-            sharded,
+            store,
             metric=args.metric,
             depth=args.depth,
             interval=(args.interval[0], args.interval[1]),
@@ -801,12 +739,11 @@ def _cmd_engine_info(args: argparse.Namespace) -> int:
         print("engine info: pass --efd-dir and/or --stats", file=sys.stderr)
         return 2
     if args.efd_dir is not None:
-        from repro.engine import is_columnar, load_sharded
+        from repro.engine import load_columnar
 
         try:
-            layout = "columnar" if is_columnar(args.efd_dir) else "json"
-            sharded = load_sharded(args.efd_dir)
-            stats = sharded.stats()
+            store = load_columnar(args.efd_dir)
+            stats = store.stats()
         except _INPUT_ERRORS as exc:
             # A manifest referencing a missing/corrupt shard, filter,
             # or key-order file names the offender — report it, don't
@@ -814,19 +751,16 @@ def _cmd_engine_info(args: argparse.Namespace) -> int:
             print(f"engine info: {_error_text(exc)}", file=sys.stderr)
             return 2
         print(f"sharded EFD at {args.efd_dir}")
-        print(f"layout      : {layout}")
-        filters = getattr(sharded, "filter_info", None)
-        if filters is not None:
-            info = filters()
-            if info is not None:
-                print(f"filters     : per-shard Bloom, "
-                      f"{info['bits_per_key']} bits/key, "
-                      f"fp_bound={info['fp_bound']:.4f}")
-        pending = getattr(sharded, "delta_pending", 0)
+        info = store.filter_info()
+        if info is not None:
+            print(f"filters     : per-shard Bloom, "
+                  f"{info['bits_per_key']} bits/key, "
+                  f"fp_bound={info['fp_bound']:.4f}")
+        pending = store.delta_pending
         if pending:
             print(f"delta-log   : {pending} pending record(s) "
                   f"(fold with `efd engine compact`)")
-        print(f"shards      : {sharded.n_shards}, occupancy {sharded.shard_sizes()}")
+        print(f"shards      : {store.n_shards}, occupancy {store.shard_sizes()}")
         print(
             f"keys        : {stats.n_keys} from {stats.n_insertions} insertions "
             f"(pruning_ratio={stats.pruning_ratio:.2f})"
@@ -835,7 +769,7 @@ def _cmd_engine_info(args: argparse.Namespace) -> int:
             f"labels      : {stats.n_labels}, colliding_keys={stats.n_colliding_keys}, "
             f"max_labels_per_key={stats.max_labels_per_key}"
         )
-        print(f"metrics     : {sharded.metrics()}")
+        print(f"metrics     : {store.metrics()}")
     if args.stats is not None:
         import json
 
@@ -912,9 +846,9 @@ def _serve_build_engine(args: argparse.Namespace, listening: bool = False):
 
             dictionary = load_dictionary(args.efd)
         else:
-            from repro.engine import load_sharded
+            from repro.engine import load_columnar
 
-            dictionary = load_sharded(args.efd_dir)
+            dictionary = load_columnar(args.efd_dir)
         if listening:
             stream_fh, samples = None, None
         elif args.input == "-":
@@ -1137,7 +1071,11 @@ async def _serve_replicated(args, config, reporter):
                 )
             print(f"replica synced at generation {follower.generation}",
                   flush=True)
-        engine, store, _, _, _ = _serve_build_engine(args, listening=True)
+        try:
+            engine, store, _, _, _ = _serve_build_engine(args, listening=True)
+        except _INPUT_ERRORS as exc:
+            print(f"serve: {_error_text(exc)}", file=sys.stderr)
+            raise SystemExit(2)
         service = IngestService(engine, config, on_verdict=reporter)
         if follower is not None:
             # Attach before the event loop runs anything else so no
@@ -1231,9 +1169,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if replicating:
         engine = store = samples = expected = stream_fh = None
     else:
-        engine, store, samples, expected, stream_fh = _serve_build_engine(
-            args, listening=listening
-        )
+        try:
+            engine, store, samples, expected, stream_fh = _serve_build_engine(
+                args, listening=listening
+            )
+        except _INPUT_ERRORS as exc:
+            print(f"serve: {_error_text(exc)}", file=sys.stderr)
+            return 2
     config = ServeConfig(
         max_pending_samples=args.queue_size,
         backpressure=args.policy,
@@ -1299,10 +1241,14 @@ def _cmd_shardserve(args: argparse.Namespace) -> int:
     import json
     import signal
 
-    from repro.engine import load_sharded
+    from repro.engine import load_columnar
     from repro.engine.remote import ShardServer
 
-    store = load_sharded(args.directory)
+    try:
+        store = load_columnar(args.directory)
+    except _INPUT_ERRORS as exc:
+        print(f"shardserve: {_error_text(exc)}", file=sys.stderr)
+        return 2
     shards = None
     if args.shards is not None:
         try:
@@ -1416,12 +1362,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _family_load_dictionary(args: argparse.Namespace):
     from repro.core.serialization import load_dictionary
-    from repro.engine import load_sharded
+    from repro.engine import load_columnar
 
     try:
         if args.efd is not None:
             return load_dictionary(args.efd)
-        return load_sharded(args.efd_dir)
+        return load_columnar(args.efd_dir)
     except _INPUT_ERRORS as exc:
         raise SystemExit(
             f"efd family {args.family_command}: {_error_text(exc)}"
@@ -1520,7 +1466,6 @@ _ENGINE_COMMANDS = {
     "selftest": _cmd_engine_selftest,
     "shard": _cmd_engine_shard,
     "compact": _cmd_engine_compact,
-    "expand": _cmd_engine_expand,
     "reshard": _cmd_engine_reshard,
     "recognize": _cmd_engine_recognize,
     "info": _cmd_engine_info,

@@ -85,7 +85,7 @@ def column_lengths(
 def fingerprint_to_record(fp: Fingerprint) -> Dict[str, object]:
     """One fingerprint key as a JSON-ready mapping.
 
-    The shared key encoding of the JSON shard codec and the engine's
+    The shared key encoding of the flat JSON codec and the engine's
     mutation delta-log (:mod:`repro.engine.deltalog`): metric, node,
     interval endpoints, and the raw float value, coerced to canonical
     Python types so numpy-typed fingerprints serialize like their plain

@@ -15,15 +15,6 @@ would run.  ``repro.engine`` is the scale-out layer:
   lookups, tie-breaking, and Table-4-style listings are byte-identical
   to a flat dictionary.
 
-- :func:`~repro.engine.sharded.save_sharded` /
-  :func:`~repro.engine.sharded.load_sharded` persist a sharded
-  dictionary as a directory: one ``manifest.json`` (format version,
-  shard count, global label order, per-shard checksums) plus one
-  ``shard-NN.json`` per shard in the flat JSON format of
-  :mod:`repro.core.serialization`.  Shards load independently, so a
-  corrupt or missing shard file is reported by name instead of
-  poisoning the whole store.
-
 - :class:`~repro.engine.batch.BatchRecognizer` recognizes many
   executions (or many live :class:`~repro.core.streaming.StreamSession`
   objects) in one call: interval means are computed vectorized over
@@ -47,8 +38,10 @@ would run.  ``repro.engine`` is the scale-out layer:
   :func:`~repro.engine.backend.merge_into` as the one canonical
   cross-backend merge.
 
-- :mod:`repro.engine.columnar` is the storage fast path for that
-  machinery: a column-oriented shard codec (parallel arrays + a small
+- :mod:`repro.engine.columnar` is the one on-disk shard layout:
+  :func:`~repro.engine.columnar.save_columnar` /
+  :func:`~repro.engine.columnar.load_columnar` persist any store as a
+  column-oriented shard codec (parallel arrays + a small
   JSON manifest with interned string tables and checksums) stored as
   raw memory-mapped ``shard-NN.mmap`` files
   (:mod:`repro.engine.mmapstore`) that N serving processes share
@@ -59,9 +52,11 @@ would run.  ``repro.engine`` is the scale-out layer:
   without touching any column file, and one sorted key-hash table
   (merged from the per-shard ``.hashidx`` sidecars) that every read —
   point or batch — searches, so no shard is ever rebuilt as a Python
-  dict; whole-store walks read the columns directly.  ``efd engine
-  compact|expand`` convert between the JSON and columnar layouts
-  losslessly; :func:`load_sharded` auto-detects either.
+  dict; whole-store walks read the columns directly.  Shards load
+  independently, so a corrupt or missing shard file is reported by
+  name instead of poisoning the whole store.  The flat JSON of
+  :mod:`repro.core.serialization` stays the diffable interchange
+  format.
 
 - :mod:`repro.engine.deltalog` is the columnar store's only write path:
   every mutation appends to a write-ahead ``delta-log.jsonl`` and lands in a
@@ -75,7 +70,7 @@ would run.  ``repro.engine`` is the scale-out layer:
   a relearn (``efd engine reshard``): the movement is computed offline
   from the stable-hash routing — only keys whose ``hash % N`` differs
   from ``hash % M`` move — and every global order is preserved
-  byte-identically, in both layouts.
+  byte-identically.
 
 - :mod:`repro.engine.replicate` puts the delta-log on the wire: a
   leader (:class:`~repro.engine.replicate.ReplicationPublisher`)
@@ -102,19 +97,19 @@ would run.  ``repro.engine`` is the scale-out layer:
   ``efd serve --remote``; topology and tuning live in
   ``docs/serving.md``.
 
-Shard layouts on disk::
+Shard layout on disk::
 
-    efd-shards/                       efd-columnar/
-      manifest.json                     manifest.json   # layout="columnar",
-      shard-00.json   # flat EFD JSON                   # storage="mmap"
-      shard-01.json                     shard-00.mmap   # parallel arrays
-      ...                               shard-00.filter # Bloom sidecar
-                                        shard-00.hashidx # sorted-hash index
-                                        ...
+    efd-columnar/
+      manifest.json     # layout="columnar", storage="mmap"
+      key-order.npz     # global key insertion order
+      shard-00.mmap     # parallel arrays
+      shard-00.filter   # Bloom sidecar
+      shard-00.hashidx  # sorted-hash index
+      ...
 
 Equivalence with the flat dictionary is enforced by property tests
-(``tests/test_engine_properties.py``) across storage backends
-({flat, sharded-JSON, columnar}) and shard counts.
+(``tests/test_engine_properties.py``) across stores ({flat, in-memory
+sharded, columnar}) and shard counts.
 """
 
 from repro.engine.backend import DictionaryBackend, merge_into
@@ -122,14 +117,11 @@ from repro.engine.batch import BatchRecognizer, match_fingerprints_batch
 from repro.engine.columnar import (
     ColumnarDictionary,
     compact_shards,
-    expand_shards,
-    is_columnar,
     load_columnar,
     save_columnar,
 )
 from repro.engine.deltalog import (
     DeltaLog,
-    PendingDeltaError,
     SegmentReadError,
     pending_records,
 )
@@ -152,12 +144,7 @@ from repro.engine.remote import (
     parse_remote_spec,
 )
 from repro.engine.reshard import count_moved_keys, reshard, reshard_store
-from repro.engine.sharded import (
-    ShardedDictionary,
-    load_sharded,
-    save_sharded,
-    shard_index,
-)
+from repro.engine.sharded import ShardedDictionary, shard_index
 from repro.engine.stats import EngineStats
 
 __all__ = [
@@ -168,7 +155,6 @@ __all__ = [
     "DictionaryBackend",
     "EngineStats",
     "KeyFilter",
-    "PendingDeltaError",
     "RemoteDegradedError",
     "RemoteError",
     "RemoteShardBackend",
@@ -182,10 +168,7 @@ __all__ = [
     "compact_shards",
     "count_moved_keys",
     "elect_and_promote",
-    "expand_shards",
-    "is_columnar",
     "load_columnar",
-    "load_sharded",
     "local_position",
     "match_fingerprints_batch",
     "merge_into",
@@ -195,6 +178,5 @@ __all__ = [
     "reshard",
     "reshard_store",
     "save_columnar",
-    "save_sharded",
     "shard_index",
 ]

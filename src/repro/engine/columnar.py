@@ -1,9 +1,10 @@
 """Columnar EFD backend: mmap shard codec + one key-hash lookup kernel.
 
-JSON shards are diffable but expensive: loading a million-key dictionary
-means parsing a million JSON objects and building a million ``dict``
-entries before the first lookup can run.  This module is the fast path
-for that regime, while the flat
+The one on-disk shard layout.  Flat JSON
+(:mod:`repro.core.serialization`) is diffable but expensive: loading a
+million-key dictionary means parsing a million JSON objects and building
+a million ``dict`` entries before the first lookup can run.  This module
+is the store for that regime, while the flat
 :class:`~repro.core.dictionary.ExecutionFingerprintDictionary` stays the
 paper-faithful reference:
 
@@ -16,10 +17,7 @@ paper-faithful reference:
   aligned little-endian ``shard-NN.mmap`` file
   (:mod:`repro.engine.mmapstore`) that opens zero-copy through
   :func:`numpy.memmap` — query-ready in O(manifest), one OS page-cache
-  copy shared across serving processes.  Conversion between the JSON
-  shard layout and the columnar one is lossless
-  (:func:`compact_shards` / :func:`expand_shards`, surfaced as ``efd
-  engine compact`` / ``efd engine expand``).
+  copy shared across serving processes.
 - **Key-hash tables** — each shard of a store saved with filters (the
   default) carries a ``shard-NN.hashidx`` sidecar: the 64-bit
   :func:`~repro.engine.keyfilter.key_hashes` of its keys, sorted, with
@@ -43,9 +41,8 @@ paper-faithful reference:
   unknown-detection evaluation — resolves without reading a column
   file.  Compaction/reshard rebuild both sidecars generation-tagged
   under the same atomic manifest replace.
-- **One read path** — :func:`load_columnar` (also reached through
-  :func:`repro.engine.sharded.load_sharded`, which dispatches on the
-  manifest) opens a directory by reading only the manifest; a shard's
+- **One read path** — :func:`load_columnar`, the only directory
+  loader, opens a directory by reading only the manifest; a shard's
   ``.mmap`` is mapped when a read first needs it.  Point reads
   (``lookup``, ``lookup_counts``, ``in``) resolve through the same
   key-hash search as batches — as do the shard server's probe
@@ -60,10 +57,10 @@ paper-faithful reference:
   stays hot under a trickle of new learnings.
   :meth:`ColumnarDictionary.compact_delta` folds the log back into the
   ``shard-NN.mmap`` base (auto-triggered past a pending threshold, or
-  via ``efd engine compact`` / serve shutdown).
+  via ``efd engine compact`` / serve shutdown; :func:`compact_shards`).
 
 Results are element-wise identical to the flat path — enforced together
-with the JSON-sharded backend by ``tests/test_engine_properties.py``;
+with the in-memory sharded store by ``tests/test_engine_properties.py``;
 the backend satisfies :class:`repro.engine.backend.DictionaryBackend`.
 
 Directory layout::
@@ -101,8 +98,6 @@ from repro.engine.backend import KeyOrderedStore
 from repro.engine.deltalog import (
     DEFAULT_MAX_PENDING,
     DeltaLog,
-    PendingDeltaError,
-    pending_records,
 )
 from repro.engine.keyfilter import (
     DEFAULT_BITS_PER_KEY,
@@ -982,24 +977,17 @@ class ColumnarDictionary(KeyOrderedStore):
         ]
         return items
 
-    def to_sharded(self, shard_label_orders: bool = False) -> ShardedDictionary:
+    def to_sharded(self) -> ShardedDictionary:
         """The live state as a fresh :class:`ShardedDictionary` of the
         same shard count: what merging this store into one builds, but
         every key goes straight to the shard that holds it — nothing is
-        routed or searched.
-
-        ``shard_label_orders`` first registers each base shard's stored
-        label order, so that ``expand`` reproduces the JSON shard files
-        that ``compact`` read; otherwise a shard's labels are ordered
-        as a merge replays them.
+        routed or searched.  A shard's labels are ordered as a merge
+        replays them.
         """
         out = ShardedDictionary(self.n_shards)
         for label in self._label_order:
             out.register_label(label)
         for i, shard in enumerate(out.shards):
-            if shard_label_orders:
-                for j in self._files[i].columns()["label_order"].tolist():
-                    shard.register_label(self._label_table[j])
             for fp, counts in self.shard_items(i):
                 for label, count in counts.items():
                     shard.add_repeated(fp, label, count)
@@ -1292,16 +1280,16 @@ def _read_manifest(directory: str) -> dict:
         )
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(
                 f"corrupt manifest {manifest_path!r}: {exc}"
             ) from exc
-
-
-def is_columnar(directory: str) -> bool:
-    """True when ``directory`` holds a columnar-layout sharded EFD."""
-    return _read_manifest(directory).get("layout") == _COLUMNAR_LAYOUT
+    if not isinstance(manifest, dict):
+        raise ValueError(
+            f"corrupt manifest {manifest_path!r}: not a JSON object"
+        )
+    return manifest
 
 
 def load_columnar(
@@ -1318,16 +1306,28 @@ def load_columnar(
     files are mapped on first read and checksummed on first bulk read;
     with ``validate`` (default) decoding a shard's keys additionally
     checks that every key hashes to its host shard, catching renamed or
-    swapped ``.mmap`` files exactly like the JSON loader does.  Structural manifest damage
+    swapped ``.mmap`` files.  Structural manifest damage
     (wrong counts, out-of-range or duplicate key-order entries,
-    inconsistent app order) is rejected eagerly.  ``delta_max_pending``
-    is the pending-record count at which a write auto-compacts.
+    inconsistent app order) is rejected eagerly, and so is a directory
+    in a layout this revision no longer reads (sharded-JSON, npz
+    storage), by name.  ``delta_max_pending`` is the pending-record
+    count at which a write auto-compacts.
     """
     manifest = _read_manifest(directory)
-    if manifest.get("layout") != _COLUMNAR_LAYOUT:
+    layout = manifest.get("layout")
+    if layout is None:
+        # The retired sharded-JSON layout: manifest.json + one flat-JSON
+        # file per shard, and no layout field.
         raise ValueError(
-            f"sharded EFD at {directory!r} is not columnar "
-            f"(layout={manifest.get('layout')!r}); use load_sharded"
+            f"sharded EFD at {directory!r} uses the sharded-JSON layout "
+            f"(JSON shard files), which this revision no longer reads; "
+            f"convert it to columnar with `efd engine compact` at an "
+            f"earlier revision (up to 37f0edd), then open it here"
+        )
+    if layout != _COLUMNAR_LAYOUT:
+        raise ValueError(
+            f"sharded EFD at {directory!r} has unknown layout {layout!r} "
+            f"(expected {_COLUMNAR_LAYOUT!r})"
         )
     version = manifest.get("format_version")
     if version != _COLUMNAR_FORMAT_VERSION:
@@ -1342,8 +1342,8 @@ def load_columnar(
         raise ValueError(
             f"columnar EFD at {directory!r} uses {storage!r} storage, "
             f"which this revision no longer reads (only {_STORAGE!r}); "
-            f"expand it to JSON with an earlier revision (`efd engine "
-            f"expand`), then `efd engine compact` it here"
+            f"convert it with `efd engine compact --layout mmap` at an "
+            f"earlier revision (before 5dda34c), then open it here"
         )
     n_shards = int(manifest["n_shards"])
     if n_shards < 1:
@@ -1483,108 +1483,35 @@ def _dir_bytes(directory: str, names: Sequence[str]) -> int:
 
 
 def compact_shards(directory: str, out: Optional[str] = None) -> dict:
-    """Convert a JSON shard directory to the columnar layout — or fold
-    a columnar directory's pending delta-log into its base.
+    """Fold a columnar directory's pending delta-log into its base.
 
-    In place by default (the superseded files are removed after the new
-    ones are committed); pass ``out`` to write elsewhere and leave the
-    source untouched.  Returns a summary dict with key counts and
-    on-disk byte sizes.
-
-    On a directory that is *already* columnar, a pending
-    ``delta-log.jsonl`` is folded into the base (the summary carries
-    ``folded_records``); a clean columnar directory is an error.
+    In place by default; pass ``out`` to write the folded store
+    elsewhere and leave the source, log included, untouched.  Returns a
+    summary dict with the key and folded-record counts and the on-disk
+    byte size.  A directory with nothing pending is an error.
     """
-    from repro.engine.sharded import load_sharded
-
-    manifest = _read_manifest(directory)
-    if manifest.get("layout") == _COLUMNAR_LAYOUT:
-        store = load_columnar(directory)
-        if not store.delta_pending:
-            raise ValueError(
-                f"sharded EFD at {directory!r} is already columnar "
-                f"(no pending delta-log to fold)"
-            )
-        if _in_place(directory, out):
-            target = directory
-            folded = store.compact_delta()
-        else:
-            target = out
-            folded = store.delta_pending
-            # Keep the base's filter kind, as the in-place fold does.
-            save_columnar(store.to_sharded(), out,
-                          filters=store._filters is not None)
-        new_manifest = _read_manifest(target)
-        return {
-            "n_keys": len(store),
-            "n_shards": store.n_shards,
-            "folded_records": folded,
-            "columnar_bytes": _dir_bytes(
-                target, _manifest_files(new_manifest) + [_MANIFEST_NAME]
-            ),
-            "directory": target,
-        }
-    sharded = load_sharded(directory)
-    json_files = [meta["file"] for meta in manifest.get("shards", [])]
-    json_bytes = _dir_bytes(directory, json_files + [_MANIFEST_NAME])
-    target = directory if _in_place(directory, out) else out
-    save_columnar(sharded, target)
-    new_manifest = _read_manifest(target)
-    columnar_bytes = _dir_bytes(
-        target, _manifest_files(new_manifest) + [_MANIFEST_NAME]
-    )
+    store = load_columnar(directory)
+    if not store.delta_pending:
+        raise ValueError(
+            f"columnar EFD at {directory!r} is already compacted "
+            f"(no pending delta-log to fold)"
+        )
     if _in_place(directory, out):
-        for name in json_files:
-            path = os.path.join(directory, name)
-            if os.path.isfile(path):
-                os.remove(path)
-    return {
-        "n_keys": len(sharded),
-        "n_shards": sharded.n_shards,
-        "json_bytes": json_bytes,
-        "columnar_bytes": columnar_bytes,
-        "directory": target,
-    }
-
-
-def expand_shards(directory: str, out: Optional[str] = None) -> dict:
-    """Convert a columnar directory back to the JSON shard layout.
-
-    The exact inverse of :func:`compact_shards`: the rebuilt JSON
-    directory loads to a dictionary equal to the original (keys, label
-    orders, repetition counts).  In place by default; returns the same
-    summary shape as :func:`compact_shards`.
-
-    A directory with an unfolded delta-log segment is refused with
-    :class:`~repro.engine.deltalog.PendingDeltaError` — the JSON layout
-    has no delta-log, so expanding only the base columns would silently
-    drop every append since the last compaction.  Compact first.
-    """
-    from repro.engine.sharded import save_sharded
-
-    manifest = _read_manifest(directory)
-    if manifest.get("layout") == _COLUMNAR_LAYOUT:
-        generation = int(manifest.get("delta_generation", 0))
-        n_pending = pending_records(directory, generation)
-        if n_pending:
-            raise PendingDeltaError(directory, n_pending)
-    columnar = load_columnar(directory)
-    columnar_files = _manifest_files(manifest)
-    columnar_bytes = _dir_bytes(directory, columnar_files + [_MANIFEST_NAME])
-    target = directory if _in_place(directory, out) else out
-    save_sharded(columnar.to_sharded(shard_label_orders=True), target)
+        target = directory
+        folded = store.compact_delta()
+    else:
+        target = out
+        folded = store.delta_pending
+        # Keep the base's filter kind, as the in-place fold does.
+        save_columnar(store.to_sharded(), out,
+                      filters=store._filters is not None)
     new_manifest = _read_manifest(target)
-    json_files = [meta["file"] for meta in new_manifest["shards"]]
-    json_bytes = _dir_bytes(target, json_files + [_MANIFEST_NAME])
-    if _in_place(directory, out):
-        for name in columnar_files:
-            path = os.path.join(directory, name)
-            if os.path.isfile(path):
-                os.remove(path)
     return {
-        "n_keys": len(columnar),
-        "n_shards": columnar.n_shards,
-        "json_bytes": json_bytes,
-        "columnar_bytes": columnar_bytes,
+        "n_keys": len(store),
+        "n_shards": store.n_shards,
+        "folded_records": folded,
+        "columnar_bytes": _dir_bytes(
+            target, _manifest_files(new_manifest) + [_MANIFEST_NAME]
+        ),
         "directory": target,
     }

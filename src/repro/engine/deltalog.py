@@ -60,27 +60,6 @@ SEGMENT_NAME = "delta-log.jsonl"
 DEFAULT_MAX_PENDING = 100_000
 
 
-class PendingDeltaError(ValueError):
-    """An operation refused because unfolded delta-log records exist.
-
-    Raised by :func:`repro.engine.columnar.expand_shards` (and the
-    ``efd engine expand`` CLI) when a columnar directory still holds a
-    pending ``delta-log.jsonl``: expanding only the base columns would
-    silently drop every append since the last compaction.  Compact
-    first (``efd engine compact --dir DIR``), then expand.
-    """
-
-    def __init__(self, directory: str, n_records: int):
-        self.directory = directory
-        self.n_records = n_records
-        super().__init__(
-            f"columnar EFD at {directory!r} has {n_records} unfolded "
-            f"delta-log record(s) in {SEGMENT_NAME!r}; compact the "
-            f"directory first (efd engine compact) or the pending "
-            f"appends would be dropped"
-        )
-
-
 class SegmentReadError(OSError):
     """A delta-log segment *exists* but cannot be read.
 

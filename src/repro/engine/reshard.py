@@ -9,9 +9,8 @@ alone — only keys whose ``hash % N != hash % M`` change shards, and no
 per-key state (label lists, repetition counts) changes at all.
 
 :func:`reshard_store` re-buckets an in-memory store; :func:`reshard`
-rewrites a shard *directory* (JSON or columnar layout, auto-detected
-and preserved) in place or to ``--out``, surfaced as ``efd engine
-reshard``.  Both preserve every global order byte-identically — the
+rewrites a columnar shard *directory* in place or to ``--out``,
+surfaced as ``efd engine reshard``.  Both preserve every global order byte-identically — the
 key insertion order, the label and app first-seen orders, and each
 shard's internal order (the global order filtered to the shard's keys)
 — so reshard N→M→N round-trips to byte-identical files and every
@@ -28,18 +27,13 @@ import os
 from typing import Optional
 
 from repro.engine.columnar import (
-    is_columnar,
+    load_columnar,
     save_columnar,
     _read_manifest,
     _remove_superseded_files,
 )
 from repro.engine.deltalog import pending_records, segment_path
-from repro.engine.sharded import (
-    ShardedDictionary,
-    load_sharded,
-    save_sharded,
-    shard_index,
-)
+from repro.engine.sharded import ShardedDictionary, shard_index
 
 
 def count_moved_keys(store, n_shards_new: int) -> int:
@@ -73,53 +67,48 @@ def reshard_store(store, n_shards: int) -> ShardedDictionary:
 
 def reshard(directory: str, n_shards: int,
             out: Optional[str] = None) -> dict:
-    """Rewrite a shard directory at a new shard count, layout preserved.
+    """Rewrite a columnar shard directory at a new shard count.
 
     In place by default; pass ``out`` to write the resharded directory
-    elsewhere and leave the source untouched.  JSON directories stay
-    JSON, columnar stay columnar — including per-shard negative-lookup
-    filters, which are rebuilt for the new key routing under the same
-    atomic manifest replace.  An in-place rewrite removes shard files
-    orphaned by a shrinking count (and a pending delta-log segment,
-    whose records are folded into the rewritten base).
+    elsewhere and leave the source untouched.  Per-shard negative-lookup
+    filters are kept (or left out) as in the source, rebuilt for the
+    new key routing under the same atomic manifest replace.  An
+    in-place rewrite removes shard files orphaned by a shrinking count
+    (and a pending delta-log segment, whose records are folded into the
+    rewritten base).
     Returns a summary dict with the key/move counts and new occupancy.
     """
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    columnar = is_columnar(directory)
+    store = load_columnar(directory)
     old_manifest = _read_manifest(directory)
-    store = load_sharded(directory)
     old_shards = store.n_shards
     target = reshard_store(store, n_shards)
     moved = count_moved_keys(store, n_shards)
     in_place = out is None or os.path.abspath(out) == os.path.abspath(directory)
     outdir = directory if in_place else out
-    if columnar:
-        # An in-place rewrite must advance the delta generation, for
-        # two independent reasons: the new base then lands under fresh
-        # generation-suffixed file names committed by one atomic
-        # manifest replace (a crash mid-rewrite can never half-
-        # overwrite the only copy of a live shard file), and any
-        # pending log records folded into the rewrite leave a segment
-        # whose stale generation marks it already-applied instead of
-        # replaying onto the folded base.  A copy to ``--out`` touches
-        # no live file, so it keeps the source generation unless it
-        # folded pending records.
-        old_generation = int(old_manifest.get("delta_generation", 0))
-        folded = pending_records(directory, old_generation)
-        if in_place or folded:
-            generation = old_generation + 1
-        else:
-            generation = old_generation
-        # Preserve whether the source's shards carry negative-lookup
-        # filters — resharding changes the key routing, never the
-        # representation.
-        save_columnar(
-            target, outdir, generation=generation,
-            filters="filters" in old_manifest,
-        )
+    # An in-place rewrite must advance the delta generation, for two
+    # independent reasons: the new base then lands under fresh
+    # generation-suffixed file names committed by one atomic manifest
+    # replace (a crash mid-rewrite can never half-overwrite the only
+    # copy of a live shard file), and any pending log records folded
+    # into the rewrite leave a segment whose stale generation marks it
+    # already-applied instead of replaying onto the folded base.  A
+    # copy to ``--out`` touches no live file, so it keeps the source
+    # generation unless it folded pending records.
+    old_generation = int(old_manifest.get("delta_generation", 0))
+    folded = pending_records(directory, old_generation)
+    if in_place or folded:
+        generation = old_generation + 1
     else:
-        save_sharded(target, outdir)
+        generation = old_generation
+    # Preserve whether the source's shards carry negative-lookup
+    # filters — resharding changes the key routing, never the
+    # representation.
+    save_columnar(
+        target, outdir, generation=generation,
+        filters="filters" in old_manifest,
+    )
     if in_place:
         _remove_superseded_files(outdir, old_manifest, _read_manifest(outdir))
         # Pending appends were folded into the rewrite; the advanced
@@ -130,7 +119,6 @@ def reshard(directory: str, n_shards: int,
             os.remove(segment)
     return {
         "directory": outdir,
-        "layout": "columnar" if columnar else "json",
         "n_keys": len(target),
         "old_shards": old_shards,
         "new_shards": n_shards,

@@ -120,59 +120,37 @@ class TestEngineCommands:
     def test_info_requires_a_source(self, capsys):
         assert main(["engine", "info"]) == 2
 
-    def test_columnar_shard_compact_expand_round_trip(self, tmp_path, capsys):
+    def test_shard_writes_columnar_and_recognizes_like_flat(
+        self, tmp_path, capsys
+    ):
         data = str(tmp_path / "ds.npz")
         efd = str(tmp_path / "efd.json")
         shards = str(tmp_path / "efd-shards")
-        columnar = str(tmp_path / "efd-columnar")
         main(["generate", "--out", data, "--repetitions", "2",
               "--duration-cap", "150", "--seed", "11"])
         main(["fit", "--data", data, "--out", efd, "--depth", "2"])
         capsys.readouterr()
 
-        # Direct columnar sharding via --format.
-        assert main([
-            "engine", "shard", "--efd", efd, "--out", columnar,
-            "--shards", "4", "--format", "columnar",
-        ]) == 0
-        assert "[columnar]" in capsys.readouterr().out
-        assert os.path.exists(os.path.join(columnar, "shard-00.mmap"))
-
-        assert main(["engine", "info", "--efd-dir", columnar]) == 0
-        out = capsys.readouterr().out
-        assert "layout      : columnar" in out
-
-        # Both layouts recognize identically through the CLI.
         assert main([
             "engine", "shard", "--efd", efd, "--out", shards, "--shards", "4",
         ]) == 0
         capsys.readouterr()
+        assert os.path.exists(os.path.join(shards, "shard-00.mmap"))
+        with open(os.path.join(shards, "manifest.json")) as fh:
+            assert json.load(fh)["layout"] == "columnar"
+
+        # The shard directory recognizes exactly like the flat JSON.
+        assert main([
+            "recognize", "--efd", efd, "--data", data, "--depth", "2",
+        ]) == 0
+        flat_out = capsys.readouterr().out
         assert main([
             "engine", "recognize", "--efd-dir", shards, "--data", data,
             "--depth", "2",
         ]) == 0
-        json_out = capsys.readouterr().out
-        assert main([
-            "engine", "recognize", "--efd-dir", columnar, "--data", data,
-            "--depth", "2",
-        ]) == 0
         columnar_out = capsys.readouterr().out
-        assert json_out.rsplit("accuracy", 1)[1] == \
+        assert flat_out.rsplit("accuracy", 1)[1] == \
             columnar_out.rsplit("accuracy", 1)[1]
-
-        # compact in place, then expand back.
-        assert main(["engine", "compact", "--dir", shards]) == 0
-        assert "compacted" in capsys.readouterr().out
-        assert os.path.exists(os.path.join(shards, "shard-00.mmap"))
-        assert not os.path.exists(os.path.join(shards, "shard-00.json"))
-        assert main(["engine", "info", "--efd-dir", shards]) == 0
-        assert "layout      : columnar" in capsys.readouterr().out
-        assert main(["engine", "expand", "--dir", shards]) == 0
-        assert "expanded" in capsys.readouterr().out
-        assert os.path.exists(os.path.join(shards, "shard-00.json"))
-        assert not os.path.exists(os.path.join(shards, "shard-00.mmap"))
-        assert main(["engine", "info", "--efd-dir", shards]) == 0
-        assert "layout      : json" in capsys.readouterr().out
 
     def _columnar_dir(self, tmp_path, n=60):
         from repro.core.fingerprint import Fingerprint
@@ -195,16 +173,15 @@ class TestEngineCommands:
 
         assert main(["engine", "info", "--efd-dir", directory]) == 0
         out = capsys.readouterr().out
-        assert "layout      : columnar" in out
         assert "filters     : per-shard Bloom" in out
 
         # Compacting a clean columnar directory is a named refusal, not
         # a traceback.
         assert main(["engine", "compact", "--dir", directory]) == 2
-        assert "already columnar" in capsys.readouterr().err
+        assert "already compacted" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cmd", ["info", "recognize", "compact",
-                                     "expand", "reshard"])
+                                     "reshard"])
     @pytest.mark.parametrize("storage", ["npz", None])
     def test_legacy_storage_named_exit_2(self, cmd, storage, tmp_path,
                                          capsys):
@@ -225,7 +202,6 @@ class TestEngineCommands:
             "recognize": ["--efd-dir", directory, "--data",
                           str(tmp_path / "unused.npz"), "--depth", "2"],
             "compact": ["--dir", directory],
-            "expand": ["--dir", directory],
             "reshard": ["--dir", directory, "--shards", "2"],
         }[cmd]
         assert main(["engine", cmd, *argv]) == 2
@@ -291,7 +267,7 @@ class TestEngineCommands:
               "--duration-cap", "150", "--seed", "11"])
         main(["fit", "--data", data, "--out", efd, "--depth", "2"])
         main(["engine", "shard", "--efd", efd, "--out", columnar,
-              "--shards", "4", "--format", "columnar"])
+              "--shards", "4"])
         capsys.readouterr()
         with open(stream, "w", encoding="utf-8") as fh:
             for t in range(125):
@@ -311,8 +287,9 @@ class TestEngineCommands:
 class TestNamedInputErrors:
     """A missing or corrupt store or dataset, or a dataset without the
     requested metric, is a one-line named error, never a traceback:
-    ``engine recognize`` exits 2, ``family build``/``report`` raise a
-    ``SystemExit`` naming the command."""
+    ``engine recognize``, ``serve`` and ``shardserve`` exit 2,
+    ``family build``/``report`` raise a ``SystemExit`` naming the
+    command."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -332,11 +309,98 @@ class TestNamedInputErrors:
         os.makedirs(garbled)
         with open(os.path.join(garbled, "manifest.json"), "w") as fh:
             fh.write("{not json")
+        # The retired sharded-JSON layout, by hand: a manifest with
+        # format_version 1 and no layout field, plus one flat-JSON shard.
+        json_shards = str(root / "json-shards")
+        os.makedirs(json_shards)
+        with open(efd) as src, \
+                open(os.path.join(json_shards, "shard-00.json"), "w") as dst:
+            dst.write(src.read())
+        with open(os.path.join(json_shards, "manifest.json"), "w") as fh:
+            json.dump({
+                "format_version": 1, "n_shards": 1, "label_order": [],
+                "shards": [{"file": "shard-00.json", "n_keys": 0}],
+            }, fh)
         return {
             "data": data, "efd": efd, "shards": shards,
             "truncated": truncated, "garbled": garbled,
+            "json_shards": json_shards,
             "missing": str(root / "nonexistent"),
         }
+
+    @staticmethod
+    def _store_argv(cmd, directory, inputs, tmp_path):
+        return {
+            "engine info": ["--efd-dir", directory],
+            "engine recognize": ["--efd-dir", directory,
+                                 "--data", inputs["data"], "--depth", "2"],
+            "engine compact": ["--dir", directory],
+            "engine reshard": ["--dir", directory, "--shards", "3"],
+            "serve": ["--efd-dir", directory, "--depth", "2", "--quiet"],
+            "shardserve": ["--dir", directory,
+                           "--uds", str(tmp_path / "shard.sock")],
+        }[cmd]
+
+    @pytest.mark.parametrize("cmd", ["serve", "shardserve"])
+    @pytest.mark.parametrize("store, named", [
+        ("missing", "nonexistent"),
+        ("garbled", "garbled"),
+    ])
+    def test_serving_a_bad_store_exits_2(
+        self, inputs, cmd, store, named, tmp_path, capsys
+    ):
+        capsys.readouterr()
+        argv = self._store_argv(cmd, inputs[store], inputs, tmp_path)
+        assert main([cmd, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{cmd}: ")
+        assert named in captured.err
+        assert "Traceback" not in captured.err
+        assert "listening" not in captured.out
+
+    def test_publishing_a_bad_store_exits_2(self, inputs, tmp_path, capsys):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--efd-dir", inputs["missing"], "--depth", "2",
+                  "--uds", str(tmp_path / "serve.sock"),
+                  "--publish-uds", str(tmp_path / "publish.sock")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("serve: ")
+        assert "nonexistent" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cmd", [
+        "engine info", "engine recognize", "engine compact",
+        "engine reshard", "serve", "shardserve",
+    ])
+    def test_json_shard_layout_named_exit_2(
+        self, inputs, cmd, tmp_path, capsys
+    ):
+        capsys.readouterr()
+        directory = inputs["json_shards"]
+        argv = self._store_argv(cmd, directory, inputs, tmp_path)
+        assert main([*cmd.split(), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{cmd}: ")
+        assert directory in err
+        assert "sharded-JSON layout" in err
+        assert "no longer reads" in err
+        assert "`efd engine compact`" in err and "37f0edd" in err
+        assert "Traceback" not in err
+        # The refusal touched nothing.
+        assert sorted(os.listdir(directory)) == [
+            "manifest.json", "shard-00.json"
+        ]
+
+    def test_family_build_names_the_json_shard_layout(self, inputs):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["family", "build", "--efd-dir", inputs["json_shards"],
+                  "--depth", "2"])
+        message = str(excinfo.value.code)
+        assert message.startswith("efd family build: ")
+        assert "sharded-JSON layout" in message
+        assert "37f0edd" in message
 
     @pytest.mark.parametrize("store, dataset, metric, named", [
         ("missing", "data", "nr_mapped_vmstat", "nonexistent"),

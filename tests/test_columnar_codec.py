@@ -1,8 +1,8 @@
 """Columnar codec: lossless round-trips and hostile-input edges.
 
-Mirrors the JSON shard-manifest tests: every corruption mode — a
-missing or swapped shard file, damaged key-order bytes, inconsistent
-manifests, a legacy storage — must be reported by name (byte-level
+Every corruption mode — a missing manifest, a missing or swapped shard
+file, damaged key-order bytes, inconsistent manifests, a legacy storage
+or the retired sharded-JSON layout — must be reported by name (byte-level
 damage inside one ``.mmap`` shard is pinned in
 ``tests/test_mmap_filters.py``), and every value/label edge the JSON
 codec survives (-0.0, subnormals, unicode/underscore-heavy labels,
@@ -25,15 +25,9 @@ from repro.core.serialization import (
     dictionary_to_columns,
 )
 from repro.engine import (
-    ColumnarDictionary,
     ShardedDictionary,
-    compact_shards,
-    expand_shards,
-    is_columnar,
     load_columnar,
-    load_sharded,
     save_columnar,
-    save_sharded,
     shard_index,
 )
 
@@ -184,17 +178,65 @@ class TestColumnarDirectory:
         sharded = _sample_sharded()
         directory = str(tmp_path / "col")
         save_columnar(sharded, directory)
-        assert is_columnar(directory)
         loaded = load_columnar(directory)
         _assert_equal_stores(sharded, loaded)
 
-    def test_load_sharded_dispatches_on_layout(self, tmp_path):
-        sharded = _sample_sharded()
+    @pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
+    def test_round_trip_matches_at_every_shard_count(self, n_shards,
+                                                     tmp_path):
+        from repro.core.matcher import match_fingerprints
+
+        sharded = _sample_sharded(n_shards)
         directory = str(tmp_path / "col")
         save_columnar(sharded, directory)
-        loaded = load_sharded(directory)
-        assert isinstance(loaded, ColumnarDictionary)
+        loaded = load_columnar(directory)
+        assert loaded.n_shards == n_shards
         _assert_equal_stores(sharded, loaded)
+        known = [fp for fp, _ in sharded.entries()]
+        for fps in ([known[0], known[5]], [known[1], None], [_fp(1.5)]):
+            assert match_fingerprints(loaded, fps) == \
+                match_fingerprints(sharded, fps)
+
+    def test_manifest_names_every_file_with_a_checksum(self, tmp_path):
+        directory = str(tmp_path / "col")
+        save_columnar(_sample_sharded(4), directory)
+        manifest = json.loads(
+            open(os.path.join(directory, "manifest.json")).read()
+        )
+        assert manifest["layout"] == "columnar"
+        assert manifest["storage"] == "mmap"
+        assert manifest["format_version"] == 1
+        assert manifest["n_shards"] == 4
+        assert len(manifest["shards"]) == 4
+        for meta in manifest["shards"] + [manifest["key_order_file"]]:
+            assert os.path.isfile(os.path.join(directory, meta["file"]))
+            assert meta["checksum"]
+
+    def test_missing_manifest_named(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="manifest.json"):
+            load_columnar(str(tmp_path / "nowhere"))
+        directory = tmp_path / "list"
+        directory.mkdir()
+        (directory / "manifest.json").write_text("[1, 2]")
+        with pytest.raises(ValueError, match="not a JSON object"):
+            load_columnar(str(directory))
+
+    def test_json_shard_layout_refused_by_name(self, tmp_path):
+        # A directory of the retired sharded-JSON layout: format_version
+        # 1 and no layout field in its manifest.
+        directory = tmp_path / "json"
+        directory.mkdir()
+        (directory / "manifest.json").write_text(json.dumps({
+            "format_version": 1, "n_shards": 1, "label_order": [],
+            "shards": [{"file": "shard-00.json", "n_keys": 0}],
+        }))
+        with pytest.raises(ValueError) as excinfo:
+            load_columnar(str(directory))
+        message = str(excinfo.value)
+        assert repr(str(directory)) in message
+        assert "sharded-JSON layout" in message
+        assert "no longer reads" in message
+        assert "`efd engine compact`" in message and "37f0edd" in message
 
     def test_empty_shards_and_empty_store(self, tmp_path):
         # One key across many shards: most shard files hold zero keys.
@@ -424,6 +466,9 @@ class TestColumnarDirectory:
         with_manifest(lambda m: m["shards"].pop())
         with pytest.raises(ValueError, match="shard files"):
             load_columnar(directory)
+        with_manifest(lambda m: m.__setitem__("layout", "rows"))
+        with pytest.raises(ValueError, match="unknown layout 'rows'"):
+            load_columnar(directory)
 
     @pytest.mark.parametrize("storage", ["npz", None, "zip"])
     def test_legacy_storage_rejected_by_name(self, storage, tmp_path):
@@ -440,13 +485,13 @@ class TestColumnarDirectory:
             manifest["storage"] = storage
         open(manifest_path, "w").write(json.dumps(manifest))
         named = repr(storage or "npz")
-        for loader in (load_columnar, load_sharded):
-            with pytest.raises(ValueError) as excinfo:
-                loader(directory)
-            message = str(excinfo.value)
-            assert repr(directory) in message
-            assert f"{named} storage" in message
-            assert "earlier revision" in message
+        with pytest.raises(ValueError) as excinfo:
+            load_columnar(directory)
+        message = str(excinfo.value)
+        assert repr(directory) in message
+        assert f"{named} storage" in message
+        assert "earlier revision" in message
+        assert "expand" not in message
 
     @pytest.mark.parametrize("storage", ["npz", "zip", None])
     def test_save_accepts_only_mmap_storage(self, storage, tmp_path):
@@ -546,51 +591,25 @@ class TestColumnReads:
         assert not hasattr(loaded, "pristine")
 
 
-class TestConversion:
-    def test_compact_then_expand_restores_identical_files(self, tmp_path):
+class TestResaveByteIdentity:
+    def test_resave_of_a_loaded_store_is_byte_identical(self, tmp_path):
+        # A store saved from a loaded columnar store, loaded and saved
+        # again, gives the same files byte for byte.  (The first save,
+        # from an in-memory store, differs only in each shard's
+        # write-only label_order column.)
         sharded = _sample_sharded()
-        directory = str(tmp_path / "efd")
-        save_sharded(sharded, directory)
-        originals = {
-            name: open(os.path.join(directory, name), "rb").read()
-            for name in sorted(os.listdir(directory))
-        }
-        summary = compact_shards(directory)
-        assert is_columnar(directory)
-        assert not any(
-            name.startswith("shard-") and name.endswith(".json")
-            for name in os.listdir(directory)
+        first, second, third = (
+            str(tmp_path / name) for name in ("first", "second", "third")
         )
-        assert summary["n_keys"] == len(sharded)
-        expand_shards(directory)
-        assert not is_columnar(directory)
-        restored = {
-            name: open(os.path.join(directory, name), "rb").read()
-            for name in sorted(os.listdir(directory))
-        }
-        assert restored == originals  # byte-identical, not just equal
+        save_columnar(sharded, first)
+        save_columnar(load_columnar(first), second)
+        save_columnar(load_columnar(second), third)
 
-    def test_conversion_to_separate_out_leaves_source_untouched(self, tmp_path):
-        sharded = _sample_sharded()
-        src = str(tmp_path / "src")
-        dst = str(tmp_path / "dst")
-        save_sharded(sharded, src)
-        before = sorted(os.listdir(src))
-        compact_shards(src, out=dst)
-        assert sorted(os.listdir(src)) == before
-        assert is_columnar(dst)
-        _assert_equal_stores(load_columnar(dst), sharded)
-        back = str(tmp_path / "back")
-        expand_shards(dst, out=back)
-        _assert_equal_stores(load_sharded(back), sharded)
+        def files(directory):
+            return {
+                name: open(os.path.join(directory, name), "rb").read()
+                for name in sorted(os.listdir(directory))
+            }
 
-    def test_wrong_direction_conversions_rejected(self, tmp_path):
-        sharded = _sample_sharded()
-        json_dir = str(tmp_path / "json")
-        col_dir = str(tmp_path / "col")
-        save_sharded(sharded, json_dir)
-        save_columnar(sharded, col_dir)
-        with pytest.raises(ValueError, match="already columnar"):
-            compact_shards(col_dir)
-        with pytest.raises(ValueError, match="not columnar"):
-            expand_shards(json_dir)
+        assert files(third) == files(second)
+        _assert_equal_stores(load_columnar(third), sharded)

@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -11,7 +10,6 @@ from repro.core.serialization import (
     load_dictionary,
     save_dictionary,
 )
-from repro.engine import ShardedDictionary, load_sharded, save_sharded
 
 
 def _fp(value, node=0):
@@ -82,147 +80,3 @@ class TestFileRoundTrip:
         path = str(tmp_path / "nested" / "dir" / "efd.json")
         save_dictionary(_sample_efd(), path)
         assert load_dictionary(path).stats().n_keys == 2
-
-
-def _sample_sharded(n_shards=4):
-    return ShardedDictionary.from_flat(_sample_efd(), n_shards)
-
-
-class TestShardedRoundTrip:
-    @pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
-    def test_save_load_identical_matches(self, tmp_path, n_shards):
-        from repro.core.matcher import match_fingerprints
-
-        original = _sample_sharded(n_shards)
-        directory = str(tmp_path / "efd-shards")
-        save_sharded(original, directory)
-        restored = load_sharded(directory)
-        assert restored.n_shards == n_shards
-        assert len(restored) == len(original)
-        assert restored.labels() == original.labels()
-        assert restored.app_names() == original.app_names()
-        queries = [
-            [_fp(7500.0, 1), _fp(6000.0, 0)],
-            [_fp(7500.0, 1), None],
-            [_fp(1234.0, 2)],  # unknown key
-        ]
-        for fps in queries:
-            assert match_fingerprints(restored, fps) == match_fingerprints(
-                original, fps
-            )
-
-    def test_global_key_order_survives_round_trip(self, tmp_path):
-        # Keys inserted interleaved across shards must come back in the
-        # same global order (Table-4 listings / to_flat depend on it),
-        # not in shard-major order.
-        sharded = ShardedDictionary(4)
-        for i in range(12):
-            sharded.add(_fp(1000.0 * (i + 1), i % 4), f"app{i % 3}_X")
-        directory = str(tmp_path / "efd-shards")
-        save_sharded(sharded, directory)
-        restored = load_sharded(directory)
-        assert list(restored.entries()) == list(sharded.entries())
-        assert list(restored.to_flat().entries()) == list(
-            sharded.to_flat().entries()
-        )
-
-    def test_manifest_layout(self, tmp_path):
-        directory = str(tmp_path / "efd-shards")
-        save_sharded(_sample_sharded(4), directory)
-        manifest = json.loads(
-            open(os.path.join(directory, "manifest.json")).read()
-        )
-        assert manifest["format_version"] == 1
-        assert manifest["n_shards"] == 4
-        assert len(manifest["shards"]) == 4
-        for meta in manifest["shards"]:
-            assert os.path.isfile(os.path.join(directory, meta["file"]))
-            assert meta["checksum"]
-
-    def test_missing_manifest_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="manifest.json"):
-            load_sharded(str(tmp_path / "nowhere"))
-
-    def test_missing_shard_file_named_in_error(self, tmp_path):
-        directory = str(tmp_path / "efd-shards")
-        save_sharded(_sample_sharded(4), directory)
-        victim = None
-        for name in sorted(os.listdir(directory)):
-            if name.startswith("shard-"):
-                victim = name
-                os.remove(os.path.join(directory, name))
-                break
-        with pytest.raises(FileNotFoundError, match=victim):
-            load_sharded(directory)
-
-    def test_corrupt_shard_file_named_in_error(self, tmp_path):
-        directory = str(tmp_path / "efd-shards")
-        save_sharded(_sample_sharded(2), directory)
-        with open(os.path.join(directory, "shard-01.json"), "w") as fh:
-            fh.write("{definitely not json")
-        with pytest.raises(ValueError, match="shard-01.json"):
-            load_sharded(directory)
-
-    def test_truncated_shard_fails_checksum(self, tmp_path):
-        directory = str(tmp_path / "efd-shards")
-        save_sharded(_sample_sharded(2), directory)
-        path = os.path.join(directory, "shard-00.json")
-        text = open(path).read()
-        with open(path, "w") as fh:
-            fh.write(text[: len(text) // 2])
-        with pytest.raises(ValueError, match="shard-00.json"):
-            load_sharded(directory)
-
-    def test_swapped_shard_files_detected(self, tmp_path):
-        directory = str(tmp_path / "efd-shards")
-        efd = ExecutionFingerprintDictionary()
-        for i in range(12):  # enough keys to span several shards
-            efd.add(_fp(1000.0 * (i + 1), i % 4), "ft_X")
-        sharded = ShardedDictionary.from_flat(efd, 4)
-        save_sharded(sharded, directory)
-        # Swap two non-empty shard files and refresh the manifest
-        # checksums so only key-routing validation can catch it.
-        occupied = [
-            i for i, n in enumerate(sharded.shard_sizes()) if n > 0
-        ]
-        assert len(occupied) >= 2, "sample EFD should span >= 2 shards"
-        a = os.path.join(directory, f"shard-{occupied[0]:02d}.json")
-        b = os.path.join(directory, f"shard-{occupied[1]:02d}.json")
-        text_a, text_b = open(a).read(), open(b).read()
-        open(a, "w").write(text_b)
-        open(b, "w").write(text_a)
-        manifest_path = os.path.join(directory, "manifest.json")
-        manifest = json.loads(open(manifest_path).read())
-        import hashlib
-
-        for meta in manifest["shards"]:
-            content = open(os.path.join(directory, meta["file"])).read()
-            meta["checksum"] = hashlib.blake2b(
-                content.encode("utf-8"), digest_size=16
-            ).hexdigest()
-        open(manifest_path, "w").write(json.dumps(manifest))
-        with pytest.raises(ValueError, match="renamed or swapped"):
-            load_sharded(directory)
-
-    def test_duplicate_key_order_entries_rejected(self, tmp_path):
-        directory = str(tmp_path / "efd-shards")
-        sharded = ShardedDictionary(2)
-        for i in range(4):
-            sharded.add(_fp(1000.0 * (i + 1), i % 4), "ft_X")
-        save_sharded(sharded, directory)
-        manifest_path = os.path.join(directory, "manifest.json")
-        manifest = json.loads(open(manifest_path).read())
-        manifest["key_order"][1] = manifest["key_order"][0]  # duplicate
-        open(manifest_path, "w").write(json.dumps(manifest))
-        with pytest.raises(ValueError, match="twice"):
-            load_sharded(directory)
-
-    def test_wrong_version_rejected(self, tmp_path):
-        directory = str(tmp_path / "efd-shards")
-        save_sharded(_sample_sharded(2), directory)
-        manifest_path = os.path.join(directory, "manifest.json")
-        manifest = json.loads(open(manifest_path).read())
-        manifest["format_version"] = 99
-        open(manifest_path, "w").write(json.dumps(manifest))
-        with pytest.raises(ValueError, match="version"):
-            load_sharded(directory)

@@ -5,8 +5,7 @@ sustained write trickle (appends interleaved with batch recognitions)
 keeps the vectorized ``searchsorted`` index active — zero demotions —
 with verdicts element-wise identical to a flat reference grown the same
 way; the log replays across restarts, folds losslessly on compaction,
-survives crash artifacts (torn tail, stale generation), and blocks
-``expand`` while unfolded.
+and survives crash artifacts (torn tail, stale generation).
 """
 
 from __future__ import annotations
@@ -24,12 +23,9 @@ from repro.core.matcher import match_fingerprints
 from repro.core.recognizer import EFDRecognizer
 from repro.engine import (
     BatchRecognizer,
-    PendingDeltaError,
     ShardedDictionary,
     compact_shards,
-    expand_shards,
     load_columnar,
-    load_sharded,
     pending_records,
     save_columnar,
 )
@@ -154,9 +150,6 @@ class TestDurability:
         reopened = load_columnar(directory)
         assert reopened.delta_pending == 3
         _assert_equal_stores(reopened, flat)
-        # load_sharded auto-detection takes the same path.
-        auto = load_sharded(directory)
-        _assert_equal_stores(auto, flat)
 
     def test_torn_final_record_is_dropped(self, columnar):
         flat = _small_flat()
@@ -335,8 +328,8 @@ class TestCompaction:
         assert summary["folded_records"] == 1
         assert not os.path.isfile(segment_path(directory))
         _assert_equal_stores(load_columnar(directory), flat)
-        with pytest.raises(ValueError, match="already columnar"):
-            compact_shards(directory)    # clean directory: unchanged error
+        with pytest.raises(ValueError, match="already compacted"):
+            compact_shards(directory)    # clean directory: named refusal
 
     def test_compact_to_out_leaves_source_untouched(self, tmp_path, columnar):
         flat = _small_flat()
@@ -356,34 +349,9 @@ class TestCompaction:
         col, _ = columnar(flat, n_shards=2)
         col.add(_fp(90000.0), "zz_Q")
         flat.add(_fp(90000.0), "zz_Q")
-        from repro.engine import save_sharded
-
         col_out = str(tmp_path / "copy-col")
         save_columnar(col, col_out)
         _assert_equal_stores(load_columnar(col_out), flat)
-        json_out = str(tmp_path / "copy-json")
-        save_sharded(col, json_out)
-        _assert_equal_stores(load_sharded(json_out), flat)
-
-
-class TestExpandGuard:
-    def test_expand_refuses_unfolded_delta(self, columnar):
-        col, directory = columnar(_small_flat(), n_shards=2)
-        col.add(_fp(90000.0), "zz_Q")
-        with pytest.raises(PendingDeltaError, match="compact"):
-            expand_shards(directory)
-        # Nothing was converted: still columnar, log intact.
-        assert os.path.isfile(segment_path(directory))
-        assert load_columnar(directory).delta_pending == 1
-
-    def test_expand_works_after_compaction(self, columnar):
-        flat = _small_flat()
-        col, directory = columnar(flat, n_shards=2)
-        col.add(_fp(90000.0), "zz_Q")
-        flat.add(_fp(90000.0), "zz_Q")
-        col.compact_delta()
-        expand_shards(directory)
-        _assert_equal_stores(load_sharded(directory), flat)
 
 
 class TestNoFallbackPath:

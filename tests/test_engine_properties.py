@@ -341,7 +341,7 @@ class TestBatchEqualsSequential:
 class TestColumnarBackendEqualsFlat:
     """The storage-backend equivalence matrix.
 
-    Every backend — flat, sharded-JSON round trip, columnar (mmap) —
+    Every backend — flat, in-memory sharded, columnar (mmap) —
     must produce byte-identical MatchResults,
     across shard counts, on both the record path (vectorized column
     index) and the session path (vectorized full-key lookup)."""
@@ -360,17 +360,13 @@ class TestColumnarBackendEqualsFlat:
         return recognizer, records, sequential
 
     def _stores(self, recognizer, n_shards, tmp_path):
-        from repro.engine import load_sharded, save_sharded
-
         flat = recognizer.dictionary_
         sharded = ShardedDictionary.from_flat(flat, n_shards)
-        json_dir = str(tmp_path / "json")
-        save_sharded(sharded, json_dir)
         col_dir = str(tmp_path / "col")
         save_columnar(sharded, col_dir)
         return {
             "flat": flat,
-            "sharded-json": load_sharded(json_dir),
+            "sharded": sharded,
             "columnar": load_columnar(col_dir),
         }
 
@@ -391,7 +387,7 @@ class TestColumnarBackendEqualsFlat:
     ):
         recognizer, records, sequential = fitted
         stores = self._stores(recognizer, n_shards, tmp_path)
-        store, reference = stores["columnar"], stores["sharded-json"]
+        store, reference = stores["columnar"], stores["sharded"]
         engine = BatchRecognizer(store, depth=2)
         fingerprint_lists = [
             build_fingerprints(r, "nr_mapped_vmstat", 2) for r in records
@@ -536,7 +532,7 @@ class TestColumnarBackendEqualsFlat:
 
 
 class TestStorageEquivalenceUnderInterleavings:
-    """Element-wise verdict equality across {flat, sharded-JSON,
+    """Element-wise verdict equality across {flat, in-memory sharded,
     columnar} under random learn/compact/reshard interleavings.
 
     The flat dictionary is the oracle; the columnar directories (one
@@ -560,13 +556,7 @@ class TestStorageEquivalenceUnderInterleavings:
 
     @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_random_interleavings(self, seed, tmp_path):
-        from repro.engine import (
-            compact_shards,
-            load_sharded,
-            reshard,
-            reshard_store,
-            save_sharded,
-        )
+        from repro.engine import compact_shards, reshard, reshard_store
 
         rng = random.Random(500 + seed)
         pairs = _random_pairs(rng, 150)
@@ -579,11 +569,9 @@ class TestStorageEquivalenceUnderInterleavings:
             "columnar-mmap": str(tmp_path / "mmap"),
             "columnar-unfiltered": str(tmp_path / "unfiltered"),
         }
-        json_dir = str(tmp_path / "json")
-        save_sharded(sharded, json_dir)
         save_columnar(sharded, dirs["columnar-mmap"])
         save_columnar(sharded, dirs["columnar-unfiltered"], filters=False)
-        stores = {"sharded-json": load_sharded(json_dir)}
+        stores = {"sharded": sharded}
         for name, path in dirs.items():
             stores[name] = load_columnar(path)
 
@@ -611,12 +599,10 @@ class TestStorageEquivalenceUnderInterleavings:
                     stores[name] = load_columnar(dirs[name])
             else:
                 n_new = rng.choice((1, 2, 3, 5, 8))
-                # The JSON store mutated in memory only; reshard it in
-                # memory too.  The columnar adds hit the on-disk
-                # delta-log, so the directory reshard folds them.
-                stores["sharded-json"] = reshard_store(
-                    stores["sharded-json"], n_new
-                )
+                # The in-memory store reshards in memory.  The columnar
+                # adds hit the on-disk delta-log, so the directory
+                # reshard folds them.
+                stores["sharded"] = reshard_store(stores["sharded"], n_new)
                 for name in self._COLUMNAR:
                     stores[name].close()
                     reshard(dirs[name], n_new)
@@ -1080,7 +1066,7 @@ class TestFamilyCascadeEquivalence:
     """The cascade equivalence matrix (hierarchical == flat, everywhere).
 
     Two disciplines, each replayed element-wise against every fine-tier
-    backend — flat, sharded-JSON, columnar, and the
+    backend — flat, in-memory sharded, columnar, and the
     remote fan-out client — under interleaved learns *through the
     cascade*:
 
@@ -1159,7 +1145,6 @@ class TestFamilyCascadeEquivalence:
         Returns ``(stores, closers)``; callers must run the closers
         (remote client + shard server threads) in a finally block.
         """
-        from repro.engine import load_sharded, save_sharded
         from repro.engine.remote import RemoteShardBackend, ShardServerThread
 
         flat = ExecutionFingerprintDictionary()
@@ -1167,8 +1152,6 @@ class TestFamilyCascadeEquivalence:
         for fp, label in base:
             flat.add(fp, label)
             sharded.add(fp, label)
-        json_dir = str(tmp_path / "json")
-        save_sharded(sharded, json_dir)
         col_dir = str(tmp_path / "col")
         save_columnar(sharded, col_dir)
 
@@ -1190,7 +1173,7 @@ class TestFamilyCascadeEquivalence:
         )
         stores = {
             "flat": flat,
-            "sharded-json": load_sharded(json_dir),
+            "sharded": sharded,
             "columnar": load_columnar(col_dir),
             "remote": remote,
         }

@@ -3,7 +3,7 @@
 The property suite (``tests/test_engine_properties.py``) pins the
 behavioral equivalence of the columnar store; this file pins the codec
 mechanics: byte layout, zero-copy mapping, named structural errors,
-filter serialization, and the conversion paths of ``compact_shards``.
+filter serialization, and the fold paths of ``compact_shards``.
 The crash-interruption cases live in ``tests/test_faultinject.py``.
 """
 
@@ -359,39 +359,10 @@ class TestStoreLevelFilters:
 
 
 class TestConversion:
-    def test_json_to_mmap_direct(self, tmp_path):
-        from repro.engine import save_sharded
-
-        directory = str(tmp_path / "efd")
-        sharded = _sharded()
-        save_sharded(sharded, directory)
-        summary = compact_shards(directory)
-        assert summary["n_keys"] == len(sharded)
-        names = sorted(os.listdir(directory))
-        assert not any(n.startswith("shard") and n.endswith(".json")
-                       for n in names)
-        assert any(n.endswith(".mmap") for n in names)
-        store = load_columnar(directory)
-        assert list(store.entries()) == list(sharded.entries())
-
-    def test_conversion_to_out_leaves_source(self, tmp_path):
-        from repro.engine import save_sharded
-
-        src = str(tmp_path / "src")
-        dst = str(tmp_path / "dst")
-        save_sharded(_sharded(), src)
-        before = sorted(os.listdir(src))
-        compact_shards(src, out=dst)
-        assert sorted(os.listdir(src)) == before
-        assert any(n.endswith(".mmap") for n in os.listdir(dst))
-        assert list(load_columnar(dst).entries()) == list(
-            _sharded().entries()
-        )
-
     def test_noop_conversion_refused(self, tmp_path):
         directory = str(tmp_path / "efd")
         save_columnar(_sharded(), directory)
-        with pytest.raises(ValueError, match="already columnar"):
+        with pytest.raises(ValueError, match="already compacted"):
             compact_shards(directory)
 
     def test_conversion_folds_pending_log(self, tmp_path):
@@ -421,21 +392,3 @@ class TestConversion:
         assert store.delta_pending == 0
         assert store.lookup(late) == ["late_X"]
         assert (store.filter_info() is None) == (not filters)
-
-    @pytest.mark.parametrize("filters", [True, False],
-                             ids=["filtered", "unfiltered"])
-    def test_expand_removes_all_sidecars(self, filters, tmp_path):
-        from repro.engine import expand_shards, load_sharded
-
-        directory = str(tmp_path / "efd")
-        sharded = _sharded()
-        save_columnar(sharded, directory, filters=filters)
-        expand_shards(directory)
-        leftovers = [
-            f for f in os.listdir(directory)
-            if f.endswith((".npz", ".mmap", ".filter"))
-        ]
-        assert leftovers == []
-        assert list(load_sharded(directory).entries()) == list(
-            sharded.entries()
-        )

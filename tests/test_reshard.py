@@ -3,7 +3,7 @@
 The reshard contract (ISSUE 5 acceptance): ``reshard`` changes a
 directory's shard count without a relearn, moving only keys whose
 ``stable_hash % N != stable_hash % M``; a reshard N→M→N round-trips to
-*byte-identical* files (both layouts — columnar writes are deterministic);
+*byte-identical* payloads (columnar writes are deterministic);
 and verdicts over a 500-execution batch are element-wise identical
 before and after, across {1, 2, 4, 8} → {2, 3, 8, 16}.
 """
@@ -22,13 +22,10 @@ from repro.engine import (
     BatchRecognizer,
     ShardedDictionary,
     count_moved_keys,
-    is_columnar,
     load_columnar,
-    load_sharded,
     reshard,
     reshard_store,
     save_columnar,
-    save_sharded,
     shard_index,
 )
 
@@ -148,44 +145,30 @@ class TestReshardStore:
 
 
 class TestReshardDirectory:
-    @pytest.mark.parametrize("layout", ["json", "columnar"])
     @pytest.mark.parametrize("n_old", OLD_COUNTS)
     @pytest.mark.parametrize("n_new", NEW_COUNTS)
-    def test_round_trip_is_byte_identical(self, layout, n_old, n_new, tmp_path):
+    def test_round_trip_is_byte_identical(self, n_old, n_new, tmp_path):
         flat = _random_flat(17 + n_old, n=120)
         sharded = ShardedDictionary.from_flat(flat, n_old)
         directory = str(tmp_path / "efd")
-        if layout == "columnar":
-            save_columnar(sharded, directory)
-        else:
-            save_sharded(sharded, directory)
-        originals = (
-            _normalized_columnar(directory)
-            if layout == "columnar" else _dir_bytes(directory)
-        )
+        save_columnar(sharded, directory)
+        originals = _normalized_columnar(directory)
         forward = reshard(directory, n_new)
         assert forward["old_shards"] == n_old
         assert forward["new_shards"] == n_new
-        assert (is_columnar(directory)) == (layout == "columnar")
         backward = reshard(directory, n_old)
         assert backward["moved_keys"] == forward["moved_keys"]
-        if layout == "columnar":
-            # Byte-identical payloads; only the crash-safety generation
-            # (and the file names it suffixes) advanced.
-            assert _normalized_columnar(directory) == originals
-        else:
-            assert _dir_bytes(directory) == originals  # byte-identical files
+        # Byte-identical payloads; only the crash-safety generation (and
+        # the file names it suffixes) advanced.
+        assert _normalized_columnar(directory) == originals
 
-    @pytest.mark.parametrize("layout", ["json", "columnar"])
-    def test_orders_preserved_through_directory(self, layout, tmp_path):
+    def test_orders_preserved_through_directory(self, tmp_path):
         flat = _random_flat(23)
         sharded = ShardedDictionary.from_flat(flat, 4)
         directory = str(tmp_path / "efd")
-        (save_columnar if layout == "columnar" else save_sharded)(
-            sharded, directory
-        )
+        save_columnar(sharded, directory)
         reshard(directory, 9)
-        loaded = load_sharded(directory)
+        loaded = load_columnar(directory)
         assert loaded.n_shards == 9
         assert loaded.labels() == flat.labels()
         assert loaded.app_names() == flat.app_names()
@@ -259,10 +242,10 @@ class TestVerdictEquivalence:
         directory = str(tmp_path / "efd")
         save_columnar(sharded, directory)
         before = BatchRecognizer(
-            load_sharded(directory), depth=2
+            load_columnar(directory), depth=2
         ).recognize_records(batch)
         reshard(directory, n_new)
-        after_store = load_sharded(directory)
+        after_store = load_columnar(directory)
         assert after_store.n_shards == n_new
         engine = BatchRecognizer(after_store, depth=2)
         assert engine.recognize_records(batch) == before
@@ -285,7 +268,7 @@ class TestVerdictEquivalence:
             for r in batch[:50]
         ]
         got = BatchRecognizer(
-            load_sharded(directory), depth=2
+            load_columnar(directory), depth=2
         ).recognize_records(batch[:50])
         assert got == expected
 
