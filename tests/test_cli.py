@@ -181,12 +181,13 @@ class TestEngineCommands:
         assert "already compacted" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cmd", ["info", "recognize", "compact",
-                                     "reshard"])
+                                     "reshard", "serve", "shardserve"])
     @pytest.mark.parametrize("storage", ["npz", None])
     def test_legacy_storage_named_exit_2(self, cmd, storage, tmp_path,
                                          capsys):
         # A store written when npz was the default codec (storage="npz",
-        # or no storage field at all) fails by name, never a traceback.
+        # or no storage field at all) fails by name, never a traceback,
+        # from the engine commands and from both serving commands.
         directory = self._columnar_dir(tmp_path)
         manifest_path = os.path.join(directory, "manifest.json")
         with open(manifest_path, encoding="utf-8") as fh:
@@ -203,13 +204,20 @@ class TestEngineCommands:
                           str(tmp_path / "unused.npz"), "--depth", "2"],
             "compact": ["--dir", directory],
             "reshard": ["--dir", directory, "--shards", "2"],
+            "serve": ["--efd-dir", directory, "--depth", "2", "--quiet"],
+            "shardserve": ["--dir", directory,
+                           "--uds", str(tmp_path / "shard.sock")],
         }[cmd]
-        assert main(["engine", cmd, *argv]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"engine {cmd}: ")
+        command = [cmd] if cmd in ("serve", "shardserve") else ["engine", cmd]
+        assert main([*command, *argv]) == 2
+        captured = capsys.readouterr()
+        err = captured.err
+        assert err.startswith(f"{' '.join(command)}: ")
         assert directory in err
         assert "'npz' storage" in err
         assert "earlier revision" in err
+        assert "Traceback" not in err
+        assert "listening" not in captured.out
 
     @pytest.mark.parametrize("suffix", [".filter", ".hashidx", ".mmap"])
     def test_info_missing_sidecar_named_exit_2(

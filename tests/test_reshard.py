@@ -145,13 +145,16 @@ class TestReshardStore:
 
 
 class TestReshardDirectory:
+    @pytest.mark.parametrize("filters", [True, False],
+                             ids=["filtered", "unfiltered"])
     @pytest.mark.parametrize("n_old", OLD_COUNTS)
     @pytest.mark.parametrize("n_new", NEW_COUNTS)
-    def test_round_trip_is_byte_identical(self, n_old, n_new, tmp_path):
+    def test_round_trip_is_byte_identical(self, filters, n_old, n_new,
+                                          tmp_path):
         flat = _random_flat(17 + n_old, n=120)
         sharded = ShardedDictionary.from_flat(flat, n_old)
         directory = str(tmp_path / "efd")
-        save_columnar(sharded, directory)
+        save_columnar(sharded, directory, filters=filters)
         originals = _normalized_columnar(directory)
         forward = reshard(directory, n_new)
         assert forward["old_shards"] == n_old
@@ -162,14 +165,19 @@ class TestReshardDirectory:
         # the file names it suffixes) advanced.
         assert _normalized_columnar(directory) == originals
 
-    def test_orders_preserved_through_directory(self, tmp_path):
+    @pytest.mark.parametrize("filters", [True, False],
+                             ids=["filtered", "unfiltered"])
+    def test_orders_preserved_through_directory(self, filters, tmp_path):
         flat = _random_flat(23)
         sharded = ShardedDictionary.from_flat(flat, 4)
         directory = str(tmp_path / "efd")
-        save_columnar(sharded, directory)
+        save_columnar(sharded, directory, filters=filters)
         reshard(directory, 9)
         loaded = load_columnar(directory)
         assert loaded.n_shards == 9
+        # Resharding keeps the source's representation: filters stay
+        # on (rebuilt for the new routing) or stay off.
+        assert (loaded.filter_info() is None) == (not filters)
         assert loaded.labels() == flat.labels()
         assert loaded.app_names() == flat.app_names()
         assert [fp for fp, _ in loaded.entries()] == [
@@ -187,23 +195,32 @@ class TestReshardDirectory:
         assert _dir_bytes(src) == before
         assert load_columnar(dst).n_shards == 8
 
-    def test_shrinking_removes_orphaned_shard_files(self, tmp_path):
+    @pytest.mark.parametrize("filters", [True, False],
+                             ids=["filtered", "unfiltered"])
+    def test_shrinking_removes_orphaned_shard_files(self, filters, tmp_path):
         import json
 
         sharded = ShardedDictionary.from_flat(_random_flat(37), 8)
         directory = str(tmp_path / "efd")
-        save_columnar(sharded, directory)
+        save_columnar(sharded, directory, filters=filters)
         reshard(directory, 2)
         with open(os.path.join(directory, "manifest.json")) as fh:
             manifest = json.load(fh)
         referenced = {meta["file"] for meta in manifest["shards"]}
         referenced.add(manifest["key_order_file"]["file"])
+        filter_shards = manifest.get("filters", {}).get("shards", [])
+        assert len(filter_shards) == (2 if filters else 0)
+        for meta in filter_shards:
+            referenced.add(meta["file"])
+            if meta.get("hash_file") is not None:
+                referenced.add(meta["hash_file"])
         assert len(manifest["shards"]) == 2
         on_disk = {
             name for name in os.listdir(directory)
-            if name.endswith((".mmap", ".npz"))
+            if name.endswith((".mmap", ".npz", ".filter", ".hashidx"))
         }
-        assert on_disk == referenced  # all 8 old shard files reclaimed
+        # All 8 old shard files, and their filter sidecars, reclaimed.
+        assert on_disk == referenced
         assert load_columnar(directory).n_shards == 2
 
     def test_pending_delta_is_folded_into_the_reshard(self, tmp_path):
