@@ -28,8 +28,12 @@ paper-faithful reference:
   keys, the session path) and
   :meth:`ColumnarBatchIndex.resolve_probes` (``(node, value)`` probes
   of one metric and interval, the records path) — hash their probes,
-  ``searchsorted`` the table and verify each candidate against the key
-  columns, walking the rare run of equal hashes, so answers are exact.
+  start each at its bucket of the table's in-memory fence (the slot
+  where its top hash bits begin, about one key per bucket), walk the
+  bucket and verify each candidate against the key columns, so answers
+  are exact.  The walk is gathers and compares only: no sort and no
+  binary search, numpy calls that release the GIL and, beside a busy
+  event loop, wait up to a switch interval to win it back.
   ``(label list, distinct apps)`` entries materialize as Python
   objects only for rows actually probed.
 - **Negative-lookup filters** — every shard is also fronted by a small
@@ -87,7 +91,9 @@ import io
 import itertools
 import json
 import os
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -321,9 +327,23 @@ def save_columnar(store, directory: str, generation: int = 0,
 # Vectorized lookup
 # ---------------------------------------------------------------------------
 
-#: A key-hash table: the :func:`key_hashes` of some keys in ascending
-#: order, and the row of each key in the table's key columns.
-HashTable = Tuple[np.ndarray, np.ndarray]
+class HashTable(NamedTuple):
+    """A key-hash table: the :func:`key_hashes` of some keys in
+    ascending order, the row of each key in the table's key columns, and
+    optionally the table's bucket fence.
+
+    The fence splits the 64-bit hash space into ``2**k`` buckets by the
+    top ``k = len(hashes).bit_length()`` bits — about one key per bucket
+    — and holds the ``2**k + 1`` bucket start slots, so bucket ``b``
+    spans slots ``fence[b]:fence[b + 1]``.  Tables without one (the
+    per-shard sidecars) find a probe's start slot by ``searchsorted``.
+    """
+
+    hashes: np.ndarray
+    rows: np.ndarray
+    fence: Optional[np.ndarray] = None
+
+
 #: Key columns by name: ``metric_id``, ``interval_id``, ``node``, ``value``.
 Columns = Dict[str, np.ndarray]
 
@@ -334,55 +354,93 @@ def _search(table: HashTable, columns: Callable[[], Columns],
 
     The one exact-match kernel.  ``hashes`` are the probes'
     :func:`key_hashes` and ``keys`` their ``(metric_id, interval_id,
-    node, value_bits)`` columns.  Each probe's candidates are the run of
-    table slots holding its hash, found by ``searchsorted``; every
-    candidate is verified against the key columns, so a hash collision
-    never answers a wrong key.  The run is walked one slot per round
-    for the probes still unmatched — rounds are vectorized over probes,
-    and distinct keys sharing a 64-bit hash are rare enough that runs
-    are a slot long.  ``columns`` is called only once some probe's hash
-    is in the table, so a batch of misses reads no column bytes.
+    node, value_bits)`` columns.  A probe starts at its bucket's first
+    slot in the table's fence (on a table without one, at the first
+    slot not below its hash, by ``searchsorted``) and walks one slot per
+    round while the slot's hash is below its own.  A slot holding its
+    hash is a candidate, verified against the key columns, so a hash
+    collision never answers a wrong key: a wrong candidate walks on
+    through the run of slots holding its hash.  A probe misses once the
+    slot passes its hash, which is where its bucket ends at the latest
+    (the next bucket's hashes are all larger).  Rounds are vectorized
+    over the probes still walking, and buckets hold about one key, so a
+    batch takes a handful of rounds.  On a fenced table the walk is
+    gathers and elementwise compares only — no sort and no binary
+    search, calls that release the GIL at any size and, beside another
+    busy thread, can wait a whole switch interval to win it back.
+    ``columns`` is called only once some probe's hash is in the table,
+    so a batch of misses reads no column bytes.
     """
-    # Each distinct probe hash is searched once, in hash order: batches
-    # repeat keys, and numpy's binary search narrows each search by the
-    # previous one's result, so sorted probes stay in cache.
-    sorted_hashes, rows = table
-    n = len(sorted_hashes)
-    order = np.argsort(hashes)
-    ordered = hashes[order]
-    first = np.empty(len(ordered), dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    pos = np.empty(len(hashes), dtype=np.int64)
-    pos[order] = np.searchsorted(sorted_hashes, ordered[first])[
-        np.cumsum(first) - 1
-    ]
+    sorted_hashes, rows, fence = table
     out = np.full(len(hashes), -1, dtype=np.int64)
-    todo = np.flatnonzero(pos < n)
-    todo = todo[sorted_hashes[pos[todo]] == hashes[todo]]
-    if len(todo) == 0:
+    if len(sorted_hashes) == 0:
         return out
-    cols = columns()
+    # A probe above the largest hash misses; every other probe finds a
+    # slot not below its hash before the table ends, so only a wrong
+    # candidate in the last slot could walk off it.  Index arrays stay
+    # intp: numpy converts any other index dtype through a path that
+    # may release the GIL on tiny arrays.
+    last = len(sorted_hashes) - 1
+    todo = np.flatnonzero(hashes <= sorted_hashes[last])
+    probe = hashes[todo]
+    if fence is None:
+        pos = np.searchsorted(sorted_hashes, probe)
+    else:
+        shift = np.uint64(64 - len(sorted_hashes).bit_length())
+        pos = fence[(probe >> shift).view(np.int64)].astype(np.int64)
+    cols = None
     metric_id, interval_id, node, bits = keys
     while len(todo):
-        cand = rows[pos[todo]]
-        match = (
-            (cols["node"][cand] == node[todo])
-            & (_value_bits(cols["value"][cand]) == bits[todo])
-            & (cols["metric_id"][cand] == metric_id[todo])
-            & (cols["interval_id"][cand] == interval_id[todo])
-        )
-        out[todo[match]] = cand[match]
-        todo = todo[~match]
-        pos[todo] += 1
-        todo = todo[pos[todo] < n]
-        todo = todo[sorted_hashes[pos[todo]] == hashes[todo]]
+        slot = sorted_hashes[pos]
+        walk = slot < probe
+        same = np.flatnonzero(slot == probe)
+        if len(same):
+            if cols is None:
+                cols = columns()
+            at = pos[same]
+            cand = rows[at]
+            which = todo[same]
+            match = (
+                (cols["node"][cand] == node[which])
+                & (_value_bits(cols["value"][cand]) == bits[which])
+                & (cols["metric_id"][cand] == metric_id[which])
+                & (cols["interval_id"][cand] == interval_id[which])
+            )
+            out[which[match]] = cand[match]
+            walk[same] = ~match & (at < last)
+        pos += 1
+        todo, pos, probe = todo[walk], pos[walk], probe[walk]
     return out
 
 
+#: Sorted hashes per step of the fence build: its temporaries stay this
+#: size, not the table's.
+_FENCE_STEP = 1 << 16
+
+
 def _sorted_table(hashes: np.ndarray, rows: np.ndarray) -> HashTable:
+    """The fenced key-hash table of ``hashes`` and their ``rows``.
+
+    The fence is a ``bincount`` of the sorted hashes' top bits and its
+    running sum: one O(n) pass, no search.  It counts a step of hashes
+    at a time into the fence itself — a step's top bits span a narrow
+    range, since the hashes are sorted — so a million-key table builds
+    its 4 MB fence without a table-sized temporary.
+    """
     order = np.argsort(hashes, kind="stable")
-    return hashes[order], rows[order]
+    hashes, rows = hashes[order], rows[order]
+    del order
+    n = len(hashes)
+    k = n.bit_length()
+    fence = np.zeros(2 ** k + 1, dtype=np.int32 if n < 2 ** 31 else np.int64)
+    shift = np.uint64(64 - k)
+    for lo in range(0, n, _FENCE_STEP):
+        top = (hashes[lo:lo + _FENCE_STEP] >> shift).view(np.int64)
+        first = int(top[0]) + 1
+        counts = np.bincount(top - (first - 1))
+        fence[first:first + len(counts)] += counts
+    np.cumsum(fence, out=fence)
+    return HashTable(hashes, rows, fence)
 
 
 class ResolvedProbes:
@@ -496,7 +554,7 @@ class ColumnarDictionary(KeyOrderedStore):
     in-memory overlay with a key-hash table of its own.  The base
     ``shard-NN.mmap`` columns — and the key-hash table over them — never
     change, so a store under a sustained write trickle keeps the
-    ``searchsorted`` path, and a restart replays the pending log.
+    fenced base table, and a restart replays the pending log.
     :meth:`compact_delta` folds the log back into the base files
     (automatic past ``DeltaLog.max_pending`` records; also ``efd engine
     compact`` and serve shutdown).
@@ -575,9 +633,7 @@ class ColumnarDictionary(KeyOrderedStore):
             self._filter_hash_meta = list(entries)
         else:
             self._filter_hash_meta = None
-        self._hash_index_cache: Dict[
-            int, Tuple[np.ndarray, np.ndarray]
-        ] = {}
+        self._hash_index_cache: Dict[int, HashTable] = {}
         self._shard_starts: Optional[List[int]] = None
         self._n_base = sum(f.n_keys for f in self._files)
         self._label_order = {label: None for label in self._label_table}
@@ -1143,9 +1199,9 @@ class ColumnarDictionary(KeyOrderedStore):
         if self._table is None:
             parts = [self._shard_hash_index(i) for i in range(self.n_shards)]
             self._table = _sorted_table(
-                np.concatenate([hashes for hashes, _ in parts]),
+                np.concatenate([part.hashes for part in parts]),
                 np.concatenate([
-                    rows.astype(np.int64) + start for (_, rows), start
+                    part.rows.astype(np.int64) + start for part, start
                     in zip(parts, self._shard_start_rows())
                 ]),
             )
@@ -1168,8 +1224,9 @@ class ColumnarDictionary(KeyOrderedStore):
             )
         return self._overlay_cache
 
-    def _shard_hash_index(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Shard ``i``'s ``(sorted hashes, row order)`` table (cached).
+    def _shard_hash_index(self, i: int) -> HashTable:
+        """Shard ``i``'s ``(sorted hashes, row order)`` table (cached),
+        without a fence.
 
         Read from the ``shard-NN.hashidx`` sidecar written at save time
         — no per-row hashing, no sort, no column bytes.  Stores without
@@ -1192,7 +1249,8 @@ class ColumnarDictionary(KeyOrderedStore):
                 columns["node"],
                 _value_bits(columns["value"]),
             )
-            found = _sorted_table(hashes, np.arange(len(hashes)))
+            order = np.argsort(hashes, kind="stable")
+            found = HashTable(hashes[order], order)
         else:
             path = os.path.join(self._directory, name)
             if not os.path.isfile(path):
@@ -1208,10 +1266,10 @@ class ColumnarDictionary(KeyOrderedStore):
                     f"hash-index file {name!r} is corrupt: checksum "
                     f"mismatch (expected {expected})"
                 )
-            found = unpack_hash_index(data, name)
-            if len(found[0]) != self._files[i].n_keys:
+            found = HashTable(*unpack_hash_index(data, name))
+            if len(found.hashes) != self._files[i].n_keys:
                 raise ValueError(
-                    f"hash-index file {name!r} lists {len(found[0])} keys "
+                    f"hash-index file {name!r} lists {len(found.hashes)} keys "
                     f"but the manifest expects {self._files[i].n_keys}"
                 )
         self._hash_index_cache[i] = found

@@ -24,9 +24,11 @@ columns just to discover that nothing matches.  This module is the negative-look
 - :func:`pack_hash_index` / :func:`unpack_hash_index` persist the same
   per-shard hashes **sorted**, with the row permutation, as a second
   sidecar (``shard-NN.hashidx``): the columnar store's exact-match
-  table.  Merged over shards it is the store's one base lookup
-  structure; before the merge, a probe that survives a shard's filter
-  resolves by ``searchsorted`` into that shard's table — the
+  table.  Merged over shards (and given an in-memory bucket fence, so
+  a probe starts at its bucket with no binary search) it is the store's
+  one base lookup structure; before the merge, a probe that survives a
+  shard's filter resolves by ``searchsorted`` into that shard's table
+  — read once for a few probes, so it gets no fence — the
   hot-metadata / cold-bulk-bytes split — so a cold unknown-heavy batch
   never hashes or sorts the base and touches column bytes only for
   genuine hits.
@@ -97,7 +99,9 @@ def pack_hash_index(hashes: np.ndarray) -> bytes:
     cold probe that survives the Bloom filter then resolves by
     ``searchsorted`` into this table — no per-row hashing, no sort, and
     (for a genuine miss) no column bytes at all — instead of hashing
-    and sorting the whole base on first scan.
+    and sorting the whole base on first scan.  The store's merged table
+    concatenates these and builds its bucket fence in memory; the fence
+    is never written, so the file format does not carry it.
     """
     hashes = np.asarray(hashes, dtype=np.uint64)
     n = len(hashes)

@@ -878,7 +878,7 @@ class ShardServer:
                 if store._filters is not None:
                     filt = store._filters[s]
                 else:
-                    hashes, rows = store._hash_table()
+                    hashes, rows, _ = store._hash_table()
                     start = store._shard_start_rows()[s]
                     filt = KeyFilter.build(
                         hashes[(rows >= start)

@@ -24,7 +24,7 @@ base.
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.engine.columnar import (
     load_columnar,
@@ -65,6 +65,37 @@ def reshard_store(store, n_shards: int) -> ShardedDictionary:
     return target
 
 
+def _rebucket(store, n_shards: int) -> Tuple[ShardedDictionary, int]:
+    """A columnar store re-bucketed at ``n_shards``, and its moved-key
+    count, from one walk that routes each key once.
+
+    What :func:`reshard_store` and :func:`count_moved_keys` compute
+    together: each key's old shard is the source shard it sits in
+    (:meth:`~repro.engine.columnar.ColumnarDictionary.shard_items`),
+    and its new shard is the one routing of the merge.  Labels register
+    first and keys replay in global insertion order, so every
+    observable matches :func:`reshard_store`'s.
+    """
+    held = {
+        fp: (shard, counts)
+        for shard in range(store.n_shards)
+        for fp, counts in store.shard_items(shard)
+    }
+    target = ShardedDictionary(n_shards)
+    for label in store.labels():
+        target.register_label(label)
+    moved = 0
+    for fp in store._key_order:
+        old, counts = held[fp]
+        new = shard_index(fp, n_shards)
+        moved += new != old
+        shard = target.shards[new]
+        for label, count in counts.items():
+            shard.add_repeated(fp, label, count)
+    target._key_order.update(dict.fromkeys(store._key_order))
+    return target, moved
+
+
 def reshard(directory: str, n_shards: int,
             out: Optional[str] = None) -> dict:
     """Rewrite a columnar shard directory at a new shard count.
@@ -83,8 +114,7 @@ def reshard(directory: str, n_shards: int,
     store = load_columnar(directory)
     old_manifest = _read_manifest(directory)
     old_shards = store.n_shards
-    target = reshard_store(store, n_shards)
-    moved = count_moved_keys(store, n_shards)
+    target, moved = _rebucket(store, n_shards)
     in_place = out is None or os.path.abspath(out) == os.path.abspath(directory)
     outdir = directory if in_place else out
     # An in-place rewrite must advance the delta generation, for two
