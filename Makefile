@@ -19,9 +19,9 @@ bench-smoke:     ## columnar codec bench at tiny scale (fast regression gate)
 bench-e2e:       ## end-to-end benchmark: every workload, traced per-layer waterfalls
 	$(PYTHON) e2ebench/run.py --workload all --seed 1 --seconds 20 --trace 1
 
-serve-smoke:     ## UDS listener smoke + block decoder, block accounting, slab routing, batch drain and GIL-quiet lookup gates + short serve_flood and serve_paced runs (correctness, not speed)
-	$(PYTHON) -m pytest tests/test_serve_net.py -q -k "smoke or BlockDecoder"
-	$(PYTHON) -m pytest tests/test_serve_service.py -q -k "BlockAccounting or SlabRouting or BatchDrain"
+serve-smoke:     ## UDS listener smoke + block decoder, decode process, block accounting, slab routing, batch drain, closed-service store freeing and GIL-quiet lookup gates + short serve_flood and serve_paced runs (correctness, not speed)
+	$(PYTHON) -m pytest tests/test_serve_net.py -q -k "smoke or BlockDecoder or DecodeWorker"
+	$(PYTHON) -m pytest tests/test_serve_service.py -q -k "BlockAccounting or SlabRouting or BatchDrain or CloseFreesStore"
 	$(PYTHON) -m pytest tests/test_hash_kernel.py -q -k GilQuietLookup
 	$(PYTHON) e2ebench/run.py --workload serve_flood --seed 1 --seconds 3 --trace 0
 	$(PYTHON) e2ebench/run.py --workload serve_paced --seed 1 --seconds 3 --trace 0

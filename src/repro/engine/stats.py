@@ -107,6 +107,10 @@ METRICS = (
     Metric("n_protocol_errors", "protocol_errors", "counter",
            "connections", "protocol_errors",
            "malformed, oversized or undecodable lines and frames refused"),
+    Metric("decode_worker_deaths", "decode_worker_deaths", "counter",
+           "connections", "decode_worker_deaths",
+           "times a listener's NDJSON decode process died (its spans, "
+           "and all later ones, were decoded inline)"),
     # -- replication (fed by repro.engine.replicate) -------------------------
     Metric("repl_followers", "repl_followers", "gauge", "replication",
            "followers", "follower streams open right now (leader)"),

@@ -6,9 +6,11 @@ LDMS aggregator, per site — all pushing telemetry at once.
 into that shared endpoint: an asyncio TCP and/or Unix-domain-socket
 listener accepting N concurrent producer connections, each speaking the
 same newline-delimited JSON :class:`~repro.serve.stream.Sample` encoding
-the file/stdin path reads (``parse_sample``).  Each socket read is
-decoded as one block (:class:`LineDecoder`) and submitted in
-per-connection micro-batches of blocks.
+the file/stdin path reads (``parse_sample``).  The event loop reads
+and frames the bytes (:class:`LineDecoder`); each read's complete lines
+are decoded as one block in a forked decode process, which runs on the
+host's second CPU (inline on a one-CPU host, and for a read of a few
+lines), and the blocks are submitted in per-connection micro-batches.
 
 Design points (the full wire-protocol spec lives in ``docs/serving.md``):
 
@@ -37,10 +39,19 @@ the multi-producer equivalence tests, and
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import marshal
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+import signal
+import socket
+import struct
+import time
+from collections import deque
+from typing import (Deque, Dict, Iterable, List, NoReturn, Optional, Sequence,
+                    Set, Tuple)
 
+from repro.engine.stats import EngineStats
 from repro.serve.service import IngestService
 from repro.serve.stream import MAX_NODES, Sample, SampleBlock, parse_sample
 
@@ -56,6 +67,16 @@ __all__ = [
 #: Socket bytes pulled per read: large enough to frame hundreds of
 #: samples per event-loop turn, small enough to keep batches timely.
 _READ_CHUNK = 1 << 16
+#: Spans one connection may have out for decoding: enough to keep the
+#: decode process busy while the loop submits a batch, few enough that
+#: a full ingest queue still stops reads.
+_MAX_SPANS = 4
+#: Spans shorter than this decode inline even with a decode process: a
+#: round trip costs the loop about as much as decoding ~20 lines and
+#: adds a process wake-up to the batch's latency.  A trickling
+#: producer's reads (a few lines each) stay inline; a flood's 64 KiB
+#: reads go out.
+_INLINE_SPAN_BYTES = 4096
 
 
 class ProtocolError(ValueError):
@@ -177,61 +198,335 @@ def _decode_lines(lines: Iterable[bytes], lineno: int, max_bytes: int,
     return lineno
 
 
-class LineDecoder:
-    """Frames one connection's NDJSON bytes into sample blocks.
+def _decode_span(data: bytes, lineno: int, max_bytes: int
+                 ) -> Tuple[SampleBlock, Optional[str]]:
+    """Decode one span of complete lines: the one decode both places run.
 
-    :meth:`feed` takes the bytes of one socket read and appends the
-    samples of every line it completes to a block; :meth:`finish`
-    decodes an unterminated last line at EOF.  Each read's complete
-    lines are decoded in one pass (see :func:`_decode_bulk`); a chunk
-    holding a line that needs coercion or is invalid goes through the
-    per-line :func:`~repro.serve.stream.parse_sample` instead, so the
-    samples, the :class:`ProtocolError` text and its line number never
-    depend on where the reads split the stream.  :attr:`lineno` counts
-    the lines consumed so far.
+    ``data`` is complete lines joined by ``\n`` (no trailing newline)
+    and ``lineno`` the number of the line before them.  Returns the
+    samples and ``None``, or the valid prefix and the
+    :class:`ProtocolError` text of the first line the span cannot
+    accept.  :func:`_decode_bulk` takes the common case; a span it
+    refuses goes through the per-line reference :func:`_decode_lines`.
+    """
+    decoded = _decode_bulk(data, max_bytes)
+    if decoded is not None:
+        return decoded[0], None
+    out = SampleBlock()
+    try:
+        _decode_lines(data.split(b"\n"), lineno, max_bytes, out)
+    except ProtocolError as exc:
+        return out, str(exc)
+    return out, None
+
+
+class _Span:
+    """One read's complete lines, out for decoding.
+
+    ``future`` resolves to :func:`_decode_span`'s ``(block, error)``.
+    The bytes stay here until the span is taken, so a span whose decode
+    process died can still be decoded inline.
     """
 
-    def __init__(self, max_line_bytes: int):
+    __slots__ = ("data", "lineno", "future")
+
+    def __init__(self, data: bytes, lineno: int, future: asyncio.Future):
+        self.data = data
+        self.lineno = lineno
+        self.future = future
+
+
+#: A span request: payload length, then the number of the line before
+#: the span (for the error text).  The payload is the span's bytes.
+_SPAN_HEAD = struct.Struct("<IQ")
+#: A reply: payload length.  The payload is a marshal of the block's
+#: five columns and the error text (``None`` when the span was valid).
+_REPLY_HEAD = struct.Struct("<I")
+#: Seconds :meth:`_DecodeWorker.close` waits for the process to exit at
+#: EOF before it kills it.
+_REAP_TIMEOUT = 2.0
+
+
+def _decode_in_worker() -> bool:
+    """Whether a listener forks a decode process.
+
+    Only with a second usable CPU to run it on: on one CPU the process
+    would take turns with the event loop and only add a hop, so spans
+    are decoded inline.
+    """
+    try:
+        return len(os.sched_getaffinity(0)) >= 2
+    except AttributeError:  # no sched_getaffinity: not Linux
+        return False
+
+
+def _serve_spans(sock: socket.socket, max_bytes: int) -> None:
+    """The decode process's loop: answer span requests in order, until
+    the listener closes its end of the socket."""
+    read = sock.makefile("rb").read
+    while True:
+        head = read(_SPAN_HEAD.size)
+        if len(head) < _SPAN_HEAD.size:
+            return
+        size, lineno = _SPAN_HEAD.unpack(head)
+        data = read(size)
+        if len(data) < size:
+            return
+        block, error = _decode_span(data, lineno, max_bytes)
+        reply = marshal.dumps((block.jobs, block.nodes, block.times,
+                               block.values, block.n_nodes, error))
+        sock.sendall(_REPLY_HEAD.pack(len(reply)) + reply)
+
+
+def _decode_process(sock: socket.socket, max_bytes: int) -> NoReturn:
+    """The forked child: keep only ``sock``, serve spans, then leave.
+
+    The service's executor threads do not exist here, so the child runs
+    only code that takes no lock one of them could have held at the
+    fork: no import, logging or asyncio, just the decoders, ``marshal``
+    and blocking socket calls.  Every other inherited descriptor
+    (listening sockets, the store's mapped files, the delta-log) is
+    closed first, so none outlives the listener through this process.
+    The collector is pointed away from the inherited heap, so
+    collections never touch (and copy) its pages.  Ctrl-C reaches the
+    whole process group; the listener, not this process, decides when
+    decoding stops, so SIGINT is ignored here.  ``os._exit`` leaves
+    without running the parent's exit handlers or flushing its buffers.
+    """
+    try:
+        fd = sock.fileno()
+        os.closerange(3, fd)
+        os.closerange(fd + 1, os.sysconf("SC_OPEN_MAX"))
+        signal.set_wakeup_fd(-1)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        gc.freeze()
+        _serve_spans(sock, max_bytes)
+    finally:
+        os._exit(0)
+
+
+class _DecodeWorker(asyncio.Protocol):
+    """The listener's decode process, seen from the event loop.
+
+    :meth:`spawn` forks the process, which inherits every import of the
+    service.  The loop writes each span to it as a frame over an
+    ``AF_UNIX`` socket pair and reads the replies in
+    :meth:`data_received`, with no helper thread.  The process answers
+    in order, so each reply resolves the oldest span waiting.  It holds
+    no state, so one process serves every connection.
+
+    If the process dies, each span still waiting is decoded inline, and
+    so is every later one (``decode_worker_deaths`` counts the event):
+    no connection fails and no line is lost.
+    """
+
+    def __init__(self, max_line_bytes: int, stats: EngineStats):
+        self.max_line_bytes = max_line_bytes
+        self.stats = stats
+        self.pid: Optional[int] = None
+        self._transport: Optional[asyncio.Transport] = None
+        self._waiting: Deque[_Span] = deque()
+        self._buf = bytearray()
+        self._closing = False
+
+    @classmethod
+    async def spawn(cls, max_line_bytes: int,
+                    stats: EngineStats) -> "_DecodeWorker":
+        worker = cls(max_line_bytes, stats)
+        ours, theirs = socket.socketpair()
+        try:
+            pid = os.fork()
+        except OSError:
+            ours.close()
+            theirs.close()
+            raise
+        if pid == 0:
+            _decode_process(theirs, max_line_bytes)
+        theirs.close()
+        worker.pid = pid
+        await asyncio.get_running_loop().create_unix_connection(
+            lambda: worker, sock=ours
+        )
+        return worker
+
+    @property
+    def alive(self) -> bool:
+        return self._transport is not None
+
+    def decode(self, span: _Span) -> None:
+        """Send ``span`` to the live process; ``span.future`` resolves
+        with its reply (or with an inline decode, if the process dies
+        first)."""
+        self._waiting.append(span)
+        self._transport.write(
+            _SPAN_HEAD.pack(len(span.data), span.lineno) + span.data
+        )
+
+    # -- asyncio.Protocol ----------------------------------------------------
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        buf = self._buf
+        buf += data
+        head = _REPLY_HEAD.size
+        while len(buf) >= head:
+            (size,) = _REPLY_HEAD.unpack_from(buf)
+            end = head + size
+            if len(buf) < end:
+                return
+            with memoryview(buf) as view:
+                reply = marshal.loads(view[head:end])
+            del buf[:end]
+            future = self._waiting.popleft().future
+            if not future.done():  # a taken-over or abandoned span
+                future.set_result((SampleBlock(*reply[:5]), reply[5]))
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._transport = None
+        if not self._closing:
+            self.stats.add(decode_worker_deaths=1)
+        while self._waiting:
+            span = self._waiting.popleft()
+            if not span.future.done():
+                span.future.set_result(
+                    _decode_span(span.data, span.lineno, self.max_line_bytes)
+                )
+
+    async def close(self) -> None:
+        """Close the socket (the process exits at EOF) and reap it."""
+        self._closing = True
+        if self._transport is not None:
+            self._transport.abort()
+        pid, self.pid = self.pid, None
+        give_up = time.monotonic() + _REAP_TIMEOUT
+        while True:
+            try:
+                if os.waitpid(pid, os.WNOHANG)[0]:
+                    return
+            except ChildProcessError:  # already reaped
+                return
+            if time.monotonic() > give_up:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                return
+            await asyncio.sleep(0.001)
+
+
+class LineDecoder:
+    """One connection's line framing, and its spans out for decoding.
+
+    :meth:`feed` takes the bytes of one socket read.  Its complete lines
+    become one span, which goes to the listener's decode process (or is
+    decoded inline: without one, or when it is short), while the
+    unterminated tail waits for the next read.  :meth:`finish` makes
+    that tail a span at EOF.  :meth:`take` appends the samples of the
+    decoded spans to a block in stream order, and raises
+    :class:`ProtocolError` at the first line that a span refused.  The partial-line buffer, the line count and
+    the oversized-tail check all stay here, so the samples, the error
+    text and its line number never depend on where the reads split the
+    stream or on where a span is decoded.  :attr:`lineno` counts the
+    lines framed so far; :attr:`reading` turns false at EOF or at an
+    oversized tail.
+    """
+
+    def __init__(self, max_line_bytes: int,
+                 worker: Optional[_DecodeWorker] = None):
         self.max_line_bytes = max_line_bytes
         self.lineno = 0
+        self.reading = True
+        self._worker = worker
         self._buf = bytearray()
+        self._spans: Deque[_Span] = deque()
 
-    def feed(self, chunk: bytes, out: SampleBlock) -> None:
+    @property
+    def in_flight(self) -> int:
+        """Spans framed and not yet taken."""
+        return len(self._spans)
+
+    def feed(self, chunk: bytes) -> None:
         buf = self._buf
         buf += chunk
         cut = buf.rfind(b"\n")
         if cut >= 0:
-            data = bytes(buf[:cut])
+            self._send(bytes(buf[:cut]))
             del buf[:cut + 1]
-            # Decode the complete lines BEFORE rejecting an oversized
-            # unterminated tail: valid samples that shared a read with
-            # the bad line must still ride along in exc.parsed, or
-            # acceptance would depend on chunk boundaries.
-            self.decode(data, out)
         if len(buf) > self.max_line_bytes:
-            raise ProtocolError(
-                f"sample line {self.lineno + 1}: exceeds "
-                f"max_line_bytes={self.max_line_bytes}",
-                out,
-            )
+            # After the complete lines' span: their samples still ride
+            # along in the error's prefix, or acceptance would depend
+            # on where the reads split the stream.
+            self._refuse(f"sample line {self.lineno + 1}: exceeds "
+                         f"max_line_bytes={self.max_line_bytes}")
 
-    def finish(self, out: SampleBlock) -> None:
+    def finish(self) -> None:
         """End of stream: a trailing unterminated line is still a line."""
+        self.reading = False
         if self._buf:
             data = bytes(self._buf)
             self._buf.clear()
-            self.decode(data, out)
+            self._send(data)
 
-    def decode(self, data: bytes, out: SampleBlock) -> None:
-        """Append the samples of complete lines ``data`` (joined by
-        ``\n``, no trailing newline) to ``out``."""
-        decoded = _decode_bulk(data, self.max_line_bytes)
-        if decoded is None:
-            self.lineno = _decode_lines(data.split(b"\n"), self.lineno,
-                                        self.max_line_bytes, out)
+    def _send(self, data: bytes) -> None:
+        span = _Span(data, self.lineno,
+                     asyncio.get_running_loop().create_future())
+        self.lineno += data.count(b"\n") + 1
+        self._spans.append(span)
+        worker = self._worker
+        if (worker is None or not worker.alive
+                or len(data) < _INLINE_SPAN_BYTES):
+            span.future.set_result(
+                _decode_span(data, span.lineno, self.max_line_bytes)
+            )
         else:
-            out.extend(decoded[0])
-            self.lineno += decoded[1]
+            worker.decode(span)
+
+    def _refuse(self, reason: str) -> None:
+        """Queue ``reason`` behind the spans framed so far and stop."""
+        self.reading = False
+        span = _Span(b"", self.lineno,
+                     asyncio.get_running_loop().create_future())
+        span.future.set_result((SampleBlock(), reason))
+        self._spans.append(span)
+
+    async def wait(self) -> None:
+        """Until the oldest span out is decoded."""
+        await self._spans[0].future
+
+    def take(self, out: SampleBlock) -> None:
+        """Append the samples of every decoded span at the head to
+        ``out``."""
+        spans = self._spans
+        while spans and spans[0].future.done():
+            self._absorb(*spans.popleft().future.result(), out)
+
+    def take_now(self, out: SampleBlock) -> None:
+        """Append the samples of every span out to ``out`` without
+        waiting: a span still out is decoded inline (graceful drain)."""
+        spans = self._spans
+        while spans:
+            span = spans.popleft()
+            future = span.future
+            if future.done() and not future.cancelled():
+                result = future.result()
+            else:
+                future.cancel()
+                result = _decode_span(span.data, span.lineno,
+                                      self.max_line_bytes)
+            self._absorb(*result, out)
+
+    def _absorb(self, block: SampleBlock, error: Optional[str],
+                out: SampleBlock) -> None:
+        out.extend(block)
+        if error is not None:
+            self.abandon()
+            raise ProtocolError(error, out)
+
+    def abandon(self) -> None:
+        """Drop every span out: their replies are discarded."""
+        for span in self._spans:
+            span.future.cancel()
+        self._spans.clear()
 
 
 class NetListener:
@@ -279,24 +574,40 @@ class NetListener:
         self._servers: List[asyncio.AbstractServer] = []
         self._conn_tasks: Set["asyncio.Task[None]"] = set()
         self._closing = False
+        self._worker: Optional[_DecodeWorker] = None
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> "NetListener":
-        """Bind every configured endpoint and begin accepting producers."""
+        """Fork the decode process (on a host with a second CPU), bind
+        every configured endpoint and begin accepting producers."""
         if self._servers:
             raise RuntimeError("listener already started")
         limit = self.config.max_line_bytes
-        if self.port is not None:
-            server = await asyncio.start_server(
-                self._handle, host=self.host, port=self.port, limit=limit
-            )
-            self.tcp_address = server.sockets[0].getsockname()[:2]
-            self._servers.append(server)
-        if self.uds_path is not None:
-            server = await asyncio.start_unix_server(
-                self._handle, path=self.uds_path, limit=limit
-            )
-            self._servers.append(server)
+        if _decode_in_worker():
+            try:
+                self._worker = await _DecodeWorker.spawn(limit,
+                                                         self.service.stats)
+            except OSError:
+                self._worker = None  # no process to spare: decode inline
+        try:
+            if self.port is not None:
+                server = await asyncio.start_server(
+                    self._handle, host=self.host, port=self.port, limit=limit
+                )
+                self.tcp_address = server.sockets[0].getsockname()[:2]
+                self._servers.append(server)
+            if self.uds_path is not None:
+                server = await asyncio.start_unix_server(
+                    self._handle, path=self.uds_path, limit=limit
+                )
+                self._servers.append(server)
+        except BaseException:
+            # An endpoint would not bind: leave no server or process.
+            for server in self._servers:
+                server.close()
+            self._servers = []
+            await self._stop_worker()
+            raise
         return self
 
     async def __aenter__(self) -> "NetListener":
@@ -320,15 +631,23 @@ class NetListener:
         """Producer connections currently being served."""
         return len(self._conn_tasks)
 
+    @property
+    def decode_pid(self) -> Optional[int]:
+        """Process id of the live decode process; ``None`` while spans
+        are decoded inline (one CPU, or the process died)."""
+        worker = self._worker
+        return worker.pid if worker is not None and worker.alive else None
+
     async def close(self, abort: bool = True) -> None:
-        """Stop accepting and shut down producer connections.
+        """Stop accepting, shut down producer connections, then stop and
+        reap the decode process.
 
         With ``abort`` (default) open connections are cancelled: each
-        handler submits the samples it already parsed, then closes its
-        socket — the graceful-drain path (SIGTERM).  With
-        ``abort=False`` the call waits for every producer to finish on
-        its own (EOF or error), which never returns under a producer
-        that streams forever.
+        handler submits the samples of every complete line it already
+        read, then closes its socket — the graceful-drain path
+        (SIGTERM).  With ``abort=False`` the call waits for every
+        producer to finish on its own (EOF or error), which never
+        returns under a producer that streams forever.
         """
         self._closing = True
         for server in self._servers:
@@ -345,11 +664,17 @@ class NetListener:
             except Exception:
                 pass
         self._servers = []
+        await self._stop_worker()
         if self.uds_path is not None and os.path.exists(self.uds_path):
             try:
                 os.unlink(self.uds_path)
             except OSError:
                 pass
+
+    async def _stop_worker(self) -> None:
+        if self._worker is not None:
+            worker, self._worker = self._worker, None
+            await worker.close()
 
     # -- connection handling -------------------------------------------------
     async def _handle(
@@ -361,7 +686,7 @@ class NetListener:
         stats.record_conn_open()
         dropped = False
         n_accepted = 0
-        decoder = LineDecoder(self.config.max_line_bytes)
+        decoder = LineDecoder(self.config.max_line_bytes, self._worker)
         try:
             if self._closing:
                 return
@@ -388,6 +713,7 @@ class NetListener:
             # us — either way this connection is done; peers unaffected.
             dropped = True
         finally:
+            decoder.abandon()
             self._conn_tasks.discard(task)
             stats.record_conn_close(dropped=dropped)
             writer.close()
@@ -406,13 +732,22 @@ class NetListener:
     ) -> Tuple[SampleBlock, bool]:
         """Read one micro-batch of samples off the wire.
 
-        Each socket read pulls up to 64 KiB and ``decoder`` turns its
-        complete lines into samples in one pass — hundreds of samples
-        per event-loop turn instead of one.  Reading stops once at least
-        ``net_batch_samples`` samples are decoded (a single read may
-        overshoot) or a ``net_batch_delay`` window closes with no new
-        bytes, so a trickling producer's samples are never held hostage
-        to an unfilled batch.  Returns ``(block, eof)``; raises
+        Each socket read pulls up to 64 KiB, and ``decoder`` frames its
+        complete lines into one span and sends it out for decoding at
+        once, so decoding overlaps the reads.  At most ``_MAX_SPANS``
+        spans are out per connection: at that depth the batch waits for
+        the oldest instead of reading, so a connection whose batches
+        wait on a full ingest queue stops reading.  Decoded spans join
+        the batch in stream order.
+
+        The batch ends once it holds at least ``net_batch_samples``
+        decoded samples (one span may overshoot; spans still out carry
+        over to the next batch), or when its ``net_batch_delay`` window
+        closes.  The window opens at the batch's first read, or at its
+        start when spans carried over, and is never extended: a
+        trickling producer's samples wait at most that long for an
+        unfilled batch, plus the time to decode the spans read in it,
+        which all join the batch.  Returns ``(block, eof)``; raises
         :class:`ProtocolError` (with the valid prefix attached) on a
         line it cannot accept.
         """
@@ -420,8 +755,18 @@ class NetListener:
         loop = asyncio.get_running_loop()
         block = SampleBlock()
         deadline: Optional[float] = None
-        while len(block) < cfg.net_batch_samples:
-            try:
+        if decoder.in_flight:
+            deadline = loop.time() + cfg.net_batch_delay
+        try:
+            while True:
+                decoder.take(block)
+                if len(block) >= cfg.net_batch_samples:
+                    return block, False
+                if not decoder.reading or decoder.in_flight >= _MAX_SPANS:
+                    if not decoder.in_flight:
+                        return block, True
+                    await decoder.wait()
+                    continue
                 if deadline is None:
                     chunk = await reader.read(_READ_CHUNK)
                     deadline = loop.time() + cfg.net_batch_delay
@@ -435,18 +780,24 @@ class NetListener:
                         )
                     except asyncio.TimeoutError:
                         break
-            except asyncio.CancelledError:
-                # Graceful drain (close(abort=True)): treat the cancel
-                # as EOF so everything already decoded is still
-                # submitted and the producer still gets a summary.  The
-                # buffered tail is NOT decoded — a cut stream ends in an
-                # incomplete line, not a sample.
-                return block, True
-            if not chunk:
-                decoder.finish(block)
-                return block, True
-            decoder.feed(chunk, block)
-        return block, False
+                if chunk:
+                    decoder.feed(chunk)
+                else:
+                    decoder.finish()
+            # The window closed: every span read in it joins this batch.
+            while decoder.in_flight:
+                await decoder.wait()
+                decoder.take(block)
+            return block, False
+        except asyncio.CancelledError:
+            # Graceful drain (close(abort=True)): treat the cancel as
+            # EOF, so the samples of every complete line read so far are
+            # still submitted (spans still out are decoded inline) and
+            # the producer still gets a summary.  The buffered tail is
+            # NOT decoded — a cut stream ends in an incomplete line, not
+            # a sample.
+            decoder.take_now(block)
+            return block, True
 
     async def _reply(self, writer: asyncio.StreamWriter, payload: Dict) -> None:
         try:

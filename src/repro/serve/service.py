@@ -388,7 +388,13 @@ class IngestService:
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
+        # A cancelled task's traceback holds its frame, whose ``self`` is
+        # this service: dropping the finished tasks (and the callback,
+        # past its last use) breaks that cycle, so a closed service and
+        # its store are freed by reference counting, not a full GC.
         self._tasks = []
+        self._ingest_task = self._batch_task = None
+        self.on_verdict = None
         # _finish may cascade into a size-cap prune, which mutates
         # _sessions — iterate over a snapshot.
         for state in list(self._sessions.values()):

@@ -7,7 +7,11 @@ across backpressure configurations and both transports.  The edge-case
 suites prove the listener's per-connection fault isolation (a malformed
 or oversized line costs exactly one producer its connection — never data
 already parsed, never a peer), the graceful-drain close, and the CLI
-round trip (``efd serve --uds`` + ``efd replay`` + SIGTERM).
+round trip (``efd serve --uds`` + ``efd replay`` + SIGTERM).  The
+decode-process suite proves that spans decoded in the listener's forked
+process answer exactly as inline decoding does, that killing the
+process loses no line, that it keeps none of the service's descriptors,
+and that ``close()`` reaps it.
 
 ``make serve-smoke`` runs the ``smoke``-marked subset: boot a listener
 on an ephemeral UDS, replay a tiny stream, assert one verdict.
@@ -19,6 +23,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -44,6 +49,8 @@ from repro.serve import (
     replay_samples,
     split_by_job,
 )
+import repro.serve.net as net
+from repro.engine.stats import EngineStats
 from repro.serve.net import LineDecoder
 from repro.serve.stream import MAX_NODES
 
@@ -442,19 +449,34 @@ def _reference_decode(stream: bytes, max_bytes: int):
     return samples, None, len(lines)
 
 
-def _block_decode(stream: bytes, cuts, max_bytes: int):
-    """The listener's framing: feed ``stream`` split at ``cuts``."""
+def _block_decode(stream: bytes, cuts, max_bytes: int, worker=None,
+                  loop=None):
+    """The listener's framing: feed ``stream`` split at ``cuts`` and take
+    every span, decoded inline or by ``worker`` (on its ``loop``)."""
     bounds = sorted({0, len(stream), *(c % (len(stream) + 1) for c in cuts)})
-    decoder = LineDecoder(max_bytes)
-    out = SampleBlock()
-    try:
-        for lo, hi in zip(bounds, bounds[1:]):
-            decoder.feed(stream[lo:hi], out)
-        decoder.finish(out)
-    except ProtocolError as exc:
-        assert exc.parsed is out  # the whole valid prefix rides along
-        return list(out), str(exc), None
-    return list(out), None, decoder.lineno
+
+    async def run():
+        decoder = LineDecoder(max_bytes, worker)
+        out = SampleBlock()
+        try:
+            for lo, hi in zip(bounds, bounds[1:]):
+                if not decoder.reading:
+                    break
+                decoder.feed(stream[lo:hi])
+                decoder.take(out)
+            if decoder.reading:
+                decoder.finish()
+            while decoder.in_flight:
+                await decoder.wait()
+                decoder.take(out)
+        except ProtocolError as exc:
+            assert exc.parsed is out  # the whole valid prefix rides along
+            return list(out), str(exc), None
+        return list(out), None, decoder.lineno
+
+    if loop is None:
+        return asyncio.run(run())
+    return loop.run_until_complete(run())
 
 
 def _obj_line(job="j", node=0, t=61.0, value=1.5, nodes=4, **extra) -> bytes:
@@ -591,6 +613,248 @@ class TestBlockDecoder:
             uds=sock, run=run,
         ))
         assert reply == {"error": ref_error, "accepted": len(ref_samples)}
+
+
+# ---------------------------------------------------------------------------
+# The decode process: same answers as inline, and no trace left behind
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def decode_worker():
+    """One decode process on a loop of its own, shared by the examples."""
+    loop = asyncio.new_event_loop()
+    worker = loop.run_until_complete(
+        net._DecodeWorker.spawn(MAX_LINE, EngineStats())
+    )
+    yield loop, worker
+    loop.run_until_complete(worker.close())
+    loop.close()
+
+
+@pytest.fixture
+def with_worker(monkeypatch):
+    """Listeners fork a decode process whatever the CPU count, and send
+    it every span, however short."""
+    monkeypatch.setattr(net, "_decode_in_worker", lambda: True)
+    monkeypatch.setattr(net, "_INLINE_SPAN_BYTES", 0)
+
+
+def _folded(service) -> int:
+    return sum(state.session.n_samples for state in service._sessions.values()
+               if state.session is not None)
+
+
+def _child_pids():
+    """Process ids of this process's live (or unreaped) children."""
+    pids = set()
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/children") as fh:
+            pids.update(map(int, fh.read().split()))
+    return pids
+
+
+def _fds(pid: int):
+    """``{fd: target}`` of a live process."""
+    base = f"/proc/{pid}/fd"
+    return {int(fd): os.readlink(os.path.join(base, fd))
+            for fd in os.listdir(base)}
+
+
+_MID_STREAM_LINES = {
+    "malformed": b'{"job": "bad", "node": oops}',
+    "oversized": b'{"job": "fat", "node": 0, "t": 61.0, "value": 1.0, '
+                 b'"pad": "' + b"x" * 400 + b'"}',
+    "non-utf8": b'{"job": "\xff\xfe", "node": 0, "t": 61.0, "value": 1.0}',
+    "coercion": b'{"job": "m0", "node": "0", "t": 70, "value": "1e3"}',
+}
+
+
+class TestDecodeWorker:
+    """Spans decoded in the forked process give exactly what inline
+    decoding gives; the process holds no descriptor of the service's,
+    dies without costing a line, and is gone after ``close()``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        lines=st.lists(st.one_of(_valid_line, _valid_line, _odd_line),
+                       max_size=40),
+        trailing_newline=st.booleans(),
+        cuts=st.lists(st.integers(0, 10**6), max_size=8),
+    )
+    def test_equals_per_line_reference(self, decode_worker, lines,
+                                       trailing_newline, cuts):
+        loop, worker = decode_worker
+        stream = b"\n".join(lines) + (b"\n" if trailing_newline else b"")
+        ref_samples, ref_error, ref_lines = _reference_decode(stream, MAX_LINE)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(net, "_INLINE_SPAN_BYTES", 0)  # every span goes out
+            samples, error, n_lines = _block_decode(stream, cuts, MAX_LINE,
+                                                    worker, loop)
+        assert worker.alive
+        assert error == ref_error
+        assert n_lines == ref_lines
+        assert [_sample_key(s) for s in samples] == \
+            [_sample_key(s) for s in ref_samples]
+
+    @pytest.mark.parametrize("kind", sorted(_MID_STREAM_LINES))
+    def test_mid_stream_line_gets_the_inline_reply(
+        self, recognizer, tmp_path, monkeypatch, kind
+    ):
+        good = [_obj_line(job=f"m{i}", node=0, t=61.0 + i, nodes=1)
+                for i in range(400)]
+        stream = b"\n".join(good[:250] + [_MID_STREAM_LINES[kind]]
+                            + good[250:]) + b"\n"
+        config = ServeConfig(max_line_bytes=256, batch_max_delay=0.002,
+                             net_batch_samples=64)
+        ref_samples, ref_error, ref_lines = _reference_decode(stream, 256)
+        monkeypatch.setattr(net, "_INLINE_SPAN_BYTES", 0)
+        replies = {}
+        for in_worker in (True, False):
+            monkeypatch.setattr(net, "_decode_in_worker",
+                                lambda: in_worker)
+            sock = str(tmp_path / f"mid-{in_worker}.sock")
+            engine = _engine(recognizer)
+
+            async def run(listener):
+                assert (listener.decode_pid is not None) == in_worker
+                return json.loads(await _raw_uds_exchange(sock, stream))
+
+            _, replies[in_worker] = asyncio.run(_serve_net(
+                engine, config, uds=sock, run=run
+            ))
+        assert replies[True] == replies[False]
+        if ref_error is None:
+            assert replies[True] == {"ok": True, "accepted": len(ref_samples),
+                                     "lines": ref_lines}
+        else:
+            assert replies[True] == {"error": ref_error,
+                                     "accepted": len(ref_samples)}
+
+    def test_sigkill_mid_stream_loses_no_sample(
+        self, recognizer, dataset, tmp_path, monkeypatch, with_worker
+    ):
+        """Kill the process at its first reply, with spans of three
+        producers still out: they and every later span are decoded
+        inline, every sample is accounted for, and the verdicts equal
+        the single-stream reference."""
+        records = list(dataset)[:9]
+        job_ids = [f"job-{i:04d}" for i in range(len(records))]
+        reference = _reference_verdicts(recognizer, records, job_ids)
+        samples = list(interleave_records(records, METRIC, job_ids))
+        sock = str(tmp_path / "kill.sock")
+        engine = _engine(recognizer)
+        received = net._DecodeWorker.data_received
+        killed = []
+
+        def kill_first(self, data):
+            if not killed:
+                killed.append(self.pid)
+                os.kill(self.pid, signal.SIGKILL)
+            received(self, data)
+
+        monkeypatch.setattr(net._DecodeWorker, "data_received", kill_first)
+
+        async def run(listener):
+            summaries = await asyncio.wait_for(replay_samples(
+                samples, producers=3, uds=sock, batch_lines=16,
+            ), 60)
+            assert listener.decode_pid is None  # decoding inline now
+            return summaries
+
+        service, summaries = asyncio.run(_serve_net(
+            engine, ServeConfig(batch_max_delay=0.002, net_batch_samples=32),
+            uds=sock, run=run,
+        ))
+        assert killed
+        stats = engine.stats
+        assert stats.decode_worker_deaths == 1
+        assert all(s.get("ok") for s in summaries)
+        accepted = sum(s["accepted"] for s in summaries)
+        assert accepted == len(samples)
+        assert sum(s["lines"] for s in summaries) == len(samples)
+        assert accepted == _folded(service) + stats.n_late
+        assert service.results == reference
+
+    def test_holds_only_its_socket_and_the_standard_fds(
+        self, recognizer, tmp_path, with_worker
+    ):
+        from repro.engine import ShardedDictionary, load_columnar, \
+            save_columnar
+
+        directory = str(tmp_path / "efd-col")
+        save_columnar(
+            ShardedDictionary.from_flat(recognizer.dictionary_, 2), directory
+        )
+        engine = BatchRecognizer(load_columnar(directory), metric=METRIC,
+                                 depth=DEPTH)
+        sock = str(tmp_path / "fds.sock")
+
+        async def run():
+            async with IngestService(engine, ServeConfig()) as service:
+                other = socket.socket()
+                other.bind(("127.0.0.1", 0))
+                other.listen()
+                port = other.getsockname()[1]
+                async with NetListener(service, uds=sock, port=0) as listener:
+                    pid = listener.decode_pid
+                    fds = _fds(pid)
+                    other.close()
+                    again = socket.socket()
+                    try:
+                        again.bind(("127.0.0.1", port))  # no one holds it
+                    finally:
+                        again.close()
+                return fds
+
+        fds = asyncio.run(run())
+        extra = {fd: target for fd, target in fds.items() if fd > 2}
+        assert len(extra) == 1, fds
+        assert next(iter(extra.values())).startswith("socket:")
+
+    def test_close_reaps_the_process(self, recognizer, tmp_path, with_worker):
+        sock = str(tmp_path / "reap.sock")
+        engine = _engine(recognizer)
+
+        async def run():
+            async with IngestService(engine, ServeConfig()) as service:
+                listener = NetListener(service, uds=sock)
+                await listener.start()
+                pid = listener.decode_pid
+                assert pid in _child_pids()
+                await listener.close()
+                assert listener.decode_pid is None
+                return pid
+
+        pid = asyncio.run(run())
+        assert pid not in _child_pids()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+    def test_failed_start_leaves_no_process(self, recognizer, with_worker):
+        before = _child_pids()
+        taken = socket.socket()
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+
+        async def run():
+            async with IngestService(_engine(recognizer)) as service:
+                listener = NetListener(service,
+                                       port=taken.getsockname()[1])
+                with pytest.raises(OSError):
+                    await listener.start()
+                assert listener.decode_pid is None
+
+        try:
+            asyncio.run(run())
+        finally:
+            taken.close()
+        assert _child_pids() <= before
+
+    def test_one_cpu_decodes_inline(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert net._decode_in_worker() is False
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert net._decode_in_worker() is True
 
 
 # ---------------------------------------------------------------------------

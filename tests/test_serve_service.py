@@ -15,7 +15,9 @@ from __future__ import annotations
 import ast
 import asyncio
 import dataclasses
+import gc
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -1183,6 +1185,60 @@ class TestHousekeeping:
                 assert await service.verdict("j") == before
 
         asyncio.run(run())
+
+
+class TestCloseFreesStore:
+    def test_closed_service_and_listener_free_the_store(
+        self, recognizer, dataset, tmp_path
+    ):
+        """With the collector off, closing a service and its listener
+        leaves no cycle that holds the store: once the caller whose
+        bound method is ``on_verdict`` drops itself, reference counting
+        alone frees the store."""
+        from repro.engine import load_columnar, save_columnar
+        from repro.serve import NetListener, push_samples
+
+        directory = str(tmp_path / "efd-col")
+        save_columnar(
+            ShardedDictionary.from_flat(recognizer.dictionary_, 2), directory
+        )
+        record = list(dataset)[0]
+        samples = list(interleave_records([record], METRIC, ["one"]))
+        sock = str(tmp_path / "free.sock")
+
+        class Caller:
+            def __init__(self):
+                self.verdicts = {}
+
+            def on_verdict(self, job, result):
+                self.verdicts[job] = result
+
+            async def run(self):
+                store = load_columnar(directory)
+                engine = BatchRecognizer(store, metric=METRIC, depth=DEPTH)
+                self.service = IngestService(
+                    engine, ServeConfig(batch_max_delay=0.002),
+                    on_verdict=self.on_verdict,
+                )
+                await self.service.start()
+                self.listener = NetListener(self.service, uds=sock)
+                await self.listener.start()
+                reply = await push_samples(samples, uds=sock)
+                await self.service.drain()
+                await self.listener.close()
+                await self.service.close()
+                return weakref.ref(store), reply
+
+        gc.collect()
+        gc.disable()
+        try:
+            caller = Caller()
+            store_ref, reply = asyncio.run(caller.run())
+            assert reply["ok"] is True and list(caller.verdicts) == ["one"]
+            del caller
+            assert store_ref() is None
+        finally:
+            gc.enable()
 
 
 class TestRetention:
