@@ -26,11 +26,12 @@ serve-smoke:     ## UDS listener smoke + block decoder, decode process, block ac
 	$(PYTHON) e2ebench/run.py --workload serve_flood --seed 1 --seconds 3 --trace 0
 	$(PYTHON) e2ebench/run.py --workload serve_paced --seed 1 --seconds 3 --trace 0
 
-equivalence:     ## the backend equivalence matrix: every store answers like the flat reference
+equivalence:     ## the backend equivalence matrix: every store answers like the flat reference, learning or cascading included
 	$(PYTHON) -m pytest -q tests/test_engine_properties.py \
 	    tests/test_hash_kernel.py tests/test_records_path.py \
 	    tests/test_remote_v2.py tests/test_remote.py \
-	    tests/test_backend_protocol.py tests/test_columnar_codec.py
+	    tests/test_backend_protocol.py tests/test_columnar_codec.py \
+	    tests/test_deltalog.py tests/test_family_cascade.py
 
 reshard-smoke:   ## reshard N->M->N byte-identity + verdict equivalence gate
 	$(PYTHON) -m pytest tests/test_reshard.py -q

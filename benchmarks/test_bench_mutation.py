@@ -36,7 +36,6 @@ from repro.engine import (
     load_columnar,
     save_columnar,
 )
-from repro.engine.columnar import ColumnarBatchIndex
 from repro.engine.deltalog import SEGMENT_NAME
 from repro.telemetry.timeseries import TimeSeries
 
@@ -163,9 +162,10 @@ def test_mutation_throughput(tmp_path, save_report, bench_record):
         assert out == baseline  # untouched keys: verdicts unchanged
     appends_per_s = N_APPENDS / append_wall if append_wall else float("inf")
 
-    # The whole trickle ran on the vectorized path and only appended to
-    # the delta-log: every base file is as the save left it.
-    assert isinstance(engine._index, ColumnarBatchIndex)
+    # The whole trickle ran on the key-hash tables (nothing decoded the
+    # store's key order) and only appended to the delta-log: every base
+    # file is as the save left it.
+    assert store._key_order_cache is None
     assert {
         name: os.path.getsize(os.path.join(col_dir, name))
         for name in os.listdir(col_dir) if name != SEGMENT_NAME

@@ -45,9 +45,9 @@ class StreamSession:
     Parameters
     ----------
     dictionary:
-        The learned EFD to match against — flat or
-        :class:`~repro.engine.sharded.ShardedDictionary` (both expose
-        the same lookup contract).
+        The learned EFD that :meth:`verdict` matches against — any
+        store with the :class:`~repro.engine.backend.DictionaryBackend`
+        lookup contract (flat, sharded, columnar or remote).
     metric / depth / interval:
         Fingerprint configuration: which telemetry metric is streamed,
         the rounding depth the dictionary was built with, and the
@@ -205,23 +205,29 @@ class StreamSession:
         """Fraction of nodes whose interval window has fully elapsed."""
         return self._n_past_end / self.n_nodes
 
+    def rounded_means(self) -> List[float]:
+        """Each node's current interval mean, rounded to the session's
+        depth; NaN for a node with zero valid samples.
+
+        What :meth:`fingerprints` wraps into keys, and what
+        :meth:`~repro.engine.batch.BatchRecognizer.recognize_sessions`
+        probes with directly.
+        """
+        depth = self.depth
+        nan = float("nan")
+        return [
+            round_depth(total / count, depth) if count else nan
+            for total, count in zip(self._sums, self._counts)
+        ]
+
     def fingerprints(self) -> List[Optional[Fingerprint]]:
         """Current fingerprints (None for nodes with zero valid samples)."""
-        out: List[Optional[Fingerprint]] = []
-        for node in range(self.n_nodes):
-            if self._counts[node] == 0:
-                out.append(None)
-                continue
-            mean = self._sums[node] / self._counts[node]
-            out.append(
-                Fingerprint(
-                    metric=self.metric,
-                    node=node,
-                    interval=self.interval,
-                    value=round_depth(mean, self.depth),
-                )
-            )
-        return out
+        metric, interval = self.metric, self.interval
+        return [
+            Fingerprint(metric, node, interval, value) if value == value
+            else None
+            for node, value in enumerate(self.rounded_means())
+        ]
 
     # -- verdict -----------------------------------------------------------------
     def verdict(self, force: bool = False) -> MatchResult:

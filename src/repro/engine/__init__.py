@@ -18,10 +18,12 @@ would run.  ``repro.engine`` is the scale-out layer:
 - :class:`~repro.engine.batch.BatchRecognizer` recognizes many
   executions (or many live :class:`~repro.core.streaming.StreamSession`
   objects) in one call: interval means are computed vectorized over
-  nodes with NumPy, unique fingerprints are resolved once through the
-  store's own batch path (``lookup_many``, or a ``(node, value)`` index
-  built from the store), all serially in the calling thread, and
-  per-execution votes reuse the exact matcher semantics.
+  nodes with NumPy, and both kinds of batch go through one verdict
+  kernel.  Its ``(node, rounded value)`` probes resolve to entry
+  handles through the store's own batch path (a columnar store's
+  key-hash tables, or one ``lookup_many`` over the distinct keys not
+  yet memoized), all serially in the calling thread, and each distinct
+  handle pattern is voted once with the exact matcher semantics.
 
 - :class:`~repro.engine.stats.EngineStats` counts lookups, hits, ties,
   and unknowns, snapshots per-shard occupancy, and carries the serving
@@ -113,7 +115,7 @@ sharded, columnar}) and shard counts.
 """
 
 from repro.engine.backend import DictionaryBackend, merge_into
-from repro.engine.batch import BatchRecognizer, match_fingerprints_batch
+from repro.engine.batch import BatchRecognizer
 from repro.engine.columnar import (
     ColumnarDictionary,
     compact_shards,
@@ -170,7 +172,6 @@ __all__ = [
     "elect_and_promote",
     "load_columnar",
     "local_position",
-    "match_fingerprints_batch",
     "merge_into",
     "parse_remote_spec",
     "pending_records",

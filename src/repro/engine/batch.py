@@ -14,12 +14,10 @@ all of that amortizes:
   way, so they need no per-row scalar call either);
 - rounding is vectorized (:func:`~repro.core.rounding.round_depth_array`
   mirrors the scalar function bit-for-bit);
-- stored records resolve every ``(node, value)`` probe of the batch to
-  an integer entry handle in one call, and a record's verdict is
-  computed once per distinct handle pattern;
-- duplicate fingerprints across the batch are looked up once, in one
-  ``lookup_many`` call on the store (vectorized columns, routed shards
-  or a remote scatter/gather — whatever the store's batch path is);
+- stored records and live sessions meet in one kernel: their
+  ``(node, rounded value)`` probes resolve to integer entry handles in
+  one call on the store, and an execution's verdict is computed once
+  per distinct handle pattern;
 - the application order for tie-breaking is computed once per batch.
 
 The result list is element-wise equal to a sequential loop of
@@ -35,97 +33,23 @@ import numpy as np
 
 from repro.core.dictionary import ExecutionFingerprintDictionary, app_of_label
 from repro.core.fingerprint import DEFAULT_INTERVAL, Fingerprint
-from repro.core.matcher import MatchResult, vote
+from repro.core.matcher import MatchResult
 from repro.core.rounding import round_depth_array
 from repro.core.streaming import StreamSession
 from repro.data.dataset import ExecutionRecord
 from repro.telemetry.timeseries import TimeSeries
-from repro.engine.columnar import (
-    ColumnarBatchIndex,
-    ColumnarDictionary,
-    ResolvedProbes,
-)
+from repro.engine.columnar import ColumnarDictionary, Entry
 from repro.engine.remote import RemoteShardBackend
 from repro.engine.sharded import ShardedDictionary
 from repro.engine.stats import EngineStats
 
 AnyDictionary = Union[
-    ExecutionFingerprintDictionary, ShardedDictionary, ColumnarDictionary
+    ExecutionFingerprintDictionary, ShardedDictionary, ColumnarDictionary,
+    RemoteShardBackend,
 ]
 
-#: The batch lookup table: (node, value) -> (label list, distinct apps).
-TupleIndex = Dict[Tuple[int, float], Tuple[List[str], Tuple[str, ...]]]
-
-#: A memoized record verdict: the MatchResult fields, then the hit count.
+#: A memoized verdict: the MatchResult fields, then the hit count.
 _Verdict = Tuple[Tuple[str, ...], Dict[str, int], Dict[str, int], int, int, int]
-
-
-def _shard_tuple_index(
-    store: AnyDictionary, metric: str, interval: Tuple[float, float]
-) -> TupleIndex:
-    """(node, value) -> (label list, distinct apps) for one store's keys
-    of one (metric, interval) — the engine's O(1) batch lookup table.
-
-    The per-key app tuple precomputes what ``vote()`` would re-derive
-    for every lookup: the applications this key's labels span, deduped.
-    """
-    index: TupleIndex = {}
-    for fp, labels in store.entries():
-        if fp.metric == metric and fp.interval == interval:
-            apps = tuple(dict.fromkeys(app_of_label(l) for l in labels))
-            index[(fp.node, fp.value)] = (labels, apps)
-    return index
-
-
-def match_fingerprints_batch(
-    dictionary: AnyDictionary,
-    fingerprint_lists: Sequence[Sequence[Optional[Fingerprint]]],
-) -> Tuple[List[MatchResult], int]:
-    """Match many executions' fingerprints in one pass.
-
-    Returns ``(results, n_hits)`` where ``results[i]`` equals
-    ``match_fingerprints(dictionary, fingerprint_lists[i])`` and
-    ``n_hits`` counts lookups (fingerprint occurrences) that matched at
-    least one label.  The distinct keys resolve in one ``lookup_many``
-    call, through the store's own batch path (vectorized columns,
-    routed shards, a remote scatter/gather).
-    """
-    unique: Dict[Fingerprint, None] = {}
-    for fps in fingerprint_lists:
-        for fp in fps:
-            if fp is not None:
-                unique.setdefault(fp, None)
-    table = dict(zip(unique, dictionary.lookup_many(list(unique))))
-    position = {app: i for i, app in enumerate(dictionary.app_names())}
-    results: List[MatchResult] = []
-    n_hits = 0
-    for fps in fingerprint_lists:
-        lookups: List[List[str]] = []
-        matched_labels: Dict[str, int] = {}
-        n_missing = 0
-        n_fingerprints = 0
-        for fp in fps:
-            if fp is None:
-                n_missing += 1
-                continue
-            n_fingerprints += 1
-            labels = table[fp]
-            lookups.append(labels)
-            if labels:
-                n_hits += 1
-                for label in labels:
-                    matched_labels[label] = matched_labels.get(label, 0) + 1
-        ranked, votes = vote(lookups, position=position)
-        results.append(
-            MatchResult(
-                ranked=ranked,
-                votes=votes,
-                matched_labels=matched_labels,
-                n_fingerprints=n_fingerprints,
-                n_missing=n_missing,
-            )
-        )
-    return results, n_hits
 
 
 def _check_metric(record: ExecutionRecord, metric: str) -> None:
@@ -261,27 +185,6 @@ def _slot_nodes(records: Sequence[ExecutionRecord]) -> np.ndarray:
     )
 
 
-def _dict_resolve(
-    table: TupleIndex, nodes: np.ndarray, values: np.ndarray
-) -> ResolvedProbes:
-    """Resolve a batch's probes against the generic dict index, handing
-    out one handle per distinct hit key (NaN probes miss)."""
-    handles = np.full(len(values), -1, dtype=np.int64)
-    handle_of: Dict[Tuple[int, float], int] = {}
-    entries: Dict[int, Tuple[List[str], Tuple[str, ...]]] = {}
-    get = table.get
-    for i, probe in enumerate(zip(nodes.tolist(), values.tolist())):
-        handle = handle_of.get(probe)
-        if handle is None:
-            entry = get(probe)
-            if entry is None:
-                continue
-            handle = handle_of[probe] = len(entries)
-            entries[handle] = entry
-        handles[i] = handle
-    return ResolvedProbes(handles, entries, nodes, values)
-
-
 def build_fingerprints_batch(
     records: Sequence[ExecutionRecord],
     metric: str,
@@ -317,8 +220,10 @@ class BatchRecognizer:
     Parameters
     ----------
     dictionary:
-        A flat :class:`ExecutionFingerprintDictionary` or a
-        :class:`~repro.engine.sharded.ShardedDictionary`.
+        Any EFD store: a flat :class:`ExecutionFingerprintDictionary`,
+        an in-memory :class:`~repro.engine.sharded.ShardedDictionary`,
+        a :class:`~repro.engine.columnar.ColumnarDictionary` or a
+        :class:`~repro.engine.remote.RemoteShardBackend`.
     metric / depth / interval / unknown_label:
         Fingerprint configuration, as in
         :class:`~repro.core.recognizer.EFDRecognizer`.
@@ -345,48 +250,26 @@ class BatchRecognizer:
         self.interval = (float(start), float(end))
         self.unknown_label = unknown_label
         self.stats = EngineStats()
-        self._index: Optional[Union[TupleIndex, ColumnarBatchIndex]] = None
-        self._index_version: Optional[int] = None
+        # Hits of a store without a vectorized index: (node, value) ->
+        # handle into _hit_entries, valid while the store's version is.
+        self._hits: Dict[Tuple[int, float], int] = {}
+        self._hit_entries: List[Entry] = []
+        self._hits_version: Optional[int] = None
 
-    def warm(self, for_sessions: bool = False) -> "BatchRecognizer":
+    def warm(self) -> "BatchRecognizer":
         """Prebuild the lookup structures so the first batch pays no setup.
 
         A :class:`ColumnarDictionary` builds its key-hash table, which
-        both batch entry points search; :meth:`recognize_records` also
-        needs its ``(node, value)`` index, built unless ``for_sessions``
-        — :class:`repro.serve.IngestService` warms the session path at
-        startup so its first micro-batch answers at steady-state
-        latency.  Idempotent; flat/sharded stores answer sessions
-        through plain dict lookups already.
+        both batch entry points search — :class:`repro.serve.IngestService`
+        warms at startup so its first micro-batch answers at
+        steady-state latency.  Other stores have nothing to build: their
+        hits are memoized as batches find them.  Idempotent.
         """
         if isinstance(self.dictionary, ColumnarDictionary):
             # Cold lookups would otherwise answer through the filters
             # and defer the build until a batch actually needs it.
             self.dictionary.warm_index()
-        if not for_sessions:
-            self._tuple_index()
         return self
-
-    @classmethod
-    def from_recognizer(
-        cls, recognizer, n_shards: int = 1
-    ) -> "BatchRecognizer":
-        """Bind to a fitted :class:`~repro.core.recognizer.EFDRecognizer`.
-
-        ``n_shards > 1`` re-partitions the learned dictionary into a
-        :class:`~repro.engine.sharded.ShardedDictionary` first.
-        """
-        recognizer._check_fitted()
-        dictionary: AnyDictionary = recognizer.dictionary_
-        if n_shards > 1:
-            dictionary = ShardedDictionary.from_flat(dictionary, n_shards)
-        return cls(
-            dictionary=dictionary,
-            metric=recognizer.metric,
-            depth=recognizer.depth_,
-            interval=recognizer.interval,
-            unknown_label=recognizer.unknown_label,
-        )
 
     # -- batch over stored executions --------------------------------------
     def recognize_records(
@@ -399,27 +282,109 @@ class BatchRecognizer:
         — ``==`` and the insertion order of ``votes`` and
         ``matched_labels`` alike.  The hot path never constructs (or
         hashes) a :class:`~repro.core.fingerprint.Fingerprint` or a
-        per-node key: node means are reduced batch-wide and rounded in
-        one vectorized call, every ``(node, value)`` probe resolves to
-        an integer entry handle through the lookup table (built once
-        and cached until the dictionary changes), and each record's
-        verdict is memoized on its handle pattern.
+        per-node key on a columnar store: node means are reduced
+        batch-wide and rounded in one vectorized call, and the whole
+        probe columns go to the verdict kernel.
         """
         start, end = self.interval
-        value_array = _batch_rounded_means(
+        values = _batch_rounded_means(
             records, self.metric, self.depth, start, end
         )
-        node_array = _slot_nodes(records)
-        table = self._tuple_index()
-        if isinstance(table, ColumnarBatchIndex):
-            resolved = table.resolve_probes(node_array, value_array)
-        else:
-            resolved = _dict_resolve(table, node_array, value_array)
-        entries = resolved.entries
+        return self._verdicts(
+            _slot_nodes(records), values, [r.n_nodes for r in records]
+        )
+
+    def predict(self, records: Sequence[ExecutionRecord]) -> List[str]:
+        """Application name per record (``unknown_label`` on no match)."""
+        return [
+            r.prediction if r.prediction else self.unknown_label
+            for r in self.recognize_records(records)
+        ]
+
+    # -- batch over live streaming sessions --------------------------------
+    def recognize_sessions(
+        self, sessions: Sequence[StreamSession], force: bool = False
+    ) -> List[MatchResult]:
+        """Verdicts for many concurrent streaming sessions in one pass.
+
+        ``results[i]`` equals ``sessions[i].verdict()`` — but sessions
+        are only read, never concluded, so callers that want the session
+        object to cache its verdict keep using
+        :meth:`StreamSession.verdict`.  Raises :class:`RuntimeError`
+        unless every session is ready (all interval windows elapsed) or
+        ``force`` is set, and :class:`ValueError` for a session built
+        with another metric, depth or interval than this engine's.  This
+        is the resolution primitive under
+        :class:`repro.serve.IngestService`, which adds queuing,
+        micro-batch coalescing, and backpressure on top.
+
+        The batch's probes are deduplicated to its distinct keys before
+        any NumPy call, and those keys go through the same verdict
+        kernel as :meth:`recognize_records`.
+        """
+        self._check_sessions(sessions, force)
+        key_of: Dict[Tuple[int, float], int] = {}
+        slots: List[int] = []
+        for session in sessions:
+            for node, value in enumerate(session.rounded_means()):
+                if value != value:  # NaN — no fingerprint on this node
+                    slots.append(-2)
+                else:
+                    slots.append(
+                        key_of.setdefault((node, value), len(key_of))
+                    )
+        nodes = np.array([node for node, _ in key_of], dtype=np.int64)
+        values = np.array([value for _, value in key_of], dtype=np.float64)
+        return self._verdicts(
+            nodes, values, [s.n_nodes for s in sessions], slots
+        )
+
+    def _check_sessions(
+        self, sessions: Sequence[StreamSession], force: bool
+    ) -> None:
+        """Refuse unready sessions (unless ``force``) and sessions whose
+        fingerprint configuration differs from this engine's."""
+        for i, session in enumerate(sessions):
+            for field in ("metric", "depth", "interval"):
+                theirs, ours = getattr(session, field), getattr(self, field)
+                if theirs != ours:
+                    raise ValueError(
+                        f"session {session.session_id or i} has {field} "
+                        f"{theirs!r}, but this engine recognizes {field} "
+                        f"{ours!r}"
+                    )
+        if not force:
+            pending = [i for i, s in enumerate(sessions) if not s.ready]
+            if pending:
+                raise RuntimeError(
+                    f"{len(pending)} of {len(sessions)} sessions not yet "
+                    f"complete (first: session {pending[0]}); pass "
+                    f"force=True to decide early"
+                )
+
+    # -- the verdict kernel ------------------------------------------------
+    def _verdicts(
+        self,
+        nodes: np.ndarray,
+        values: np.ndarray,
+        counts: Sequence[int],
+        slots: Optional[List[int]] = None,
+    ) -> List[MatchResult]:
+        """One MatchResult per item of a batch; records batch stats.
+
+        ``nodes``/``values`` are the probe key columns (a NaN value is
+        a node without a fingerprint).  Without ``slots`` probe ``i`` is
+        key ``i``; with them it is key ``slots[i]``, or a node without
+        a fingerprint where that is ``-2``.  ``counts[j]`` is item
+        ``j``'s node count: its probes are the next ``counts[j]``.
+        """
+        resolved, entries = self._resolve(nodes, values)
         # -2 marks a node without a fingerprint, -1 a miss.
-        handles = np.where(
-            value_array != value_array, -2, resolved.handles
-        ).tolist()
+        if slots is None:
+            handles = np.where(values != values, -2, resolved).tolist()
+        else:
+            resolved = resolved.tolist()
+            handles = [resolved[k] if k >= 0 else -2 for k in slots]
         position = {
             app: i for i, app in enumerate(self.dictionary.app_names())
         }
@@ -432,21 +397,20 @@ class BatchRecognizer:
         # values (that is the EFD's whole pruning idea), and unknown
         # workloads onto the same misses, so identical per-node handle
         # patterns recur across a batch; their verdict is computed once
-        # and re-materialized per record (fresh MatchResult with copied
+        # and re-materialized per item (fresh MatchResult with copied
         # dicts — the sequential path returns independent objects, and
         # callers may mutate votes/matched_labels in place).
         memo: Dict[Tuple[int, ...], _Verdict] = {}
         results: List[MatchResult] = []
         n_hits = 0
         pos = 0
-        for record in records:
-            n_nodes = record.n_nodes
+        for n_nodes in counts:
             pattern = tuple(handles[pos : pos + n_nodes])
             pos += n_nodes
             verdict = memo.get(pattern)
             if verdict is None:
                 # Inlined vote(): each matched key contributes one vote
-                # per distinct application in its label list (the index
+                # per distinct application in its label list (the entry
                 # precomputed that set).  Property tests pin this to the
                 # canonical matcher, byte for byte.
                 votes: Dict[str, int] = {}
@@ -489,85 +453,56 @@ class BatchRecognizer:
         self._record_stats(results, n_hits)
         return results
 
-    def _tuple_index(self) -> Union[TupleIndex, "ColumnarBatchIndex"]:
-        """Build (or reuse) the batch lookup table.
+    def _resolve(
+        self, nodes: np.ndarray, values: np.ndarray
+    ) -> Tuple[np.ndarray, Sequence[Entry]]:
+        """Entry handle per probe key (``-1`` for a miss; NaN keys
+        miss) and the ``(labels, apps)`` entries the handles index.
 
-        A :class:`ColumnarDictionary` answers through its vectorized
-        index over the key-hash tables (no per-key Python work); any
-        other store gets the classic per-key dict, built shard by shard
-        for a :class:`ShardedDictionary` so no key is routed again.
+        A :class:`ColumnarDictionary` searches its key-hash tables
+        through :meth:`~ColumnarDictionary.batch_index`.  Any other
+        store gets the distinct keys it has not memoized in one
+        ``lookup_many`` call, and its hits stay memoized until its
+        ``version`` moves — except a :class:`RemoteShardBackend`, whose
+        version does not see other clients' writes: it is asked every
+        batch.
         """
-        version = self.dictionary.version
-        if self._index is not None and self._index_version == version:
-            return self._index
-        if isinstance(self.dictionary, ColumnarDictionary):
-            index = self.dictionary.batch_index(self.metric, self.interval)
-        else:
-            stores = (
-                self.dictionary.shards
-                if isinstance(self.dictionary, ShardedDictionary)
-                else [self.dictionary]
-            )
-            index = {}
-            for store in stores:
-                index.update(
-                    _shard_tuple_index(store, self.metric, self.interval)
-                )
-        self._index = index
-        self._index_version = version
-        return index
-
-    def predict(self, records: Sequence[ExecutionRecord]) -> List[str]:
-        """Application name per record (``unknown_label`` on no match)."""
-        return [
-            r.prediction if r.prediction else self.unknown_label
-            for r in self.recognize_records(records)
+        store = self.dictionary
+        if isinstance(store, ColumnarDictionary):
+            resolved = store.batch_index(
+                self.metric, self.interval
+            ).resolve_probes(nodes, values)
+            return resolved.handles, resolved.entries
+        version = store.version
+        if version != self._hits_version or isinstance(
+            store, RemoteShardBackend
+        ):
+            self._hits, self._hit_entries = {}, []
+            self._hits_version = version
+        hits, entries = self._hits, self._hit_entries
+        keys = list(zip(nodes.tolist(), values.tolist()))
+        new = [
+            key for key in dict.fromkeys(keys)
+            if key[1] == key[1] and key not in hits
         ]
-
-    # -- batch over live streaming sessions --------------------------------
-    def recognize_sessions(
-        self, sessions: Sequence[StreamSession], force: bool = False
-    ) -> List[MatchResult]:
-        """Verdicts for many concurrent streaming sessions in one pass.
-
-        ``results[i]`` equals ``sessions[i].verdict()`` — but sessions
-        are only read, never concluded, so callers that want the session
-        object to cache its verdict keep using
-        :meth:`StreamSession.verdict`.  Raises :class:`RuntimeError`
-        unless every session is ready (all interval windows elapsed) or
-        ``force`` is set.  This is the resolution primitive under
-        :class:`repro.serve.IngestService`, which adds queuing,
-        micro-batch coalescing, and backpressure on top.
-        """
-        if not force:
-            pending = [i for i, s in enumerate(sessions) if not s.ready]
-            if pending:
-                raise RuntimeError(
-                    f"{len(pending)} of {len(sessions)} sessions not yet "
-                    f"complete (first: session {pending[0]}); pass "
-                    f"force=True to decide early"
-                )
-        fingerprint_lists = [s.fingerprints() for s in sessions]
-        return self._match(fingerprint_lists)
-
-    # -- internals ----------------------------------------------------------
-    def _match(
-        self, fingerprint_lists: Sequence[Sequence[Optional[Fingerprint]]]
-    ) -> List[MatchResult]:
-        results, n_hits = match_fingerprints_batch(
-            self.dictionary, fingerprint_lists
-        )
-        self._record_stats(results, n_hits)
-        return results
+        if new:
+            metric, interval = self.metric, self.interval
+            found = store.lookup_many([
+                Fingerprint(metric, node, interval, value)
+                for node, value in new
+            ])
+            for key, labels in zip(new, found):
+                if labels:
+                    hits[key] = len(entries)
+                    entries.append((
+                        labels, tuple(dict.fromkeys(map(app_of_label, labels)))
+                    ))
+        get = hits.get
+        return np.array([get(key, -1) for key in keys], np.int64), entries
 
     def _record_stats(self, results: Sequence[MatchResult], n_hits: int) -> None:
-        occupancy = (
-            self.dictionary.shard_sizes()
-            if isinstance(self.dictionary, (
-                ShardedDictionary, ColumnarDictionary, RemoteShardBackend
-            ))
-            else [len(self.dictionary)]
-        )
+        shard_sizes = getattr(self.dictionary, "shard_sizes", None)
+        occupancy = shard_sizes() if shard_sizes else [len(self.dictionary)]
         self.stats.record_batch(results, n_hits, shard_occupancy=occupancy)
 
     def __repr__(self) -> str:

@@ -482,11 +482,9 @@ class ColumnarBatchIndex:
     """The batch engine's ``(node, value)`` table for one (metric,
     interval), backed by the store's key-hash tables.
 
-    Replaces the per-key Python dict the generic path builds
-    (:func:`repro.engine.batch._shard_tuple_index`): nothing is built
-    per (metric, interval).  :meth:`resolve_probes` completes each probe
-    to a full key with constant metric/interval ids and resolves the
-    batch through the same search as
+    Nothing is built per (metric, interval).  :meth:`resolve_probes`
+    completes each probe to a full key with constant metric/interval
+    ids and resolves the batch through the same search as
     :meth:`ColumnarDictionary.lookup_many`.  Handles are base rows, or
     overlay handles past them; ``(labels, apps)`` entries materialize
     only for keys actually hit, and are cached across batches.
@@ -523,7 +521,7 @@ class ColumnarBatchIndex:
         handles = owner._handles(
             metric_id, interval_id, nodes, _value_bits(values)
         )
-        distinct = np.unique(handles[handles >= 0]).tolist()
+        distinct = set(handles[handles >= 0].tolist())
         entries = {handle: owner._entry(handle) for handle in distinct}
         return ResolvedProbes(handles, entries, nodes, values)
 

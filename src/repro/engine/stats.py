@@ -67,9 +67,6 @@ METRICS = (
            "lookups that matched at least one label"),
     Metric("n_missing", "missing", "counter", "lookups", "missing_nodes",
            "nodes that produced no usable fingerprint"),
-    Metric("index_demotions", "index_demotions", "counter", "demotions",
-           "batches", "always 0: no store falls back from its batch path "
-           "any more; kept so older stats files still load"),
     Metric("shard_occupancy", "shard_occupancy", "shards", "shard keys",
            "per_shard", "keys held by each shard at the last batch"),
     # -- serving (fed by repro.serve.IngestService) --------------------------

@@ -617,16 +617,19 @@ def make_family_engine(
             self.cascade = cascade
             cascade.stats = self.stats
 
-        def _match(self, fingerprint_lists):
+        def recognize_sessions(self, sessions, force=False):
+            self._check_sessions(sessions, force)
+            return self._cascade([s.fingerprints() for s in sessions])
+
+        def recognize_records(self, records):
+            return self._cascade(build_fingerprints_batch(
+                records, self.metric, self.depth, self.interval
+            ))
+
+        def _cascade(self, fingerprint_lists):
             verdicts, n_hits = cascade._cascade(fingerprint_lists)
             self._record_stats(verdicts, n_hits)
             return verdicts
-
-        def recognize_records(self, records):
-            fingerprint_lists = build_fingerprints_batch(
-                records, self.metric, self.depth, self.interval
-            )
-            return self._match(fingerprint_lists)
 
         def __repr__(self):
             return (

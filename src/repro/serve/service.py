@@ -330,7 +330,7 @@ class IngestService:
         self._quiescent = asyncio.Event()
         self._quiescent.set()
         self._running = True
-        # Warm-start: prebuild the engine's session-path lookup index on
+        # Warm-start: prebuild the engine's lookup index on
         # the executor (for a columnar shard directory that is the
         # merged key-hash table — the negative-lookup filters alone
         # load at open and would otherwise defer this build to the
@@ -340,9 +340,7 @@ class IngestService:
         # cache, prefaulting pages every serve worker then shares.
         warm = getattr(self.engine, "warm", None)
         if warm is not None:
-            await self._loop.run_in_executor(
-                None, partial(warm, for_sessions=True)
-            )
+            await self._loop.run_in_executor(None, warm)
         self._ingest_task = self._loop.create_task(
             self._ingest_loop(), name="efd-serve-ingest"
         )
@@ -894,7 +892,7 @@ class IngestService:
 
     def _recognize(self, sessions: List[StreamSession]) -> List[MatchResult]:
         """Executor entry point.  The lock serializes engine access:
-        EngineStats and the cached tuple index are loop-confined
+        EngineStats and the engine's hit memo are loop-confined
         everywhere else, and micro-batches may overlap."""
         with self._engine_lock:
             return self.engine.recognize_sessions(sessions, force=True)

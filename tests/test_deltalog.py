@@ -2,9 +2,8 @@
 
 The acceptance bar of the delta-log refactor: a columnar store under a
 sustained write trickle (appends interleaved with batch recognitions)
-keeps the vectorized ``searchsorted`` index active — zero demotions —
-with verdicts element-wise identical to a flat reference grown the same
-way; the log replays across restarts, folds losslessly on compaction,
+keeps answering through its key-hash tables, with verdicts element-wise
+identical to a flat reference grown the same way; the log replays across restarts, folds losslessly on compaction,
 and survives crash artifacts (torn tail, stale generation).
 """
 
@@ -21,6 +20,7 @@ from repro.core.dictionary import ExecutionFingerprintDictionary
 from repro.core.fingerprint import Fingerprint, build_fingerprints
 from repro.core.matcher import match_fingerprints
 from repro.core.recognizer import EFDRecognizer
+from repro.core.streaming import StreamSession
 from repro.engine import (
     BatchRecognizer,
     ShardedDictionary,
@@ -29,7 +29,6 @@ from repro.engine import (
     pending_records,
     save_columnar,
 )
-from repro.engine.columnar import ColumnarBatchIndex
 from repro.engine.deltalog import SEGMENT_NAME, segment_path
 
 
@@ -37,6 +36,17 @@ def _fp(value: float, node: int = 0, metric: str = "m") -> Fingerprint:
     return Fingerprint(
         metric=metric, node=node, interval=(60.0, 120.0), value=value
     )
+
+
+def _session(values, depth: int = 2) -> StreamSession:
+    """A ready metric-``m`` session whose node ``i`` has ``values[i]``
+    as its interval mean (no sample where it is None)."""
+    session = StreamSession(None, "m", depth, (60.0, 120.0),
+                            n_nodes=len(values))
+    session.restore([v or 0.0 for v in values],
+                    [int(v is not None) for v in values],
+                    [True] * len(values), len(values))
+    return session
 
 
 @pytest.fixture
@@ -78,7 +88,7 @@ def _assert_equal_stores(a, b) -> None:
 
 
 class TestWriteTrickleKeepsIndexHot:
-    """ISSUE 5 acceptance: appends never demote the vectorized path."""
+    """Appends never take the batch path off the key-hash tables."""
 
     def test_trickle_verdicts_match_flat_reference(self, tiny_dataset, columnar):
         recognizer = EFDRecognizer(depth=2).fit(tiny_dataset)
@@ -102,8 +112,9 @@ class TestWriteTrickleKeepsIndexHot:
                 for r in records
             ]
             assert engine.recognize_records(records) == expected
-            # The engine is still answering through the columnar index.
-            assert isinstance(engine._index, ColumnarBatchIndex)
+            # The engine answers through the key-hash tables: nothing
+            # decodes the store's whole key order.
+            assert col._key_order_cache is None
         assert col.delta_pending == 12
 
     def test_thousand_appends_with_batch_recognitions(self, columnar):
@@ -112,7 +123,7 @@ class TestWriteTrickleKeepsIndexHot:
         # the flat reference.
         flat = _small_flat()
         col, directory = columnar(flat, n_shards=8)
-        engine = BatchRecognizer(col, metric="m", depth=2)
+        engine = BatchRecognizer(col, metric="m", depth=6)
         probes = [fp for fp, _ in flat.entries()]
         for i in range(1000):
             fp = _fp(50000.0 + i, i % 4)
@@ -121,7 +132,15 @@ class TestWriteTrickleKeepsIndexHot:
             if i % 100 == 99:
                 got = col.lookup_many(probes + [fp])
                 assert got == [flat.lookup(p) for p in probes + [fp]]
-                assert isinstance(engine._tuple_index(), ColumnarBatchIndex)
+                # The newest key, probed through the session path.
+                values = [None] * 4
+                values[fp.node] = fp.value
+                assert engine.recognize_sessions(
+                    [_session(values, depth=6)]
+                ) == [match_fingerprints(
+                    flat, [f if f is None else _fp(f, n)
+                           for n, f in enumerate(values)]
+                )]
         assert col.delta_pending == 1000
         _assert_equal_stores(col, flat)
 
@@ -366,21 +385,26 @@ class TestNoFallbackPath:
         victim = next(fp for fp, _ in flat.entries())
         col.add(victim, "dd_D")
         flat.add(victim, "dd_D")
-        engine.recognize_records([])        # forces an index rebuild
-        assert isinstance(engine._index, ColumnarBatchIndex)
-        assert engine.stats.index_demotions == 0
+        values = [None] * (victim.node + 1)
+        values[victim.node] = victim.value
+        assert engine.recognize_sessions([_session(values)]) == [
+            match_fingerprints(flat, [None] * victim.node + [victim])
+        ]
         assert col.lookup(victim) == flat.lookup(victim)
         assert base_files(directory) == before
 
-    def test_demotion_counter_round_trips_through_snapshot(self):
+    def test_retired_demotion_counter_still_loads(self):
+        # Older stats snapshots carry the retired index_demotions
+        # counter: they still load, and render without it.
         from repro.engine import EngineStats
 
         stats = EngineStats()
-        stats.add(index_demotions=1)
-        stats.add(index_demotions=1)
-        snapshot = EngineStats.from_dict(stats.as_dict())
-        assert snapshot.index_demotions == 2
-        assert "demotions" in snapshot.render()
+        stats.add(n_batches=1)
+        payload = dict(stats.as_dict(), index_demotions=2)
+        snapshot = EngineStats.from_dict(payload)
+        assert snapshot.n_batches == 1
+        assert not hasattr(snapshot, "index_demotions")
+        assert "demotions" not in snapshot.render()
 
     def test_overlay_and_base_keys_answer_merged_on_every_path(
         self, columnar
@@ -399,15 +423,17 @@ class TestNoFallbackPath:
         assert col.lookup_many([overlay_key, base_key]) == [
             flat.lookup(overlay_key), flat.lookup(base_key)
         ]
-        from repro.engine import match_fingerprints_batch
-
-        results, _ = match_fingerprints_batch(col, [[overlay_key], [base_key]])
-        expected, _ = match_fingerprints_batch(
-            flat, [[overlay_key], [base_key]]
-        )
-        assert results == expected
-        index = engine._tuple_index()
-        assert isinstance(index, ColumnarBatchIndex)
+        sessions = []
+        expected = []
+        for key in (overlay_key, base_key):
+            values = [None] * (key.node + 1)
+            values[key.node] = key.value
+            sessions.append(_session(values))
+            expected.append(
+                match_fingerprints(flat, [None] * key.node + [key])
+            )
+        assert engine.recognize_sessions(sessions) == expected
+        index = col.batch_index("m", (60.0, 120.0))
         resolved = index.resolve_probes(
             np.array([overlay_key.node, base_key.node]),
             np.array([overlay_key.value, base_key.value]),

@@ -18,17 +18,15 @@ from repro.core.dictionary import ExecutionFingerprintDictionary
 from repro.core.fingerprint import Fingerprint, build_fingerprints
 from repro.core.matcher import match_fingerprints, vote
 from repro.core.recognizer import EFDRecognizer
-from repro.core.streaming import StreamingRecognizer
+from repro.core.streaming import StreamingRecognizer, StreamSession
 from repro.engine import (
     BatchRecognizer,
     ShardedDictionary,
     load_columnar,
-    match_fingerprints_batch,
     save_columnar,
     shard_index,
 )
 from repro.engine.batch import build_fingerprints_batch
-from repro.engine.columnar import ColumnarBatchIndex
 
 SHARD_COUNTS = (1, 2, 4, 8)
 
@@ -66,6 +64,38 @@ def _build_both(seed: int, n_shards: int, n_pairs: int = 300):
         flat.add(fp, label)
         sharded.add(fp, label)
     return flat, sharded, rng
+
+
+def _fed_sessions(recognizer, records):
+    """One session per record, fed its whole nr_mapped_vmstat series."""
+    streaming = StreamingRecognizer.from_recognizer(recognizer)
+    sessions = []
+    for record in records:
+        session = streaming.open_session(n_nodes=record.n_nodes)
+        for node in range(record.n_nodes):
+            series = record.series("nr_mapped_vmstat", node)
+            session.ingest_many(node, series.times, series.values)
+        sessions.append(session)
+    return sessions
+
+
+#: A depth at which every ``_random_fingerprint`` value rounds to itself.
+_EXACT_DEPTH = 6
+
+
+def _session_of(fps, metric=_METRICS[0], interval=_INTERVALS[0]):
+    """A ready session whose node ``i`` has ``fps[i]``'s value as its
+    rounded mean (no sample where ``fps[i]`` is None).  Every non-None
+    ``fps[i]`` has this metric and interval, and node ``i``."""
+    session = StreamSession(
+        None, metric, _EXACT_DEPTH, interval, n_nodes=len(fps)
+    )
+    session.restore(
+        [0.0 if fp is None else fp.value for fp in fps],
+        [0 if fp is None else 1 for fp in fps],
+        [True] * len(fps), len(fps),
+    )
+    return session
 
 
 class TestShardedEqualsFlat:
@@ -246,18 +276,18 @@ class TestBatchEqualsSequential:
         engine = BatchRecognizer(recognizer.dictionary_, depth=2)
         assert engine.recognize_records(records) == sequential
 
-    def test_match_fingerprints_batch_equals_loop(self, fitted):
-        recognizer, records, sequential = fitted
-        fingerprint_lists = [
-            build_fingerprints(r, "nr_mapped_vmstat", 2) for r in records
-        ]
+    def test_recognize_sessions_counts_hits_like_lookups(self, fitted):
+        recognizer, records, _ = fitted
+        sessions = _fed_sessions(recognizer, records)
         sharded = ShardedDictionary.from_flat(recognizer.dictionary_, 4)
-        results, n_hits = match_fingerprints_batch(sharded, fingerprint_lists)
-        assert results == sequential
-        assert n_hits == sum(
+        engine = BatchRecognizer(sharded, depth=2)
+        assert engine.recognize_sessions(sessions) == [
+            s.verdict() for s in sessions
+        ]
+        assert engine.stats.n_hits == sum(
             1
-            for fps in fingerprint_lists
-            for fp in fps
+            for s in sessions
+            for fp in s.fingerprints()
             if fp is not None and sharded.lookup(fp)
         )
 
@@ -292,14 +322,7 @@ class TestBatchEqualsSequential:
 
     def test_recognize_sessions_equals_individual_verdicts(self, fitted):
         recognizer, records, _ = fitted
-        streaming = StreamingRecognizer.from_recognizer(recognizer)
-        sessions = []
-        for record in records[:10]:
-            session = streaming.open_session(n_nodes=record.n_nodes)
-            for node in range(record.n_nodes):
-                series = record.series("nr_mapped_vmstat", node)
-                session.ingest_many(node, series.times, series.values)
-            sessions.append(session)
+        sessions = _fed_sessions(recognizer, records[:10])
         engine = BatchRecognizer(
             ShardedDictionary.from_flat(recognizer.dictionary_, 4), depth=2
         )
@@ -341,10 +364,10 @@ class TestBatchEqualsSequential:
 class TestColumnarBackendEqualsFlat:
     """The storage-backend equivalence matrix.
 
-    Every backend — flat, in-memory sharded, columnar (mmap) —
-    must produce byte-identical MatchResults,
-    across shard counts, on both the record path (vectorized column
-    index) and the session path (vectorized full-key lookup)."""
+    Every backend — flat, in-memory sharded, columnar (mmap) and the
+    remote fan-out client over shard-server threads — must produce
+    byte-identical MatchResults, across shard counts, on both the
+    record path and the session path (one verdict kernel)."""
 
     @pytest.fixture(scope="class")
     def fitted(self, tiny_dataset):
@@ -359,43 +382,133 @@ class TestColumnarBackendEqualsFlat:
         ]
         return recognizer, records, sequential
 
-    def _stores(self, recognizer, n_shards, tmp_path):
-        flat = recognizer.dictionary_
-        sharded = ShardedDictionary.from_flat(flat, n_shards)
-        col_dir = str(tmp_path / "col")
-        save_columnar(sharded, col_dir)
-        return {
-            "flat": flat,
-            "sharded": sharded,
-            "columnar": load_columnar(col_dir),
-        }
+    @pytest.fixture
+    def stores(self, tmp_path):
+        """``stores(recognizer, n_shards)``: every backend loaded from
+        the recognizer's dictionary; the remote client talks to two
+        columnar shard hosts (one at a single shard), each recording
+        the ops it is sent in ``host_ops``.  Torn down after the test."""
+        from repro.engine.remote import RemoteShardBackend, ShardServerThread
+
+        closers = []
+        host_ops = []
+
+        def build(recognizer, n_shards):
+            flat = recognizer.dictionary_
+            sharded = ShardedDictionary.from_flat(flat, n_shards)
+            root = tmp_path / f"stores-{n_shards}"
+            save_columnar(sharded, str(root / "col"))
+            specs = []
+            for k in range(min(2, n_shards)):
+                directory = str(root / f"host{k}")
+                save_columnar(sharded, directory)
+                owned = [s for s in range(n_shards) if s % 2 == k]
+                thread = ShardServerThread(
+                    load_columnar(directory), n_shards=n_shards,
+                    shards=owned,
+                ).start()
+                closers.append(thread.server.store.close)
+                closers.append(thread.stop)
+                dispatch = thread.server._dispatch
+
+                def recording(msg, state, dispatch=dispatch):
+                    host_ops.append(msg.get("op"))
+                    return dispatch(msg, state)
+
+                thread.server._dispatch = recording
+                specs.append(
+                    f"{','.join(str(s) for s in owned)}@{thread.endpoint}"
+                )
+            remote = RemoteShardBackend(
+                specs, n_shards=n_shards, rng=random.Random(0)
+            )
+            closers.append(remote.close)
+            columnar = load_columnar(str(root / "col"))
+            closers.append(columnar.close)
+            return {
+                "flat": flat,
+                "sharded": sharded,
+                "columnar": columnar,
+                "remote": remote,
+            }
+
+        build.host_ops = host_ops
+        yield build
+        for close in reversed(closers):
+            close()
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_recognize_records_identical_across_backends(
-        self, fitted, n_shards, tmp_path
+        self, fitted, n_shards, stores
     ):
         recognizer, records, sequential = fitted
-        for name, store in self._stores(recognizer, n_shards, tmp_path).items():
+        for name, store in stores(recognizer, n_shards).items():
             engine = BatchRecognizer(store, depth=2)
+            del stores.host_ops[:]
             assert engine.recognize_records(records) == sequential, name
-            # Second pass exercises the cached (vectorized) index.
+            # Second pass exercises the memoized hits.
             assert engine.recognize_records(records) == sequential, name
+            # Nothing walks the store: no shard dump crosses the wire.
+            assert "entries" not in stores.host_ops, name
+
+    @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+    def test_recognize_sessions_identical_across_backends(
+        self, fitted, n_shards, stores
+    ):
+        recognizer, records, _ = fitted
+        sessions = _fed_sessions(recognizer, records)
+        expected = [s.verdict() for s in sessions]
+        reference = None
+        for name, store in stores(recognizer, n_shards).items():
+            engine = BatchRecognizer(store, depth=2)
+            assert engine.recognize_sessions(sessions) == expected, name
+            if reference is None:
+                reference = engine.stats.n_hits
+            assert engine.stats.n_hits == reference, name
+
+    def test_records_after_a_learn_walk_no_remote_shard(
+        self, fitted, stores
+    ):
+        # A learn moves the store's version; the next batch must see it
+        # without dumping a shard over the wire.
+        recognizer, records, _ = fitted
+        remote = stores(recognizer, 4)["remote"]
+        reference = ShardedDictionary.from_flat(
+            recognizer.dictionary_, 1
+        ).to_flat()
+        engine = BatchRecognizer(remote, depth=2)
+        engine.recognize_records(records[:4])
+        for fp in build_fingerprints(records[0], "nr_mapped_vmstat", 2):
+            if fp is not None:
+                remote.add(fp, "zz_Q")
+                reference.add(fp, "zz_Q")
+        del stores.host_ops[:]
+        got = engine.recognize_records(records[:4])
+        assert "zz" in got[0].votes
+        assert got == [
+            match_fingerprints(
+                reference, build_fingerprints(r, "nr_mapped_vmstat", 2)
+            )
+            for r in records[:4]
+        ]
+        assert "entries" not in stores.host_ops
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_columnar_batch_path_never_hydrates(
-        self, fitted, n_shards, tmp_path, no_dict_efd
+        self, fitted, n_shards, stores, no_dict_efd
     ):
         recognizer, records, sequential = fitted
-        stores = self._stores(recognizer, n_shards, tmp_path)
-        store, reference = stores["columnar"], stores["sharded"]
+        built = stores(recognizer, n_shards)
+        store, reference = built["columnar"], built["sharded"]
         engine = BatchRecognizer(store, depth=2)
+        sessions = _fed_sessions(recognizer, records)
+        expected = [s.verdict() for s in sessions]
         fingerprint_lists = [
             build_fingerprints(r, "nr_mapped_vmstat", 2) for r in records
         ]
         with no_dict_efd():
             assert engine.recognize_records(records) == sequential
-            results, _ = match_fingerprints_batch(store, fingerprint_lists)
-            assert results == sequential
+            assert engine.recognize_sessions(sessions) == expected
             # Point reads and whole-store walks read the columns too.
             fp = next(fp for fp in fingerprint_lists[0] if fp is not None)
             assert store.lookup(fp) == reference.lookup(fp)
@@ -404,43 +517,20 @@ class TestColumnarBackendEqualsFlat:
             assert list(store.entries()) == list(reference.entries())
             assert store.stats() == reference.stats()
 
-    @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-    def test_match_fingerprints_batch_identical_across_backends(
-        self, fitted, n_shards, tmp_path
-    ):
-        recognizer, records, sequential = fitted
-        fingerprint_lists = [
-            build_fingerprints(r, "nr_mapped_vmstat", 2) for r in records
-        ]
-        reference = None
-        for name, store in self._stores(recognizer, n_shards, tmp_path).items():
-            results, n_hits = match_fingerprints_batch(store, fingerprint_lists)
-            assert results == sequential, name
-            if reference is None:
-                reference = n_hits
-            assert n_hits == reference, name
-
     def test_columnar_sessions_equal_individual_verdicts(
-        self, fitted, tmp_path, no_dict_efd
+        self, fitted, stores, no_dict_efd
     ):
         recognizer, records, _ = fitted
-        store = self._stores(recognizer, 4, tmp_path)["columnar"]
-        streaming = StreamingRecognizer.from_recognizer(recognizer)
-        sessions = []
-        for record in records[:10]:
-            session = streaming.open_session(n_nodes=record.n_nodes)
-            for node in range(record.n_nodes):
-                series = record.series("nr_mapped_vmstat", node)
-                session.ingest_many(node, series.times, series.values)
-            sessions.append(session)
+        store = stores(recognizer, 4)["columnar"]
+        sessions = _fed_sessions(recognizer, records[:10])
         engine = BatchRecognizer(store, depth=2)
         expected = [s.verdict() for s in sessions]
         with no_dict_efd():
             assert engine.recognize_sessions(sessions) == expected
 
-    def test_columnar_index_invalidated_on_growth(self, fitted, tmp_path):
+    def test_columnar_index_invalidated_on_growth(self, fitted, stores):
         recognizer, records, _ = fitted
-        store = self._stores(recognizer, 4, tmp_path)["columnar"]
+        store = stores(recognizer, 4)["columnar"]
         engine = BatchRecognizer(store, depth=2)
         before = engine.recognize_records(records[:4])
         assert not before[0].is_unknown
@@ -463,14 +553,13 @@ class TestColumnarBackendEqualsFlat:
             for r in records[:4]
         ]
         assert engine.recognize_records(records[:4]) == expected
-        store.close()
 
-    def test_columnar_writes_keep_the_batch_path(self, fitted, tmp_path):
+    def test_columnar_writes_keep_the_batch_path(self, fitted, stores):
         # Writes reach a columnar store only through its delta-log, so
-        # lookup_many always answers (never None) and the batch engine
-        # keeps its vectorized index while the answers follow the writes.
+        # the batch kernel keeps searching the key-hash tables while
+        # the answers follow the writes — for records and sessions.
         recognizer, records, _ = fitted
-        store = self._stores(recognizer, 4, tmp_path)["columnar"]
+        store = stores(recognizer, 4)["columnar"]
         reference = ShardedDictionary.from_flat(recognizer.dictionary_, 1).to_flat()
         store.register_label("zz_Q")
         reference.register_label("zz_Q")
@@ -478,39 +567,36 @@ class TestColumnarBackendEqualsFlat:
             if fp is not None:
                 store.add(fp, "zz_Q")
                 reference.add(fp, "zz_Q")
-        fingerprint_lists = [
-            build_fingerprints(r, "nr_mapped_vmstat", 2) for r in records[:6]
+        expected = [
+            match_fingerprints(
+                reference, build_fingerprints(r, "nr_mapped_vmstat", 2)
+            )
+            for r in records[:6]
         ]
-        expected, expected_hits = match_fingerprints_batch(
-            reference, fingerprint_lists
-        )
         assert "zz" in expected[0].votes
+        sessions = _fed_sessions(recognizer, records[:6])
         engine = BatchRecognizer(store, depth=2)
         for _ in (1, 2):
-            batch, n_hits = match_fingerprints_batch(store, fingerprint_lists)
-            assert batch == expected
-            assert n_hits == expected_hits
-        assert engine.recognize_records(records[:6]) == expected
-        assert isinstance(engine._index, ColumnarBatchIndex)
-        store.close()
+            assert engine.recognize_sessions(sessions) == expected
+            assert engine.recognize_records(records[:6]) == expected
 
     def test_warm_prebuilds_and_keeps_results_identical(
-        self, fitted, tmp_path, no_dict_efd
+        self, fitted, stores, no_dict_efd
     ):
         recognizer, records, sequential = fitted
-        store = self._stores(recognizer, 2, tmp_path)["columnar"]
+        store = stores(recognizer, 2)["columnar"]
         with no_dict_efd():
             engine = BatchRecognizer(store, depth=2).warm()
-            assert engine._index is not None
+            # Warm reads (and checksums) every shard's key columns and
+            # builds the merged key-hash table, without a dict EFD.
+            assert all(f._verified for f in store._files)
+            assert store._table is not None
             assert engine.recognize_records(records) == sequential
-            # Warm reads (and checksums) every shard's key columns
-            # without building a dict EFD.
-            engine.warm(for_sessions=True)
-        assert all(f._verified for f in store._files)
+            assert engine.warm() is engine
 
-    def test_lookup_many_returns_independent_lists(self, fitted, tmp_path):
+    def test_lookup_many_returns_independent_lists(self, fitted, stores):
         recognizer, records, _ = fitted
-        store = self._stores(recognizer, 2, tmp_path)["columnar"]
+        store = stores(recognizer, 2)["columnar"]
         fp = next(
             fp for fp in build_fingerprints(records[0], "nr_mapped_vmstat", 2)
             if fp is not None
@@ -521,14 +607,14 @@ class TestColumnarBackendEqualsFlat:
         assert store.lookup_many([fp])[0] == store.lookup(fp)
 
     def test_empty_batch_returns_empty_on_every_backend(
-        self, fitted, tmp_path
+        self, fitted, stores
     ):
         recognizer, _, _ = fitted
-        for name, store in self._stores(recognizer, 2, tmp_path).items():
+        for name, store in stores(recognizer, 2).items():
             engine = BatchRecognizer(store, depth=2)
             assert engine.recognize_records([]) == [], name
-            results, n_hits = match_fingerprints_batch(store, [])
-            assert results == [] and n_hits == 0, name
+            assert engine.recognize_sessions([]) == [], name
+            assert engine.stats.n_hits == 0, name
 
 
 class TestStorageEquivalenceUnderInterleavings:
@@ -802,22 +888,39 @@ class TestRemoteEqualsFlatUnderInterleavings:
             assert remote.intervals() == flat.intervals()
             assert len(remote) == len(flat)
 
-            # The engine's batch path over the remote store equals the
+            # The engine's session path over the remote store equals the
             # sequential matcher over the flat oracle (None entries are
             # nodes that produced no fingerprint).
+            metric, interval = _METRICS[0], _INTERVALS[0]
+            known = {}
+            for fp, _ in flat.entries():
+                if fp.metric == metric and fp.interval == interval:
+                    known.setdefault(fp.node, []).append(fp)
             fingerprint_lists = []
             for _ in range(12):
-                fps = probe_mix(n_known=2, n_miss=1)
-                if rng.random() < 0.3:
-                    fps.append(None)
+                fps = []
+                for node in range(4):
+                    roll = rng.random()
+                    if roll < 0.2:
+                        fps.append(None)
+                    elif roll < 0.5 or node not in known:
+                        fps.append(Fingerprint(
+                            metric, node, interval,
+                            float(rng.randrange(1, 200) * 100),
+                        ))
+                    else:
+                        fps.append(rng.choice(known[node]))
                 fingerprint_lists.append(fps)
-            results, n_hits = match_fingerprints_batch(
-                remote, fingerprint_lists
+            engine = BatchRecognizer(
+                remote, metric=metric, depth=_EXACT_DEPTH, interval=interval
+            )
+            results = engine.recognize_sessions(
+                [_session_of(fps) for fps in fingerprint_lists]
             )
             assert results == [
                 match_fingerprints(flat, fps) for fps in fingerprint_lists
             ]
-            assert n_hits == sum(
+            assert engine.stats.n_hits == sum(
                 1 for fps in fingerprint_lists for fp in fps
                 if fp is not None and flat.lookup(fp)
             )

@@ -435,3 +435,104 @@ class TestCascadeStats:
 
     def test_idle_stats_render_without_cascade_block(self):
         assert "cascade" not in EngineStats().render()
+
+
+# ---------------------------------------------------------------------------
+# Family serving: the cascade behind the batch engine and the service
+# ---------------------------------------------------------------------------
+
+_METRIC = "nr_mapped_vmstat"
+_INTERVAL = (35.0, 40.0)
+
+
+def _session(means, depth=3, interval=_INTERVAL, session_id=None):
+    """A ready session: one in-window sample per node (none where the
+    mean is None), then one sample past the window end."""
+    from repro.core.streaming import StreamSession
+
+    session = StreamSession(None, _METRIC, depth, interval,
+                            n_nodes=len(means), session_id=session_id)
+    for node, mean in enumerate(means):
+        if mean is not None:
+            session.ingest(node, 36.0, mean)
+        session.ingest(node, 41.0, 0.0)
+    return session
+
+
+# A match, a near-family, an unknown, and a tie with a missing node.
+_SESSION_MEANS = [
+    [1230.0, 1230.0], [1240.0, 1240.0], [7890.0], [1230.0, None, 4560.0],
+]
+
+
+class TestFamilyServing:
+    def test_engine_sessions_equal_cascade_match(self):
+        from repro.family import make_family_engine
+
+        cascade = _build_cascade()
+        engine = make_family_engine(cascade, metric=_METRIC,
+                                    interval=_INTERVAL)
+        sessions = [_session(means) for means in _SESSION_MEANS]
+        verdicts = engine.recognize_sessions(sessions)
+        assert engine.stats.n_executions == len(sessions)
+        assert engine.stats.family_near == 1
+        assert verdicts == cascade.cascade_match(
+            [s.fingerprints() for s in sessions]
+        )
+        assert [v.outcome for v in verdicts] == [
+            "match", "near-family", "unknown", "match",
+        ]
+
+    def test_ingest_service_resolves_family_verdicts(self):
+        import asyncio
+
+        from repro.family import make_family_engine
+        from repro.serve import IngestService, Sample, ServeConfig
+
+        cascade = _build_cascade()
+        engine = make_family_engine(cascade, metric=_METRIC,
+                                    interval=_INTERVAL)
+        jobs = {f"job-{i}": means for i, means in enumerate(_SESSION_MEANS)}
+        samples = []
+        for job, means in jobs.items():
+            n = len(means)
+            for node, mean in enumerate(means):
+                if mean is not None:
+                    samples.append(Sample(job, node, 36.0, mean, n))
+            samples += [Sample(job, node, 41.0, 0.0, n) for node in range(n)]
+        expected = cascade.cascade_match(
+            [_session(means).fingerprints() for means in jobs.values()]
+        )
+
+        async def run():
+            async with IngestService(engine, ServeConfig()) as service:
+                await service.submit_many(samples)
+                await service.drain()
+                return [await service.verdict(job) for job in jobs]
+
+        verdicts = asyncio.run(run())
+        assert all(isinstance(v, FamilyVerdict) for v in verdicts)
+        assert verdicts == expected
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("depth", {"depth": 2}),
+        ("interval", {"interval": (60.0, 120.0)}),
+    ])
+    def test_session_of_another_config_is_refused_by_name(
+        self, field, kwargs
+    ):
+        from repro.engine import BatchRecognizer
+        from repro.family import make_family_engine
+
+        cascade = _build_cascade()
+        engines = [
+            make_family_engine(cascade, metric=_METRIC, interval=_INTERVAL),
+            BatchRecognizer(cascade.fine, metric=_METRIC, depth=3,
+                            interval=_INTERVAL),
+        ]
+        good = _session([1230.0, 1230.0])
+        odd = _session([1230.0, 1230.0], session_id="job-odd", **kwargs)
+        for engine in engines:
+            with pytest.raises(ValueError, match=f"job-odd has {field}"):
+                engine.recognize_sessions([good, odd], force=True)
+            assert engine.stats.n_batches == 0

@@ -230,11 +230,11 @@ class TestRecordsEqualSequential:
                 reference.add(fp, label)
         assert store.delta_pending
         engine = BatchRecognizer(store, metric=METRIC, depth=DEPTH)
-        assert isinstance(engine._tuple_index(),
-                          columnar_mod.ColumnarBatchIndex)
         _assert_same(engine.recognize_records(records),
                      _sequential(reference, records, DEPTH))
-        assert engine.stats.index_demotions == 0
+        # Overlay keys answer through the key-hash tables: the batch
+        # never decodes the store's whole key order.
+        assert store._key_order_cache is None
 
     def test_filters_before_and_after_hits(self, openworld, tmp_path):
         flat, records, unknown = openworld
@@ -278,8 +278,8 @@ class TestRecordsEqualSequential:
         want = _sequential(flat, records, 2)
         assert all(r.votes for r in want)
         _assert_same(engine.recognize_records(records), want)
-        index = engine._tuple_index()
         if kind != "flat":
+            index = store.batch_index(METRIC, INTERVAL)
             resolved = index.resolve_probes(
                 np.array([0, 0, 1, 1]), np.array([-0.0, 0.0, -0.0, 0.0])
             )
@@ -353,12 +353,9 @@ class TestWarmBuildsRecordsIndex:
         def no_build(*args, **kwargs):
             raise AssertionError("the first batch rebuilt an index")
 
-        # After warm() a batch reads no hash table and no bulk columns,
-        # and the engine reuses the index it warmed.
+        # After warm() a batch reads no hash table and no bulk columns.
         monkeypatch.setattr(columnar_mod.ColumnarDictionary,
                             "_shard_hash_index", no_build)
         monkeypatch.setattr(columnar_mod.MmapShardFile, "columns", no_build)
-        monkeypatch.setattr(columnar_mod.ColumnarDictionary, "batch_index",
-                            no_build)
         _assert_same(engine.recognize_records(records),
                      _sequential(flat, records, DEPTH))

@@ -266,7 +266,6 @@ class TestVerdictEquivalence:
         assert after_store.n_shards == n_new
         engine = BatchRecognizer(after_store, depth=2)
         assert engine.recognize_records(batch) == before
-        assert engine.stats.index_demotions == 0
 
     def test_verdicts_match_the_flat_reference_path(self, fitted, tmp_path):
         recognizer, batch = fitted
