@@ -7,9 +7,10 @@ executions/sec of the reference loop
 flat dictionary) — while producing element-wise identical MatchResults.
 
 The speedup is algorithmic, not parallel-hardware luck: batch-wide
-vectorized interval means, one (node, value) tuple index instead of
-per-lookup dataclass hashing, and verdict memoization across repeated
-fingerprint patterns.  The engine runs serially, on a single core.
+vectorized interval means, (node, value) probes whose hits stay
+memoized across batches instead of per-lookup dataclass hashing, and
+verdict memoization across repeated fingerprint patterns.  The engine
+runs serially, on a single core.
 """
 
 from __future__ import annotations

@@ -460,6 +460,46 @@ class TestGilQuietLookup:
             reference.lookup(fp) for fp in probes
         ]
 
+    def test_session_batch_probes_only_its_distinct_keys(self, tmp_path,
+                                                         monkeypatch):
+        # 1200 session probes over at most 28 distinct keys: only those
+        # keys reach the store's numpy kernel, and nothing sorts.
+        from repro.core.matcher import match_fingerprints
+        from repro.core.streaming import StreamSession
+        from repro.engine import BatchRecognizer
+
+        reference = _flat(8)
+        store = _store(reference, tmp_path, filters=True)
+        reference = copy.deepcopy(reference)
+        _learn(store, reference, 8)
+        store.warm_index()
+        metric, interval, depth = METRICS[0], INTERVALS[0], 19  # exact
+        engine = BatchRecognizer(store, metric=metric, depth=depth,
+                                 interval=interval)
+        rng = random.Random(8)
+        sessions, expected, keys = [], [], set()
+        for _ in range(300):
+            values = [rng.choice(VALUES) for _ in range(4)]
+            session = StreamSession(None, metric, depth, interval, n_nodes=4)
+            session.restore(values, [1] * 4, [True] * 4, 4)
+            sessions.append(session)
+            fps = [Fingerprint(metric, node, interval, value)
+                   for node, value in enumerate(values)]
+            expected.append(match_fingerprints(reference, fps))
+            keys.update((fp.node, fp.value) for fp in fps)
+        engine.recognize_sessions(sessions[:1])  # builds the overlay's table
+        sizes = []
+        handles = store._handles
+
+        def spy(*columns, **kwargs):
+            sizes.append(len(columns[2]))
+            return handles(*columns, **kwargs)
+
+        monkeypatch.setattr(store, "_handles", spy)
+        _forbid_releasing_calls(monkeypatch)
+        assert engine.recognize_sessions(sessions) == expected
+        assert sizes == [len(keys)]
+
     def test_shard_server_dict_view_bucket(self, monkeypatch):
         reference = _flat(7)
         sharded = ShardedDictionary.from_flat(reference, 3)
